@@ -9,6 +9,13 @@ block negative definite, with quantitative bounds) along runs, estimates
 convergence orders, and writes field snapshots in text or binary form for the
 oscillation-measurement layer.
 
+The two sparse linear solves differ.  The semi-implicit step's system
+``I - dt*L`` is strictly diagonally dominant and is solved iteratively by
+Jacobi-preconditioned BiCGSTAB; a solve that misses its tolerance raises
+:class:`NoConvergence` instead of returning an unconverged step.  Each Newton
+step solves the linearized operator ``L`` itself by a direct sparse LU
+factorization.
+
 Two discrete flavors are supported:
 
 ``"real"``
@@ -40,7 +47,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import bicgstab, splu
 
 from .errors import (
     CFLViolation,
@@ -667,12 +674,27 @@ def _operator_matrix(
     return mat, unknowns, frame_legs
 
 
+# Relative residual at which the semi-implicit step's linear solve stops.
+_SEMI_RTOL = 1e-13
+
+
 def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
     """One lagged-coefficient semi-implicit step: ``(I - dt*L_n) du = dt*F_n``.
 
     The frame increment over the step is known exactly for a frozen frame
     (the boundary values are linear in time), so its stencil coupling moves
     to the right-hand side instead of being lagged.
+
+    ``I - dt*L_n`` is strictly diagonally dominant (``L_n`` has a negative
+    diagonal and positive off-diagonals summing to at most its magnitude), so
+    the system is solved by Jacobi-preconditioned BiCGSTAB to relative
+    residual ``_SEMI_RTOL``; a direct factorization's fill grows too fast to
+    be usable on 4-D grids.  Iteration counts grow with ``dt/h^2``: 3-4 on
+    13^4 and 17^4 at ``dt = 1e-3``, about 50 and 110 on 129^2 at ``dt`` 1e-3
+    and 5e-3.  Every caller in this package steps with ``dt <= 5e-3``; on
+    fine 2-D grids at ``dt`` of order one (~270 iterations at 129^2) a direct
+    solve would be faster.  A solve that misses the tolerance raises
+    :class:`NoConvergence` rather than returning an unconverged increment.
     """
     dt = f.dt
     conv, conc = _block_fields(f, u)
@@ -685,8 +707,17 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
         frame_delta = f.policy.spec.time_drift * dt
         if frame_delta != 0.0:
             rhs += dt * frame_delta * frame_legs
-    a_mat = (sp.identity(lmat.shape[0], format="csc") - dt * lmat).tocsc()
-    delta = splu(a_mat).solve(rhs)
+    a_mat = (sp.identity(lmat.shape[0], format="csr") - dt * lmat).tocsr()
+    diag = a_mat.diagonal()
+    delta, info = bicgstab(
+        a_mat, rhs, x0=rhs / diag, rtol=_SEMI_RTOL, atol=0.0,
+        maxiter=10 * rhs.size, M=sp.diags(1.0 / diag),
+    )
+    if info != 0:
+        raise NoConvergence(
+            f"semi-implicit step at t={t:.6g}: BiCGSTAB did not reach relative "
+            f"residual {_SEMI_RTOL:.0e} (info={info})"
+        )
     unew = u.copy()
     unew.ravel()[unknowns] += delta
     _apply_frame(f, unew, t + dt)
@@ -790,7 +821,7 @@ def solve_elliptic(
         if res <= tol:
             return dataclasses.replace(f, slices=[u], times=[0.0])
         lmat, unknowns, _ = _operator_matrix(f, _linearized_gammas(f, conv, conc))
-        delta = splu(lmat).solve(-r.ravel()[unknowns])
+        delta = splu(lmat, permc_spec="MMD_AT_PLUS_A").solve(-r.ravel()[unknowns])
         step = 1.0
         while True:
             cand = u.copy()

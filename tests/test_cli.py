@@ -11,10 +11,13 @@ Oracle strategy:
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tma
 from tma.cli import (
     ExperimentConfig,
     SUITES,
@@ -280,6 +283,17 @@ class TestRunOutputs:
         assert values["time_order_rk4"] >= 3.5
         assert 1.8 <= values["spatial_order"] <= 2.2
 
+    @pytest.mark.parametrize("nodes", [65, 129])
+    def test_rigidity_suite_passes_on_fine_grids(self, tmp_path, nodes):
+        cfg = ExperimentConfig.from_dict(
+            {"suite": "rigidity", "nodes": nodes, "out": str(tmp_path)}
+        )
+        result = run_experiment(cfg)
+        assert result.error is None and result.passed
+        values = dict(result.rows)
+        assert values["n_nodes"] == (nodes - 4) ** 2
+        assert values["det_deviation"] <= 1e-9
+
     def test_oscillation_suite_passes_and_reuses_ladder_contract(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"suite": "oscillation-decay", "out": str(tmp_path)}
@@ -370,6 +384,21 @@ class TestCommandLine:
         bad = write_json(tmp_path, "bad.json", {"suite": "rigidity", "nodes": -1})
         assert main(["validate", "--config", bad]) == 2
         assert "nodes" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_without_runpy_warning(self, tmp_path):
+        good = write_json(tmp_path, "good.json", {"suite": "rigidity"})
+        src = os.path.dirname(os.path.dirname(tma.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "tma",
+             "validate", "--config", good],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert "config ok" in res.stdout
 
     def test_validate_does_not_accept_missing_seed(self, tmp_path):
         cfg = write_json(tmp_path, "cfg.json", {"suite": "q-sign", "draws": 2})

@@ -14,7 +14,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+from tma import solver
 from tma.errors import (
     CFLViolation,
     ClassExit,
@@ -26,6 +29,10 @@ from tma.errors import (
 from tma.jets import ExpressionSpec
 from tma.solver import (
     BoxGrid,
+    _block_fields,
+    _flow_value_from_blocks,
+    _linearized_gammas,
+    _operator_matrix,
     FrozenFrame,
     PeriodicBase,
     discrete_hessian,
@@ -190,12 +197,16 @@ class TestQuadraticMotion:
             exact = exact_quadratic_motion(FRAMED, math.e, 1.0, t)
             assert np.abs((f.slices[-1] - exact)[ii]).max() <= 1e-10
 
-    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
-    def test_complex_flavor_drift(self, scheme):
+    @pytest.mark.parametrize("scheme, nodes, steps", [
+        pytest.param("rk4", 9, 3, id="rk4"),
+        pytest.param("semi-implicit", 9, 3, id="semi-implicit"),
+        pytest.param("semi-implicit", 17, 2, id="semi-implicit-17"),
+    ])
+    def test_complex_flavor_drift(self, scheme, nodes, steps):
         spec = reference_flow_spec(math.e, 1.0, flavor="complex11")
-        grid = BoxGrid((-1.0,) * 4, (1.0,) * 4, (9,) * 4, frame=2)
+        grid = BoxGrid((-1.0,) * 4, (1.0,) * 4, (nodes,) * 4, frame=2)
         f = flow_from_spec(spec, grid, dt=1e-3)
-        f = run_flow(f, 3, scheme=scheme)
+        f = run_flow(f, steps, scheme=scheme)
         t = f.times[-1]
         exact = exact_quadratic_motion(grid, math.e, 1.0, t, flavor="complex11")
         assert np.abs((f.slices[-1] - exact)[grid.interior]).max() <= 1e-10
@@ -212,13 +223,17 @@ class TestQuadraticMotion:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def rippled_field():
+def rippled(dt):
     spec = perturbed_flow_spec(1.0, 1.0, 0.1,
                                modes=((1.0, 1.0), (2.0, -1.0)),
                                weights=(1.0, 0.5))
     grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (17, 17), frame=2)
-    return flow_from_spec(spec, grid, dt=8e-4)
+    return flow_from_spec(spec, grid, dt=dt)
+
+
+@pytest.fixture(scope="module")
+def rippled_field():
+    return rippled(8e-4)
 
 
 class TestSchemeOrders:
@@ -291,6 +306,30 @@ class TestGuards:
         spec = reference_flow_spec(1.0, 1.0, flavor="complex11")
         with pytest.raises(DimensionMismatch):
             flow_from_spec(spec, FRAMED, dt=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the semi-implicit step's iterative linear solve
+# ---------------------------------------------------------------------------
+
+
+class TestSemiImplicitSolve:
+    @pytest.mark.parametrize("dt", [1e-3, 5e-3])
+    def test_increment_matches_direct_solve(self, dt):
+        f = rippled(dt)
+        u = f.slices[-1]
+        # the same system (I - dt L) du = dt F, solved directly
+        conv, conc = _block_fields(f, u)
+        lmat, unknowns, _ = _operator_matrix(f, _linearized_gammas(f, conv, conc))
+        rhs = dt * _flow_value_from_blocks(f, conv, conc).ravel()[unknowns]
+        direct = spsolve((sp.identity(lmat.shape[0], format="csc") - dt * lmat).tocsc(), rhs)
+        increment = (step_parabolic(f, "semi-implicit").slices[-1] - u).ravel()[unknowns]
+        assert np.abs(increment - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "bicgstab", lambda a, b, x0=None, **kw: (x0, 1))
+        with pytest.raises(NoConvergence, match="semi-implicit"):
+            step_parabolic(rippled(1e-3), "semi-implicit")
 
 
 # ---------------------------------------------------------------------------
