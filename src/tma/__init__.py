@@ -46,7 +46,6 @@ from .estimates import (
     parabolic_rescale,
     rigidity_probe,
 )
-from .cli import ExperimentConfig, ingest_function_spec, load_config, run_experiment
 
 __all__ = [
     "errors",
@@ -95,9 +94,5 @@ __all__ = [
     "oscillation_ladder",
     "parabolic_rescale",
     "rigidity_probe",
-    "ExperimentConfig",
-    "ingest_function_spec",
-    "load_config",
-    "run_experiment",
     "__version__",
 ]

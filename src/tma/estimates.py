@@ -37,7 +37,7 @@ from .errors import (
     IllConditioned,
     TmaError,
 )
-from .jets import ExpressionSpec, evaluate_jet, wirtinger_from_real
+from .jets import ExpressionSpec, evaluate_jet, map_leaves, wirtinger_from_real
 from .solver import (
     BoxGrid,
     FlowField,
@@ -496,41 +496,27 @@ def _rescale_node(node: dict, mu: float) -> dict:
             "coefficient": node["coefficient"],
             "term": _rescale_node(node["term"], mu),
         }
-    return {"kind": "scale", "coefficient": mu**-2, "term": _stretch_args(node, mu)}
+    stretched = map_leaves(
+        node,
+        quad=lambda leaf: _stretch_quad(leaf, mu),
+        atom=lambda leaf: _stretch_atom(leaf, mu),
+    )
+    return {"kind": "scale", "coefficient": mu**-2, "term": stretched}
 
 
-def _stretch_args(node: dict, mu: float) -> dict:
-    """The expression tree of ``node(mu x)`` (argument substitution only)."""
-    kind = node["kind"]
-    if kind == "quad":
-        return {
-            "kind": "quad",
-            "matrix": [[mu * mu * v for v in row] for row in node["matrix"]],
-            "linear": [mu * v for v in node["linear"]],
-            "constant": node["constant"],
-        }
-    if kind == "sum":
-        return {"kind": "sum", "terms": [_stretch_args(t, mu) for t in node["terms"]]}
-    if kind == "product":
-        return {
-            "kind": "product",
-            "factors": [_stretch_args(t, mu) for t in node["factors"]],
-        }
-    if kind == "scale":
-        return {
-            "kind": "scale",
-            "coefficient": node["coefficient"],
-            "term": _stretch_args(node["term"], mu),
-        }
-    out = {
-        "kind": "atom",
-        "fn": node["fn"],
-        "affine": [mu * v for v in node["affine"]],
-        "const": node["const"],
+def _stretch_quad(node: dict, mu: float) -> dict:
+    """The quad leaf of ``node(mu x)``."""
+    return {
+        "kind": "quad",
+        "matrix": [[mu * mu * v for v in row] for row in node["matrix"]],
+        "linear": [mu * v for v in node["linear"]],
+        "constant": node["constant"],
     }
-    if "exponent" in node:
-        out["exponent"] = node["exponent"]
-    return out
+
+
+def _stretch_atom(node: dict, mu: float) -> dict:
+    """The atom leaf of ``node(mu x)``."""
+    return {**node, "affine": [mu * v for v in node["affine"]]}
 
 
 def parabolic_rescale(spec: ExpressionSpec, mu: float) -> ExpressionSpec:

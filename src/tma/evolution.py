@@ -49,6 +49,7 @@ from .jets import (
     SpaceTimeJet,
     WirtingerTable,
     evaluate_jet,
+    map_leaves,
     multi_indices,
     unit_index,
     wirtinger_from_real,
@@ -520,6 +521,33 @@ def _finalize_hermitian(q: np.ndarray, what: str):
     return (q + q.conj().T) / 2.0, defect
 
 
+def _source_from_terms(terms: Dict[str, np.ndarray], m: int) -> QTensor:
+    """Sum of the labeled contractions, with provenance, made exactly Hermitian."""
+    q = np.zeros((m, m), dtype=complex)
+    prov = []
+    for name, _group, _block, _sign, _subs, _keys in _TERMS:
+        t = terms[name]
+        q += t
+        nrm = float(np.max(np.abs(t))) if t.size else 0.0
+        if nrm > 0.0:
+            prov.append((name, nrm))
+    q, defect = _finalize_hermitian(q, "source matrix")
+    return QTensor(matrix=q, provenance=tuple(prov), hermitian_defect=defect)
+
+
+def _groupings_from_terms(terms: Dict[str, np.ndarray], m: int) -> Dict[str, np.ndarray]:
+    """The labeled contractions summed group by group, each made exactly Hermitian."""
+    out: Dict[str, np.ndarray] = {}
+    for gname in _GROUP_NAMES:
+        acc = np.zeros((m, m), dtype=complex)
+        for name, group, _block, _sign, _subs, _keys in _TERMS:
+            if group == gname:
+                acc += terms[name]
+        acc, _ = _finalize_hermitian(acc, f"grouping {gname}")
+        out[gname] = acc
+    return out
+
+
 def assemble_Q(table: WirtingerTable) -> QTensor:
     """Evaluate the explicit third-derivative source matrix of the flow identity.
 
@@ -533,18 +561,7 @@ def assemble_Q(table: WirtingerTable) -> QTensor:
     point (both second-derivative blocks definite), or the inverse guards
     raise.
     """
-    terms = _term_matrices(table)
-    m = table.k + table.l
-    q = np.zeros((m, m), dtype=complex)
-    prov = []
-    for name, _group, _block, _sign, _subs, _keys in _TERMS:
-        t = terms[name]
-        q += t
-        nrm = float(np.max(np.abs(t))) if t.size else 0.0
-        if nrm > 0.0:
-            prov.append((name, nrm))
-    q, defect = _finalize_hermitian(q, "source matrix")
-    return QTensor(matrix=q, provenance=tuple(prov), hermitian_defect=defect)
+    return _source_from_terms(_term_matrices(table), table.k + table.l)
 
 
 def q_sign_groupings(table: WirtingerTable) -> Dict[str, np.ndarray]:
@@ -555,17 +572,7 @@ def q_sign_groupings(table: WirtingerTable) -> Dict[str, np.ndarray]:
     sum equals :func:`assemble_Q` exactly (same contractions, same
     symmetrization).
     """
-    terms = _term_matrices(table)
-    m = table.k + table.l
-    out: Dict[str, np.ndarray] = {}
-    for gname in _GROUP_NAMES:
-        acc = np.zeros((m, m), dtype=complex)
-        for name, group, _block, _sign, _subs, _keys in _TERMS:
-            if group == gname:
-                acc += terms[name]
-        acc, _ = _finalize_hermitian(acc, f"grouping {gname}")
-        out[gname] = acc
-    return out
+    return _groupings_from_terms(_term_matrices(table), table.k + table.l)
 
 
 def subsolution_spectrum(table: WirtingerTable) -> float:
@@ -677,33 +684,6 @@ def _pad_square(matrix: List[List[float]]) -> List[List[float]]:
     return out
 
 
-def _complexify_node(node: dict, n: int) -> dict:
-    kind = node["kind"]
-    if kind == "sum":
-        return {"kind": "sum", "terms": [_complexify_node(t, n) for t in node["terms"]]}
-    if kind == "product":
-        return {"kind": "product", "factors": [_complexify_node(t, n) for t in node["factors"]]}
-    if kind == "scale":
-        return {"kind": "scale", "coefficient": node["coefficient"], "term": _complexify_node(node["term"], n)}
-    if kind == "quad":
-        return {
-            "kind": "quad",
-            "matrix": _pad_square(node["matrix"]),
-            "linear": [float(v) for v in node["linear"]] + [0.0] * n,
-            "constant": node["constant"],
-        }
-    # atom
-    out = {
-        "kind": "atom",
-        "fn": node["fn"],
-        "affine": [float(v) for v in node["affine"]] + [0.0] * n,
-        "const": node["const"],
-    }
-    if "exponent" in node:
-        out["exponent"] = node["exponent"]
-    return out
-
-
 def complexify_real(spec: ExpressionSpec) -> ExpressionSpec:
     """Lift a real test function to a complex one constant in the imaginary parts.
 
@@ -713,7 +693,20 @@ def complexify_real(spec: ExpressionSpec) -> ExpressionSpec:
     """
     if spec.flavor != "real":
         raise DimensionMismatch("complexify_real expects a real-flavored spec")
-    expr = _complexify_node(spec.expr, spec.nvars)
+    n = spec.nvars
+
+    def quad(node: dict) -> dict:
+        return {
+            "kind": "quad",
+            "matrix": _pad_square(node["matrix"]),
+            "linear": [float(v) for v in node["linear"]] + [0.0] * n,
+            "constant": node["constant"],
+        }
+
+    def atom(node: dict) -> dict:
+        return {**node, "affine": [float(v) for v in node["affine"]] + [0.0] * n}
+
+    expr = map_leaves(spec.expr, quad=quad, atom=atom)
     return ExpressionSpec(
         expr=expr,
         k=spec.k,
@@ -770,25 +763,11 @@ def flow_report(spec: ExpressionSpec, point, time: float = 0.0) -> FlowReport:
 
     terms = _terms_from_context(ctx, table.k, table.l)
     m = table.k + table.l
-    qmat = np.zeros((m, m), dtype=complex)
-    prov = []
-    for name, _group, _block, _sign, _subs, _keys in _TERMS:
-        t = terms[name]
-        qmat += t
-        nrm = float(np.max(np.abs(t))) if t.size else 0.0
-        if nrm > 0.0:
-            prov.append((name, nrm))
-    qmat, defect = _finalize_hermitian(qmat, "source matrix")
-    q = QTensor(matrix=qmat, provenance=tuple(prov), hermitian_defect=defect)
-
-    groups = []
-    for gname in _GROUP_NAMES:
-        acc = np.zeros((m, m), dtype=complex)
-        for name, group, _block, _sign, _subs, _keys in _TERMS:
-            if group == gname:
-                acc += terms[name]
-        acc, _ = _finalize_hermitian(acc, f"grouping {gname}")
-        groups.append((gname, float(np.max(np.linalg.eigvalsh(acc)))))
+    q = _source_from_terms(terms, m)
+    groups = tuple(
+        (gname, float(np.max(np.linalg.eigvalsh(acc))))
+        for gname, acc in _groupings_from_terms(terms, m).items()
+    )
 
     lhs = engine.lhs_matrix()
     ev_res = float(np.max(np.abs(lhs - q.matrix)))
@@ -799,5 +778,5 @@ def flow_report(spec: ExpressionSpec, point, time: float = 0.0) -> FlowReport:
         evolution_residual=ev_res,
         heat_residual=ht_res,
         q_spectrum_max=float(np.max(np.linalg.eigvalsh(q.matrix))),
-        grouping_spectrum_max=tuple(groups),
+        grouping_spectrum_max=groups,
     )

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import AmplitudeTooLarge, ParseError
-from .jets import ExpressionSpec, evaluate_jet, wirtinger_from_real
+from .jets import ExpressionSpec, evaluate_jet, map_leaves, wirtinger_from_real
 from .linalg import min_max_eigenvalues
 
 
@@ -242,23 +242,15 @@ def permute_negate(spec: ExpressionSpec, perm) -> ExpressionSpec:
         inv[p] = i
     perm = inv  # coefficient arrays move by the inverse permutation
 
-    def walk(node):
-        kind = node["kind"]
-        if kind == "sum":
-            return {"kind": "sum", "terms": [walk(t) for t in node["terms"]]}
-        if kind == "product":
-            return {"kind": "product", "factors": [walk(t) for t in node["factors"]]}
-        if kind == "scale":
-            return {"kind": "scale", "coefficient": node["coefficient"], "term": walk(node["term"])}
-        if kind == "quad":
-            m = np.asarray(node["matrix"])[np.ix_(perm, perm)]
-            lin = np.asarray(node["linear"])[perm]
-            return {"kind": "quad", "matrix": m.tolist(), "linear": lin.tolist(), "constant": node["constant"]}
-        out = dict(node)
-        out["affine"] = np.asarray(node["affine"])[perm].tolist()
-        return out
+    def quad(node):
+        m = np.asarray(node["matrix"])[np.ix_(perm, perm)]
+        lin = np.asarray(node["linear"])[perm]
+        return {"kind": "quad", "matrix": m.tolist(), "linear": lin.tolist(), "constant": node["constant"]}
 
-    negated = {"kind": "scale", "coefficient": -1.0, "term": walk(spec.expr)}
+    def atom(node):
+        return {**node, "affine": np.asarray(node["affine"])[perm].tolist()}
+
+    negated = {"kind": "scale", "coefficient": -1.0, "term": map_leaves(spec.expr, quad=quad, atom=atom)}
     return ExpressionSpec(
         expr=negated,
         k=spec.l,

@@ -2,9 +2,16 @@
 
 An :class:`ExpressionSpec` describes a test function as a tree of quadratic
 forms, univariate analytic atoms applied to affine arguments, and
-sum/product/scale combinators.  :func:`evaluate_jet` pushes a truncated Taylor
-polynomial through the tree and returns a :class:`SpaceTimeJet` — every spatial
-partial to total order 4, exact up to rounding of the closed-form recursions.
+sum/product/scale combinators.  One engine evaluates every tree: it returns
+all partials to a given total order at a whole array of points at once, as an
+array with one trailing column per multi-index.  Quadratic forms contribute
+their value, gradient and constant Hessian; an atom of an affine argument
+contributes ``d^beta f(a.x + c) = f^(|beta|)(a.x + c) a^beta`` in closed form;
+sums and scales add and multiply arrays; products follow the Leibniz rule.
+Point values (:meth:`ExpressionSpec.value`), jets (:func:`evaluate_jet`, every
+spatial partial to total order 4 as a :class:`SpaceTimeJet`) and grid values
+(:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`map_leaves` is
+the one rewriter of trees: it rebuilds a tree with every leaf mapped.
 
 Complex-flavored specs live on real coordinates ``[Re z_1..Re z_m, Im z_1..Im
 z_m]`` where the m = k + l complex variables are ``(z_1..z_k, w_1..w_l)``.
@@ -25,7 +32,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, ParseError, UnknownAtom
-from .taylor import ATOM_NAMES, TaylorPoly, atom_derivatives
+from .taylor import ATOM_NAMES, atom_derivatives
 
 MultiIndex = Tuple[int, ...]
 WirtKey = Tuple[MultiIndex, MultiIndex]
@@ -249,7 +256,8 @@ class ExpressionSpec:
     # -- evaluation --------------------------------------------------------
 
     def value(self, point, time: float = 0.0) -> float:
-        return _eval_scalar(self.expr, tuple(point)) + self.time_drift * time
+        coords = tuple(float(c) for c in point)
+        return float(_node_jet(self.expr, coords, 0)[0]) + self.time_drift * time
 
     def jet(self, point, time: float = 0.0, order: int = 4) -> "SpaceTimeJet":
         return evaluate_jet(self, point, time, order=order)
@@ -259,78 +267,141 @@ class ExpressionSpec:
         return all(abs(c) <= hw for c in point)
 
 
-def _eval_scalar(node: dict, point: Tuple[float, ...]) -> float:
+# ---------------------------------------------------------------------------
+# the jet engine and the tree rewriter
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _columns(nvars: int, order: int):
+    """Column layout of a jet array over ``multi_indices(nvars, order)``.
+
+    Returns the column of each multi-index, the total degree of each column,
+    and the exponents as a float ``(columns, nvars)`` array.
+    """
+    idx = multi_indices(nvars, order)
+    col = {beta: c for c, beta in enumerate(idx)}
+    degree = np.array([sum(beta) for beta in idx], dtype=np.intp)
+    return col, degree, np.array(idx, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _leibniz_table(nvars: int, order: int):
+    """Pairs of the Leibniz rule ``d^g (fh) = sum_a C(g, a) d^a f d^(g-a) h``.
+
+    Returns the columns of ``a`` and ``g - a`` for every pair, the binomial
+    weight of each pair, and where each column's run of pairs starts (pairs
+    are grouped by ``g`` in column order, ready for ``np.add.reduceat``).
+    """
+    col, _, _ = _columns(nvars, order)
+    left, right, weight, starts = [], [], [], []
+    for gamma in multi_indices(nvars, order):
+        starts.append(len(left))
+        for alpha in itertools.product(*(range(g + 1) for g in gamma)):
+            left.append(col[alpha])
+            right.append(col[tuple(g - a for g, a in zip(gamma, alpha))])
+            weight.append(math.prod(math.comb(g, a) for g, a in zip(gamma, alpha)))
+    return (
+        np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp),
+        np.array(weight, dtype=float),
+        np.array(starts, dtype=np.intp),
+    )
+
+
+def _node_jet(node: dict, coords, order: int) -> np.ndarray:
+    """Every partial ``d^beta`` of the subtree ``node``, up to total order ``order``.
+
+    ``coords`` holds the n coordinates of the evaluation points as arrays (or
+    numbers) of one common shape S: a single point, a point cloud, or a grid
+    mesh.  The result has shape ``S + (len(multi_indices(n, order)),)`` with
+    columns in ``multi_indices`` order, so column 0 is the value.  Every call
+    returns a fresh array, which the combinators then update in place.
+    """
     kind = node["kind"]
     if kind == "sum":
-        return sum(_eval_scalar(t, point) for t in node["terms"])
+        terms = node["terms"]
+        out = _node_jet(terms[0], coords, order)
+        for t in terms[1:]:
+            out += _node_jet(t, coords, order)
+        return out
     if kind == "product":
-        out = 1.0
-        for t in node["factors"]:
-            out *= _eval_scalar(t, point)
+        left, right, weight, starts = _leibniz_table(len(coords), order)
+        factors = node["factors"]
+        out = _node_jet(factors[0], coords, order)
+        for t in factors[1:]:
+            other = _node_jet(t, coords, order)
+            if order == 0:  # the Leibniz rule reduces to the plain product
+                out *= other
+                continue
+            pairs = out[..., left] * other[..., right]
+            pairs *= weight
+            out = np.add.reduceat(pairs, starts, axis=-1)
         return out
     if kind == "scale":
-        return node["coefficient"] * _eval_scalar(node["term"], point)
+        out = _node_jet(node["term"], coords, order)
+        out *= node["coefficient"]
+        return out
+    n = len(coords)
+    col, degree, exps = _columns(n, order)
+    shape = np.shape(coords[0])
     if kind == "quad":
-        m, lin, c = node["matrix"], node["linear"], node["constant"]
-        q = 0.0
-        for i, xi in enumerate(point):
-            q += lin[i] * xi
-            for j, xj in enumerate(point):
-                q += 0.5 * m[i][j] * xi * xj
-        return q + c
-    # atom
-    arg = node["const"] + sum(a * x for a, x in zip(node["affine"], point))
-    derivs = atom_derivatives(node["fn"], arg, 0, node.get("exponent"))
-    return derivs[0]
-
-
-def _node_poly(node: dict, point: Tuple[float, ...], order: int) -> TaylorPoly:
-    n = len(point)
-    kind = node["kind"]
-    if kind == "sum":
-        acc = TaylorPoly(n, order, {})
-        for t in node["terms"]:
-            acc = acc + _node_poly(t, point, order)
-        return acc
-    if kind == "product":
-        acc = None
-        for t in node["factors"]:
-            p = _node_poly(t, point, order)
-            acc = p if acc is None else acc * p
-        return acc
-    if kind == "scale":
-        return _node_poly(node["term"], point, order) * node["coefficient"]
-    if kind == "quad":
-        m, lin, c = node["matrix"], node["linear"], node["constant"]
-        coeffs: Dict[MultiIndex, float] = {}
-        const = c
-        for i, xi in enumerate(point):
-            const += lin[i] * xi
-            for j, xj in enumerate(point):
-                const += 0.5 * m[i][j] * xi * xj
-        coeffs[(0,) * n] = const
+        # value, gradient and the constant Hessian; higher partials vanish
+        m, lin = node["matrix"], node["linear"]
+        out = np.zeros(shape + (len(degree),))
+        value = out[..., 0]
+        value += node["constant"]
+        for i, xi in enumerate(coords):
+            if lin[i] != 0.0:
+                value += lin[i] * xi
+            for j, xj in enumerate(coords):
+                if m[i][j] != 0.0:
+                    value += 0.5 * m[i][j] * xi * xj
         if order >= 1:
             for i in range(n):
-                g = lin[i] + sum(m[i][j] * point[j] for j in range(n))
-                if g != 0.0:
-                    coeffs[unit_index(n, i)] = g
+                grad = out[..., col[unit_index(n, i)]]
+                grad += lin[i]
+                for j, xj in enumerate(coords):
+                    if m[i][j] != 0.0:
+                        grad += m[i][j] * xj
         if order >= 2:
             for i in range(n):
                 for j in range(i, n):
-                    v = 0.5 * m[i][j] if i == j else float(m[i][j])
-                    if v != 0.0:
-                        coeffs[unit_index(n, i, j)] = v
-        return TaylorPoly(n, order, coeffs)
-    # atom
-    aff, c = node["affine"], node["const"]
-    arg0 = c + sum(a * x for a, x in zip(aff, point))
-    inner_coeffs: Dict[MultiIndex, float] = {(0,) * n: arg0}
-    for i, a in enumerate(aff):
+                    out[..., col[unit_index(n, i, j)]] = m[i][j]
+        return out
+    # atom of an affine argument: d^beta f(a.x + c) = f^(|beta|)(a.x + c) a^beta
+    aff = node["affine"]
+    arg = np.full(shape, float(node["const"]))
+    for a, xi in zip(aff, coords):
         if a != 0.0:
-            inner_coeffs[unit_index(n, i)] = float(a)
-    inner = TaylorPoly(n, order, inner_coeffs)
-    derivs = atom_derivatives(node["fn"], arg0, order, node.get("exponent"))
-    return inner.compose(derivs)
+            arg += a * xi
+    derivs = atom_derivatives(node["fn"], arg, order, node.get("exponent"))
+    if order == 0:  # the value alone; spares grid-sized copies
+        return derivs[0][..., None]
+    out = np.stack(derivs, axis=-1)[..., degree]
+    out *= np.prod(np.asarray(aff, dtype=float) ** exps, axis=-1)
+    return out
+
+
+def map_leaves(node: dict, *, quad, atom) -> dict:
+    """A copy of the tree ``node`` with every leaf rewritten.
+
+    Sum, product and scale nodes are rebuilt around their rewritten children;
+    each quad leaf is replaced by ``quad(leaf)`` and each atom leaf by
+    ``atom(leaf)``.
+    """
+    kind = node["kind"]
+    if kind == "sum":
+        return {"kind": "sum", "terms": [map_leaves(t, quad=quad, atom=atom) for t in node["terms"]]}
+    if kind == "product":
+        return {"kind": "product", "factors": [map_leaves(t, quad=quad, atom=atom) for t in node["factors"]]}
+    if kind == "scale":
+        return {
+            "kind": "scale",
+            "coefficient": node["coefficient"],
+            "term": map_leaves(node["term"], quad=quad, atom=atom),
+        }
+    return quad(node) if kind == "quad" else atom(node)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +479,12 @@ def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4)
         raise DimensionMismatch(f"point has {len(point)} coordinates, spec has {spec.nvars}")
     if not spec.in_domain(point):
         raise DomainViolation(f"point {point} outside declared box of halfwidth {spec.domain_halfwidth}")
-    poly = _node_poly(spec.expr, point, order)
-    table = poly.table()
+    values = _node_jet(spec.expr, point, order).tolist()
+    table = dict(zip(multi_indices(spec.nvars, order), values))
     zero = (0,) * spec.nvars
     dt1: Dict[MultiIndex, float] = {}
     if spec.time_drift != 0.0:
-        table[zero] = table.get(zero, 0.0) + spec.time_drift * time
+        table[zero] += spec.time_drift * time
         dt1[zero] = spec.time_drift
     return SpaceTimeJet(
         point=point,

@@ -57,7 +57,7 @@ from .errors import (
     NoConvergence,
     TmaError,
 )
-from .jets import ExpressionSpec
+from .jets import ExpressionSpec, _node_jet
 
 __all__ = [
     "BoxGrid",
@@ -73,6 +73,7 @@ __all__ = [
     "flow_from_values",
     "hessian_error",
     "monitor_class",
+    "periodic_base_for",
     "perturbed_flow_spec",
     "read_snapshot_csv",
     "read_snapshot_json",
@@ -205,66 +206,17 @@ class BoxGrid:
 # vectorized expression evaluation on grids
 # ---------------------------------------------------------------------------
 
-_ATOM_GRID = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "cosh": np.cosh,
-    "sinh": np.sinh,
-}
-
-
-def _eval_node_on_arrays(node: dict, coords: Sequence[np.ndarray]) -> np.ndarray:
-    kind = node["kind"]
-    if kind == "sum":
-        out = _eval_node_on_arrays(node["terms"][0], coords)
-        for t in node["terms"][1:]:
-            out = out + _eval_node_on_arrays(t, coords)
-        return out
-    if kind == "product":
-        out = _eval_node_on_arrays(node["factors"][0], coords)
-        for t in node["factors"][1:]:
-            out = out * _eval_node_on_arrays(t, coords)
-        return out
-    if kind == "scale":
-        return node["coefficient"] * _eval_node_on_arrays(node["term"], coords)
-    if kind == "quad":
-        m, lin, c = node["matrix"], node["linear"], node["constant"]
-        out = np.full_like(coords[0], float(c))
-        for i, xi in enumerate(coords):
-            out += lin[i] * xi
-            for j, xj in enumerate(coords):
-                out += 0.5 * m[i][j] * xi * xj
-        return out
-    # atom
-    arg = np.full_like(coords[0], float(node["const"]))
-    for a, xi in zip(node["affine"], coords):
-        if a != 0.0:
-            arg += a * xi
-    fn = node["fn"]
-    if fn in _ATOM_GRID:
-        return _ATOM_GRID[fn](arg)
-    if fn == "log":
-        low = float(arg.min())
-        if low <= 0.0:
-            raise DomainViolation(f"log atom evaluated at non-positive argument {low}")
-        return np.log(arg)
-    # pow
-    p = node["exponent"]
-    if not (float(p).is_integer() and p >= 0):
-        low = float(arg.min())
-        if low <= 0.0:
-            raise DomainViolation(
-                f"pow atom with non-integer exponent {p} at non-positive base {low}"
-            )
-    return arg**p
-
 
 def evaluate_on_grid(spec: ExpressionSpec, grid: BoxGrid, time: float = 0.0) -> np.ndarray:
     """Evaluate an analytic description on every node of ``grid`` at ``time``.
 
-    Matches ``spec.value(point, time)`` node for node (same expression-tree
-    semantics, vectorized), including the linear-in-time drift.
+    The jet engine of :mod:`tma.jets` runs once at order 0 over the mesh
+    arrays of the grid, so the values match ``spec.value(point, time)`` node
+    for node, including the linear-in-time drift.  Atom domains are checked
+    over the whole grid: a non-positive log argument at any node, or a
+    non-positive pow base under an exponent that is not a nonnegative
+    integer, raises :class:`DomainViolation`, as does a grid reaching outside
+    the declared box.
     """
     if spec.nvars != grid.dim:
         raise DimensionMismatch(
@@ -276,7 +228,7 @@ def evaluate_on_grid(spec: ExpressionSpec, grid: BoxGrid, time: float = 0.0) -> 
             f"grid reaches coordinate magnitude {reach} but the description "
             f"is only valid up to {spec.domain_halfwidth}"
         )
-    out = _eval_node_on_arrays(spec.expr, grid.mesh())
+    out = _node_jet(spec.expr, grid.mesh(), 0)[..., 0]
     if spec.time_drift != 0.0 and time != 0.0:
         out = out + spec.time_drift * time
     return np.asarray(out, dtype=float)
@@ -1205,6 +1157,3 @@ def periodic_base_for(a: float, b: float, flavor: str = "real") -> PeriodicBase:
     if flavor == "complex11":
         return PeriodicBase((2 * a, -2 * b, 2 * a, -2 * b))
     raise TmaError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-
-
-__all__.append("periodic_base_for")

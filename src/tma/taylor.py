@@ -1,12 +1,16 @@
-"""Truncated multivariate Taylor-polynomial arithmetic.
+"""Truncated Taylor polynomials and closed-form atom derivatives.
 
-This is the derivative engine: every exact jet in the package is produced by
-pushing truncated Taylor polynomials through an expression tree.  A
-:class:`TaylorPoly` stores the coefficients of a polynomial in ``nvars``
+:func:`atom_derivatives` lists ``f(c), f'(c), ..., f^(order)(c)`` of a
+univariate atom in closed form, for one argument or an array of them.  Every
+atom of the spec language takes an affine argument ``a.x + c``, so the jet
+engine in :mod:`tma.jets` reads each partial ``d^beta f(a.x + c) =
+f^(|beta|)(a.x + c) a^beta`` straight off this list; no polynomial
+composition is needed.
+
+A :class:`TaylorPoly` stores the coefficients of a polynomial in ``nvars``
 increment variables, truncated at total degree ``order``; the coefficient of
-the monomial ``delta^beta`` is ``(d^beta f)(x0) / beta!``, so partial
-derivatives are recovered exactly (up to floating-point rounding of the
-closed-form recursions) by multiplying back the factorials.
+the monomial ``delta^beta`` is ``(d^beta f)(x0) / beta!``.  The route-A flow
+engine in :mod:`tma.evolution` does its matrix-polynomial algebra with it.
 
 Nested finite differences are deliberately not used anywhere: the downstream
 sign checks need ~1e-10 accuracy on fourth derivatives, which FD noise would
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 import math
 from typing import Dict, Tuple
+
+import numpy as np
 
 from .errors import DomainViolation, UnknownAtom
 
@@ -62,16 +68,6 @@ class TaylorPoly:
             return cls(nvars, order, {})
         return cls(nvars, order, {(0,) * nvars: value})
 
-    @classmethod
-    def variable(cls, nvars: int, order: int, index: int, base=0.0) -> "TaylorPoly":
-        """The polynomial ``base + delta_index``."""
-        e = [0] * nvars
-        e[index] = 1
-        coeffs = {tuple(e): 1.0}
-        if base != 0:
-            coeffs[(0,) * nvars] = base
-        return cls(nvars, order, coeffs)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -116,22 +112,6 @@ class TaylorPoly:
 
     __rmul__ = __mul__
 
-    # -- composition with a univariate analytic atom -----------------------
-
-    def compose(self, derivs) -> "TaylorPoly":
-        """Compose ``f(self)`` where ``derivs[j] = f^(j)(c)`` at ``c = self.value()``.
-
-        Horner evaluation of ``sum_j derivs[j]/j! * (self - c)^j`` truncated at
-        ``self.order``; ``derivs`` must have length ``order + 1``.
-        """
-        zero = (0,) * self.nvars
-        ghat_coeffs = {e: c for e, c in self.coeffs.items() if e != zero}
-        ghat = TaylorPoly(self.nvars, self.order, ghat_coeffs)
-        acc = TaylorPoly.constant(self.nvars, self.order, derivs[self.order] / math.factorial(self.order))
-        for j in range(self.order - 1, -1, -1):
-            acc = acc * ghat + derivs[j] / math.factorial(j)
-        return acc
-
     # -- extraction ---------------------------------------------------------
 
     def value(self):
@@ -142,66 +122,67 @@ class TaylorPoly:
         c = self.coeffs.get(tuple(beta), 0.0)
         return c * multi_factorial(beta) if c != 0 else 0.0 * c
 
-    def table(self, max_order: int | None = None) -> Dict[MultiIndex, complex]:
-        """All partial derivatives up to ``max_order`` (default: the truncation order)."""
-        cap = self.order if max_order is None else max_order
-        out: Dict[MultiIndex, complex] = {}
-        for e, c in self.coeffs.items():
-            if sum(e) <= cap:
-                out[e] = c * multi_factorial(e)
-        return out
 
-
-def atom_derivatives(fn: str, c: float, order: int, exponent: float | None = None):
+def atom_derivatives(fn: str, c, order: int, exponent: float | None = None):
     """Closed-form derivative list ``[f(c), f'(c), ..., f^(order)(c)]`` of an atom.
+
+    ``c`` is one argument or an array of them; every entry of the list has the
+    shape of ``c``.
 
     Raises
     ------
     DomainViolation
-        log at c <= 0, or non-integer pow at c <= 0.
+        log at some c <= 0, or pow with an exponent that is not a nonnegative
+        integer at some c <= 0; the message names the lowest argument.
     UnknownAtom
         unrecognized ``fn``.
     """
-    if fn == "sin":
-        s, co = math.sin(c), math.cos(c)
-        cycle = (s, co, -s, -co)
-        return [cycle[j % 4] for j in range(order + 1)]
-    if fn == "cos":
-        s, co = math.sin(c), math.cos(c)
-        cycle = (co, -s, -co, s)
+    c = np.asarray(c, dtype=float)
+    if fn in ("sin", "cos"):
+        f0 = np.sin(c) if fn == "sin" else np.cos(c)
+        if order == 0:
+            return [f0]
+        f1 = np.cos(c) if fn == "sin" else -np.sin(c)
+        cycle = (f0, f1, -f0, -f1)
         return [cycle[j % 4] for j in range(order + 1)]
     if fn == "exp":
-        e = math.exp(c)
-        return [e] * (order + 1)
+        return [np.exp(c)] * (order + 1)
+    if fn in ("cosh", "sinh"):
+        f0 = np.cosh(c) if fn == "cosh" else np.sinh(c)
+        if order == 0:
+            return [f0]
+        f1 = np.sinh(c) if fn == "cosh" else np.cosh(c)
+        return [f0 if j % 2 == 0 else f1 for j in range(order + 1)]
     if fn == "log":
-        if c <= 0:
-            raise DomainViolation(f"log atom evaluated at non-positive argument {c}")
-        out = [math.log(c)]
+        low = _lowest(c)
+        if low <= 0:
+            raise DomainViolation(f"log atom evaluated at non-positive argument {low}")
+        out = [np.log(c)]
         for j in range(1, order + 1):
             # d^j log = (-1)^(j-1) (j-1)! c^-j
             out.append((-1.0) ** (j - 1) * math.factorial(j - 1) * c ** (-j))
         return out
-    if fn == "cosh":
-        ch, sh = math.cosh(c), math.sinh(c)
-        return [ch if j % 2 == 0 else sh for j in range(order + 1)]
-    if fn == "sinh":
-        ch, sh = math.cosh(c), math.sinh(c)
-        return [sh if j % 2 == 0 else ch for j in range(order + 1)]
     if fn == "pow":
         if exponent is None:
             raise UnknownAtom("pow atom requires an 'exponent' field")
         p = exponent
         is_nonneg_int = float(p).is_integer() and p >= 0
-        if not is_nonneg_int and c <= 0:
-            raise DomainViolation(f"pow atom with non-integer exponent {p} at non-positive base {c}")
+        if not is_nonneg_int:
+            low = _lowest(c)
+            if low <= 0:
+                raise DomainViolation(f"pow atom with non-integer exponent {p} at non-positive base {low}")
         out = []
         fac = 1.0
         for j in range(order + 1):
             if j > 0:
                 fac *= p - (j - 1)
             if fac == 0.0:
-                out.append(0.0)
+                out.append(np.zeros_like(c))
             else:
                 out.append(fac * c ** (p - j))
         return out
     raise UnknownAtom(f"unknown atom function {fn!r}; supported: {', '.join(ATOM_NAMES)}")
+
+
+def _lowest(c: np.ndarray) -> float:
+    return float(c.min()) if c.size else math.inf

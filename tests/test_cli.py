@@ -385,7 +385,8 @@ class TestCommandLine:
         assert main(["validate", "--config", bad]) == 2
         assert "nodes" in capsys.readouterr().err
 
-    def test_python_dash_m_runs_without_runpy_warning(self, tmp_path):
+    @pytest.mark.parametrize("module", ["tma", "tma.cli"])
+    def test_python_dash_m_runs_without_runpy_warning(self, tmp_path, module):
         good = write_json(tmp_path, "good.json", {"suite": "rigidity"})
         src = os.path.dirname(os.path.dirname(tma.__file__))
         env = dict(os.environ)
@@ -393,7 +394,7 @@ class TestCommandLine:
             p for p in (src, env.get("PYTHONPATH")) if p
         )
         res = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "tma",
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
              "validate", "--config", good],
             capture_output=True, text=True, env=env, timeout=120,
         )

@@ -13,6 +13,7 @@ from tma.jets import (
     unit_index,
     wirtinger_from_real,
 )
+from tma.solver import BoxGrid, evaluate_on_grid
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle (independent of the jet engine)
@@ -124,14 +125,24 @@ def test_sin_sin_against_fd_oracle():
     assert jet.d((2, 2)) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_domain_violation_propagates():
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda spec: spec.value([-2.0]),
+        lambda spec: evaluate_jet(spec, [-2.0]),
+        lambda spec: evaluate_on_grid(spec, BoxGrid((-3.0,), (-1.0,), (7,), frame=2)),
+    ],
+    ids=["value", "evaluate_jet", "evaluate_on_grid"],
+)
+@pytest.mark.parametrize("atom", [{"fn": "log"}, {"fn": "pow", "exponent": 0.5}], ids=["log", "pow"])
+def test_domain_violation_propagates(evaluate, atom):
     spec = ExpressionSpec(
-        expr={"kind": "atom", "fn": "log", "affine": [1.0], "const": 0.0},
+        expr={"kind": "atom", "affine": [1.0], "const": 0.0, **atom},
         k=1,
         l=0,
     )
-    with pytest.raises(DomainViolation):
-        evaluate_jet(spec, [-2.0])
+    with pytest.raises(DomainViolation, match="non-positive"):
+        evaluate(spec)
 
 
 def test_time_drift_enters_value_and_dt():
@@ -196,6 +207,91 @@ def test_fd_cross_check_on_random_specs():
                 est = fd_richardson(fd, 1e-3)
                 exact = jet.d(target)
                 assert exact == pytest.approx(est, rel=1e-6, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# symbolic jet oracle (sympy differentiates the same trees independently)
+# ---------------------------------------------------------------------------
+
+
+def atom_node(fn, affine, const, exponent=None):
+    node = {"kind": "atom", "fn": fn, "affine": affine, "const": const}
+    if exponent is not None:
+        node["exponent"] = exponent
+    return node
+
+
+QUAD3 = {
+    "kind": "quad",
+    "matrix": [[1.5, -0.25, 0.5], [-0.25, -2.0, 0.75], [0.5, 0.75, 0.3]],
+    "linear": [0.2, -0.6, 0.1],
+    "constant": 0.4,
+}
+
+ORACLE_TREES = {
+    "sin": atom_node("sin", [0.7, -0.4], 0.2),
+    "cos": atom_node("cos", [0.3, 0.9, -0.5], -0.1),
+    "exp": atom_node("exp", [0.6, -0.8], 0.1),
+    "log": atom_node("log", [0.5, 0.3, -0.2], 2.0),
+    "cosh": atom_node("cosh", [-0.9, 0.4, 0.6], 0.3),
+    "sinh": atom_node("sinh", [0.8, 0.5], -0.4),
+    "pow-integer": atom_node("pow", [0.6, -0.7, 0.2], 1.1, 3.0),
+    "pow-fractional": atom_node("pow", [0.4, 0.3], 2.0, -1.5),
+    "quad": QUAD3,
+    "product": {
+        "kind": "product",
+        "factors": [
+            atom_node("sin", [0.7, -0.4, 0.2], 0.2),
+            {"kind": "scale", "coefficient": -0.8, "term": atom_node("exp", [0.3, 0.5, -0.6], 0.1)},
+            QUAD3,
+        ],
+    },
+}
+
+
+def sympy_tree(sympy, node, xs):
+    num = lambda v: sympy.Float(v, 40)  # noqa: E731 - the exact binary value of v
+    kind = node["kind"]
+    if kind == "sum":
+        return sympy.Add(*(sympy_tree(sympy, t, xs) for t in node["terms"]))
+    if kind == "product":
+        return sympy.Mul(*(sympy_tree(sympy, t, xs) for t in node["factors"]))
+    if kind == "scale":
+        return num(node["coefficient"]) * sympy_tree(sympy, node["term"], xs)
+    n = len(xs)
+    if kind == "quad":
+        m, lin = node["matrix"], node["linear"]
+        return num(node["constant"]) + sum(
+            num(lin[i]) * xs[i] + sum(num(m[i][j]) / 2 * xs[i] * xs[j] for j in range(n)) for i in range(n)
+        )
+    arg = num(node["const"]) + sum(num(a) * x for a, x in zip(node["affine"], xs))
+    if node["fn"] == "pow":
+        p = node["exponent"]
+        return arg ** (sympy.Integer(int(p)) if float(p).is_integer() else num(p))
+    return getattr(sympy, node["fn"])(arg)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_TREES))
+def test_jet_matches_symbolic_oracle(name):
+    sympy = pytest.importorskip("sympy")
+    expr = ORACLE_TREES[name]
+    n = {"quad": 3, "product": 3}.get(name, len(expr.get("affine", [])))
+    spec = ExpressionSpec(expr=expr, k=n, l=0)
+    point = [0.3, -0.2, 0.1][:n]
+    xs = sympy.symbols(f"x0:{n}", real=True)
+    u = sympy_tree(sympy, expr, xs)
+    at = {x: sympy.Float(v, 40) for x, v in zip(xs, point)}
+    jet = evaluate_jet(spec, point, order=4)
+    want = {}
+    for beta in multi_indices(n, 4):
+        d = u
+        for x, b in zip(xs, beta):
+            if b:
+                d = sympy.diff(d, x, b)
+        want[beta] = float(d.evalf(30, subs=at))
+    scale = max(abs(v) for v in want.values())
+    for beta, v in want.items():
+        assert jet.d(beta) == pytest.approx(v, rel=1e-12, abs=1e-12 * scale), beta
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from tma.errors import DomainViolation, UnknownAtom
+from tma.jets import ExpressionSpec, evaluate_jet
 from tma.taylor import TaylorPoly, atom_derivatives, multi_factorial
 
 
@@ -22,28 +24,30 @@ def test_deriv_restores_factorials():
     assert multi_factorial((2, 1, 3)) == 2 * 1 * 6
 
 
+def atom_spec(fn, const):
+    return ExpressionSpec(expr={"kind": "atom", "fn": fn, "affine": [1.0], "const": const}, k=1, l=0)
+
+
 def test_compose_exponential_all_derivatives_one():
-    x = TaylorPoly.variable(1, 4, 0, base=0.0)
-    e = x.compose(atom_derivatives("exp", 0.0, 4))
+    jet = evaluate_jet(atom_spec("exp", 0.0), [0.0], order=4)
     for j in range(5):
-        assert e.deriv((j,)) == pytest.approx(1.0, rel=1e-15)
+        assert jet.d((j,)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_compose_shifted_log():
     # log(2 + d): derivatives 1/2, -1/4, 2/8, -6/16
-    x = TaylorPoly.variable(1, 4, 0, base=2.0)
-    p = x.compose(atom_derivatives("log", 2.0, 4))
-    assert p.deriv((0,)) == pytest.approx(math.log(2.0))
-    assert p.deriv((1,)) == pytest.approx(0.5)
-    assert p.deriv((2,)) == pytest.approx(-0.25)
-    assert p.deriv((3,)) == pytest.approx(0.25)
-    assert p.deriv((4,)) == pytest.approx(-0.375)
+    jet = evaluate_jet(atom_spec("log", 2.0), [0.0], order=4)
+    assert jet.d((0,)) == pytest.approx(math.log(2.0))
+    assert jet.d((1,)) == pytest.approx(0.5)
+    assert jet.d((2,)) == pytest.approx(-0.25)
+    assert jet.d((3,)) == pytest.approx(0.25)
+    assert jet.d((4,)) == pytest.approx(-0.375)
 
 
 def test_two_variable_product():
     # (a + d0)(b + d1): mixed second derivative is 1
-    p = TaylorPoly.variable(2, 4, 0, base=3.0)
-    q = TaylorPoly.variable(2, 4, 1, base=5.0)
+    p = TaylorPoly(2, 4, {(0, 0): 3.0, (1, 0): 1.0})
+    q = TaylorPoly(2, 4, {(0, 0): 5.0, (0, 1): 1.0})
     r = p * q
     assert r.value() == 15.0
     assert r.deriv((1, 1)) == 1.0
@@ -72,3 +76,22 @@ def test_trig_cycles():
     assert atom_derivatives("cosh", c, 3) == pytest.approx(
         [math.cosh(c), math.sinh(c), math.cosh(c), math.sinh(c)]
     )
+
+
+@pytest.mark.parametrize(
+    "fn, exponent",
+    [("sin", None), ("cos", None), ("exp", None), ("log", None), ("cosh", None), ("sinh", None),
+     ("pow", 2.5), ("pow", 2.0)],
+)
+def test_array_arguments_match_scalar_ones(fn, exponent):
+    c = np.array([[0.3, 1.7], [2.5, 0.9]])
+    arrays = atom_derivatives(fn, c, 4, exponent)
+    for idx in np.ndindex(c.shape):
+        assert [a[idx] for a in arrays] == pytest.approx(atom_derivatives(fn, c[idx], 4, exponent), rel=1e-15)
+
+
+def test_array_domain_check_names_lowest_argument():
+    with pytest.raises(DomainViolation, match="-0.5"):
+        atom_derivatives("log", np.array([1.0, -0.5, -0.25]), 2)
+    with pytest.raises(DomainViolation, match="-0.5"):
+        atom_derivatives("pow", np.array([1.0, -0.5, -0.25]), 2, exponent=1.5)
