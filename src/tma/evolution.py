@@ -7,13 +7,14 @@ derivatives only, where ``L`` is the linearized operator ``L(phi) =
 tr(Z^-1 phi_zzbar) - tr(V^-1 phi_wwbar)``.  This module computes both sides by
 two deliberately independent routes and never lets one stand in for the other:
 
-* **Route A (the arbiter).**  A truncated-polynomial flow engine expands every
-  second derivative of the test function to second order in the spatial
-  increment (exact, from an order-4 jet), assembles ``W`` and the flow speed as
-  matrix polynomials (Neumann series for the inverse, trace-log series for the
-  determinant), and reads off ``dW/dt`` and ``L`` applied to each entry by
-  coefficient extraction.  No term-by-term formula from the source matrix ever
-  enters this path.
+* **Route A (the arbiter).**  Second-order forward mode on jet arrays: every
+  second derivative of the test function becomes a jet array holding its
+  value, gradient and Hessian in the spatial increment (exact, gathered from
+  an order-4 jet); ``W`` and the flow speed are assembled by Leibniz-rule
+  matrix products of such arrays (Neumann series for the inverse, trace-log
+  series for the determinant), and ``dW/dt`` and ``L`` applied to each entry
+  are read off their Hessian columns.  No term-by-term formula from the source
+  matrix ever enters this path.
 
 * **Route B (the transcription).**  :func:`assemble_Q` evaluates the 36
   explicit third-derivative contractions that the right-hand side expands
@@ -39,6 +40,7 @@ agrees entrywise with the real transformed Hessian of ``u``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -48,6 +50,8 @@ from .jets import (
     ExpressionSpec,
     SpaceTimeJet,
     WirtingerTable,
+    _columns,
+    _leibniz_table,
     evaluate_jet,
     map_leaves,
     multi_indices,
@@ -55,9 +59,6 @@ from .jets import (
     wirtinger_from_real,
 )
 from .linalg import as_hermitian, inverse_and_logdet
-from .taylor import TaylorPoly, multi_factorial
-
-MultiIndex = Tuple[int, ...]
 
 __all__ = [
     "QTensor",
@@ -121,114 +122,92 @@ def wirtinger_derivative_arrays(table: WirtingerTable, total: int) -> Dict[Tuple
 
 
 # ---------------------------------------------------------------------------
-# route A: truncated-polynomial flow engine
+# route A: second-order forward mode on jet arrays
 # ---------------------------------------------------------------------------
 
+# A jet array holds matrix entries truncated at degree 2 in the spatial
+# increment, in derivative form: its last axis runs over multi_indices(n, 2)
+# and column ``beta`` holds ``d^beta`` at the point, so column 0 is the value.
+# Products follow the Leibniz rule of the jet engine, truncated at degree 2.
 
-def _tuple_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
 
+@lru_cache(maxsize=None)
+def _second_derivative_gather(n: int):
+    """Index arrays of route A over ``n`` real coordinates.
 
-def _second_derivative_polys(jet: SpaceTimeJet) -> Dict[Tuple[int, int], TaylorPoly]:
-    """Degree-2 increment polynomials of every second partial, from an order-4 jet."""
-    n = jet.nvars
+    ``gather[i, j, c]`` is the position of ``e_i + e_j + beta_c`` in
+    ``multi_indices(n, 4)`` for every degree-2 multi-index ``beta_c``, so one
+    gather turns an order-4 jet into the jet arrays of all second partials;
+    ``hessian[i, j]`` is the column of ``e_i + e_j`` in a jet array.
+    """
+    col4, _, _ = _columns(n, 4)
+    col2, _, _ = _columns(n, 2)
     betas = multi_indices(n, 2)
-    out: Dict[Tuple[int, int], TaylorPoly] = {}
+    gather = np.empty((n, n, len(betas)), dtype=np.intp)
+    hessian = np.empty((n, n), dtype=np.intp)
     for i in range(n):
-        for j in range(i, n):
-            base = unit_index(n, i, j)
-            coeffs: Dict[MultiIndex, complex] = {}
-            for beta in betas:
-                d = jet.d(_tuple_add(base, beta))
-                if d != 0.0:
-                    coeffs[beta] = d / multi_factorial(beta)
-            p = TaylorPoly(n, 2, coeffs)
-            out[(i, j)] = out[(j, i)] = p
+        for j in range(n):
+            e = unit_index(n, i, j)
+            hessian[i, j] = col2[e]
+            for c, beta in enumerate(betas):
+                gather[i, j, c] = col4[tuple(a + b for a, b in zip(e, beta))]
+    return gather, hessian
+
+
+def _slot_pairs(h: np.ndarray, is_complex: bool) -> np.ndarray:
+    """Slot-calculus second derivatives from real ones, along the two leading axes.
+
+    For the complex flavor the leading axes run over ``[Re, Im]`` coordinates
+    and slot pair ``(a, b)`` becomes ``(xx + yy)/4 + i (xy - yx)/4``.
+    """
+    if not is_complex:
+        return h
+    m = h.shape[0] // 2
+    q = h.reshape((2, m, 2, m) + h.shape[2:])
+    return (q[0, :, 0] + q[1, :, 1]) * 0.25 + (q[0, :, 1] - q[1, :, 0]) * 0.25j
+
+
+def _jet_matmul(a: np.ndarray, b: np.ndarray, leibniz) -> np.ndarray:
+    """Matrix product of jet arrays ``(r, t, P) @ (t, c, P)`` by the Leibniz rule."""
+    left, right, weight, starts = leibniz
+    pairs = np.einsum("itp,tjp->ijp", a[..., left], b[..., right])
+    pairs *= weight
+    return np.add.reduceat(pairs, starts, axis=-1)
+
+
+def _increment(a: np.ndarray, a0_inv: np.ndarray) -> np.ndarray:
+    """``X = A0^-1 (A - A0)`` for a jet-array matrix ``A`` with value ``A0``."""
+    a_hat = a.copy()
+    a_hat[..., 0] = 0.0
+    return np.einsum("it,tjp->ijp", a0_inv, a_hat)
+
+
+def _jet_inverse(a: np.ndarray, a0_inv: np.ndarray, leibniz) -> np.ndarray:
+    """Jet-array matrix inverse by the Neumann series ``(I - X + X^2) A0^-1``, exact at degree <= 2."""
+    x = _increment(a, a0_inv)
+    series = _jet_matmul(x, x, leibniz) - x
+    series[..., 0] += np.eye(len(a))
+    return np.einsum("itp,tj->ijp", series, a0_inv)
+
+
+def _jet_logdet(a: np.ndarray, a0_inv: np.ndarray, logdet0: float, leibniz) -> np.ndarray:
+    """log det of a jet-array matrix by the trace-log series ``tr X - tr X^2 / 2``, exact at degree <= 2."""
+    x = _increment(a, a0_inv)
+    out = np.trace(x) - np.trace(_jet_matmul(x, x, leibniz)) * 0.5
+    out[0] += logdet0
     return out
 
 
-def _mat_mul_poly(a: List[List[TaylorPoly]], b: List[List[TaylorPoly]], zero: TaylorPoly):
-    rows = len(a)
-    cols = len(b[0]) if b else 0
-    inner = len(b)
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = zero
-            for t in range(inner):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_sub_poly(a, b):
-    return [[pa - pb for pa, pb in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_neg_poly(a):
-    return [[-p for p in row] for row in a]
-
-
-def _mat_constants(a, dtype) -> np.ndarray:
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    out = np.zeros((rows, cols), dtype=dtype)
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = a[i][j].value()
-    return out
-
-
-def _poly_mat_inverse(a: List[List[TaylorPoly]], a0_inv: np.ndarray, nvars: int, order: int):
-    """Matrix-polynomial inverse via the Neumann series, exact at order <= 2."""
-    if order > 2:
-        raise DimensionMismatch("polynomial matrix inverse implemented for truncation order <= 2")
-    dim = len(a)
-    zero = TaylorPoly(nvars, order, {})
-    a_hat = [[a[i][j] - a[i][j].value() for j in range(dim)] for i in range(dim)]
-    inv0 = [[TaylorPoly.constant(nvars, order, a0_inv[i, j]) for j in range(dim)] for i in range(dim)]
-    x = _mat_mul_poly(inv0, a_hat, zero)
-    x2 = _mat_mul_poly(x, x, zero)
-    series = [
-        [(x2[i][j] - x[i][j]) + (1.0 if i == j else 0.0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    return _mat_mul_poly(series, inv0, zero)
-
-
-def _poly_logdet(a: List[List[TaylorPoly]], a0_inv: np.ndarray, logdet0: float, nvars: int, order: int) -> TaylorPoly:
-    """log det of a matrix polynomial via the trace-log series, exact at order <= 2."""
-    if order > 2:
-        raise DimensionMismatch("polynomial log-det implemented for truncation order <= 2")
-    dim = len(a)
-    zero = TaylorPoly(nvars, order, {})
-    a_hat = [[a[i][j] - a[i][j].value() for j in range(dim)] for i in range(dim)]
-    inv0 = [[TaylorPoly.constant(nvars, order, a0_inv[i, j]) for j in range(dim)] for i in range(dim)]
-    x = _mat_mul_poly(inv0, a_hat, zero)
-    x2 = _mat_mul_poly(x, x, zero)
-    tr_x = zero
-    tr_x2 = zero
-    for i in range(dim):
-        tr_x = tr_x + x[i][i]
-        tr_x2 = tr_x2 + x2[i][i]
-    return tr_x - tr_x2 * 0.5 + logdet0
-
-
-def _assemble_w_polys(zp, mp, np_, vinv, k: int, l: int, zero: TaylorPoly):
-    """Transformed-Hessian blocks from second-derivative (matrix) polynomials."""
+def _assemble_w(z, mm, nn, vinv, k: int, l: int, leibniz) -> np.ndarray:
+    """Transformed Hessian ``[[Z - M V^-1 N, M V^-1], [V^-1 N, -V^-1]]`` from jet-array blocks."""
     if l == 0:
-        return [list(row) for row in zp]
+        return z
     if k == 0:
-        return _mat_neg_poly(vinv)
-    coupling = _mat_mul_poly(mp, vinv, zero)
-    ul = _mat_sub_poly(zp, _mat_mul_poly(coupling, np_, zero))
-    ll = _mat_mul_poly(vinv, np_, zero)
-    lr = _mat_neg_poly(vinv)
-    rows = [[*ul[i], *coupling[i]] for i in range(k)]
-    rows += [[*ll[c], *lr[c]] for c in range(l)]
-    return rows
+        return -vinv
+    coupling = _jet_matmul(mm, vinv, leibniz)
+    upper = np.concatenate([z - _jet_matmul(coupling, nn, leibniz), coupling], axis=1)
+    lower = np.concatenate([_jet_matmul(vinv, nn, leibniz), -vinv], axis=1)
+    return np.concatenate([upper, lower], axis=0)
 
 
 class _FlowEngine:
@@ -236,138 +215,68 @@ class _FlowEngine:
 
     Slots ``0..k-1`` are the convex variables, ``k..k+l-1`` the concave ones;
     for the complex flavor a slot's second derivatives are the mixed
-    holomorphic/antiholomorphic combinations of four real ones.
+    holomorphic/antiholomorphic combinations of four real ones.  ``w`` and
+    the flow speed ``f`` are jet arrays in the ``n`` real increments.
     """
 
     def __init__(self, jet: SpaceTimeJet):
         if jet.order < 4:
             raise DimensionMismatch(f"flow calculus needs an order-4 jet, got order {jet.order}")
-        self.k, self.l = jet.k, jet.l
-        self.m = self.k + self.l
-        self.n = jet.nvars
+        self.k, self.l = k, l = jet.k, jet.l
         self.is_complex = jet.flavor == "complex"
-        self.dtype = complex if self.is_complex else float
-        k, l, m, n = self.k, self.l, self.m, self.n
+        n = jet.nvars
+        gather, self._hessian = _second_derivative_gather(n)
+        leibniz = _leibniz_table(n, 2)
 
-        polys = _second_derivative_polys(jet)
-        if self.is_complex:
-            def pair(sa: int, sb: int) -> TaylorPoly:
-                pxx = polys[(sa, sb)]
-                pyy = polys[(m + sa, m + sb)]
-                pxy = polys[(sa, m + sb)]
-                pyx = polys[(m + sa, sb)]
-                return (pxx + pyy) * 0.25 + (pxy - pyx) * 0.25j
-        else:
-            def pair(sa: int, sb: int) -> TaylorPoly:
-                return polys[(sa, sb)]
-        self._pair = pair
+        values = np.array([jet.table.get(beta, 0.0) for beta in multi_indices(n, 4)])
+        h = _slot_pairs(values[gather], self.is_complex)
+        z, v = h[:k, :k], h[k:, k:]
+        self.h0 = h[..., 0]
 
-        self.zp = [[pair(a, b) for b in range(k)] for a in range(k)]
-        self.mp = [[pair(a, k + c) for c in range(l)] for a in range(k)]
-        self.np_ = [[pair(k + c, a) for a in range(k)] for c in range(l)]
-        self.vp = [[pair(k + c, k + d) for d in range(l)] for c in range(l)]
-        self.z0 = _mat_constants(self.zp, self.dtype)
-        self.v0 = _mat_constants(self.vp, self.dtype)
-
-        zero2 = TaylorPoly(n, 2, {})
+        self.f = np.zeros(h.shape[-1], dtype=h.dtype)
+        # L(g) = tr(Z^-1 g_zzbar) - tr(V^-1 g_wwbar) pairs these weights with g's slot Hessian
+        self.l_weights = np.zeros((k + l, k + l), dtype=h.dtype)
+        self.vi0 = vinv = None
         if k:
-            self.zi0, logdet_convex = inverse_and_logdet(as_hermitian(self.z0))
-            f_convex = _poly_logdet(self.zp, self.zi0, logdet_convex, n, 2)
-        else:
-            self.zi0 = np.zeros((0, 0), dtype=self.dtype)
-            f_convex = zero2
+            zi0, logdet_convex = inverse_and_logdet(as_hermitian(z[..., 0]))
+            self.f += _jet_logdet(z, zi0, logdet_convex, leibniz)
+            self.l_weights[:k, :k] = zi0
         if l:
-            self.neg_vi0, logdet_concave = inverse_and_logdet(as_hermitian(-self.v0))
-            self.vi0 = -self.neg_vi0
-            f_concave = _poly_logdet(_mat_neg_poly(self.vp), self.neg_vi0, logdet_concave, n, 2)
-            vinv = _poly_mat_inverse(self.vp, self.vi0, n, 2)
-        else:
-            self.neg_vi0 = np.zeros((0, 0), dtype=self.dtype)
-            self.vi0 = self.neg_vi0
-            f_concave = zero2
-            vinv = []
-        self.f_poly = f_convex - f_concave
-        self.w_polys = _assemble_w_polys(self.zp, self.mp, self.np_, vinv, k, l, zero2)
+            neg_vi0, logdet_concave = inverse_and_logdet(as_hermitian(-v[..., 0]))
+            self.vi0 = -neg_vi0
+            self.f -= _jet_logdet(-v, neg_vi0, logdet_concave, leibniz)
+            self.l_weights[k:, k:] = neg_vi0
+            vinv = _jet_inverse(v, self.vi0, leibniz)
+        self.w = _assemble_w(z, h[:k, k:], h[k:, :k], vinv, k, l, leibniz)
 
-    # -- derivative extraction helpers ---------------------------------
+    def _slot_hessian(self, g: np.ndarray) -> np.ndarray:
+        """Slot second derivatives of every entry of a jet array, on two new leading axes."""
+        h = np.moveaxis(g[..., self._hessian], (-2, -1), (0, 1))
+        return _slot_pairs(h, self.is_complex)
 
-    def _second(self, g: TaylorPoly, sa: int, sb: int):
-        """Second derivative of a scalar polynomial in the slot calculus."""
-        n, m = self.n, self.m
-        if not self.is_complex:
-            return g.deriv(unit_index(n, sa, sb))
-        dxx = g.deriv(unit_index(n, sa, sb))
-        dyy = g.deriv(unit_index(n, m + sa, m + sb))
-        dxy = g.deriv(unit_index(n, sa, m + sb))
-        dyx = g.deriv(unit_index(n, m + sa, sb))
-        return 0.25 * (dxx + dyy) + 0.25j * (dxy - dyx)
-
-    def time_blocks(self):
-        """Flow-induced time derivatives of the second-derivative blocks."""
-        k, l, f = self.k, self.l, self.f_poly
-        zdot = np.array([[self._second(f, a, b) for b in range(k)] for a in range(k)], dtype=self.dtype).reshape(k, k)
-        mdot = np.array([[self._second(f, a, k + c) for c in range(l)] for a in range(k)], dtype=self.dtype).reshape(k, l)
-        ndot = np.array([[self._second(f, k + c, a) for a in range(k)] for c in range(l)], dtype=self.dtype).reshape(l, k)
-        vdot = np.array([[self._second(f, k + c, k + d) for d in range(l)] for c in range(l)], dtype=self.dtype).reshape(l, l)
-        return zdot, mdot, ndot, vdot
+    def _linearized(self, g: np.ndarray):
+        """The flow linearization applied to every entry of a jet array at once."""
+        return np.einsum("ba,ab...->...", self.l_weights, self._slot_hessian(g))
 
     def w_time_derivative(self) -> np.ndarray:
-        """d/dt of every transformed-Hessian entry, via a first-order time expansion."""
-        k, l, m = self.k, self.l, self.m
-        zdot, mdot, ndot, vdot = self.time_blocks()
+        """d/dt of every transformed-Hessian entry, via a first-order time expansion.
 
-        def tau(c0, c1) -> TaylorPoly:
-            coeffs = {}
-            if c0 != 0:
-                coeffs[(0,)] = c0
-            if c1 != 0:
-                coeffs[(1,)] = c1
-            return TaylorPoly(1, 1, coeffs)
-
-        zt = [[tau(self.z0[a, b], zdot[a, b]) for b in range(k)] for a in range(k)]
-        mt = [[tau(self.mp[a][c].value(), mdot[a, c]) for c in range(l)] for a in range(k)]
-        nt = [[tau(self.np_[c][a].value(), ndot[c, a]) for a in range(k)] for c in range(l)]
-        vt = [[tau(self.v0[c, d], vdot[c, d]) for d in range(l)] for c in range(l)]
-        zero1 = TaylorPoly(1, 1, {})
-        vinv_t = _poly_mat_inverse(vt, self.vi0, 1, 1) if l else []
-        wt = _assemble_w_polys(zt, mt, nt, vinv_t, k, l, zero1)
-        out = np.zeros((m, m), dtype=self.dtype)
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = wt[i][j].deriv((1,))
-        return out
-
-    def linearized_on_entry(self, g: TaylorPoly):
-        """The flow linearization applied to one scalar entry polynomial."""
+        The second-derivative blocks move at the flow-induced rate: the slot
+        Hessian of the flow speed ``f``.
+        """
         k, l = self.k, self.l
-        acc = 0.0
-        for a in range(k):
-            for b in range(k):
-                acc += self.zi0[b, a] * self._second(g, a, b)
-        for c in range(l):
-            for d in range(l):
-                acc -= self.vi0[d, c] * self._second(g, k + c, k + d)
-        return acc
+        leibniz = _leibniz_table(1, 1)
+        ht = np.stack([self.h0, self._slot_hessian(self.f)], axis=-1)
+        vinv = _jet_inverse(ht[k:, k:], self.vi0, leibniz) if l else None
+        return _assemble_w(ht[:k, :k], ht[:k, k:], ht[k:, :k], vinv, k, l, leibniz)[..., 1]
 
     def lhs_matrix(self) -> np.ndarray:
         """(d/dt - L) applied entrywise to the transformed Hessian."""
-        m = self.m
-        wdot = self.w_time_derivative()
-        out = np.zeros((m, m), dtype=self.dtype)
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = wdot[i, j] - self.linearized_on_entry(self.w_polys[i][j])
-        return out
+        return self.w_time_derivative() - self._linearized(self.w)
 
     def flow_speed_time_derivative(self):
-        """d/dt of the flow speed along the flow: trace pairing with the block rates."""
-        zdot, _, _, vdot = self.time_blocks()
-        acc = 0.0
-        if self.k:
-            acc += np.einsum("ba,ab->", self.zi0, zdot)
-        if self.l:
-            acc -= np.einsum("dc,cd->", self.vi0, vdot)
-        return acc
+        """d/dt of the flow speed along the flow: the linearization applied to the speed."""
+        return self._linearized(self.f)
 
 
 # ---------------------------------------------------------------------------
@@ -590,29 +499,27 @@ def subsolution_spectrum(table: WirtingerTable) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _complex_engine(spec: ExpressionSpec, point, time: float) -> _FlowEngine:
+def _complex_jet(spec: ExpressionSpec, point, time: float) -> SpaceTimeJet:
+    """The order-4 jet the flow identities read, once the spec is known to be complex."""
     if spec.flavor != "complex":
         raise DimensionMismatch("flow identity evaluation needs a complex-flavored spec; complexify first")
-    jet = evaluate_jet(spec, point, time, order=4)
-    return _FlowEngine(jet)
+    return evaluate_jet(spec, point, time, order=4)
 
 
 def evolution_lhs(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
     """(d/dt - L) applied entrywise to the transformed Hessian, by route A only."""
-    return _complex_engine(spec, point, time).lhs_matrix()
+    return _FlowEngine(_complex_jet(spec, point, time)).lhs_matrix()
 
 
 def evolution_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
     """Sup-norm gap between the two routes of the flow identity.
 
-    Route A computes ``(d/dt - L) W`` from truncated polynomial expansions of
+    Route A computes ``(d/dt - L) W`` from degree-2 jet arrays gathered from
     an order-4 jet; route B assembles the explicit third-derivative source.
     The identity says they agree, so the gap is pure transcription and
     rounding error; it vanishes identically on quadratics.
     """
-    jet = evaluate_jet(spec, point, time, order=4)
-    if spec.flavor != "complex":
-        raise DimensionMismatch("flow identity evaluation needs a complex-flavored spec; complexify first")
+    jet = _complex_jet(spec, point, time)
     lhs = _FlowEngine(jet).lhs_matrix()
     q = assemble_Q(wirtinger_from_real(jet)).matrix
     return float(np.max(np.abs(lhs - q)))
@@ -649,12 +556,10 @@ def heat_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
     The flow speed ``s = du/dt`` satisfies ``(d/dt - L) s = 0``.  The left
     side is evaluated twice: ``d s/dt`` by the explicit chain rule for
     log-determinants (second-derivative contractions of third- and
-    fourth-order data), and ``L s`` by route-A coefficient extraction.  The
+    fourth-order data), and ``L s`` from route A's jet array of ``s``.  The
     residual is the absolute gap between the two evaluations.
     """
-    if spec.flavor != "complex":
-        raise DimensionMismatch("flow identity evaluation needs a complex-flavored spec; complexify first")
-    jet = evaluate_jet(spec, point, time, order=4)
+    jet = _complex_jet(spec, point, time)
     engine = _FlowEngine(jet)
     table = wirtinger_from_real(jet)
     ctx = _term_context(table)
@@ -754,9 +659,7 @@ class FlowReport:
 
 def flow_report(spec: ExpressionSpec, point, time: float = 0.0) -> FlowReport:
     """Single-jet evaluation of every per-point quantity the sweeps need."""
-    if spec.flavor != "complex":
-        raise DimensionMismatch("flow identity evaluation needs a complex-flavored spec; complexify first")
-    jet = evaluate_jet(spec, point, time, order=4)
+    jet = _complex_jet(spec, point, time)
     engine = _FlowEngine(jet)
     table = wirtinger_from_real(jet)
     ctx = _term_context(table)

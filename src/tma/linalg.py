@@ -2,8 +2,10 @@
 
 Everything here works on matrices of dimension <= 8 (typically k + l <= 4),
 so direct dense factorizations are used throughout: exactness and determinism
-beat scalability at this size.  Positive-definite log-determinants come from a
-Cholesky factorization; eigenvalue bounds from ``numpy.linalg.eigvalsh``.
+beat scalability at this size.  The inverse and log-determinant of a
+positive-definite matrix come from one Hermitian eigendecomposition
+(``numpy.linalg.eigh``), whose eigenvalues also feed the definiteness and
+conditioning guards; other eigenvalue bounds come from ``numpy.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ def certify_psd(a, tol: float | None = None) -> bool:
 def inverse_and_logdet(a, cond_guard: float = DEFAULT_COND_GUARD):
     """Inverse and log-determinant of a positive-definite matrix.
 
-    The log-determinant is accumulated from the Cholesky diagonal (a stable
-    triangular factorization); the inverse is a direct dense solve.
+    One eigendecomposition ``A = Q diag(lambda) Q^H`` serves everything: the
+    guards read the extremal eigenvalues, the log-determinant is
+    ``sum(log lambda)`` and the inverse is ``Q diag(1/lambda) Q^H``.
 
     Raises
     ------
@@ -64,15 +67,14 @@ def inverse_and_logdet(a, cond_guard: float = DEFAULT_COND_GUARD):
     IllConditioned
         if lambda_min / lambda_max < cond_guard.
     """
-    a = np.asarray(a)
-    lo, hi = min_max_eigenvalues(a)
+    vals, vecs = np.linalg.eigh(np.asarray(a))
+    lo, hi = float(vals[0]), float(vals[-1])
     if lo <= 0.0:
         raise NotPositiveDefinite(f"lambda_min = {lo:.3e} <= 0")
     if lo / hi < cond_guard:
         raise IllConditioned(f"lambda_min/lambda_max = {lo / hi:.3e} below guard {cond_guard:.1e}")
-    chol = np.linalg.cholesky(a)
-    logdet = 2.0 * float(np.sum(np.log(np.abs(np.diag(chol).real))))
-    inv = np.linalg.inv(a)
+    logdet = float(np.sum(np.log(vals)))
+    inv = (vecs / vals) @ vecs.conj().T
     inv = (inv + inv.conj().T) / 2.0
     return inv, logdet
 

@@ -1,16 +1,12 @@
-"""Truncated Taylor polynomials and closed-form atom derivatives.
+"""Closed-form derivatives of the univariate atoms of the spec language.
 
 :func:`atom_derivatives` lists ``f(c), f'(c), ..., f^(order)(c)`` of a
 univariate atom in closed form, for one argument or an array of them.  Every
 atom of the spec language takes an affine argument ``a.x + c``, so the jet
 engine in :mod:`tma.jets` reads each partial ``d^beta f(a.x + c) =
 f^(|beta|)(a.x + c) a^beta`` straight off this list; no polynomial
-composition is needed.
-
-A :class:`TaylorPoly` stores the coefficients of a polynomial in ``nvars``
-increment variables, truncated at total degree ``order``; the coefficient of
-the monomial ``delta^beta`` is ``(d^beta f)(x0) / beta!``.  The route-A flow
-engine in :mod:`tma.evolution` does its matrix-polynomial algebra with it.
+composition is needed.  Route A of :mod:`tma.evolution` runs its degree-2
+forward mode on jet arrays of that same engine.
 
 Nested finite differences are deliberately not used anywhere: the downstream
 sign checks need ~1e-10 accuracy on fourth derivatives, which FD noise would
@@ -20,107 +16,12 @@ swamp.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
 
 import numpy as np
 
 from .errors import DomainViolation, UnknownAtom
 
-MultiIndex = Tuple[int, ...]
-
 ATOM_NAMES = ("sin", "cos", "exp", "log", "cosh", "sinh", "pow")
-
-
-def multi_factorial(beta: MultiIndex) -> float:
-    """Product of factorials of a multi-index."""
-    out = 1
-    for b in beta:
-        out *= math.factorial(b)
-    return float(out)
-
-
-class TaylorPoly:
-    """Polynomial in ``nvars`` increments, truncated at total degree ``order``.
-
-    Parameters
-    ----------
-    nvars : int
-        Number of increment variables.
-    order : int
-        Total-degree truncation order (inclusive).
-    coeffs : dict, optional
-        Mapping exponent-tuple -> coefficient.  Shared, not copied; callers
-        must not mutate it afterwards.
-    """
-
-    __slots__ = ("nvars", "order", "coeffs")
-
-    def __init__(self, nvars: int, order: int, coeffs: Dict[MultiIndex, complex] | None = None):
-        self.nvars = nvars
-        self.order = order
-        self.coeffs = {} if coeffs is None else coeffs
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def constant(cls, nvars: int, order: int, value) -> "TaylorPoly":
-        if value == 0:
-            return cls(nvars, order, {})
-        return cls(nvars, order, {(0,) * nvars: value})
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, TaylorPoly):
-            out = dict(self.coeffs)
-            zero = (0,) * self.nvars
-            out[zero] = out.get(zero, 0.0) + other
-            return TaylorPoly(self.nvars, self.order, out)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0.0) + c
-        return TaylorPoly(self.nvars, self.order, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TaylorPoly(self.nvars, self.order, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TaylorPoly):
-            return self + (-other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, TaylorPoly):
-            if other == 0:
-                return TaylorPoly(self.nvars, self.order, {})
-            return TaylorPoly(self.nvars, self.order, {e: c * other for e, c in self.coeffs.items()})
-        order = self.order
-        out: Dict[MultiIndex, complex] = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return TaylorPoly(self.nvars, order, out)
-
-    __rmul__ = __mul__
-
-    # -- extraction ---------------------------------------------------------
-
-    def value(self):
-        return self.coeffs.get((0,) * self.nvars, 0.0)
-
-    def deriv(self, beta: MultiIndex):
-        """Exact partial derivative ``d^beta f (x0)`` = coefficient * beta!."""
-        c = self.coeffs.get(tuple(beta), 0.0)
-        return c * multi_factorial(beta) if c != 0 else 0.0 * c
 
 
 def atom_derivatives(fn: str, c, order: int, exponent: float | None = None):

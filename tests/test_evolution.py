@@ -6,9 +6,12 @@ at the oracle) and frozen; the flow identity itself is checked by comparing
 two deliberately independent evaluation routes.
 """
 
+import types
+
 import numpy as np
 import pytest
 
+from tma import evolution
 from tma.errors import DimensionMismatch, NotPositiveDefinite, TmaError
 from tma.evolution import (
     FlowReport,
@@ -95,6 +98,7 @@ def cubic_table(eps: float, point=(0.0, 0.1, 0.0, -0.2)):
 
 
 SWEEP_SHAPES = ((1, 1), (2, 1), (1, 2))
+ONE_BLOCK_SHAPES = ((1, 0), (2, 0), (0, 1), (0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,7 @@ def test_evolution_lhs_cubic_matches_oracle():
 
 
 def test_flow_identity_ensemble_sweep():
-    for k, l in SWEEP_SHAPES:
+    for k, l in SWEEP_SHAPES + ONE_BLOCK_SHAPES:
         es = EnsembleSpec(k=k, l=l, flavor="complex", eps=0.1, seed=42)
         for draw in range(3):
             member = draw_member(es, draw)
@@ -260,6 +264,70 @@ def test_flow_functions_reject_real_flavor():
         evolution_residual(u, (0.1, 0.2))
     with pytest.raises(DimensionMismatch):
         heat_residual(u, (0.1, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# route independence, read off the bytecode
+# ---------------------------------------------------------------------------
+
+
+def _code_objects(obj):
+    """Code objects of a function (unwrapping caches) or of every method of a class, nested ones included."""
+    if isinstance(obj, type):
+        for member in vars(obj).values():
+            yield from _code_objects(member)
+        return
+    code = getattr(getattr(obj, "__wrapped__", obj), "__code__", None)
+    stack = [code] if code is not None else []
+    while stack:
+        code = stack.pop()
+        yield code
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+
+
+def _route_closure(*roots):
+    """Module functions and classes reached from ``roots``, and every global or attribute name they read."""
+    reached, names = set(), set()
+    stack = list(roots)
+    while stack:
+        for code in _code_objects(stack.pop()):
+            for name in code.co_names:
+                names.add(name)
+                target = getattr(evolution, name, None)
+                if name not in reached and callable(target) and getattr(target, "__module__", None) == evolution.__name__:
+                    reached.add(name)
+                    stack.append(target)
+    return reached, names
+
+
+ROUTE_B_NAMES = {
+    "_TERMS",
+    "_THIRD_SIGS",
+    "_term_context",
+    "_terms_from_context",
+    "_term_matrices",
+    "assemble_Q",
+    "wirtinger_from_real",
+    "wirtinger_derivative_arrays",
+    "_heat_route_b",
+    "WirtingerTable",
+}
+
+
+def test_route_a_reads_nothing_of_route_b():
+    reached, names = _route_closure(evolution._FlowEngine)
+    # the walk reaches the helpers, so an empty intersection below means something
+    assert {"_second_derivative_gather", "_jet_matmul", "_jet_inverse", "_jet_logdet", "_assemble_w"} <= reached
+    assert not names & ROUTE_B_NAMES
+
+
+def test_route_b_reads_nothing_of_route_a():
+    route_a, _ = _route_closure(evolution._FlowEngine)
+    reached, names = _route_closure(
+        evolution.assemble_Q, evolution.q_sign_groupings, evolution.subsolution_spectrum, evolution._heat_route_b
+    )
+    assert {"_THIRD_SIGS", "_TERMS", "wirtinger_derivative_arrays"} <= names
+    assert not names & (route_a | {"_FlowEngine"})
 
 
 # ---------------------------------------------------------------------------
