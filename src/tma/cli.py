@@ -363,18 +363,20 @@ def _sweep_draw_rows(payload: Tuple) -> List[Tuple]:
     es = EnsembleSpec(k=k, l=l, flavor=flavor, a=a, b=b, eps=eps, seed=seed)
     member = draw_member(es, draw)
     pts = sample_points(es, draw, n_points)
+    # the Legendre suites take the draw's points as one batch, so the numbers
+    # cannot depend on how draws are spread over workers
+    if suite == "det-law":
+        return [(draw, k, l, i, float(r)) for i, r in enumerate(det_transform_residual(member, pts))]
+    if suite == "w-psd":
+        lam_min = np.linalg.eigvalsh(real_W(member, pts))[:, 0]
+        return [(draw, k, l, i, float(v)) for i, v in enumerate(lam_min)]
     if suite == "real-complexify":
         d = complexification_scaling(k, l)
         lifted = complexify_real(member)
     rows: List[Tuple] = []
     for i, x in enumerate(pts):
         point = tuple(float(c) for c in x)
-        if suite == "det-law":
-            rows.append((draw, k, l, i, det_transform_residual(member, point)))
-        elif suite == "w-psd":
-            lam_min = float(np.linalg.eigvalsh(real_W(member, point))[0])
-            rows.append((draw, k, l, i, lam_min))
-        elif suite == "q-sign":
+        if suite == "q-sign":
             rep = flow_report(member, point)
             g = dict(rep.grouping_spectrum_max)
             rows.append(

@@ -51,6 +51,7 @@ from .jets import (
     SpaceTimeJet,
     WirtingerTable,
     _columns,
+    _hessian_columns,
     _leibniz_table,
     evaluate_jet,
     map_leaves,
@@ -133,25 +134,21 @@ def wirtinger_derivative_arrays(table: WirtingerTable, total: int) -> Dict[Tuple
 
 @lru_cache(maxsize=None)
 def _second_derivative_gather(n: int):
-    """Index arrays of route A over ``n`` real coordinates.
+    """Index array of route A over ``n`` real coordinates.
 
     ``gather[i, j, c]`` is the position of ``e_i + e_j + beta_c`` in
     ``multi_indices(n, 4)`` for every degree-2 multi-index ``beta_c``, so one
-    gather turns an order-4 jet into the jet arrays of all second partials;
-    ``hessian[i, j]`` is the column of ``e_i + e_j`` in a jet array.
+    gather turns an order-4 jet into the jet arrays of all second partials.
     """
     col4, _, _ = _columns(n, 4)
-    col2, _, _ = _columns(n, 2)
     betas = multi_indices(n, 2)
     gather = np.empty((n, n, len(betas)), dtype=np.intp)
-    hessian = np.empty((n, n), dtype=np.intp)
     for i in range(n):
         for j in range(n):
             e = unit_index(n, i, j)
-            hessian[i, j] = col2[e]
             for c, beta in enumerate(betas):
                 gather[i, j, c] = col4[tuple(a + b for a, b in zip(e, beta))]
-    return gather, hessian
+    return gather
 
 
 def _slot_pairs(h: np.ndarray, is_complex: bool) -> np.ndarray:
@@ -225,7 +222,8 @@ class _FlowEngine:
         self.k, self.l = k, l = jet.k, jet.l
         self.is_complex = jet.flavor == "complex"
         n = jet.nvars
-        gather, self._hessian = _second_derivative_gather(n)
+        gather = _second_derivative_gather(n)
+        self._hessian = _hessian_columns(n)
         leibniz = _leibniz_table(n, 2)
 
         values = np.array([jet.table.get(beta, 0.0) for beta in multi_indices(n, 4)])

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import AmplitudeTooLarge, ParseError
-from .jets import ExpressionSpec, evaluate_jet, map_leaves, wirtinger_from_real
+from .jets import ExpressionSpec, evaluate_hessians, map_leaves, wirtinger_hessians
 from .linalg import min_max_eigenvalues
 
 
@@ -53,50 +53,36 @@ class ClassReport:
     first_violation: Optional[Tuple[float, ...]]
 
 
-def _point_block_bounds(spec: ExpressionSpec, point) -> Tuple[float, float, float, float]:
-    jet = evaluate_jet(spec, point, order=2)
-    if spec.flavor == "real":
-        a, _, c = jet.hessian_blocks()
-        neg_c = -c
-    else:
-        z, _, v = wirtinger_from_real(jet).second_blocks()
-        a, neg_c = z, -v
-    if a.size:
-        min_x, max_x = min_max_eigenvalues(a)
-    else:
-        min_x, max_x = np.inf, -np.inf
-    if neg_c.size:
-        min_y, max_y = min_max_eigenvalues(neg_c)
-    else:
-        min_y, max_y = np.inf, -np.inf
-    return min_x, max_x, min_y, max_y
+def _block_bounds(blocks: np.ndarray):
+    """Extremal eigenvalues of each matrix in a stack; ``(inf, -inf)`` where the block is empty."""
+    if blocks.shape[-1] == 0:
+        return np.inf, -np.inf
+    return min_max_eigenvalues(blocks)
 
 
 def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float, tol: float = 1e-9) -> ClassReport:
     """Check both Hessian-block eigenvalue bounds at every cloud point.
 
     Deterministic given the cloud.  ``member`` is true iff every sampled bound
-    lies in ``[lam - tol, Lam + tol]``.
+    lies in ``[lam - tol, Lam + tol]``; ``first_violation`` is the first
+    failing point in cloud order.  The blocks of the whole cloud come from one
+    jet-engine call (real: :func:`evaluate_hessians`; complex:
+    :func:`wirtinger_hessians`) and one stacked eigenvalue call per block.
     """
     if not (0.0 < lam <= Lam):
         raise ValueError(f"need 0 < lam <= Lam, got ({lam}, {Lam})")
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     if cloud.shape[0] == 0:
         raise ValueError("empty sample cloud")
+    h = evaluate_hessians(spec, cloud) if spec.flavor == "real" else wirtinger_hessians(spec, cloud)
+    k = spec.k
     bounds = np.empty((cloud.shape[0], 4))
-    first_violation = None
-    member = True
-    for i, point in enumerate(cloud):
-        b = _point_block_bounds(spec, point)
-        bounds[i] = b
-        ok = True
-        if np.isfinite(b[0]):
-            ok = ok and (b[0] >= lam - tol) and (b[1] <= Lam + tol)
-        if np.isfinite(b[2]):
-            ok = ok and (b[2] >= lam - tol) and (b[3] <= Lam + tol)
-        if not ok and member:
-            member = False
-            first_violation = tuple(point)
+    bounds[:, 0], bounds[:, 1] = _block_bounds(h[:, :k, :k])
+    bounds[:, 2], bounds[:, 3] = _block_bounds(-h[:, k:, k:])
+    lows, highs = bounds[:, 0::2], bounds[:, 1::2]
+    ok = np.all(~np.isfinite(lows) | ((lows >= lam - tol) & (highs <= Lam + tol)), axis=1)
+    member = bool(ok.all())
+    first_violation = None if member else tuple(cloud[np.argmin(ok)])
     return ClassReport(member=member, lam=lam, Lam=Lam, bounds=bounds, first_violation=first_violation)
 
 

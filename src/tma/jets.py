@@ -9,7 +9,10 @@ their value, gradient and constant Hessian; an atom of an affine argument
 contributes ``d^beta f(a.x + c) = f^(|beta|)(a.x + c) a^beta`` in closed form;
 sums and scales add and multiply arrays; products follow the Leibniz rule.
 Point values (:meth:`ExpressionSpec.value`), jets (:func:`evaluate_jet`, every
-spatial partial to total order 4 as a :class:`SpaceTimeJet`) and grid values
+spatial partial to total order 4 as a :class:`SpaceTimeJet`), the Hessians of
+a whole ``(m, n)`` point array at once (:func:`evaluate_hessians`, an
+``(m, n, n)`` stack; :func:`wirtinger_hessians`, the ``(m, k + l, k + l)``
+stack of ``u_{z_a zbar_b}``) and grid values
 (:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`map_leaves` is
 the one rewriter of trees: it rebuilds a tree with every leaf mapped.
 
@@ -499,6 +502,47 @@ def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4)
     )
 
 
+@lru_cache(maxsize=None)
+def _hessian_columns(nvars: int) -> np.ndarray:
+    """``(n, n)`` array of the column of ``e_i + e_j`` in a jet array over ``multi_indices(n, 2)``."""
+    col, _, _ = _columns(nvars, 2)
+    return np.array(
+        [[col[unit_index(nvars, i, j)] for j in range(nvars)] for i in range(nvars)], dtype=np.intp
+    )
+
+
+def _cloud_jet(spec: ExpressionSpec, points, order: int) -> np.ndarray:
+    """Jet arrays ``(m, P)`` of ``spec`` at the rows of an ``(m, nvars)`` point array.
+
+    One engine call for all rows; the guards are those of :func:`evaluate_jet`.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != spec.nvars:
+        raise DimensionMismatch(f"points of shape {points.shape} do not have {spec.nvars} coordinates each")
+    outside = ~np.all(np.abs(points) <= spec.domain_halfwidth, axis=1)
+    if outside.any():
+        first = tuple(points[np.argmax(outside)].tolist())
+        raise DomainViolation(f"point {first} outside declared box of halfwidth {spec.domain_halfwidth}")
+    return _node_jet(spec.expr, tuple(points.T), order)
+
+
+def evaluate_hessians(spec: ExpressionSpec, points) -> np.ndarray:
+    """Real-coordinate Hessians of ``spec`` at the rows of an ``(m, nvars)`` point array.
+
+    Returns the ``(m, nvars, nvars)`` stack from one engine call; each matrix
+    is bit-identical to ``evaluate_jet(spec, point, order=2).hessian()``.
+
+    Raises
+    ------
+    DimensionMismatch
+        when ``points`` is not two-dimensional with ``nvars`` columns.
+    DomainViolation
+        naming the first row that leaves the declared box, or when an atom is
+        evaluated outside its domain.
+    """
+    return _cloud_jet(spec, points, 2)[..., _hessian_columns(spec.nvars)]
+
+
 # ---------------------------------------------------------------------------
 # Wirtinger conversion
 # ---------------------------------------------------------------------------
@@ -634,6 +678,29 @@ def _convert_real_table(table: Dict[MultiIndex, float], m: int, order: int) -> D
                 if v is not None and v != 0.0:
                     acc += coeff * v
             out[(hol, anti)] = acc
+    return out
+
+
+def wirtinger_hessians(spec: ExpressionSpec, points) -> np.ndarray:
+    """Wirtinger Hessians ``u_{z_a zbar_b}`` of a complex-flavored spec at the rows of ``points``.
+
+    Returns the ``(N, m, m)`` stack (``m = k + l``, z-slots first) from one
+    engine call on the ``(N, 2m)`` real coordinates.  Entries sum the terms
+    of ``_wirtinger_expansion`` in the order :func:`wirtinger_from_real`
+    does, so they are bit-identical to :meth:`WirtingerTable.second_blocks`.
+    Guards as for :func:`evaluate_hessians`.
+    """
+    if spec.flavor != "complex":
+        raise DimensionMismatch("wirtinger_hessians applies to complex-flavored specs")
+    m = spec.k + spec.l
+    jet = _cloud_jet(spec, points, 2)
+    col, _, _ = _columns(2 * m, 2)
+    out = np.zeros(jet.shape[:-1] + (m, m), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            entry = out[..., a, b]
+            for beta, coeff in _wirtinger_expansion(m, unit_index(m, a), unit_index(m, b)):
+                entry += coeff * jet[..., col[beta]]
     return out
 
 

@@ -21,6 +21,11 @@ Hessian
 and the block-diagonal operator diag(u_xx^{-1}, -u_yy^{-1}) obtained by
 conjugating W^{-1} with T.  Differentiating w numerically would compound the
 inversion error for no benefit, so we never do that.
+
+W and T are assembled for a whole stack ``(m, n, n)`` of Hessians at once, so
+:func:`real_W` and :func:`det_transform_residual` take either one source
+point or an ``(m, n)`` array of them, from one jet-engine call.  Each matrix
+of a stack is bit-identical to the one assembled for its point alone.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExceeded, NoConvergence
-from .jets import ExpressionSpec, SpaceTimeJet, evaluate_jet
+from .jets import ExpressionSpec, evaluate_hessians, evaluate_jet
 from .linalg import inverse_and_logdet
 
 _GRAD_TOL = 1e-12
@@ -140,17 +145,35 @@ def invert_partial_gradient(spec: ExpressionSpec, x, z, y0=None):
     return y
 
 
-def _assemble_from_jet(jet: SpaceTimeJet):
-    """Blocks (A, C), transformed Hessian W and Jacobian T at the jet's point."""
-    a, b, c = jet.hessian_blocks()
+def _assemble(h: np.ndarray, k: int):
+    """Transformed Hessians W and coordinate Jacobians T of a Hessian stack ``(..., n, n)``.
+
+    ``k`` is the size of the convex block; both results have the shape of ``h``.
+    """
+    b, c = h[..., :k, k:], h[..., k:, k:]
     neg_cinv, _ = inverse_and_logdet(-c)
     cinv = -neg_cinv
-    k, l = a.shape[0], c.shape[0]
+    bt = np.swapaxes(b, -1, -2)
     b_cinv = b @ cinv
-    w = np.block([[a - b_cinv @ b.T, b_cinv], [b_cinv.T, neg_cinv]])
-    w = 0.5 * (w + w.T)
-    t = np.block([[np.eye(k), np.zeros((k, l))], [-cinv @ b.T, cinv]])
-    return a, c, w, t
+    w = np.concatenate(
+        [
+            np.concatenate([h[..., :k, :k] - b_cinv @ bt, b_cinv], axis=-1),
+            np.concatenate([np.swapaxes(b_cinv, -1, -2), neg_cinv], axis=-1),
+        ],
+        axis=-2,
+    )
+    w = 0.5 * (w + np.swapaxes(w, -1, -2))
+    upper = np.zeros(h.shape[:-2] + (k, h.shape[-1]))
+    upper[..., :k] = np.eye(k)
+    t = np.concatenate([upper, np.concatenate([-cinv @ bt, cinv], axis=-1)], axis=-2)
+    return w, t
+
+
+def _source_hessians(spec: ExpressionSpec, point):
+    """Hessian stack at one point ``(n,)`` or at the rows of ``(m, n)``, and whether it was one point."""
+    _require_transformable(spec)
+    pts = np.asarray(point, dtype=float)
+    return evaluate_hessians(spec, np.atleast_2d(pts)), pts.ndim < 2
 
 
 def real_W(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
@@ -160,11 +183,14 @@ def real_W(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
     ``[[A - B C^{-1} B^t, B C^{-1}], [C^{-1} B^t, -C^{-1}]]`` where A, B, C
     are the Hessian blocks of u.  For class members W is positive
     semidefinite and ``det W = det A / det(-C)``.
+
+    ``point`` is one source point, giving an ``(n, n)`` matrix, or an
+    ``(m, n)`` array of them, giving the ``(m, n, n)`` stack.  W does not
+    depend on ``time``: a spec's only time dependence is its linear drift.
     """
-    _require_transformable(spec)
-    jet = evaluate_jet(spec, np.asarray(point, dtype=float), time, order=2)
-    _, _, w, _ = _assemble_from_jet(jet)
-    return w
+    h, single = _source_hessians(spec, point)
+    w, _ = _assemble(h, spec.k)
+    return w[0] if single else w
 
 
 def partial_legendre(spec: ExpressionSpec, x, z) -> PartialLegendreResult:
@@ -178,23 +204,23 @@ def partial_legendre(spec: ExpressionSpec, x, z) -> PartialLegendreResult:
     z = np.asarray(z, dtype=float)
     y, iters, jet = _invert(spec, x, z, None)
     w_value = jet.d((0,) * spec.nvars) - float(y @ z)
-    _, _, w, t = _assemble_from_jet(jet)
+    w, t = _assemble(jet.hessian(), spec.k)
     return PartialLegendreResult(w=w_value, y=y, T=t, W=w, newton_iters=iters)
 
 
-def det_transform_residual(spec: ExpressionSpec, point) -> float:
+def det_transform_residual(spec: ExpressionSpec, point):
     """``|det W - det u_xx / det(-u_yy)|`` at a source point.
 
     Exactly zero in exact arithmetic for every u; the returned number is pure
     floating-point noise and should sit comfortably below 1e-10 for
-    well-conditioned Hessian blocks.
+    well-conditioned Hessian blocks.  A float for one point ``(n,)``; an
+    ``(m,)`` array for an ``(m, n)`` array of points.
     """
-    _require_transformable(spec)
-    jet = evaluate_jet(spec, np.asarray(point, dtype=float), order=2)
-    a, c, w, _ = _assemble_from_jet(jet)
-    lhs = float(np.linalg.det(w))
-    rhs = float(np.linalg.det(a)) / float(np.linalg.det(-c))
-    return abs(lhs - rhs)
+    h, single = _source_hessians(spec, point)
+    w, _ = _assemble(h, spec.k)
+    k = spec.k
+    res = np.abs(np.linalg.det(w) - np.linalg.det(h[..., :k, :k]) / np.linalg.det(-h[..., k:, k:]))
+    return float(res[0]) if single else res
 
 
 def transformed_operator_L(spec: ExpressionSpec, point, *, long_form: bool = False):
@@ -206,15 +232,15 @@ def transformed_operator_L(spec: ExpressionSpec, point, *, long_form: bool = Fal
     short form is preferred for conditioning.
     """
     _require_transformable(spec)
-    jet = evaluate_jet(spec, np.asarray(point, dtype=float), order=2)
-    a, c, w, t = _assemble_from_jet(jet)
+    h = evaluate_hessians(spec, np.asarray(point, dtype=float)[None])[0]
+    k = spec.k
     if long_form:
+        w, t = _assemble(h, k)
         w_inv, _ = inverse_and_logdet(w)
         out = t @ w_inv @ t.T
         return 0.5 * (out + out.T)
-    a_inv, _ = inverse_and_logdet(a)
-    neg_c_inv, _ = inverse_and_logdet(-c)
-    k = a.shape[0]
+    a_inv, _ = inverse_and_logdet(h[:k, :k])
+    neg_c_inv, _ = inverse_and_logdet(-h[k:, k:])
     out = np.zeros((spec.nvars, spec.nvars))
     out[:k, :k] = a_inv
     out[k:, k:] = neg_c_inv

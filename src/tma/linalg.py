@@ -6,9 +6,16 @@ beat scalability at this size.  The inverse and log-determinant of a
 positive-definite matrix come from one Hermitian eigendecomposition
 (``numpy.linalg.eigh``), whose eigenvalues also feed the definiteness and
 conditioning guards; other eigenvalue bounds come from ``numpy.linalg.eigvalsh``.
+
+:func:`min_max_eigenvalues` and :func:`inverse_and_logdet` also take stacks
+``(..., n, n)`` of matrices and answer for each one; LAPACK factors every
+matrix of a stack separately, so each answer is bit-identical to the one for
+that matrix alone.
 """
 
 from __future__ import annotations
+
+from operator import truediv
 
 import numpy as np
 
@@ -32,10 +39,16 @@ def as_hermitian(a, tol: float = 1e-10):
     return (a + a.conj().T) / 2.0
 
 
-def min_max_eigenvalues(a) -> tuple[float, float]:
-    """Extremal eigenvalues of a Hermitian/symmetric matrix."""
+def min_max_eigenvalues(a):
+    """Extremal eigenvalues of a Hermitian/symmetric matrix.
+
+    Floats for one ``(n, n)`` matrix; for a stack ``(..., n, n)``, two arrays
+    of the stack shape.
+    """
     vals = np.linalg.eigvalsh(np.asarray(a))
-    return float(vals[0]), float(vals[-1])
+    if vals.ndim == 1:
+        return float(vals[0]), float(vals[-1])
+    return vals[..., 0], vals[..., -1]
 
 
 def psd_tolerance(a) -> float:
@@ -60,23 +73,34 @@ def inverse_and_logdet(a, cond_guard: float = DEFAULT_COND_GUARD):
     guards read the extremal eigenvalues, the log-determinant is
     ``sum(log lambda)`` and the inverse is ``Q diag(1/lambda) Q^H``.
 
+    ``a`` is one ``(n, n)`` matrix, giving an ``(n, n)`` inverse and a float,
+    or a stack ``(..., n, n)``, giving inverses of the same shape and an array
+    of log-determinants; every matrix of a stack passes the same guards.
+
     Raises
     ------
     NotPositiveDefinite
-        if the smallest eigenvalue is <= 0.
+        if the smallest eigenvalue is <= 0 (the message quotes the lowest
+        one in the stack).
     IllConditioned
-        if lambda_min / lambda_max < cond_guard.
+        if lambda_min / lambda_max < cond_guard (the message quotes the lowest
+        ratio in the stack).
     """
     vals, vecs = np.linalg.eigh(np.asarray(a))
-    lo, hi = float(vals[0]), float(vals[-1])
-    if lo <= 0.0:
-        raise NotPositiveDefinite(f"lambda_min = {lo:.3e} <= 0")
-    if lo / hi < cond_guard:
-        raise IllConditioned(f"lambda_min/lambda_max = {lo / hi:.3e} below guard {cond_guard:.1e}")
-    logdet = float(np.sum(np.log(vals)))
-    inv = (vecs / vals) @ vecs.conj().T
-    inv = (inv + inv.conj().T) / 2.0
-    return inv, logdet
+    # guards on Python floats: numpy reductions on a few values would cost a
+    # single small matrix a third of its eigh again
+    lo = vals[..., 0].ravel().tolist()
+    hi = vals[..., -1].ravel().tolist()
+    bad = [x for x in lo if x <= 0.0]
+    if bad:
+        raise NotPositiveDefinite(f"lambda_min = {min(bad):.3e} <= 0")
+    bad = [r for r in map(truediv, lo, hi) if r < cond_guard]
+    if bad:
+        raise IllConditioned(f"lambda_min/lambda_max = {min(bad):.3e} below guard {cond_guard:.1e}")
+    logdet = np.log(vals).sum(axis=-1)
+    inv = (vecs / vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    inv = (inv + inv.conj().swapaxes(-1, -2)) / 2.0
+    return inv, (float(logdet) if vals.ndim == 1 else logdet)
 
 
 def logdet_pd(a, cond_guard: float = DEFAULT_COND_GUARD) -> float:

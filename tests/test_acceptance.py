@@ -76,10 +76,9 @@ def real_sweep():
         es = EnsembleSpec(k=k, l=l, eps=0.1, seed=2026 + si)
         for draw in range(250):
             member = draw_member(es, draw)
-            for x in sample_points(es, draw, 20):
-                point = tuple(float(c) for c in x)
-                max_det = max(max_det, det_transform_residual(member, point))
-                min_eig = min(min_eig, float(np.linalg.eigvalsh(real_W(member, point))[0]))
+            pts = sample_points(es, draw, 20)
+            max_det = max(max_det, float(det_transform_residual(member, pts).max()))
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(real_W(member, pts))[:, 0].min()))
     return {
         "max_det_residual": max_det,
         "min_w_eigenvalue": min_eig,

@@ -7,11 +7,13 @@ import pytest
 from tma.errors import DimensionMismatch, DomainViolation, ParseError, UnknownAtom
 from tma.jets import (
     ExpressionSpec,
+    evaluate_hessians,
     evaluate_jet,
     multi_indices,
     real_from_wirtinger,
     unit_index,
     wirtinger_from_real,
+    wirtinger_hessians,
 )
 from tma.solver import BoxGrid, evaluate_on_grid
 
@@ -131,8 +133,9 @@ def test_sin_sin_against_fd_oracle():
         lambda spec: spec.value([-2.0]),
         lambda spec: evaluate_jet(spec, [-2.0]),
         lambda spec: evaluate_on_grid(spec, BoxGrid((-3.0,), (-1.0,), (7,), frame=2)),
+        lambda spec: evaluate_hessians(spec, [[1.0], [-2.0]]),
     ],
-    ids=["value", "evaluate_jet", "evaluate_on_grid"],
+    ids=["value", "evaluate_jet", "evaluate_on_grid", "evaluate_hessians"],
 )
 @pytest.mark.parametrize("atom", [{"fn": "log"}, {"fn": "pow", "exponent": 0.5}], ids=["log", "pow"])
 def test_domain_violation_propagates(evaluate, atom):
@@ -143,6 +146,22 @@ def test_domain_violation_propagates(evaluate, atom):
     )
     with pytest.raises(DomainViolation, match="non-positive"):
         evaluate(spec)
+
+
+def test_evaluate_hessians_guards():
+    spec = ExpressionSpec(
+        expr={"kind": "atom", "fn": "sin", "affine": [1.0, 2.0], "const": 0.0},
+        k=1,
+        l=1,
+        domain_halfwidth=1.0,
+    )
+    with pytest.raises(DomainViolation, match=r"point \(2\.0, 0\.0\) outside"):
+        evaluate_hessians(spec, [[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+    for points in ([[0.0, 0.0, 0.0]], [0.0, 0.0], [[[0.0, 0.0]]]):
+        with pytest.raises(DimensionMismatch):
+            evaluate_hessians(spec, points)
+    with pytest.raises(DimensionMismatch):
+        wirtinger_hessians(spec, [[0.0, 0.0]])
 
 
 def test_time_drift_enters_value_and_dt():

@@ -7,6 +7,7 @@ from tma.errors import DomainExceeded
 from tma.funclass import EnsembleSpec, sample_ensemble, sample_points
 from tma.jets import ExpressionSpec, evaluate_jet
 from tma.legendre import (
+    _assemble,
     det_transform_residual,
     invert_partial_gradient,
     partial_legendre,
@@ -138,10 +139,7 @@ def test_w_psd_and_symmetric_on_ensemble():
     es = EnsembleSpec(k=1, l=2, a=1.0, b=1.0, eps=0.15, n_atoms=3, seed=4)
     for idx, spec in enumerate(sample_ensemble(es, 8)):
         for p in sample_points(es, idx, 4):
-            jet = evaluate_jet(spec, p, order=2)
-            from tma.legendre import _assemble_from_jet
-
-            _, _, w, t = _assemble_from_jet(jet)
+            w, t = _assemble(evaluate_jet(spec, p, order=2).hessian(), spec.k)
             assert np.array_equal(w, w.T)
             assert np.linalg.eigvalsh(w).min() >= -1e-10
             assert np.allclose(t[:1, 1:], 0.0)  # upper-right block vanishes

@@ -45,6 +45,20 @@ def test_not_positive_definite():
         inverse_and_logdet(np.diag([1.0, -1.0]))
 
 
+def test_min_max_on_a_stack():
+    lo, hi = min_max_eigenvalues(np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])]))
+    assert lo == pytest.approx([1.0, -1.0], abs=1e-12)
+    assert hi == pytest.approx([1.0, 3.0], abs=1e-12)
+
+
+def test_one_bad_matrix_fails_the_whole_stack():
+    good = np.eye(2)
+    with pytest.raises(NotPositiveDefinite, match=r"lambda_min = -3\.000e\+00"):
+        inverse_and_logdet(np.stack([good, np.diag([1.0, -1.0]), np.diag([1.0, -3.0]), good]))
+    with pytest.raises(IllConditioned, match=r"1\.000e-13"):
+        inverse_and_logdet(np.stack([good, good, np.diag([1.0, 1e-13])]))
+
+
 def test_inverse_closed_form_2x2():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     inv, ld = inverse_and_logdet(a)
