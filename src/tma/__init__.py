@@ -15,6 +15,7 @@ from .funclass import ClassReport, EnsembleSpec, class_membership, draw_member, 
 from .legendre import PartialLegendreResult, det_transform_residual, partial_legendre
 from .twistedops import OperatorValue, complex_W, eval_F, eval_H, operator_value
 from .evolution import (
+    FlowBlock,
     FlowReport,
     QTensor,
     assemble_Q,
@@ -68,6 +69,7 @@ __all__ = [
     "eval_F",
     "eval_H",
     "operator_value",
+    "FlowBlock",
     "FlowReport",
     "QTensor",
     "assemble_Q",

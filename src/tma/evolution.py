@@ -27,6 +27,11 @@ two deliberately independent routes and never lets one stand in for the other:
 :func:`heat_residual` plays the same game one level down, for the scalar
 identity ``(d/dt - L)(du/dt) = 0`` satisfied by the flow speed itself.
 
+Both routes run over stacks: :class:`FlowBlock` evaluates a block of members,
+each at its own points, with one jet-engine call and one pass of each route
+over all rows.  The per-point functions are blocks of one row, and no row's
+bits depend on how many rows share its block.
+
 The time derivative used everywhere here is the one *induced by the flow*:
 ``du/dt`` is substituted by ``log det(convex) - log det(concave)`` evaluated
 from the spatial jet, so any explicit drift carried by the spec is ignored.
@@ -39,31 +44,34 @@ agrees entrywise with the real transformed Hessian of ``u``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, TmaError
 from .jets import (
     ExpressionSpec,
-    SpaceTimeJet,
+    WirtingerStack,
     WirtingerTable,
     _columns,
     _hessian_columns,
     _leibniz_table,
-    evaluate_jet,
     map_leaves,
     multi_indices,
+    stacked_jets,
     unit_index,
-    wirtinger_from_real,
+    wirtinger_keys,
+    wirtinger_stack,
 )
 from .linalg import as_hermitian, inverse_and_logdet
 
 __all__ = [
     "QTensor",
     "FlowReport",
+    "FlowBlock",
     "assemble_Q",
     "q_sign_groupings",
     "subsolution_spectrum",
@@ -84,42 +92,52 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def wirtinger_derivative_arrays(table: WirtingerTable, total: int) -> Dict[Tuple[int, int, int, int], np.ndarray]:
-    """All mixed partials of one total order, as signature-keyed arrays.
+@lru_cache(maxsize=None)
+def _signature_gather(k: int, l: int, order: int, total: int) -> Dict[Tuple[int, int, int, int], np.ndarray]:
+    """Positions among ``wirtinger_keys(k + l, order)`` of every mixed partial of one total order.
 
-    The key ``(nhz, nhw, naz, naw)`` counts holomorphic-z, holomorphic-w,
-    antiholomorphic-z and antiholomorphic-w derivatives; the array axes follow
-    that order, each ranging over its block dimension.  Entries are read
-    straight from the table, so the conjugation symmetry of the table carries
-    over exactly.
+    One index array per signature ``(nhz, nhw, naz, naw)``, with the axes of
+    :func:`wirtinger_derivative_arrays`.
     """
-    k, l, m = table.k, table.l, table.m
-    out: Dict[Tuple[int, int, int, int], np.ndarray] = {}
+    if total > order:
+        raise DimensionMismatch(f"partials of order {total} need a table of that order, got {order}")
+    m = k + l
+    position = {key: c for c, key in enumerate(wirtinger_keys(m, order))}
+    out = {}
     for nhz in range(total + 1):
         for nhw in range(total + 1 - nhz):
             for naz in range(total + 1 - nhz - nhw):
                 naw = total - nhz - nhw - naz
+                # (slot offset, side) of every axis: z slots start at 0, w slots at k
+                axes = [(0, 0)] * nhz + [(k, 0)] * nhw + [(0, 1)] * naz + [(k, 1)] * naw
+                counts = (nhz, nhw, naz, naw)
                 shape = (k,) * nhz + (l,) * nhw + (k,) * naz + (l,) * naw
-                arr = np.zeros(shape, dtype=complex)
-                for idx in np.ndindex(shape):
-                    hol = [0] * m
-                    anti = [0] * m
-                    pos = 0
-                    for _ in range(nhz):
-                        hol[idx[pos]] += 1
-                        pos += 1
-                    for _ in range(nhw):
-                        hol[k + idx[pos]] += 1
-                        pos += 1
-                    for _ in range(naz):
-                        anti[idx[pos]] += 1
-                        pos += 1
-                    for _ in range(naw):
-                        anti[k + idx[pos]] += 1
-                        pos += 1
-                    arr[idx] = table.d(tuple(hol), tuple(anti))
-                out[(nhz, nhw, naz, naw)] = arr
+                idx = np.empty(shape, dtype=np.intp)
+                for pos in itertools.product(*(range(n) for n in shape)):
+                    hol, anti = [0] * m, [0] * m
+                    for (offset, side), i in zip(axes, pos):
+                        (anti if side else hol)[offset + i] += 1
+                    idx[pos] = position[(tuple(hol), tuple(anti))]
+                out[counts] = idx
     return out
+
+
+def wirtinger_derivative_arrays(table, total: int) -> Dict[Tuple[int, int, int, int], np.ndarray]:
+    """All mixed partials of one total order, as signature-keyed arrays.
+
+    The key ``(nhz, nhw, naz, naw)`` counts holomorphic-z, holomorphic-w,
+    antiholomorphic-z and antiholomorphic-w derivatives; the array axes follow
+    that order, each ranging over its block dimension.  ``table`` is a
+    :class:`WirtingerTable` or a :class:`WirtingerStack`, whose leading axes
+    the arrays keep.  Entries are gathered straight from the table by one
+    cached index array per signature, so the conjugation symmetry of the table
+    carries over exactly.
+    """
+    if isinstance(table, WirtingerTable):
+        arrays = wirtinger_derivative_arrays(WirtingerStack.from_table(table), total)
+        return {sig: arr[0] for sig, arr in arrays.items()}
+    gather = _signature_gather(table.k, table.l, table.order, total)
+    return {sig: table.entries[..., idx] for sig, idx in gather.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +148,7 @@ def wirtinger_derivative_arrays(table: WirtingerTable, total: int) -> Dict[Tuple
 # increment, in derivative form: its last axis runs over multi_indices(n, 2)
 # and column ``beta`` holds ``d^beta`` at the point, so column 0 is the value.
 # Products follow the Leibniz rule of the jet engine, truncated at degree 2.
+# Every array carries a leading stack axis, one row per (member, point).
 
 
 @lru_cache(maxsize=None)
@@ -152,22 +171,22 @@ def _second_derivative_gather(n: int):
 
 
 def _slot_pairs(h: np.ndarray, is_complex: bool) -> np.ndarray:
-    """Slot-calculus second derivatives from real ones, along the two leading axes.
+    """Slot-calculus second derivatives from real ones, along axes 1 and 2.
 
-    For the complex flavor the leading axes run over ``[Re, Im]`` coordinates
-    and slot pair ``(a, b)`` becomes ``(xx + yy)/4 + i (xy - yx)/4``.
+    For the complex flavor those axes run over ``[Re, Im]`` coordinates and
+    slot pair ``(a, b)`` becomes ``(xx + yy)/4 + i (xy - yx)/4``.
     """
     if not is_complex:
         return h
-    m = h.shape[0] // 2
-    q = h.reshape((2, m, 2, m) + h.shape[2:])
-    return (q[0, :, 0] + q[1, :, 1]) * 0.25 + (q[0, :, 1] - q[1, :, 0]) * 0.25j
+    m = h.shape[1] // 2
+    q = h.reshape(h.shape[:1] + (2, m, 2, m) + h.shape[3:])
+    return (q[:, 0, :, 0] + q[:, 1, :, 1]) * 0.25 + (q[:, 0, :, 1] - q[:, 1, :, 0]) * 0.25j
 
 
 def _jet_matmul(a: np.ndarray, b: np.ndarray, leibniz) -> np.ndarray:
-    """Matrix product of jet arrays ``(r, t, P) @ (t, c, P)`` by the Leibniz rule."""
+    """Matrix product of jet arrays ``(N, r, t, P) @ (N, t, c, P)`` by the Leibniz rule."""
     left, right, weight, starts = leibniz
-    pairs = np.einsum("itp,tjp->ijp", a[..., left], b[..., right])
+    pairs = np.einsum("nitp,ntjp->nijp", a[..., left], b[..., right])
     pairs *= weight
     return np.add.reduceat(pairs, starts, axis=-1)
 
@@ -176,22 +195,22 @@ def _increment(a: np.ndarray, a0_inv: np.ndarray) -> np.ndarray:
     """``X = A0^-1 (A - A0)`` for a jet-array matrix ``A`` with value ``A0``."""
     a_hat = a.copy()
     a_hat[..., 0] = 0.0
-    return np.einsum("it,tjp->ijp", a0_inv, a_hat)
+    return np.einsum("nit,ntjp->nijp", a0_inv, a_hat)
 
 
 def _jet_inverse(a: np.ndarray, a0_inv: np.ndarray, leibniz) -> np.ndarray:
     """Jet-array matrix inverse by the Neumann series ``(I - X + X^2) A0^-1``, exact at degree <= 2."""
     x = _increment(a, a0_inv)
     series = _jet_matmul(x, x, leibniz) - x
-    series[..., 0] += np.eye(len(a))
-    return np.einsum("itp,tj->ijp", series, a0_inv)
+    series[..., 0] += np.eye(a.shape[1])
+    return np.einsum("nitp,ntj->nijp", series, a0_inv)
 
 
-def _jet_logdet(a: np.ndarray, a0_inv: np.ndarray, logdet0: float, leibniz) -> np.ndarray:
+def _jet_logdet(a: np.ndarray, a0_inv: np.ndarray, logdet0: np.ndarray, leibniz) -> np.ndarray:
     """log det of a jet-array matrix by the trace-log series ``tr X - tr X^2 / 2``, exact at degree <= 2."""
     x = _increment(a, a0_inv)
-    out = np.trace(x) - np.trace(_jet_matmul(x, x, leibniz)) * 0.5
-    out[0] += logdet0
+    out = np.trace(x, axis1=1, axis2=2) - np.trace(_jet_matmul(x, x, leibniz), axis1=1, axis2=2) * 0.5
+    out[:, 0] += logdet0
     return out
 
 
@@ -202,59 +221,62 @@ def _assemble_w(z, mm, nn, vinv, k: int, l: int, leibniz) -> np.ndarray:
     if k == 0:
         return -vinv
     coupling = _jet_matmul(mm, vinv, leibniz)
-    upper = np.concatenate([z - _jet_matmul(coupling, nn, leibniz), coupling], axis=1)
-    lower = np.concatenate([_jet_matmul(vinv, nn, leibniz), -vinv], axis=1)
-    return np.concatenate([upper, lower], axis=0)
+    upper = np.concatenate([z - _jet_matmul(coupling, nn, leibniz), coupling], axis=2)
+    lower = np.concatenate([_jet_matmul(vinv, nn, leibniz), -vinv], axis=2)
+    return np.concatenate([upper, lower], axis=1)
 
 
 class _FlowEngine:
-    """Shared route-A machinery for real and complex flavors.
+    """Shared route-A machinery for real and complex flavors, over a stack of jets.
 
-    Slots ``0..k-1`` are the convex variables, ``k..k+l-1`` the concave ones;
-    for the complex flavor a slot's second derivatives are the mixed
-    holomorphic/antiholomorphic combinations of four real ones.  ``w`` and
-    the flow speed ``f`` are jet arrays in the ``n`` real increments.
+    ``jets`` is ``(N, P)``: one order-4 jet array per row, over the ``n`` real
+    coordinates of the flavor.  Slots ``0..k-1`` are the convex variables,
+    ``k..k+l-1`` the concave ones; for the complex flavor a slot's second
+    derivatives are the mixed holomorphic/antiholomorphic combinations of four
+    real ones.  ``w`` and the flow speed ``f`` are jet arrays in the ``n``
+    real increments, with the stack axis first.
     """
 
-    def __init__(self, jet: SpaceTimeJet):
-        if jet.order < 4:
-            raise DimensionMismatch(f"flow calculus needs an order-4 jet, got order {jet.order}")
-        self.k, self.l = k, l = jet.k, jet.l
-        self.is_complex = jet.flavor == "complex"
-        n = jet.nvars
+    def __init__(self, jets: np.ndarray, k: int, l: int, is_complex: bool):
+        self.k, self.l = k, l
+        self.is_complex = is_complex
+        n = 2 * (k + l) if is_complex else k + l
+        if jets.shape[-1] != len(multi_indices(n, 4)):
+            raise DimensionMismatch(f"flow calculus needs order-4 jets over {n} coordinates")
         gather = _second_derivative_gather(n)
         self._hessian = _hessian_columns(n)
         leibniz = _leibniz_table(n, 2)
 
-        values = np.array([jet.table.get(beta, 0.0) for beta in multi_indices(n, 4)])
-        h = _slot_pairs(values[gather], self.is_complex)
-        z, v = h[:k, :k], h[k:, k:]
+        h = _slot_pairs(jets[..., gather], is_complex)
+        z, v = h[:, :k, :k], h[:, k:, k:]
         self.h0 = h[..., 0]
 
-        self.f = np.zeros(h.shape[-1], dtype=h.dtype)
+        rows = len(jets)
+        self.f = np.zeros((rows, h.shape[-1]), dtype=h.dtype)
         # L(g) = tr(Z^-1 g_zzbar) - tr(V^-1 g_wwbar) pairs these weights with g's slot Hessian
-        self.l_weights = np.zeros((k + l, k + l), dtype=h.dtype)
+        self.l_weights = np.zeros((rows, k + l, k + l), dtype=h.dtype)
         self.vi0 = vinv = None
         if k:
             zi0, logdet_convex = inverse_and_logdet(as_hermitian(z[..., 0]))
             self.f += _jet_logdet(z, zi0, logdet_convex, leibniz)
-            self.l_weights[:k, :k] = zi0
+            self.l_weights[:, :k, :k] = zi0
         if l:
             neg_vi0, logdet_concave = inverse_and_logdet(as_hermitian(-v[..., 0]))
             self.vi0 = -neg_vi0
             self.f -= _jet_logdet(-v, neg_vi0, logdet_concave, leibniz)
-            self.l_weights[k:, k:] = neg_vi0
+            self.l_weights[:, k:, k:] = neg_vi0
             vinv = _jet_inverse(v, self.vi0, leibniz)
-        self.w = _assemble_w(z, h[:k, k:], h[k:, :k], vinv, k, l, leibniz)
+        self.w = _assemble_w(z, h[:, :k, k:], h[:, k:, :k], vinv, k, l, leibniz)
 
     def _slot_hessian(self, g: np.ndarray) -> np.ndarray:
-        """Slot second derivatives of every entry of a jet array, on two new leading axes."""
-        h = np.moveaxis(g[..., self._hessian], (-2, -1), (0, 1))
+        """Slot second derivatives of every entry of a jet array, on axes 1 and 2."""
+        h = g[..., self._hessian]
+        h = h.transpose(0, h.ndim - 2, h.ndim - 1, *range(1, h.ndim - 2))
         return _slot_pairs(h, self.is_complex)
 
     def _linearized(self, g: np.ndarray):
         """The flow linearization applied to every entry of a jet array at once."""
-        return np.einsum("ba,ab...->...", self.l_weights, self._slot_hessian(g))
+        return np.einsum("nba,nab...->n...", self.l_weights, self._slot_hessian(g))
 
     def w_time_derivative(self) -> np.ndarray:
         """d/dt of every transformed-Hessian entry, via a first-order time expansion.
@@ -265,15 +287,15 @@ class _FlowEngine:
         k, l = self.k, self.l
         leibniz = _leibniz_table(1, 1)
         ht = np.stack([self.h0, self._slot_hessian(self.f)], axis=-1)
-        vinv = _jet_inverse(ht[k:, k:], self.vi0, leibniz) if l else None
-        return _assemble_w(ht[:k, :k], ht[:k, k:], ht[k:, :k], vinv, k, l, leibniz)[..., 1]
+        vinv = _jet_inverse(ht[:, k:, k:], self.vi0, leibniz) if l else None
+        return _assemble_w(ht[:, :k, :k], ht[:, :k, k:], ht[:, k:, :k], vinv, k, l, leibniz)[..., 1]
 
     def lhs_matrix(self) -> np.ndarray:
-        """(d/dt - L) applied entrywise to the transformed Hessian."""
+        """(d/dt - L) applied entrywise to the transformed Hessian, ``(N, m, m)``."""
         return self.w_time_derivative() - self._linearized(self.w)
 
     def flow_speed_time_derivative(self):
-        """d/dt of the flow speed along the flow: the linearization applied to the speed."""
+        """d/dt of the flow speed along the flow, ``(N,)``: the linearization applied to the speed."""
         return self._linearized(self.f)
 
 
@@ -375,24 +397,44 @@ class QTensor:
     hermitian_defect: float
 
 
-def _term_context(table: WirtingerTable):
+def _contract(subs: str, *operands) -> np.ndarray:
+    """``np.einsum`` of a per-point contraction over operands whose last axis runs over the rows."""
+    return np.einsum(_stacked_subscripts(subs), *operands)
+
+
+@lru_cache(maxsize=None)
+def _stacked_subscripts(subs: str) -> str:
+    inputs, output = subs.split("->")
+    return ",".join(s + "..." for s in inputs.split(",")) + "->" + output + "..."
+
+
+def _rows_last(a: np.ndarray) -> np.ndarray:
+    """A stack with its rows moved from the first axis to the last, contiguous; a lone row twice.
+
+    With the rows innermost in every operand, einsum adds up each row's terms
+    in one order for any stack of two or more rows.  It would add up a lone
+    row in another order, so a lone row goes in as two copies, and readers
+    keep the first ``ctx["rows"]`` rows of each result.
+    """
+    a = np.ascontiguousarray(a.transpose(*range(1, a.ndim), 0))
+    return np.concatenate([a, a], axis=-1) if a.shape[-1] == 1 else a
+
+
+def _term_context(table: WirtingerStack):
+    """Inverse, coupling and third-derivative blocks of a stack, rows last (see :func:`_rows_last`)."""
     if table.order < 3:
         raise DimensionMismatch(f"source-matrix assembly needs third derivatives, table has order {table.order}")
     k, l = table.k, table.l
-    z2, m2, v2 = table.second_blocks()
-    if k:
-        zi, _ = inverse_and_logdet(as_hermitian(z2))
-    else:
-        zi = np.zeros((0, 0), dtype=complex)
-    if l:
-        neg_vi, _ = inverse_and_logdet(as_hermitian(-v2))
-        vi = -neg_vi
-    else:
-        vi = np.zeros((0, 0), dtype=complex)
+    seconds = wirtinger_derivative_arrays(table, 2)
+    z2, m2, v2 = seconds[(1, 0, 1, 0)], seconds[(1, 0, 0, 1)], seconds[(0, 1, 0, 1)]
+    zi = inverse_and_logdet(as_hermitian(z2))[0] if k else z2
+    vi = -inverse_and_logdet(as_hermitian(-v2))[0] if l else v2
     thirds = wirtinger_derivative_arrays(table, 3)
-    ctx = {"zi": zi, "vi": vi, "m2": m2, "n2": m2.conj().T}
+    ctx = {"zi": zi, "vi": vi, "m2": m2, "n2": m2.conj().swapaxes(-1, -2)}
     for alias, sig in _THIRD_SIGS.items():
         ctx[alias] = thirds[sig]
+    ctx = {key: _rows_last(a) for key, a in ctx.items()}
+    ctx["rows"] = len(table.entries)
     return ctx
 
 
@@ -405,48 +447,67 @@ _BLOCK_SLICES = {
 
 
 def _terms_from_context(ctx, k: int, l: int) -> Dict[str, np.ndarray]:
+    """Every labeled contraction of a stack, embedded at its block of the full ``(N, m, m)`` matrices."""
     m = k + l
+    rows = ctx["rows"]
     out: Dict[str, np.ndarray] = {}
     for name, _group, block, sign, subs, keys in _TERMS:
-        contrib = sign * np.einsum(subs, *(ctx[key] for key in keys))
-        full = np.zeros((m, m), dtype=complex)
-        full[_BLOCK_SLICES[block](k, l)] = contrib
+        full = np.zeros((rows, m, m), dtype=complex)
+        contrib = sign * _contract(subs, *(ctx[key] for key in keys))
+        full[(slice(None),) + _BLOCK_SLICES[block](k, l)] = contrib[..., :rows].transpose(2, 0, 1)
         out[name] = full
     return out
 
 
-def _term_matrices(table: WirtingerTable) -> Dict[str, np.ndarray]:
-    """Every labeled contraction, embedded at its block of the full matrix."""
+def _term_stack(table: WirtingerStack) -> Dict[str, np.ndarray]:
     return _terms_from_context(_term_context(table), table.k, table.l)
 
 
+def _term_matrices(table: WirtingerTable) -> Dict[str, np.ndarray]:
+    """Every labeled contraction at one point, embedded at its block of the full matrix."""
+    return {name: t[0] for name, t in _term_stack(WirtingerStack.from_table(table)).items()}
+
+
 def _finalize_hermitian(q: np.ndarray, what: str):
-    defect = float(np.max(np.abs(q - q.conj().T))) if q.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(q))) if q.size else 0.0)
-    if defect > 1e-10 * scale:
-        raise TmaError(f"{what} lost Hermitian symmetry: defect {defect:.3e} at scale {scale:.3e}")
-    return (q + q.conj().T) / 2.0, defect
+    """Each matrix of a stack made exactly Hermitian, and the asymmetry each had before."""
+    adj = q.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(q - adj), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(q), axis=(-2, -1)))
+    bad = defect > 1e-10 * scale
+    if np.any(bad):
+        worst = np.argmax(np.where(bad, defect / scale, -1.0))
+        raise TmaError(
+            f"{what} lost Hermitian symmetry: defect {defect.flat[worst]:.3e} at scale {scale.flat[worst]:.3e}"
+        )
+    return (q + adj) / 2.0, defect
 
 
-def _source_from_terms(terms: Dict[str, np.ndarray], m: int) -> QTensor:
-    """Sum of the labeled contractions, with provenance, made exactly Hermitian."""
-    q = np.zeros((m, m), dtype=complex)
-    prov = []
+def _source_from_terms(terms: Dict[str, np.ndarray]):
+    """Sum of the labeled contractions, made exactly Hermitian.
+
+    Returns the source matrices ``(N, m, m)``, the sup-norm of every
+    contraction ``(N, len(_TERMS))`` in ``_TERMS`` order, and the Hermitian
+    defects ``(N,)``.
+    """
+    q = np.zeros(terms[_TERMS[0][0]].shape, dtype=complex)
     for name, _group, _block, _sign, _subs, _keys in _TERMS:
-        t = terms[name]
-        q += t
-        nrm = float(np.max(np.abs(t))) if t.size else 0.0
-        if nrm > 0.0:
-            prov.append((name, nrm))
+        q += terms[name]
+    norms = np.abs(np.stack([terms[name] for name, *_ in _TERMS], axis=1)).max(axis=(-2, -1))
     q, defect = _finalize_hermitian(q, "source matrix")
-    return QTensor(matrix=q, provenance=tuple(prov), hermitian_defect=defect)
+    return q, norms, defect
 
 
-def _groupings_from_terms(terms: Dict[str, np.ndarray], m: int) -> Dict[str, np.ndarray]:
+def _qtensor(q: np.ndarray, norms: np.ndarray, defect: np.ndarray, row: int) -> QTensor:
+    """One row of :func:`_source_from_terms` as a :class:`QTensor`, provenance from the nonzero norms."""
+    prov = tuple((name, nrm) for (name, *_), nrm in zip(_TERMS, norms[row].tolist()) if nrm > 0.0)
+    return QTensor(matrix=q[row], provenance=prov, hermitian_defect=float(defect[row]))
+
+
+def _groupings_from_terms(terms: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """The labeled contractions summed group by group, each made exactly Hermitian."""
     out: Dict[str, np.ndarray] = {}
     for gname in _GROUP_NAMES:
-        acc = np.zeros((m, m), dtype=complex)
+        acc = np.zeros(terms[_TERMS[0][0]].shape, dtype=complex)
         for name, group, _block, _sign, _subs, _keys in _TERMS:
             if group == gname:
                 acc += terms[name]
@@ -468,7 +529,8 @@ def assemble_Q(table: WirtingerTable) -> QTensor:
     point (both second-derivative blocks definite), or the inverse guards
     raise.
     """
-    return _source_from_terms(_term_matrices(table), table.k + table.l)
+    q, norms, defect = _source_from_terms(_term_stack(WirtingerStack.from_table(table)))
+    return _qtensor(q, norms, defect, 0)
 
 
 def q_sign_groupings(table: WirtingerTable) -> Dict[str, np.ndarray]:
@@ -479,7 +541,8 @@ def q_sign_groupings(table: WirtingerTable) -> Dict[str, np.ndarray]:
     sum equals :func:`assemble_Q` exactly (same contractions, same
     symmetrization).
     """
-    return _groupings_from_terms(_term_matrices(table), table.k + table.l)
+    groups = _groupings_from_terms(_term_stack(WirtingerStack.from_table(table)))
+    return {gname: acc[0] for gname, acc in groups.items()}
 
 
 def subsolution_spectrum(table: WirtingerTable) -> float:
@@ -492,21 +555,161 @@ def subsolution_spectrum(table: WirtingerTable) -> float:
     return float(np.max(np.linalg.eigvalsh(q.matrix)))
 
 
+def _heat_route_b(table: WirtingerStack, ctx) -> np.ndarray:
+    """d/dt of the flow speed by the explicit log-determinant chain rule, one value per row."""
+    zi, vi = ctx["zi"], ctx["vi"]
+    fourths = wirtinger_derivative_arrays(table, 4)
+    zzZZ = _rows_last(fourths[(2, 0, 2, 0)])
+    zwZW = _rows_last(fourths[(1, 1, 1, 1)])
+    wwWW = _rows_last(fourths[(0, 2, 0, 2)])
+
+    # d/dt of the convex-block second derivatives: chain rule for log det.
+    zdot = (
+        _contract("qp,paqb->ab", zi, zzZZ)
+        - _contract("qr,sp,paq,rsb->ab", zi, zi, ctx["zzZ"], ctx["zZZ"])
+        - _contract("qp,apbq->ab", vi, zwZW)
+        + _contract("qr,sp,apq,rbs->ab", vi, vi, ctx["zwW"], ctx["wZW"])
+    )
+    # d/dt of the concave-block second derivatives.
+    vdot = (
+        _contract("qp,pcqd->cd", zi, zwZW)
+        - _contract("qr,sp,pcq,rsd->cd", zi, zi, ctx["zwZ"], ctx["zZW"])
+        - _contract("qp,pcqd->cd", vi, wwWW)
+        + _contract("qr,sp,pcq,rsd->cd", vi, vi, ctx["wwW"], ctx["wWW"])
+    )
+    return (_contract("ba,ab->", zi, zdot) - _contract("dc,cd->", vi, vdot))[: ctx["rows"]]
+
+
 # ---------------------------------------------------------------------------
-# the two-route identities
+# blocks of members: both routes over one stack of jets
 # ---------------------------------------------------------------------------
 
 
-def _complex_jet(spec: ExpressionSpec, point, time: float) -> SpaceTimeJet:
-    """The order-4 jet the flow identities read, once the spec is known to be complex."""
-    if spec.flavor != "complex":
-        raise DimensionMismatch("flow identity evaluation needs a complex-flavored spec; complexify first")
-    return evaluate_jet(spec, point, time, order=4)
+_NEEDS_COMPLEX = "flow identity evaluation needs a complex-flavored spec; complexify first"
+
+
+@dataclass(frozen=True)
+class FlowReport:
+    """Everything the evolution sweeps record for one (member, point) pair."""
+
+    q: QTensor
+    lhs: np.ndarray
+    evolution_residual: float
+    heat_residual: float
+    q_spectrum_max: float
+    grouping_spectrum_max: Tuple[Tuple[str, float], ...]
+
+
+class FlowBlock:
+    """The flow quantities of a block of members, each at its own points, from one stacked pass.
+
+    ``members`` share one shape, flavor and tree layout (the draws of one
+    ensemble shape do) and ``points`` is ``(B, p, nvars)``.  One jet-engine
+    call evaluates the order-4 jets of all ``N = B p`` rows; row ``r p + i`` of
+    every array below is member ``r`` at ``points[r, i]``.  A quantity is
+    computed on first use and reads only the routes it needs: :attr:`lhs`
+    route A alone, :attr:`source` and the groupings route B alone.  Route A
+    takes either flavor; everything else needs complex members.
+
+    The per-point functions (:func:`flow_report`, :func:`evolution_residual`,
+    :func:`heat_residual`, :func:`evolution_lhs`, :func:`real_evolution_lhs`)
+    are blocks of one row, and every row of a block is bit-identical to them:
+    no number depends on how many rows share the pass.
+    """
+
+    def __init__(self, members: Sequence[ExpressionSpec], points):
+        self.k, self.l, self.flavor = members[0].k, members[0].l, members[0].flavor
+        jets = stacked_jets(members, points, order=4)
+        self.jets = jets.reshape(-1, jets.shape[-1])
+
+    @cached_property
+    def _engine(self) -> _FlowEngine:
+        return _FlowEngine(self.jets, self.k, self.l, self.flavor == "complex")
+
+    @cached_property
+    def _wirtinger(self) -> WirtingerStack:
+        if self.flavor != "complex":
+            raise DimensionMismatch(_NEEDS_COMPLEX)
+        return wirtinger_stack(self.jets, self.k, self.l, 4)
+
+    @cached_property
+    def _context(self):
+        return _term_context(self._wirtinger)
+
+    @cached_property
+    def _terms(self) -> Dict[str, np.ndarray]:
+        return _terms_from_context(self._context, self.k, self.l)
+
+    @cached_property
+    def _source(self):
+        return _source_from_terms(self._terms)
+
+    @cached_property
+    def lhs(self) -> np.ndarray:
+        """``(N, m, m)``: (d/dt - L) applied entrywise to the transformed Hessian, route A."""
+        return self._engine.lhs_matrix()
+
+    @property
+    def source(self) -> np.ndarray:
+        """``(N, m, m)``: the Hermitian source matrices, route B."""
+        return self._source[0]
+
+    @cached_property
+    def q_spectrum_max(self) -> np.ndarray:
+        """``(N,)``: the largest eigenvalue of each source matrix."""
+        return np.max(np.linalg.eigvalsh(self.source), axis=-1)
+
+    @cached_property
+    def grouping_spectrum_max(self) -> np.ndarray:
+        """``(N, 4)``: the largest eigenvalue of each grouping, in the order g1..g4."""
+        groups = _groupings_from_terms(self._terms)
+        return np.max(np.linalg.eigvalsh(np.stack([groups[g] for g in _GROUP_NAMES], axis=1)), axis=-1)
+
+    @cached_property
+    def evolution_residual(self) -> np.ndarray:
+        """``(N,)``: sup-norm gap between the two routes of the flow identity."""
+        return np.max(np.abs(self.lhs - self.source), axis=(-2, -1))
+
+    @cached_property
+    def heat_residual(self) -> np.ndarray:
+        """``(N,)``: gap between the two evaluations of ``(d/dt - L)`` of the flow speed."""
+        route_b = _heat_route_b(self._wirtinger, self._context)
+        return np.abs(self._engine.flow_speed_time_derivative() - route_b)
+
+    def report(self, row: int) -> FlowReport:
+        """Every quantity of one row, as :func:`flow_report` returns it."""
+        q, norms, defect = self._source
+        return FlowReport(
+            q=_qtensor(q, norms, defect, row),
+            lhs=self.lhs[row],
+            evolution_residual=float(self.evolution_residual[row]),
+            heat_residual=float(self.heat_residual[row]),
+            q_spectrum_max=float(self.q_spectrum_max[row]),
+            grouping_spectrum_max=tuple(zip(_GROUP_NAMES, self.grouping_spectrum_max[row].tolist())),
+        )
+
+
+# ---------------------------------------------------------------------------
+# the two-route identities at one point
+# ---------------------------------------------------------------------------
+
+
+def _point_block(spec: ExpressionSpec, point, flavor: str) -> FlowBlock:
+    """The block of one row that the per-point functions read, once the flavor is known to fit."""
+    if spec.flavor != flavor:
+        if flavor == "complex":
+            raise DimensionMismatch(_NEEDS_COMPLEX)
+        raise DimensionMismatch("real_evolution_lhs needs a real-flavored spec")
+    return FlowBlock([spec], [[tuple(point)]])
 
 
 def evolution_lhs(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
-    """(d/dt - L) applied entrywise to the transformed Hessian, by route A only."""
-    return _FlowEngine(_complex_jet(spec, point, time)).lhs_matrix()
+    """(d/dt - L) applied entrywise to the transformed Hessian, by route A only.
+
+    Like every flow quantity here it reads spatial partials of order 2 to 4
+    only, so it does not depend on ``time``.
+    """
+    return _point_block(spec, point, "complex").lhs[0]
 
 
 def evolution_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
@@ -517,35 +720,7 @@ def evolution_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
     The identity says they agree, so the gap is pure transcription and
     rounding error; it vanishes identically on quadratics.
     """
-    jet = _complex_jet(spec, point, time)
-    lhs = _FlowEngine(jet).lhs_matrix()
-    q = assemble_Q(wirtinger_from_real(jet)).matrix
-    return float(np.max(np.abs(lhs - q)))
-
-
-def _heat_route_b(table: WirtingerTable, ctx) -> complex:
-    """d/dt of the flow speed by the explicit log-determinant chain rule."""
-    zi, vi = ctx["zi"], ctx["vi"]
-    fourths = wirtinger_derivative_arrays(table, 4)
-    zzZZ = fourths[(2, 0, 2, 0)]
-    zwZW = fourths[(1, 1, 1, 1)]
-    wwWW = fourths[(0, 2, 0, 2)]
-
-    # d/dt of the convex-block second derivatives: chain rule for log det.
-    zdot = (
-        np.einsum("qp,paqb->ab", zi, zzZZ)
-        - np.einsum("qr,sp,paq,rsb->ab", zi, zi, ctx["zzZ"], ctx["zZZ"])
-        - np.einsum("qp,apbq->ab", vi, zwZW)
-        + np.einsum("qr,sp,apq,rbs->ab", vi, vi, ctx["zwW"], ctx["wZW"])
-    )
-    # d/dt of the concave-block second derivatives.
-    vdot = (
-        np.einsum("qp,pcqd->cd", zi, zwZW)
-        - np.einsum("qr,sp,pcq,rsd->cd", zi, zi, ctx["zwZ"], ctx["zZW"])
-        - np.einsum("qp,pcqd->cd", vi, wwWW)
-        + np.einsum("qr,sp,pcq,rsd->cd", vi, vi, ctx["wwW"], ctx["wWW"])
-    )
-    return np.einsum("ba,ab->", zi, zdot) - np.einsum("dc,cd->", vi, vdot)
+    return float(_point_block(spec, point, "complex").evolution_residual[0])
 
 
 def heat_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
@@ -557,11 +732,12 @@ def heat_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
     fourth-order data), and ``L s`` from route A's jet array of ``s``.  The
     residual is the absolute gap between the two evaluations.
     """
-    jet = _complex_jet(spec, point, time)
-    engine = _FlowEngine(jet)
-    table = wirtinger_from_real(jet)
-    ctx = _term_context(table)
-    return float(abs(engine.flow_speed_time_derivative() - _heat_route_b(table, ctx)))
+    return float(_point_block(spec, point, "complex").heat_residual[0])
+
+
+def flow_report(spec: ExpressionSpec, point, time: float = 0.0) -> FlowReport:
+    """Single-jet evaluation of every per-point quantity the sweeps need."""
+    return _point_block(spec, point, "complex").report(0)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +747,7 @@ def heat_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
 
 def real_evolution_lhs(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
     """(d/dt - L) of the real transformed Hessian along the real flow, route A."""
-    if spec.flavor != "real":
-        raise DimensionMismatch("real_evolution_lhs needs a real-flavored spec")
-    jet = evaluate_jet(spec, point, time, order=4)
-    return _FlowEngine(jet).lhs_matrix()
+    return _point_block(spec, point, "real").lhs[0]
 
 
 def _pad_square(matrix: List[List[float]]) -> List[List[float]]:
@@ -636,48 +809,3 @@ def complexification_scaling(k: int, l: int) -> np.ndarray:
     are unchanged.  The flow identity transports the same way, entrywise.
     """
     return np.diag([0.5] * k + [2.0] * l)
-
-
-# ---------------------------------------------------------------------------
-# one-pass report for sweeps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlowReport:
-    """Everything the evolution sweeps record for one (member, point) pair."""
-
-    q: QTensor
-    lhs: np.ndarray
-    evolution_residual: float
-    heat_residual: float
-    q_spectrum_max: float
-    grouping_spectrum_max: Tuple[Tuple[str, float], ...]
-
-
-def flow_report(spec: ExpressionSpec, point, time: float = 0.0) -> FlowReport:
-    """Single-jet evaluation of every per-point quantity the sweeps need."""
-    jet = _complex_jet(spec, point, time)
-    engine = _FlowEngine(jet)
-    table = wirtinger_from_real(jet)
-    ctx = _term_context(table)
-
-    terms = _terms_from_context(ctx, table.k, table.l)
-    m = table.k + table.l
-    q = _source_from_terms(terms, m)
-    groups = tuple(
-        (gname, float(np.max(np.linalg.eigvalsh(acc))))
-        for gname, acc in _groupings_from_terms(terms, m).items()
-    )
-
-    lhs = engine.lhs_matrix()
-    ev_res = float(np.max(np.abs(lhs - q.matrix)))
-    ht_res = float(abs(engine.flow_speed_time_derivative() - _heat_route_b(table, ctx)))
-    return FlowReport(
-        q=q,
-        lhs=lhs,
-        evolution_residual=ev_res,
-        heat_residual=ht_res,
-        q_spectrum_max=float(np.max(np.linalg.eigvalsh(q.matrix))),
-        grouping_spectrum_max=groups,
-    )

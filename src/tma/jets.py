@@ -12,7 +12,9 @@ Point values (:meth:`ExpressionSpec.value`), jets (:func:`evaluate_jet`, every
 spatial partial to total order 4 as a :class:`SpaceTimeJet`), the Hessians of
 a whole ``(m, n)`` point array at once (:func:`evaluate_hessians`, an
 ``(m, n, n)`` stack; :func:`wirtinger_hessians`, the ``(m, k + l, k + l)``
-stack of ``u_{z_a zbar_b}``) and grid values
+stack of ``u_{z_a zbar_b}``), the jets of a block of specs sharing one tree
+layout, each at its own points (:func:`stacked_jets`, with the leaf
+parameters carried per row) and grid values
 (:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`map_leaves` is
 the one rewriter of trees: it rebuilds a tree with every leaf mapped.
 
@@ -20,7 +22,8 @@ Complex-flavored specs live on real coordinates ``[Re z_1..Re z_m, Im z_1..Im
 z_m]`` where the m = k + l complex variables are ``(z_1..z_k, w_1..w_l)``.
 :func:`wirtinger_from_real` converts a real jet into mixed
 holomorphic/antiholomorphic partials under the fixed normalization
-``d/dz = (d/dx - i d/dy)/2``.
+``d/dz = (d/dx - i d/dy)/2``; :func:`wirtinger_stack` converts a stack of
+jet arrays the same way, by one cached gather of every key's expansion terms.
 """
 
 from __future__ import annotations
@@ -80,6 +83,13 @@ def _check_number(x, path):
     return float(x)
 
 
+def _check_numbers(values, path):
+    if all(type(v) is float for v in values):  # the common case, settled in one pass
+        return
+    for j, v in enumerate(values):
+        _check_number(v, f"{path}[{j}]")
+
+
 _NODE_KEYS = {
     "sum": {"kind", "terms"},
     "product": {"kind", "factors"},
@@ -120,8 +130,7 @@ def _validate_node(node, nvars: int, path: str) -> None:
         for i, row in enumerate(m):
             if not isinstance(row, list) or len(row) != nvars:
                 raise _err(f"{path}.matrix[{i}]", f"expected {nvars} entries")
-            for j, v in enumerate(row):
-                _check_number(v, f"{path}.matrix[{i}][{j}]")
+            _check_numbers(row, f"{path}.matrix[{i}]")
         for i in range(nvars):
             for j in range(i):
                 if float(m[i][j]) != float(m[j][i]):
@@ -129,8 +138,7 @@ def _validate_node(node, nvars: int, path: str) -> None:
         lin = node.get("linear")
         if not isinstance(lin, list) or len(lin) != nvars:
             raise _err(path + ".linear", f"expected {nvars} entries")
-        for j, v in enumerate(lin):
-            _check_number(v, f"{path}.linear[{j}]")
+        _check_numbers(lin, path + ".linear")
         _check_number(node.get("constant"), path + ".constant")
     elif kind == "atom":
         fn = node.get("fn")
@@ -141,8 +149,7 @@ def _validate_node(node, nvars: int, path: str) -> None:
         aff = node.get("affine")
         if not isinstance(aff, list) or len(aff) != nvars:
             raise _err(path + ".affine", f"expected {nvars} entries")
-        for j, v in enumerate(aff):
-            _check_number(v, f"{path}.affine[{j}]")
+        _check_numbers(aff, path + ".affine")
         _check_number(node.get("const"), path + ".const")
         if fn == "pow":
             _check_number(node.get("exponent"), path + ".exponent")
@@ -280,12 +287,15 @@ def _columns(nvars: int, order: int):
     """Column layout of a jet array over ``multi_indices(nvars, order)``.
 
     Returns the column of each multi-index, the total degree of each column,
-    and the exponents as a float ``(columns, nvars)`` array.
+    and a ``(columns, nvars)`` index array: entry ``(c, i)`` is the position
+    of ``a_i^{beta_i}`` in a table of powers ``a_i^j`` (``j <= order``) laid
+    out coordinate by coordinate.
     """
     idx = multi_indices(nvars, order)
     col = {beta: c for c, beta in enumerate(idx)}
     degree = np.array([sum(beta) for beta in idx], dtype=np.intp)
-    return col, degree, np.array(idx, dtype=float)
+    exps = np.array(idx, dtype=np.intp).reshape(len(idx), nvars)
+    return col, degree, exps + (order + 1) * np.arange(nvars)
 
 
 @lru_cache(maxsize=None)
@@ -343,10 +353,10 @@ def _node_jet(node: dict, coords, order: int) -> np.ndarray:
         return out
     if kind == "scale":
         out = _node_jet(node["term"], coords, order)
-        out *= node["coefficient"]
+        out *= np.asarray(node["coefficient"])[..., None]
         return out
     n = len(coords)
-    col, degree, exps = _columns(n, order)
+    col, degree, power_index = _columns(n, order)
     shape = np.shape(coords[0])
     if kind == "quad":
         # value, gradient and the constant Hessian; higher partials vanish
@@ -373,17 +383,69 @@ def _node_jet(node: dict, coords, order: int) -> np.ndarray:
                     out[..., col[unit_index(n, i, j)]] = m[i][j]
         return out
     # atom of an affine argument: d^beta f(a.x + c) = f^(|beta|)(a.x + c) a^beta
-    aff = node["affine"]
-    arg = np.full(shape, float(node["const"]))
-    for a, xi in zip(aff, coords):
-        if a != 0.0:
-            arg += a * xi
-    derivs = atom_derivatives(node["fn"], arg, order, node.get("exponent"))
+    aff = np.asarray(node["affine"], dtype=float)  # (n,), or (N, n) for a stacked leaf
+    arg = np.empty(shape)
+    arg[...] = node["const"]
+    for i in (aff.any(axis=0) if aff.ndim > 1 else aff).nonzero()[0]:
+        arg += aff[..., i] * coords[i]
+    derivs = _atom_derivatives(node, arg, order)
     if order == 0:  # the value alone; spares grid-sized copies
         return derivs[0][..., None]
     out = np.stack(derivs, axis=-1)[..., degree]
-    out *= np.prod(np.asarray(aff, dtype=float) ** exps, axis=-1)
+    powers = aff[..., None] ** np.arange(order + 1.0)  # a_i^j, once per row
+    out *= powers.reshape(aff.shape[:-1] + (-1,))[..., power_index].prod(axis=-1)
     return out
+
+
+def _atom_derivatives(node: dict, arg: np.ndarray, order: int):
+    """``[f(arg), ..., f^(order)(arg)]`` of an atom leaf; a stacked leaf picks ``f`` per row."""
+    fn = node["fn"]
+    if isinstance(fn, str):
+        return atom_derivatives(fn, arg, order, node.get("exponent"))
+    out = [np.empty_like(arg) for _ in range(order + 1)]
+    per_row = list(zip(fn, node["exponent"]))
+    for key in dict.fromkeys(per_row):
+        rows = np.array([pair == key for pair in per_row])
+        for dst, src in zip(out, atom_derivatives(key[0], arg[rows], order, key[1])):
+            dst[rows] = src
+    return out
+
+
+def _stack_tree(trees) -> dict:
+    """One tree carrying the leaf parameters of the N trees in ``trees``, one row each.
+
+    The trees must share one layout: the same kinds and lengths everywhere and
+    the same quad leaves.  A subtree common to all of them is kept as it is.
+    Elsewhere a scale holds its coefficient and an atom its ``const`` as
+    ``(N,)`` arrays, matching ``(N,)`` coordinate arrays; an atom's ``affine``
+    becomes ``(N, n)`` and its ``fn`` and ``exponent`` per-row tuples.
+    """
+    first = trees[0]
+    if all(t == first for t in trees[1:]):
+        return first
+    kind = first["kind"]
+    if any(t["kind"] != kind for t in trees):
+        raise DimensionMismatch("stacked specs differ in their tree layout")
+    if kind in ("sum", "product"):
+        key = "terms" if kind == "sum" else "factors"
+        if any(len(t[key]) != len(first[key]) for t in trees):
+            raise DimensionMismatch("stacked specs differ in their tree layout")
+        return {"kind": kind, key: [_stack_tree(children) for children in zip(*(t[key] for t in trees))]}
+    if kind == "scale":
+        return {
+            "kind": "scale",
+            "coefficient": np.array([t["coefficient"] for t in trees], dtype=float),
+            "term": _stack_tree([t["term"] for t in trees]),
+        }
+    if kind == "quad":
+        raise DimensionMismatch("stacked specs differ in a quadratic leaf")
+    return {
+        "kind": "atom",
+        "fn": tuple(t["fn"] for t in trees),
+        "affine": np.array([t["affine"] for t in trees], dtype=float),
+        "const": np.array([t["const"] for t in trees], dtype=float),
+        "exponent": tuple(t.get("exponent") for t in trees),
+    }
 
 
 def map_leaves(node: dict, *, quad, atom) -> dict:
@@ -511,19 +573,51 @@ def _hessian_columns(nvars: int) -> np.ndarray:
     )
 
 
-def _cloud_jet(spec: ExpressionSpec, points, order: int) -> np.ndarray:
-    """Jet arrays ``(m, P)`` of ``spec`` at the rows of an ``(m, nvars)`` point array.
+def stacked_jets(members, points, order: int = 4) -> np.ndarray:
+    """Spatial jets of a block of specs, each at its own points, from one engine call.
 
-    One engine call for all rows; the guards are those of :func:`evaluate_jet`.
+    ``members`` are B specs of one shape and flavor whose trees share one
+    layout (the draws of one ensemble do: a common quad plus scaled atoms);
+    ``points`` is ``(B, p, nvars)`` and spec ``r`` is evaluated at
+    ``points[r]``.  Returns ``(B, p, P)`` jet arrays over ``multi_indices(nvars,
+    order)``; each row is bit-identical to the table of ``evaluate_jet`` at
+    that point (time 0, so without an explicit drift).
+
+    Raises
+    ------
+    DimensionMismatch
+        when the specs differ in shape, flavor or tree layout, or ``points``
+        does not hold p points of ``nvars`` coordinates for each spec.
+    DomainViolation
+        naming the first (spec, point) row that leaves its spec's box, or when
+        an atom is evaluated outside its domain.
     """
+    first = members[0]
+    if any((s.k, s.l, s.flavor) != (first.k, first.l, first.flavor) for s in members):
+        raise DimensionMismatch("stacked specs differ in shape or flavor")
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != spec.nvars:
-        raise DimensionMismatch(f"points of shape {points.shape} do not have {spec.nvars} coordinates each")
-    outside = ~np.all(np.abs(points) <= spec.domain_halfwidth, axis=1)
+    if points.ndim != 3 or points.shape[0] != len(members) or points.shape[2] != first.nvars:
+        raise DimensionMismatch(
+            f"points of shape {points.shape} do not give {len(members)} specs {first.nvars} coordinates each"
+        )
+    halfwidth = np.array([s.domain_halfwidth for s in members])
+    outside = ~np.all(np.abs(points) <= halfwidth[:, None, None], axis=2)
     if outside.any():
-        first = tuple(points[np.argmax(outside)].tolist())
-        raise DomainViolation(f"point {first} outside declared box of halfwidth {spec.domain_halfwidth}")
-    return _node_jet(spec.expr, tuple(points.T), order)
+        r, i = np.unravel_index(np.argmax(outside), outside.shape)
+        raise DomainViolation(
+            f"point {tuple(points[r, i].tolist())} outside declared box of halfwidth {halfwidth[r]}"
+        )
+    # one row per (spec, point), on contiguous 1-D coordinate arrays: strided
+    # or 2-D ones would slow every elementwise step of the engine
+    b, p, n = points.shape
+    tree = first.expr if b == 1 else _stack_tree([s.expr for s in members for _ in range(p)])
+    coords = np.ascontiguousarray(points.reshape(b * p, n).T)
+    return _node_jet(tree, tuple(coords), order).reshape(b, p, -1)
+
+
+def _cloud_jet(spec: ExpressionSpec, points, order: int) -> np.ndarray:
+    """Jet arrays ``(m, P)`` of ``spec`` at the rows of an ``(m, nvars)`` point array: a block of one spec."""
+    return stacked_jets([spec], np.asarray(points, dtype=float)[None], order)[0]
 
 
 def evaluate_hessians(spec: ExpressionSpec, points) -> np.ndarray:
@@ -668,40 +762,107 @@ class WirtingerTable:
         return z, mm, v
 
 
-def _convert_real_table(table: Dict[MultiIndex, float], m: int, order: int) -> Dict[WirtKey, complex]:
-    out: Dict[WirtKey, complex] = {}
-    for hol in multi_indices(m, order):
-        for anti in multi_indices(m, order - sum(hol)):
-            acc = 0.0 + 0.0j
-            for beta, coeff in _wirtinger_expansion(m, hol, anti):
-                v = table.get(beta)
-                if v is not None and v != 0.0:
-                    acc += coeff * v
-            out[(hol, anti)] = acc
+@lru_cache(maxsize=None)
+def wirtinger_keys(m: int, order: int) -> Tuple[WirtKey, ...]:
+    """Every key ``(hol, anti)`` of total order <= ``order`` over m complex variables, in table order."""
+    return tuple(
+        (hol, anti) for hol in multi_indices(m, order) for anti in multi_indices(m, order - sum(hol))
+    )
+
+
+@lru_cache(maxsize=None)
+def _wirtinger_gather(m: int, order: int):
+    """Real columns and coefficients of the expansion of every key, term by term.
+
+    Returns two ``(T, K)`` arrays over the K keys of ``wirtinger_keys(m,
+    order)``: row t holds each key's t-th term of ``_wirtinger_expansion`` (its
+    column in a jet array over ``multi_indices(2m, order)`` and its complex
+    coefficient).  Keys with fewer than T terms are padded with coefficient 0.
+    """
+    col, _, _ = _columns(2 * m, order)
+    expansions = [_wirtinger_expansion(m, hol, anti) for hol, anti in wirtinger_keys(m, order)]
+    width = max(len(e) for e in expansions)
+    cols = np.zeros((width, len(expansions)), dtype=np.intp)
+    coeffs = np.zeros((width, len(expansions)), dtype=complex)
+    for c, terms in enumerate(expansions):
+        for t, (beta, coeff) in enumerate(terms):
+            cols[t, c] = col[beta]
+            coeffs[t, c] = coeff
+    return cols, coeffs
+
+
+def _wirtinger_entries(jets: np.ndarray, m: int, order: int) -> np.ndarray:
+    """Wirtinger partials ``(..., K)`` of real jet arrays ``(..., P)`` over 2m coordinates.
+
+    Each key sums the terms of its expansion in expansion order, one term per
+    pass over all rows, so every row rounds as it would alone.
+    """
+    cols, coeffs = _wirtinger_gather(m, order)
+    out = coeffs[0] * jets[..., cols[0]]
+    for c, w in zip(cols[1:], coeffs[1:]):
+        out += w * jets[..., c]
     return out
+
+
+@dataclass(frozen=True)
+class WirtingerStack:
+    """Wirtinger partials at a stack of points of C^k x C^l, one row per point.
+
+    ``entries[..., c]`` is the partial keyed ``wirtinger_keys(k + l,
+    order)[c]``; the leading axes run over the points.  It holds the same
+    numbers as one :class:`WirtingerTable` per point, laid out for gathers.
+    """
+
+    entries: np.ndarray
+    k: int
+    l: int
+    order: int
+
+    @classmethod
+    def from_table(cls, table: "WirtingerTable") -> "WirtingerStack":
+        """The one-row stack of a table; keys absent from the table read zero."""
+        keys = wirtinger_keys(table.m, table.order)
+        entries = np.array([[table.entries.get(key, 0.0) for key in keys]], dtype=complex)
+        return cls(entries=entries, k=table.k, l=table.l, order=table.order)
+
+
+def wirtinger_stack(jets: np.ndarray, k: int, l: int, order: int) -> WirtingerStack:
+    """Convert real jet arrays ``(..., P)`` over ``multi_indices(2(k + l), order)`` into a stack.
+
+    Rows are bit-identical to :func:`wirtinger_from_real` of each row's jet.
+    """
+    return WirtingerStack(entries=_wirtinger_entries(jets, k + l, order), k=k, l=l, order=order)
+
+
+@lru_cache(maxsize=None)
+def _wirtinger_hessian_positions(m: int) -> np.ndarray:
+    """``(m, m)`` positions of the keys ``(e_a, e_b)`` among ``wirtinger_keys(m, 2)``."""
+    position = {key: c for c, key in enumerate(wirtinger_keys(m, 2))}
+    return np.array(
+        [[position[(unit_index(m, a), unit_index(m, b))] for b in range(m)] for a in range(m)], dtype=np.intp
+    )
 
 
 def wirtinger_hessians(spec: ExpressionSpec, points) -> np.ndarray:
     """Wirtinger Hessians ``u_{z_a zbar_b}`` of a complex-flavored spec at the rows of ``points``.
 
     Returns the ``(N, m, m)`` stack (``m = k + l``, z-slots first) from one
-    engine call on the ``(N, 2m)`` real coordinates.  Entries sum the terms
-    of ``_wirtinger_expansion`` in the order :func:`wirtinger_from_real`
-    does, so they are bit-identical to :meth:`WirtingerTable.second_blocks`.
-    Guards as for :func:`evaluate_hessians`.
+    engine call on the ``(N, 2m)`` real coordinates and one conversion, the
+    one :func:`wirtinger_from_real` makes, so the entries are bit-identical to
+    :meth:`WirtingerTable.second_blocks`.  Guards as for
+    :func:`evaluate_hessians`.
     """
     if spec.flavor != "complex":
         raise DimensionMismatch("wirtinger_hessians applies to complex-flavored specs")
     m = spec.k + spec.l
-    jet = _cloud_jet(spec, points, 2)
-    col, _, _ = _columns(2 * m, 2)
-    out = np.zeros(jet.shape[:-1] + (m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            entry = out[..., a, b]
-            for beta, coeff in _wirtinger_expansion(m, unit_index(m, a), unit_index(m, b)):
-                entry += coeff * jet[..., col[beta]]
-    return out
+    entries = _wirtinger_entries(_cloud_jet(spec, points, 2), m, 2)
+    return entries[..., _wirtinger_hessian_positions(m)]
+
+
+def _table_entries(table: Dict[MultiIndex, float], m: int, order: int) -> Dict[WirtKey, complex]:
+    """Wirtinger entries of one real partial table; partials absent from it read zero."""
+    jet = np.array([table.get(beta, 0.0) for beta in multi_indices(2 * m, order)])
+    return dict(zip(wirtinger_keys(m, order), _wirtinger_entries(jet, m, order).tolist()))
 
 
 def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
@@ -721,16 +882,14 @@ def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
         k, l = jet.k, jet.l
     else:
         k, l = m, 0
-    entries = _convert_real_table(jet.table, m, jet.order)
-    dt1 = _convert_real_table(jet.dt1, m, 2) if jet.dt1 else {}
     return WirtingerTable(
         point=jet.point,
         time=jet.time,
         k=k,
         l=l,
         order=jet.order,
-        entries=entries,
-        dt1=dt1,
+        entries=_table_entries(jet.table, m, jet.order),
+        dt1=_table_entries(jet.dt1, m, 2) if jet.dt1 else {},
         dt2=jet.dtt(),
     )
 

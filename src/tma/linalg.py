@@ -10,7 +10,8 @@ conditioning guards; other eigenvalue bounds come from ``numpy.linalg.eigvalsh``
 :func:`min_max_eigenvalues` and :func:`inverse_and_logdet` also take stacks
 ``(..., n, n)`` of matrices and answer for each one; LAPACK factors every
 matrix of a stack separately, so each answer is bit-identical to the one for
-that matrix alone.
+that matrix alone.  :func:`as_hermitian` checks and averages each matrix of a
+stack on its own too.
 """
 
 from __future__ import annotations
@@ -27,16 +28,23 @@ DEFAULT_COND_GUARD = 1e-10
 def as_hermitian(a, tol: float = 1e-10):
     """Validate near-Hermitian input and return the exactly Hermitian average.
 
+    ``a`` is one ``(n, n)`` matrix or a stack ``(..., n, n)``; each matrix is
+    checked against its own scale.
+
     Raises
     ------
     ValueError
-        if the anti-Hermitian part exceeds ``tol * max(1, |A|_inf)``.
+        if some matrix's anti-Hermitian part exceeds ``tol * max(1, |A|_inf)``
+        (the message quotes the largest such part).
     """
     a = np.asarray(a)
-    skew = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if skew > tol * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0):
-        raise ValueError(f"matrix is not Hermitian: anti-Hermitian part {skew:.3e}")
-    return (a + a.conj().T) / 2.0
+    adj = a.conj().swapaxes(-1, -2)
+    if a.size:
+        skew = np.max(np.abs(a - adj), axis=(-2, -1))
+        bad = skew > tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        if np.any(bad):
+            raise ValueError(f"matrix is not Hermitian: anti-Hermitian part {np.max(skew * bad):.3e}")
+    return (a + adj) / 2.0
 
 
 def min_max_eigenvalues(a):

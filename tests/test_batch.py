@@ -1,19 +1,41 @@
 """Batched evaluation equals evaluation one item at a time, bit for bit.
 
 The Legendre sweeps and class membership evaluate every point of a draw or a
-cloud in one call; these properties check each stacked result against the
-same quantity computed for its item alone, over random draws, point counts
-and block shapes, including the one-block shapes.
+cloud in one call, and the flow sweeps evaluate a block of draws in one
+stacked pass; these properties check each stacked result against the same
+quantity computed for its item alone, over random draws, point counts, block
+sizes and block shapes, including the one-block shapes.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tma import cli
+from tma.errors import DomainViolation
+from tma.evolution import (
+    assemble_Q,
+    wirtinger_derivative_arrays,
+    complexification_scaling,
+    complexify_point,
+    complexify_real,
+    evolution_residual,
+    flow_report,
+    heat_residual,
+    real_evolution_lhs,
+)
 from tma.funclass import EnsembleSpec, class_membership, draw_member, sample_points
-from tma.jets import evaluate_jet, wirtinger_from_real
+from tma.jets import (
+    ExpressionSpec,
+    SpaceTimeJet,
+    _wirtinger_expansion,
+    evaluate_jet,
+    multi_indices,
+    stacked_jets,
+    wirtinger_from_real,
+)
 from tma.legendre import det_transform_residual, real_W
 from tma.linalg import inverse_and_logdet
 
@@ -111,3 +133,155 @@ def test_class_membership_equals_per_point_reference(shape, flavor, seed, draw, 
     assert report.member == all(ok)
     expected = None if all(ok) else tuple(cloud[ok.index(False)])
     assert report.first_violation == expected
+
+
+# ---------------------------------------------------------------------------
+# blocks of draws: stacked jets and the flow-suite rows
+# ---------------------------------------------------------------------------
+
+block_sizes = st.integers(1, 2 * cli._BLOCK + 1)
+
+
+def _with_domain_atom(member, fn, const):
+    """``member`` plus a small log or pow atom whose argument can leave its domain."""
+    atom = {"kind": "atom", "fn": fn, "affine": [0.5] + [0.0] * (member.nvars - 1), "const": const}
+    if fn == "pow":
+        atom["exponent"] = 1.5
+    expr = {"kind": "sum", "terms": [member.expr, {"kind": "scale", "coefficient": 0.01, "term": atom}]}
+    return ExpressionSpec(expr=expr, k=member.k, l=member.l, flavor=member.flavor)
+
+
+def _table_row(spec, point, order):
+    table = evaluate_jet(spec, point, order=order).table
+    return np.array([table[beta] for beta in multi_indices(spec.nvars, order)])
+
+
+@given(
+    shapes,
+    st.sampled_from(["real", "complex"]),
+    seeds,
+    draws,
+    block_sizes,
+    st.integers(1, 3),
+    st.sampled_from([0, 2, 4]),
+    st.none() | st.lists(st.tuples(st.sampled_from(["log", "pow"]), st.floats(-0.6, 2.0)), min_size=1),
+)
+def test_stacked_jets_equal_per_member_jets(shape, flavor, seed, first, size, p, order, domain_atoms):
+    es = EnsembleSpec(k=shape[0], l=shape[1], flavor=flavor, seed=seed)
+    members = [draw_member(es, first + r) for r in range(size)]
+    if domain_atoms is not None:  # per-row fn, exponent and const, some rows outside the domain
+        members = [_with_domain_atom(s, *domain_atoms[r % len(domain_atoms)]) for r, s in enumerate(members)]
+    pts = np.stack([sample_points(es, first + r, p) for r in range(size)])
+    try:
+        expected = np.array([[_table_row(s, x, order) for x in xs] for s, xs in zip(members, pts)])
+    except DomainViolation:
+        with pytest.raises(DomainViolation):
+            stacked_jets(members, pts, order)
+        return
+    assert np.array_equal(stacked_jets(members, pts, order), expected)
+
+
+def _per_point_rows(suite, k, l, seed, first, size, p):
+    """The rows of a block from one public call per point, as a traced replay makes them."""
+    flavor = "complex" if suite in cli._COMPLEX_SWEEPS else "real"
+    es = EnsembleSpec(k=k, l=l, flavor=flavor, seed=seed)
+    rows = []
+    for draw in range(first, first + size):
+        member = draw_member(es, draw)
+        for i, x in enumerate(sample_points(es, draw, p)):
+            point = tuple(float(c) for c in x)
+            if suite == "q-sign":
+                rep = flow_report(member, point)
+                values = (rep.q_spectrum_max,) + tuple(v for _, v in rep.grouping_spectrum_max)
+            elif suite == "evolution-identity":
+                values = (evolution_residual(member, point),)
+            elif suite == "heat-identity":
+                values = (heat_residual(member, point),)
+            else:
+                d = complexification_scaling(k, l)
+                lhs = d @ real_evolution_lhs(member, point) @ d
+                lifted = evaluate_jet(complexify_real(member), complexify_point(point), order=4)
+                values = (float(np.max(np.abs(lhs - assemble_Q(wirtinger_from_real(lifted)).matrix))),)
+            rows.append((draw, k, l, i) + values)
+    return rows
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(["q-sign", "evolution-identity", "heat-identity", "real-complexify"]),
+    st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
+    seeds,
+    draws,
+    block_sizes,
+    st.integers(1, 2),
+)
+def test_flow_block_rows_equal_per_point_calls(suite, shape, seed, first, size, p):
+    k, l = shape
+    block = cli._sweep_block_rows((suite, k, l, 1.0, 1.0, 0.1, seed, first, size, p))
+    assert block == _per_point_rows(suite, k, l, seed, first, size, p)
+
+
+# ---------------------------------------------------------------------------
+# the cached gathers equal the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _loop_wirtinger_entries(table, m, order):
+    """Reference: each key's expansion summed term by term, skipping absent and zero partials."""
+    out = {}
+    for hol in multi_indices(m, order):
+        for anti in multi_indices(m, order - sum(hol)):
+            acc = 0.0 + 0.0j
+            for beta, coeff in _wirtinger_expansion(m, hol, anti):
+                v = table.get(beta)
+                if v is not None and v != 0.0:
+                    acc += coeff * v
+            out[(hol, anti)] = acc
+    return out
+
+
+def _loop_derivative_arrays(table, total):
+    """Reference: every entry of every signature array read by ``table.d`` over ``np.ndindex``."""
+    k, l, m = table.k, table.l, table.m
+    out = {}
+    for nhz in range(total + 1):
+        for nhw in range(total + 1 - nhz):
+            for naz in range(total + 1 - nhz - nhw):
+                naw = total - nhz - nhw - naz
+                shape = (k,) * nhz + (l,) * nhw + (k,) * naz + (l,) * naw
+                arr = np.zeros(shape, dtype=complex)
+                for idx in np.ndindex(shape):
+                    hol, anti = [0] * m, [0] * m
+                    slots = [(hol, 0)] * nhz + [(hol, k)] * nhw + [(anti, 0)] * naz + [(anti, k)] * naw
+                    for (side, offset), i in zip(slots, idx):
+                        side[offset + i] += 1
+                    arr[idx] = table.d(tuple(hol), tuple(anti))
+                out[(nhz, nhw, naz, naw)] = arr
+    return out
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 4), seeds)
+def test_wirtinger_conversion_equals_term_by_term_loop(m, order, seed):
+    rng = np.random.default_rng(seed)
+    betas = multi_indices(2 * m, order)
+    values = rng.normal(size=len(betas)) * (rng.random(len(betas)) < 0.8)  # some exact zeros
+    jet = SpaceTimeJet(
+        point=(0.0,) * 2 * m, time=0.0, nvars=2 * m, order=order, k=m, l=0, flavor="complex",
+        table=dict(zip(betas, values.tolist())),
+    )
+    got = wirtinger_from_real(jet).entries
+    want = _loop_wirtinger_entries(jet.table, m, order)
+    assert list(got) == list(want)
+    assert all(got[key] == want[key] for key in want)
+
+
+@settings(max_examples=30)
+@given(shapes, seeds, draws, st.integers(2, 4))
+def test_derivative_arrays_equal_ndindex_loop(shape, seed, draw, total):
+    member, pts = _member_and_points(shape, seed, draw, 1, "complex")
+    table = wirtinger_from_real(evaluate_jet(member, pts[0], order=4))
+    got = wirtinger_derivative_arrays(table, total)
+    want = _loop_derivative_arrays(table, total)
+    assert list(got) == list(want)
+    assert all(got[sig].shape == want[sig].shape and np.array_equal(got[sig], want[sig]) for sig in want)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import tma
+from tma import cli
 from tma.cli import (
     ExperimentConfig,
     SUITES,
@@ -203,6 +204,51 @@ class TestRunOutputs:
         )
         assert r1.passed and r3.passed
         assert open(r1.csv_path, "rb").read() == open(r3.csv_path, "rb").read()
+
+    @pytest.mark.parametrize(
+        "suite, shapes",
+        [
+            ("q-sign", [[1, 1], [2, 1]]),
+            ("evolution-identity", [[1, 2], [1, 1]]),
+            ("heat-identity", [[2, 1], [1, 2]]),
+            ("real-complexify", [[1, 1], [2, 2]]),
+        ],
+    )
+    def test_flow_suite_csv_bytes_identical_across_worker_counts(self, tmp_path, suite, shapes):
+        # each shape gets two full blocks and a partial one, so block edges
+        # and a shape edge fall inside the sweep
+        draws = 4 * cli._BLOCK + 3
+        body = {"suite": suite, "seed": 17, "draws": draws, "shapes": shapes}
+        blobs = []
+        for workers in (1, 3):
+            out = str(tmp_path / f"w{workers}")
+            r = run_experiment(ExperimentConfig.from_dict({**body, "out": out}), workers=workers)
+            assert r.passed and r.error is None
+            blobs.append(open(r.csv_path, "rb").read())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].count(b"\n") - 1 == draws * SUITES[suite].defaults["points"]
+
+    @pytest.mark.parametrize("suite", sorted(cli._SWEEP_HEADERS))
+    def test_rows_do_not_depend_on_block_size(self, tmp_path, monkeypatch, suite):
+        body = {"suite": suite, "seed": 8, "draws": 7, "points": 2, "shapes": [[1, 1], [2, 1]]}
+        blobs = set()
+        for block in (1, 3, cli._BLOCK):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            out = str(tmp_path / f"b{block}")
+            r = run_experiment(ExperimentConfig.from_dict({**body, "out": out}), workers=1)
+            assert r.error is None
+            blobs.add(open(r.csv_path, "rb").read())
+        assert len(blobs) == 1
+
+    def test_one_block_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block sweep started a worker pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig.from_dict({"suite": "q-sign", "seed": 4, "draws": cli._BLOCK, "out": str(tmp_path)})
+        r = run_experiment(cfg, workers=3)
+        assert r.error is None and r.passed
+        assert len(r.rows) == cli._BLOCK
 
     def test_rerun_is_byte_identical(self, tmp_path):
         body = {"suite": "q-sign", "seed": 42, "draws": 10}

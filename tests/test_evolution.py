@@ -311,13 +311,32 @@ ROUTE_B_NAMES = {
     "wirtinger_derivative_arrays",
     "_heat_route_b",
     "WirtingerTable",
+    "WirtingerStack",
+    "wirtinger_stack",
+    "wirtinger_keys",
+    "_signature_gather",
+    "_term_stack",
+    "_contract",
+    "_stacked_subscripts",
+    "_rows_last",
+    "_source_from_terms",
+    "_groupings_from_terms",
+    "_qtensor",
 }
 
 
 def test_route_a_reads_nothing_of_route_b():
     reached, names = _route_closure(evolution._FlowEngine)
     # the walk reaches the helpers, so an empty intersection below means something
-    assert {"_second_derivative_gather", "_jet_matmul", "_jet_inverse", "_jet_logdet", "_assemble_w"} <= reached
+    assert {
+        "_second_derivative_gather",
+        "_jet_matmul",
+        "_jet_inverse",
+        "_jet_logdet",
+        "_assemble_w",
+        "_slot_pairs",
+        "_increment",
+    } <= reached
     assert not names & ROUTE_B_NAMES
 
 
@@ -326,7 +345,7 @@ def test_route_b_reads_nothing_of_route_a():
     reached, names = _route_closure(
         evolution.assemble_Q, evolution.q_sign_groupings, evolution.subsolution_spectrum, evolution._heat_route_b
     )
-    assert {"_THIRD_SIGS", "_TERMS", "wirtinger_derivative_arrays"} <= names
+    assert {"_THIRD_SIGS", "_TERMS", "wirtinger_derivative_arrays", "_signature_gather", "_contract"} <= names
     assert not names & (route_a | {"_FlowEngine"})
 
 

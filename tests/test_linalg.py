@@ -99,3 +99,14 @@ def test_as_hermitian_rejects_skew():
         as_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]), tol=1e-12)
     h = as_hermitian(np.array([[1.0, 2.0 + 1e-14], [2.0, 1.0]]))
     assert np.allclose(h, h.T)
+
+
+def test_as_hermitian_on_a_stack_checks_each_matrix_on_its_own_scale():
+    good = np.array([[2.0, 1.0 + 1e-14], [1.0, 3.0]])
+    big = 1e6 * np.array([[1.0, 1.0 + 1e-12], [1.0, 1.0]])  # skew 1e-6, within 1e-10 of its scale
+    stack = np.stack([good, big])
+    out = as_hermitian(stack)
+    assert np.array_equal(out[0], as_hermitian(good)) and np.array_equal(out[1], as_hermitian(big))
+    skewed = np.array([[1.0, 1e-6], [0.0, 1.0]])  # 1e-6 against a scale of 1 fails
+    with pytest.raises(ValueError, match="not Hermitian"):
+        as_hermitian(np.stack([big, skewed]))
