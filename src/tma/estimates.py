@@ -43,8 +43,9 @@ from .solver import (
     FlowField,
     FrozenFrame,
     PeriodicBase,
-    discrete_hessian,
-    discrete_time_speed,
+    _blocks,
+    _flow_value,
+    _second_differences,
     flow_from_values,
 )
 from .twistedops import eval_H
@@ -164,9 +165,17 @@ class FieldQuantities:
 _REAL_DIRECTIONS = ("w_e1", "w_e2", "w_plus", "w_minus")
 _COMPLEX_DIRECTIONS = ("w_e1", "w_e2", "w_plus", "w_minus", "w_iplus", "w_iminus")
 
+#: the second differences W reads, per flavor; the time speed reads their diagonal
+_W_PAIRS = {
+    "real": ((0, 0), (1, 1), (0, 1)),
+    "complex11": ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3), (0, 3), (1, 2)),
+}
 
-def _w_scalar_parts(field: FlowField, index: int):
-    """Per-node W data of one slice: (w00, w01 or (re, im), w11), interior-cropped.
+
+def _w_scalar_parts(flavor: str, d2: Dict[Tuple[int, int], np.ndarray]):
+    """Per-node W data on the interior: (w00, w01 or (re, im), w11).
+
+    ``d2`` holds the interior second differences ``_W_PAIRS[flavor]``.
 
     Real flavor: the 2x2 transformed Hessian of ``u`` has entries
     ``w00 = u_xx - u_xy^2/u_yy``, ``w01 = u_xy/u_yy``, ``w11 = -1/u_yy``.
@@ -174,25 +183,23 @@ def _w_scalar_parts(field: FlowField, index: int):
     complex second derivatives Z = u_{z zbar}, M = u_{z wbar}, V = u_{w wbar}:
     ``w00 = Z - |M|^2/V``, ``w01 = M/V``, ``w11 = -1/V``.
     """
-    hess = discrete_hessian(field, index)[field.grid.interior]
-    if field.flavor == "real":
-        uxx = hess[..., 0, 0]
-        uxy = hess[..., 0, 1]
-        uyy = hess[..., 1, 1]
+    if flavor == "real":
+        uxx, uxy, uyy = d2[0, 0], d2[0, 1], d2[1, 1]
         if float(np.abs(uyy).min()) < 1e-12:
             raise IllConditioned("concave-block second derivative vanishes on a node")
         return uxx - uxy * uxy / uyy, uxy / uyy, -1.0 / uyy
-    z = 0.25 * (hess[..., 0, 0] + hess[..., 2, 2])
-    v = 0.25 * (hess[..., 1, 1] + hess[..., 3, 3])
-    m_re = 0.25 * (hess[..., 0, 1] + hess[..., 2, 3])
-    m_im = 0.25 * (hess[..., 0, 3] - hess[..., 2, 1])
+    z = 0.25 * (d2[0, 0] + d2[2, 2])
+    v = 0.25 * (d2[1, 1] + d2[3, 3])
+    m_re = 0.25 * (d2[0, 1] + d2[2, 3])
+    m_im = 0.25 * (d2[0, 3] - d2[1, 2])
     if float(np.abs(v).min()) < 1e-12:
         raise IllConditioned("concave-block complex second derivative vanishes on a node")
     w00 = z - (m_re * m_re + m_im * m_im) / v
     return w00, (m_re / v, m_im / v), -1.0 / v
 
 
-def _directional_values(field: FlowField, index: int) -> Dict[str, np.ndarray]:
+def _directional_values(flavor: str,
+                        d2: Dict[Tuple[int, int], np.ndarray]) -> Dict[str, np.ndarray]:
     """The quadratic form of W along the unit-direction family.
 
     Directions are the coordinate axes, their normalized sums and
@@ -200,9 +207,9 @@ def _directional_values(field: FlowField, index: int) -> Dict[str, np.ndarray]:
     Hermitian W the values are ``w00``, ``w11``, ``(w00+w11)/2 +- Re w01``
     and ``(w00+w11)/2 -+ Im w01``.
     """
-    w00, w01, w11 = _w_scalar_parts(field, index)
+    w00, w01, w11 = _w_scalar_parts(flavor, d2)
     mean = 0.5 * (w00 + w11)
-    if field.flavor == "real":
+    if flavor == "real":
         return {
             "w_e1": w00,
             "w_e2": w11,
@@ -225,9 +232,8 @@ def _crop_slices(grid: BoxGrid, center: Optional[Sequence[float]],
     axes = grid.axes()
     crops = []
     cropped_axes = []
-    for a, ax in enumerate(axes):
-        lo = 0 if grid.periodic else grid.frame
-        hi = len(ax) if grid.periodic else len(ax) - grid.frame
+    for a, (ax, inner) in enumerate(zip(axes, grid.interior)):
+        lo, hi = inner.start, inner.stop
         if center is not None and radius is not None:
             lo = max(lo, int(np.searchsorted(ax, center[a] - radius, side="left")))
             hi = min(hi, int(np.searchsorted(ax, center[a] + radius, side="right")))
@@ -258,20 +264,17 @@ def flow_quantities(
         indices = range(len(field.slices))
     crops, axes = _crop_slices(field.grid, center, radius)
     names = _REAL_DIRECTIONS if field.flavor == "real" else _COMPLEX_DIRECTIONS
-    interior = field.grid.interior
-    # map full-grid interior crop to interior-array crop
-    inner = tuple(
-        slice(c.start - i.start if i.start else c.start,
-              c.stop - i.start if i.start else c.stop)
-        for c, i in zip(crops, interior)
-    )
+    # the same crop on interior-shaped arrays
+    inner = tuple(slice(c.start - field.grid.frame, c.stop - field.grid.frame) for c in crops)
     speed_stack = []
     dir_stacks: Dict[str, List[np.ndarray]] = {name: [] for name in names}
     times = []
     for i in indices:
         times.append(field.times[i])
-        speed_stack.append(discrete_time_speed(field, i)[crops])
-        dirs = _directional_values(field, i)
+        d2 = _second_differences(field, field.slices[i], _W_PAIRS[field.flavor])
+        speed = _flow_value(*_blocks(field.flavor, d2), "time-speed evaluation")
+        speed_stack.append(speed[inner])
+        dirs = _directional_values(field.flavor, d2)
         for name in names:
             dir_stacks[name].append(dirs[name][inner])
     values = {"time_speed": np.stack(speed_stack)}
@@ -671,7 +674,8 @@ def discrete_w_entries(field: FlowField, index: int = -1) -> Dict[str, np.ndarra
     ``w01_re``, ``w01_im``, ``w11`` (the Hermitian off-diagonal split into
     real and imaginary parts).
     """
-    w00, w01, w11 = _w_scalar_parts(field, index)
+    d2 = _second_differences(field, field.slices[index], _W_PAIRS[field.flavor])
+    w00, w01, w11 = _w_scalar_parts(field.flavor, d2)
     if field.flavor == "real":
         return {"w00": w00, "w01": w01, "w11": w11}
     return {"w00": w00, "w01_re": w01[0], "w01_im": w01[1], "w11": w11}

@@ -33,8 +33,9 @@ Grids are *framed* (a frozen frame of ``frame`` node layers carries boundary
 values from an analytic description, refreshed at every stage time) or
 *periodic* (``frame = 0``), where the evolving part is periodic atop a fixed
 diagonal quadratic base.  All spatial derivatives are second-order centered
-differences; the interior never reads a wrapped-around stencil on framed
-grids because the frame is at least one layer wide.
+differences, computed on the interior only: each stencil reads one ghost
+layer, which is the innermost frame layer on framed grids and a one-layer
+wrap of ``u - base`` on periodic ones.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -174,14 +175,10 @@ class BoxGrid:
 
     @property
     def interior(self) -> Tuple[slice, ...]:
-        if self.periodic:
-            return tuple(slice(None) for _ in self.shape)
         return tuple(slice(self.frame, n - self.frame) for n in self.shape)
 
     @property
     def interior_shape(self) -> Tuple[int, ...]:
-        if self.periodic:
-            return self.shape
         return tuple(n - 2 * self.frame for n in self.shape)
 
     def frame_mask(self) -> np.ndarray:
@@ -407,53 +404,80 @@ def _apply_frame(f: FlowField, u: np.ndarray, t: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _second_diff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=axis) + np.roll(u, 1, axis=axis) - 2.0 * u) / (h * h)
+def _neighbours(grid: BoxGrid, arr: np.ndarray) -> Callable[[dict], np.ndarray]:
+    """Interior-shaped views of ``arr``, moved ``steps[a]`` nodes along each axis ``a``.
+
+    The views read one ghost layer around the interior.  On a framed grid
+    the frame is that layer; on a periodic grid it is a one-layer wrap of
+    ``arr``, copied one axis at a time so that the corners wrap too.
+    """
+    if grid.periodic:
+        g = np.empty(tuple(n + 2 for n in arr.shape), dtype=arr.dtype)
+        g[(slice(1, -1),) * arr.ndim] = arr
+        for a in range(arr.ndim):
+            lead = (slice(None),) * a
+            g[lead + (0,)] = g[lead + (-2,)]
+            g[lead + (-1,)] = g[lead + (1,)]
+        offset = 1
+    else:
+        g, offset = arr, grid.frame
+    shape = grid.interior_shape
+
+    def moved(steps: dict) -> np.ndarray:
+        return g[tuple(
+            slice(offset + steps.get(a, 0), offset + steps.get(a, 0) + m)
+            for a, m in enumerate(shape)
+        )]
+
+    return moved
 
 
-def _mixed_diff(u: np.ndarray, ax1: int, ax2: int, h1: float, h2: float) -> np.ndarray:
-    upp = np.roll(np.roll(u, -1, axis=ax1), -1, axis=ax2)
-    upm = np.roll(np.roll(u, -1, axis=ax1), 1, axis=ax2)
-    ump = np.roll(np.roll(u, 1, axis=ax1), -1, axis=ax2)
-    umm = np.roll(np.roll(u, 1, axis=ax1), 1, axis=ax2)
-    return (upp - upm - ump + umm) / (4.0 * h1 * h2)
+def _second_differences(
+    f: FlowField, u: np.ndarray, pairs: Optional[Sequence[Tuple[int, int]]] = None
+) -> Dict[Tuple[int, int], np.ndarray]:
+    """Centered ``d_a d_b u`` on the interior for each ``(a, b)`` in ``pairs``.
+
+    ``pairs`` defaults to the diagonal ``(a, a)`` of every axis.  Pure
+    seconds are ``(u+ + u- - 2u)/h^2``, mixed ones the four-point cross
+    ``(u++ - u+- - u-+ + u--)/(4 h_a h_b)``.  On a periodic grid the stencil
+    reads ``u - base`` and the base coefficient is added back on the diagonal.
+    """
+    h = f.grid.spacing
+    periodic = isinstance(f.policy, PeriodicBase)
+    at = _neighbours(f.grid, u - f._base_vals if periodic else u)
+    out = {}
+    for a, b in pairs or [(a, a) for a in range(f.grid.dim)]:
+        if a == b:
+            d = (at({a: 1}) + at({a: -1}) - 2.0 * at({})) / (h[a] * h[a])
+            out[a, b] = d + f.policy.coeffs[a] if periodic else d
+        else:
+            out[a, b] = (
+                at({a: 1, b: 1}) - at({a: 1, b: -1}) - at({a: -1, b: 1}) + at({a: -1, b: -1})
+            ) / (4.0 * h[a] * h[b])
+    return out
 
 
-def _axis_seconds(f: FlowField, u: np.ndarray) -> List[np.ndarray]:
-    """Pure second derivatives along each axis (valid on the interior)."""
-    if isinstance(f.policy, PeriodicBase):
-        p = u - f._base_vals
-        return [
-            _second_diff(p, a, h) + c
-            for a, (h, c) in enumerate(zip(f.grid.spacing, f.policy.coeffs))
-        ]
-    return [_second_diff(u, a, h) for a, h in enumerate(f.grid.spacing)]
+def _blocks(flavor: str, d2: Dict[Tuple[int, int], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Scalar convex-block and (negated) concave-block fields on the interior.
+
+    ``d2`` holds the diagonal second differences; both fields are positive
+    wherever the slice is in class.
+    """
+    if flavor == "real":
+        return d2[0, 0], -d2[1, 1]
+    return 0.25 * (d2[0, 0] + d2[2, 2]), -0.25 * (d2[1, 1] + d2[3, 3])
 
 
 def _block_fields(f: FlowField, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar convex-block and (negated) concave-block fields.
-
-    Both are positive wherever the slice is in class.  Entries on the frame
-    of a framed grid are not meaningful.
-    """
-    d2 = _axis_seconds(f, u)
-    if f.flavor == "real":
-        return d2[0], -d2[1]
-    conv = 0.25 * (d2[0] + d2[2])
-    conc = -0.25 * (d2[1] + d2[3])
-    return conv, conc
+    """The block fields of the slice ``u`` (see :func:`_blocks`)."""
+    return _blocks(f.flavor, _second_differences(f, u))
 
 
-def _interior_bounds(grid: BoxGrid, arr: np.ndarray) -> Tuple[float, float]:
-    view = arr[grid.interior]
-    return float(view.min()), float(view.max())
-
-
-def _require_membership(f: FlowField, conv: np.ndarray, conc: np.ndarray,
-                        where: str, margin: float = CLASS_MARGIN) -> Tuple[float, float]:
+def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str,
+                        margin: float = CLASS_MARGIN) -> Tuple[float, float]:
     """Check both blocks are definite with margin; return (lam, Lam) measured."""
-    cmin, cmax = _interior_bounds(f.grid, conv)
-    kmin, kmax = _interior_bounds(f.grid, conc)
+    cmin, cmax = float(conv.min()), float(conv.max())
+    kmin, kmax = float(conc.min()), float(conc.max())
     if cmin <= margin:
         raise ClassExit(
             f"{where}: convex block lost definiteness "
@@ -467,22 +491,10 @@ def _require_membership(f: FlowField, conv: np.ndarray, conc: np.ndarray,
     return min(cmin, kmin), max(cmax, kmax)
 
 
-def _flow_value_from_blocks(f: FlowField, conv: np.ndarray, conc: np.ndarray) -> np.ndarray:
-    """``log(conv) - log(conc)`` with frame entries set to NaN on framed grids."""
-    if f.grid.periodic:
-        return np.log(conv) - np.log(conc)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(np.abs(conv)) - np.log(np.abs(conc))
-    out[f._frame_mask] = np.nan
-    ii = f.grid.interior
-    out[ii] = np.log(conv[ii]) - np.log(conc[ii])
-    return out
-
-
-def _stage_value(f: FlowField, u: np.ndarray, where: str) -> np.ndarray:
-    conv, conc = _block_fields(f, u)
-    _require_membership(f, conv, conc, where)
-    return _flow_value_from_blocks(f, conv, conc)
+def _flow_value(conv: np.ndarray, conc: np.ndarray, where: str) -> np.ndarray:
+    """``log(conv) - log(conc)`` on the interior, after the class check with margin."""
+    _require_membership(conv, conc, where)
+    return np.log(conv) - np.log(conc)
 
 
 def discrete_time_speed(f: FlowField, index: int = -1) -> np.ndarray:
@@ -491,7 +503,10 @@ def discrete_time_speed(f: FlowField, index: int = -1) -> np.ndarray:
     This equals the time speed ``du/dt`` the flow would impose on that slice;
     frame entries are NaN on framed grids.
     """
-    return _stage_value(f, f.slices[index], "time-speed evaluation")
+    out = np.full(f.grid.shape, np.nan)
+    out[f.grid.interior] = _flow_value(*_block_fields(f, f.slices[index]),
+                                       "time-speed evaluation")
+    return out
 
 
 def discrete_hessian(f: FlowField, index: int = -1) -> np.ndarray:
@@ -500,25 +515,13 @@ def discrete_hessian(f: FlowField, index: int = -1) -> np.ndarray:
     Returns an array of shape ``grid.shape + (dim, dim)``; frame entries are
     NaN on framed grids.  Mixed entries use the standard four-point cross.
     """
-    u = f.slices[index]
-    grid = f.grid
-    d = grid.dim
-    h = grid.spacing
-    if isinstance(f.policy, PeriodicBase):
-        p = u - f._base_vals
-        base = np.diag(f.policy.coeffs)
-    else:
-        p = u
-        base = np.zeros((d, d))
-    out = np.empty(grid.shape + (d, d))
-    for a in range(d):
-        out[..., a, a] = _second_diff(p, a, h[a]) + base[a, a]
-        for b in range(a + 1, d):
-            mixed = _mixed_diff(p, a, b, h[a], h[b]) + base[a, b]
-            out[..., a, b] = mixed
-            out[..., b, a] = mixed
-    if not grid.periodic:
-        out[grid.frame_mask()] = np.nan
+    d = f.grid.dim
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    out = np.full(f.grid.shape + (d, d), np.nan)
+    inner = out[f.grid.interior]
+    for (a, b), v in _second_differences(f, f.slices[index], pairs).items():
+        inner[..., a, b] = v
+        inner[..., b, a] = v
     return out
 
 
@@ -536,7 +539,7 @@ def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]
     dt = f.dt
     ii = f.grid.interior
     conv, conc = _block_fields(f, u)
-    lam, Lam = _require_membership(f, conv, conc, "explicit step")
+    lam, Lam = _require_membership(conv, conc, "explicit step")
     bound = _cfl_bound(f, lam, Lam)
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(
@@ -544,23 +547,23 @@ def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]
             f"{bound:.6e} = c*h^2*lam/Lam with c = {f.cfl_constant}, "
             f"measured lam = {lam:.6e}, Lam = {Lam:.6e}"
         )
-    k1 = _flow_value_from_blocks(f, conv, conc)
+    k1 = np.log(conv) - np.log(conc)
 
     def advanced(kval: np.ndarray, scale: float, t_new: float) -> np.ndarray:
         out = u.copy()
-        out[ii] += scale * kval[ii]
+        out[ii] += scale * kval
         _apply_frame(f, out, t_new)
         return out
 
     u2 = advanced(k1, 0.5 * dt, t + 0.5 * dt)
-    k2 = _stage_value(f, u2, "explicit stage 2")
+    k2 = _flow_value(*_block_fields(f, u2), "explicit stage 2")
     u3 = advanced(k2, 0.5 * dt, t + 0.5 * dt)
-    k3 = _stage_value(f, u3, "explicit stage 3")
+    k3 = _flow_value(*_block_fields(f, u3), "explicit stage 3")
     u4 = advanced(k3, dt, t + dt)
-    k4 = _stage_value(f, u4, "explicit stage 4")
+    k4 = _flow_value(*_block_fields(f, u4), "explicit stage 4")
 
     unew = u.copy()
-    unew[ii] += (dt / 6.0) * (k1[ii] + 2.0 * k2[ii] + 2.0 * k3[ii] + k4[ii])
+    unew[ii] += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     _apply_frame(f, unew, t + dt)
     return unew, bound
 
@@ -584,32 +587,33 @@ def _operator_matrix(
 ) -> Tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
     """Sparse matrix of ``L = sum_a gamma_a d^2_a`` over the unknown nodes.
 
-    Unknowns are the interior nodes (framed grids; frame values are data, so
-    stencil legs reaching into the frame drop out of the matrix) or all nodes
-    (periodic grids, wrapped legs).  Returns the matrix, the flat indices of
-    the unknowns in C order, and the per-row sum of dropped leg weights (the
+    The coefficients ``gammas`` are interior-shaped.  Unknowns are the
+    interior nodes (framed grids; frame values are data, so stencil legs
+    reaching into the frame drop out of the matrix) or all nodes (periodic
+    grids, wrapped legs).  Returns the matrix, the flat indices of the
+    unknowns in C order, and the per-row sum of dropped leg weights (the
     coupling of each unknown to the frame; all zero on periodic grids).
     """
     grid = f.grid
     n_total = int(np.prod(grid.shape))
     idx = np.arange(n_total).reshape(grid.shape)
-    ii = grid.interior
-    unknowns = idx[ii].ravel()
+    unknowns = idx[grid.interior].ravel()
     m = unknowns.size
     compact = np.full(n_total, -1, dtype=np.int64)
     compact[unknowns] = np.arange(m)
+    at = _neighbours(grid, idx)
 
     rows: List[np.ndarray] = []
     cols: List[np.ndarray] = []
     vals: List[np.ndarray] = []
     diag = np.zeros(m)
     frame_legs = np.zeros(m)
-    rows_self = compact[unknowns]
+    rows_self = np.arange(m)
     for a, (g, h) in enumerate(zip(gammas, grid.spacing)):
-        w = (g[ii].ravel()) / (h * h)
+        w = g.ravel() / (h * h)
         diag -= 2.0 * w
         for shift in (1, -1):
-            nb = np.roll(idx, -shift, axis=a)[ii].ravel()
+            nb = at({a: shift}).ravel()
             cn = compact[nb]
             keep = cn >= 0
             rows.append(rows_self[keep])
@@ -650,11 +654,8 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
     """
     dt = f.dt
     conv, conc = _block_fields(f, u)
-    _require_membership(f, conv, conc, "semi-implicit step")
-    rhs_full = _flow_value_from_blocks(f, conv, conc)
-    gammas = _linearized_gammas(f, conv, conc)
-    lmat, unknowns, frame_legs = _operator_matrix(f, gammas)
-    rhs = dt * rhs_full.ravel()[unknowns]
+    rhs = dt * _flow_value(conv, conc, "semi-implicit step").ravel()
+    lmat, _, frame_legs = _operator_matrix(f, _linearized_gammas(f, conv, conc))
     if isinstance(f.policy, FrozenFrame):
         frame_delta = f.policy.spec.time_drift * dt
         if frame_delta != 0.0:
@@ -671,7 +672,7 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
             f"residual {_SEMI_RTOL:.0e} (info={info})"
         )
     unew = u.copy()
-    unew.ravel()[unknowns] += delta
+    unew[f.grid.interior] += delta.reshape(f.grid.interior_shape)
     _apply_frame(f, unew, t + dt)
     return unew, math.inf
 
@@ -715,8 +716,7 @@ def run_flow(
         if n % snapshot_every == 0 or n == steps:
             new_slices.append(u)
             new_times.append(t0 + n * f.dt)
-    conv, conc = _block_fields(f, u)
-    _require_membership(f, conv, conc, "post-step check")
+    _require_membership(*_block_fields(f, u), "post-step check")
     return dataclasses.replace(f, slices=new_slices, times=new_times, cfl_log=new_log)
 
 
@@ -761,26 +761,24 @@ def solve_elliptic(
     u = f.slices[0]
     ii = grid.interior
 
-    def residual_of(candidate: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    def residual_of(candidate: np.ndarray,
+                    where: str) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         conv, conc = _block_fields(f, candidate)
-        r = _flow_value_from_blocks(f, conv, conc) - target
-        return float(np.abs(r[ii]).max()), r, conv, conc
+        r = _flow_value(conv, conc, where) - target
+        return float(np.abs(r).max()), r, conv, conc
 
-    conv, conc = _block_fields(f, u)
-    _require_membership(f, conv, conc, "elliptic initial guess")
-    res, r, conv, conc = residual_of(u)
+    res, r, conv, conc = residual_of(u, "elliptic initial guess")
     for _ in range(max_iterations):
         if res <= tol:
             return dataclasses.replace(f, slices=[u], times=[0.0])
-        lmat, unknowns, _ = _operator_matrix(f, _linearized_gammas(f, conv, conc))
-        delta = splu(lmat, permc_spec="MMD_AT_PLUS_A").solve(-r.ravel()[unknowns])
+        lmat, _, _ = _operator_matrix(f, _linearized_gammas(f, conv, conc))
+        delta = splu(lmat, permc_spec="MMD_AT_PLUS_A").solve(-r.ravel())
         step = 1.0
         while True:
             cand = u.copy()
-            cand.ravel()[unknowns] += step * delta
+            cand[ii] += (step * delta).reshape(grid.interior_shape)
             try:
-                c2, k2 = _block_fields(f, cand)
-                _require_membership(f, c2, k2, "elliptic damping")
+                res_new, r_new, c_new, k_new = residual_of(cand, "elliptic damping")
             except ClassExit:
                 step *= 0.5
                 if step < 2.0**-30:
@@ -788,7 +786,6 @@ def solve_elliptic(
                         "damping stalled: no in-class step decreases the residual"
                     ) from None
                 continue
-            res_new, r_new, c_new, k_new = residual_of(cand)
             if res_new < res:
                 u, res, r, conv, conc = cand, res_new, r_new, c_new, k_new
                 break
@@ -850,8 +847,8 @@ def monitor_class(
     first: Optional[int] = None
     for i, u in enumerate(f.slices):
         conv, conc = _block_fields(f, u)
-        cmin[i], cmax[i] = _interior_bounds(f.grid, conv)
-        kmin[i], kmax[i] = _interior_bounds(f.grid, conc)
+        cmin[i], cmax[i] = conv.min(), conv.max()
+        kmin[i], kmax[i] = conc.min(), conc.max()
         bad = (
             min(cmin[i], kmin[i]) < lower - tol
             or max(cmax[i], kmax[i]) > upper + tol
@@ -924,8 +921,7 @@ def _aligned_samples(grid: BoxGrid, per_axis: int = 7) -> List[Tuple[int, ...]]:
     """Interior node indices, ~``per_axis`` per axis, refinement-aligned."""
     choices = []
     for n in grid.shape:
-        lo = grid.frame if not grid.periodic else 0
-        hi = n - 1 - grid.frame if not grid.periodic else n - 1
+        lo, hi = grid.frame, n - 1 - grid.frame
         count = min(per_axis, hi - lo + 1)
         choices.append(np.unique(np.linspace(lo, hi, count).round().astype(int)))
     mesh = np.meshgrid(*choices, indexing="ij")

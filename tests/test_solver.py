@@ -30,7 +30,6 @@ from tma.jets import ExpressionSpec
 from tma.solver import (
     BoxGrid,
     _block_fields,
-    _flow_value_from_blocks,
     _linearized_gammas,
     _operator_matrix,
     FrozenFrame,
@@ -321,7 +320,7 @@ class TestSemiImplicitSolve:
         # the same system (I - dt L) du = dt F, solved directly
         conv, conc = _block_fields(f, u)
         lmat, unknowns, _ = _operator_matrix(f, _linearized_gammas(f, conv, conc))
-        rhs = dt * _flow_value_from_blocks(f, conv, conc).ravel()[unknowns]
+        rhs = dt * discrete_time_speed(f)[f.grid.interior].ravel()
         direct = spsolve((sp.identity(lmat.shape[0], format="csc") - dt * lmat).tocsc(), rhs)
         increment = (step_parabolic(f, "semi-implicit").slices[-1] - u).ravel()[unknowns]
         assert np.abs(increment - direct).max() <= 1e-12 * np.abs(direct).max()

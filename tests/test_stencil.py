@@ -1,0 +1,249 @@
+"""The interior stencil against the whole-grid ``np.roll`` stencil it replaced.
+
+The reference below is a copy of the earlier implementation: second and
+mixed differences by ``np.roll`` over the whole grid, the flow value with a
+NaN frame, and the operator matrix with rolled neighbour indices.  The
+solver's interior stencil must reproduce it bit for bit on periodic and
+framed grids, frame NaNs included.  A field that leaves the class only
+outside a measured crop must still be refused, with the same messages.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tma.errors import ClassExit
+from tma.estimates import flow_quantities
+from tma.solver import (
+    BoxGrid,
+    FrozenFrame,
+    PeriodicBase,
+    _apply_frame,
+    _block_fields,
+    _linearized_gammas,
+    _operator_matrix,
+    discrete_hessian,
+    discrete_time_speed,
+    evaluate_on_grid,
+    flow_from_spec,
+    flow_from_values,
+    periodic_base_for,
+    perturbed_flow_spec,
+    reference_flow_spec,
+    run_flow,
+    solve_elliptic,
+    step_parabolic,
+)
+
+# ---------------------------------------------------------------------------
+# reference: the np.roll stencils
+# ---------------------------------------------------------------------------
+
+
+def _second_diff(u, axis, h):
+    return (np.roll(u, -1, axis=axis) + np.roll(u, 1, axis=axis) - 2.0 * u) / (h * h)
+
+
+def _mixed_diff(u, ax1, ax2, h1, h2):
+    upp = np.roll(np.roll(u, -1, axis=ax1), -1, axis=ax2)
+    upm = np.roll(np.roll(u, -1, axis=ax1), 1, axis=ax2)
+    ump = np.roll(np.roll(u, 1, axis=ax1), -1, axis=ax2)
+    umm = np.roll(np.roll(u, 1, axis=ax1), 1, axis=ax2)
+    return (upp - upm - ump + umm) / (4.0 * h1 * h2)
+
+
+def _ref_blocks(f, u):
+    if isinstance(f.policy, PeriodicBase):
+        p = u - f._base_vals
+        d2 = [_second_diff(p, a, h) + c
+              for a, (h, c) in enumerate(zip(f.grid.spacing, f.policy.coeffs))]
+    else:
+        d2 = [_second_diff(u, a, h) for a, h in enumerate(f.grid.spacing)]
+    if f.flavor == "real":
+        return d2[0], -d2[1]
+    return 0.25 * (d2[0] + d2[2]), -0.25 * (d2[1] + d2[3])
+
+
+def _flow_value_from_blocks(f, conv, conc):
+    if f.grid.periodic:
+        return np.log(conv) - np.log(conc)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.log(np.abs(conv)) - np.log(np.abs(conc))
+    out[f._frame_mask] = np.nan
+    ii = f.grid.interior
+    out[ii] = np.log(conv[ii]) - np.log(conc[ii])
+    return out
+
+
+def _ref_speed(f, u):
+    return _flow_value_from_blocks(f, *_ref_blocks(f, u))
+
+
+def _ref_hessian(f, u):
+    d, h = f.grid.dim, f.grid.spacing
+    if isinstance(f.policy, PeriodicBase):
+        p, base = u - f._base_vals, np.diag(f.policy.coeffs)
+    else:
+        p, base = u, np.zeros((d, d))
+    out = np.empty(f.grid.shape + (d, d))
+    for a in range(d):
+        out[..., a, a] = _second_diff(p, a, h[a]) + base[a, a]
+        for b in range(a + 1, d):
+            mixed = _mixed_diff(p, a, b, h[a], h[b]) + base[a, b]
+            out[..., a, b] = mixed
+            out[..., b, a] = mixed
+    if not f.grid.periodic:
+        out[f.grid.frame_mask()] = np.nan
+    return out
+
+
+def _ref_rk4(f, u, t):
+    dt, ii = f.dt, f.grid.interior
+
+    def advanced(k, scale, t_new):
+        out = u.copy()
+        out[ii] += scale * k[ii]
+        _apply_frame(f, out, t_new)
+        return out
+
+    k1 = _ref_speed(f, u)
+    k2 = _ref_speed(f, advanced(k1, 0.5 * dt, t + 0.5 * dt))
+    k3 = _ref_speed(f, advanced(k2, 0.5 * dt, t + 0.5 * dt))
+    k4 = _ref_speed(f, advanced(k3, dt, t + dt))
+    unew = u.copy()
+    unew[ii] += (dt / 6.0) * (k1[ii] + 2.0 * k2[ii] + 2.0 * k3[ii] + k4[ii])
+    _apply_frame(f, unew, t + dt)
+    return unew
+
+
+def _ref_operator(f, gammas):
+    """Dense operator over the unknowns, with ``np.roll`` neighbour indices."""
+    grid = f.grid
+    n_total = int(np.prod(grid.shape))
+    idx = np.arange(n_total).reshape(grid.shape)
+    ii = grid.interior
+    unknowns = idx[ii].ravel()
+    m = unknowns.size
+    compact = np.full(n_total, -1, dtype=np.int64)
+    compact[unknowns] = np.arange(m)
+    mat = np.zeros((m, m))
+    frame_legs = np.zeros(m)
+    rows = np.arange(m)
+    for a, (g, h) in enumerate(zip(gammas, grid.spacing)):
+        w = g[ii].ravel() / (h * h)
+        mat[rows, rows] -= 2.0 * w
+        for shift in (1, -1):
+            cn = compact[np.roll(idx, -shift, axis=a)[ii].ravel()]
+            keep = cn >= 0
+            mat[rows[keep], cn[keep]] += w[keep]
+            frame_legs[~keep] += w[~keep]
+    return mat, unknowns, frame_legs
+
+
+# ---------------------------------------------------------------------------
+# fields: periodic 2-D, framed 2-D, framed 4-D
+# ---------------------------------------------------------------------------
+
+
+def periodic2d():
+    spec = perturbed_flow_spec(1.0, 1.0, 0.05, modes=((1.0, 2.0), (2.0, -1.0)),
+                               weights=(1.0, 0.5))
+    grid = BoxGrid((0.0, 0.0), (2 * math.pi, 2 * math.pi), (24, 24), frame=0)
+    return flow_from_spec(spec, grid, 1e-4, policy=periodic_base_for(1.0, 1.0))
+
+
+def framed2d():
+    spec = perturbed_flow_spec(1.0, 1.0, 0.1, modes=((1.0, 1.0), (2.0, -1.0)),
+                               weights=(1.0, 0.5))
+    return flow_from_spec(spec, BoxGrid((-1.0, -1.0), (1.0, 1.0), (17, 17), frame=2),
+                          dt=8e-4)
+
+
+def framed4d():
+    spec = perturbed_flow_spec(2.0, 1.0, 0.02, flavor="complex11",
+                               modes=((1.0, 0.5, -1.0, 1.0),))
+    return flow_from_spec(spec, BoxGrid((-1.0,) * 4, (1.0,) * 4, (9,) * 4, frame=1),
+                          dt=2e-4)
+
+
+FIELDS = pytest.mark.parametrize("make", [periodic2d, framed2d, framed4d],
+                                 ids=["periodic2d", "framed2d", "framed4d"])
+
+
+def identical(a, b):
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+class TestMatchesRollReference:
+    @FIELDS
+    def test_discrete_hessian(self, make):
+        f = make()
+        assert identical(discrete_hessian(f), _ref_hessian(f, f.slices[-1]))
+
+    @FIELDS
+    def test_discrete_time_speed(self, make):
+        f = make()
+        assert identical(discrete_time_speed(f), _ref_speed(f, f.slices[-1]))
+
+    @FIELDS
+    def test_rk4_step(self, make):
+        f = make()
+        stepped = step_parabolic(f, "rk4").slices[-1]
+        assert identical(stepped, _ref_rk4(f, f.slices[-1], f.times[-1]))
+
+    @FIELDS
+    def test_operator_matrix(self, make):
+        f = make()
+        conv, conc = _block_fields(f, f.slices[-1])
+        mat, unknowns, legs = _operator_matrix(f, _linearized_gammas(f, conv, conc))
+        ref_conv, ref_conc = _ref_blocks(f, f.slices[-1])
+        ref_mat, ref_unknowns, ref_legs = _ref_operator(
+            f, _linearized_gammas(f, ref_conv, ref_conc))
+        assert identical(mat.toarray(), ref_mat)
+        assert identical(unknowns, ref_unknowns)
+        assert identical(legs, ref_legs)
+
+
+# ---------------------------------------------------------------------------
+# class exits outside a measured crop
+# ---------------------------------------------------------------------------
+
+#: the refusal of the dented field below, as the whole-grid stencil worded it
+_CONVEX_LOST = ("convex block lost definiteness "
+                "(min second derivative -5.400e+00 <= margin 1e-10)")
+
+
+class TestClassExitOutsideCrop:
+    @pytest.fixture
+    def dented(self):
+        """An in-class quadratic with one node next to the frame pushed out of class."""
+        spec = reference_flow_spec(1.0, 1.0)
+        grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (17, 17), frame=2)
+        u = evaluate_on_grid(spec, grid)
+        u[2, 2] += 0.05
+        return spec, flow_from_values(u, grid, 1e-4, "real", FrozenFrame(spec))
+
+    def test_crop_excludes_the_dent(self, dented):
+        spec, f = dented
+        u = f.slices[0].copy()
+        u[2, 2] -= 0.05
+        healthy = flow_from_values(u, f.grid, 1e-4, "real", FrozenFrame(spec))
+        q = flow_quantities(healthy, center=(0.5, 0.5), radius=0.3)
+        assert q.axes[0][0] > f.grid.axes()[0][3]
+        assert q.axes[1][0] > f.grid.axes()[1][3]
+
+    @pytest.mark.parametrize("where, call", [
+        ("time-speed evaluation",
+         lambda f, spec: flow_quantities(f, center=(0.5, 0.5), radius=0.3)),
+        ("time-speed evaluation", lambda f, spec: discrete_time_speed(f)),
+        ("explicit step", lambda f, spec: run_flow(f, 1)),
+        ("semi-implicit step", lambda f, spec: run_flow(f, 1, scheme="semi-implicit")),
+        ("elliptic initial guess",
+         lambda f, spec: solve_elliptic(spec, f.grid, guess=f.slices[0])),
+    ], ids=["flow_quantities", "discrete_time_speed", "rk4", "semi-implicit", "newton"])
+    def test_refused_with_unchanged_message(self, dented, where, call):
+        spec, f = dented
+        with pytest.raises(ClassExit) as info:
+            call(f, spec)
+        assert str(info.value) == f"{where}: {_CONVEX_LOST}"
