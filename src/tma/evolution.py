@@ -45,7 +45,7 @@ agrees entrywise with the real transformed Hessian of ``u``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -54,16 +54,15 @@ import numpy as np
 from .errors import DimensionMismatch, TmaError
 from .jets import (
     ExpressionSpec,
-    WirtingerStack,
     WirtingerTable,
     _columns,
     _hessian_columns,
     _leibniz_table,
+    _wirtinger_positions,
     map_leaves,
     multi_indices,
     stacked_jets,
     unit_index,
-    wirtinger_keys,
     wirtinger_stack,
 )
 from .linalg import as_hermitian, inverse_and_logdet
@@ -102,7 +101,7 @@ def _signature_gather(k: int, l: int, order: int, total: int) -> Dict[Tuple[int,
     if total > order:
         raise DimensionMismatch(f"partials of order {total} need a table of that order, got {order}")
     m = k + l
-    position = {key: c for c, key in enumerate(wirtinger_keys(m, order))}
+    position = _wirtinger_positions(m, order)
     out = {}
     for nhz in range(total + 1):
         for nhw in range(total + 1 - nhz):
@@ -127,15 +126,11 @@ def wirtinger_derivative_arrays(table, total: int) -> Dict[Tuple[int, int, int, 
 
     The key ``(nhz, nhw, naz, naw)`` counts holomorphic-z, holomorphic-w,
     antiholomorphic-z and antiholomorphic-w derivatives; the array axes follow
-    that order, each ranging over its block dimension.  ``table`` is a
-    :class:`WirtingerTable` or a :class:`WirtingerStack`, whose leading axes
-    the arrays keep.  Entries are gathered straight from the table by one
-    cached index array per signature, so the conjugation symmetry of the table
-    carries over exactly.
+    that order, each ranging over its block dimension; the leading axes of a
+    stacked ``table`` lead.  Entries are gathered straight from the table by
+    one cached index array per signature, so the conjugation symmetry of the
+    table carries over exactly.
     """
-    if isinstance(table, WirtingerTable):
-        arrays = wirtinger_derivative_arrays(WirtingerStack.from_table(table), total)
-        return {sig: arr[0] for sig, arr in arrays.items()}
     gather = _signature_gather(table.k, table.l, table.order, total)
     return {sig: table.entries[..., idx] for sig, idx in gather.items()}
 
@@ -244,7 +239,7 @@ class _FlowEngine:
         if jets.shape[-1] != len(multi_indices(n, 4)):
             raise DimensionMismatch(f"flow calculus needs order-4 jets over {n} coordinates")
         gather = _second_derivative_gather(n)
-        self._hessian = _hessian_columns(n)
+        self._hessian = _hessian_columns(n, 2)
         leibniz = _leibniz_table(n, 2)
 
         h = _slot_pairs(jets[..., gather], is_complex)
@@ -420,7 +415,7 @@ def _rows_last(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a, a], axis=-1) if a.shape[-1] == 1 else a
 
 
-def _term_context(table: WirtingerStack):
+def _term_context(table: WirtingerTable):
     """Inverse, coupling and third-derivative blocks of a stack, rows last (see :func:`_rows_last`)."""
     if table.order < 3:
         raise DimensionMismatch(f"source-matrix assembly needs third derivatives, table has order {table.order}")
@@ -459,13 +454,15 @@ def _terms_from_context(ctx, k: int, l: int) -> Dict[str, np.ndarray]:
     return out
 
 
-def _term_stack(table: WirtingerStack) -> Dict[str, np.ndarray]:
-    return _terms_from_context(_term_context(table), table.k, table.l)
+def _term_stack(table: WirtingerTable) -> Dict[str, np.ndarray]:
+    """Every labeled contraction of a table at one point, as a stack of one row."""
+    one_row = replace(table, entries=table.entries[None])
+    return _terms_from_context(_term_context(one_row), table.k, table.l)
 
 
 def _term_matrices(table: WirtingerTable) -> Dict[str, np.ndarray]:
     """Every labeled contraction at one point, embedded at its block of the full matrix."""
-    return {name: t[0] for name, t in _term_stack(WirtingerStack.from_table(table)).items()}
+    return {name: t[0] for name, t in _term_stack(table).items()}
 
 
 def _finalize_hermitian(q: np.ndarray, what: str):
@@ -529,7 +526,7 @@ def assemble_Q(table: WirtingerTable) -> QTensor:
     point (both second-derivative blocks definite), or the inverse guards
     raise.
     """
-    q, norms, defect = _source_from_terms(_term_stack(WirtingerStack.from_table(table)))
+    q, norms, defect = _source_from_terms(_term_stack(table))
     return _qtensor(q, norms, defect, 0)
 
 
@@ -541,7 +538,7 @@ def q_sign_groupings(table: WirtingerTable) -> Dict[str, np.ndarray]:
     sum equals :func:`assemble_Q` exactly (same contractions, same
     symmetrization).
     """
-    groups = _groupings_from_terms(_term_stack(WirtingerStack.from_table(table)))
+    groups = _groupings_from_terms(_term_stack(table))
     return {gname: acc[0] for gname, acc in groups.items()}
 
 
@@ -555,7 +552,7 @@ def subsolution_spectrum(table: WirtingerTable) -> float:
     return float(np.max(np.linalg.eigvalsh(q.matrix)))
 
 
-def _heat_route_b(table: WirtingerStack, ctx) -> np.ndarray:
+def _heat_route_b(table: WirtingerTable, ctx) -> np.ndarray:
     """d/dt of the flow speed by the explicit log-determinant chain rule, one value per row."""
     zi, vi = ctx["zi"], ctx["vi"]
     fourths = wirtinger_derivative_arrays(table, 4)
@@ -627,7 +624,7 @@ class FlowBlock:
         return _FlowEngine(self.jets, self.k, self.l, self.flavor == "complex")
 
     @cached_property
-    def _wirtinger(self) -> WirtingerStack:
+    def _wirtinger(self) -> WirtingerTable:
         if self.flavor != "complex":
             raise DimensionMismatch(_NEEDS_COMPLEX)
         return wirtinger_stack(self.jets, self.k, self.l, 4)
@@ -703,16 +700,16 @@ def _point_block(spec: ExpressionSpec, point, flavor: str) -> FlowBlock:
     return FlowBlock([spec], [[tuple(point)]])
 
 
-def evolution_lhs(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
+def evolution_lhs(spec: ExpressionSpec, point) -> np.ndarray:
     """(d/dt - L) applied entrywise to the transformed Hessian, by route A only.
 
     Like every flow quantity here it reads spatial partials of order 2 to 4
-    only, so it does not depend on ``time``.
+    only, so it does not depend on the time.
     """
     return _point_block(spec, point, "complex").lhs[0]
 
 
-def evolution_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
+def evolution_residual(spec: ExpressionSpec, point) -> float:
     """Sup-norm gap between the two routes of the flow identity.
 
     Route A computes ``(d/dt - L) W`` from degree-2 jet arrays gathered from
@@ -723,7 +720,7 @@ def evolution_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
     return float(_point_block(spec, point, "complex").evolution_residual[0])
 
 
-def heat_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
+def heat_residual(spec: ExpressionSpec, point) -> float:
     """Two-sided check that the flow speed solves its own linear equation.
 
     The flow speed ``s = du/dt`` satisfies ``(d/dt - L) s = 0``.  The left
@@ -735,7 +732,7 @@ def heat_residual(spec: ExpressionSpec, point, time: float = 0.0) -> float:
     return float(_point_block(spec, point, "complex").heat_residual[0])
 
 
-def flow_report(spec: ExpressionSpec, point, time: float = 0.0) -> FlowReport:
+def flow_report(spec: ExpressionSpec, point) -> FlowReport:
     """Single-jet evaluation of every per-point quantity the sweeps need."""
     return _point_block(spec, point, "complex").report(0)
 
@@ -745,7 +742,7 @@ def flow_report(spec: ExpressionSpec, point, time: float = 0.0) -> FlowReport:
 # ---------------------------------------------------------------------------
 
 
-def real_evolution_lhs(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
+def real_evolution_lhs(spec: ExpressionSpec, point) -> np.ndarray:
     """(d/dt - L) of the real transformed Hessian along the real flow, route A."""
     return _point_block(spec, point, "real").lhs[0]
 

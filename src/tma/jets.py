@@ -478,10 +478,13 @@ def map_leaves(node: dict, *, quad, atom) -> dict:
 class SpaceTimeJet:
     """Truncated derivative table of u at one space-time point.
 
-    ``table`` holds spatial partials to total order <= ``order`` (default 4);
-    ``dt1`` holds spatial partials of du/dt to order <= 2; ``dt2`` holds
-    d^2u/dt^2 entries (populated at spatial order 0 — the depth the evolution
-    checks need).  Entries absent from a dict are zero.
+    ``table`` is the jet array of the engine at the point: column ``c`` holds
+    the spatial partial ``multi_indices(nvars, order)[c]``, and column 0, the
+    value, includes the drift term ``drift * time``.  ``dt1`` maps the zero
+    multi-index to du/dt, the spec's drift, and is empty for a spec without
+    one; ``dt2`` would hold d^2u/dt^2 the same way, and nothing populates it,
+    a spec's time dependence being linear.  Partials absent from a table, or
+    above its order, read zero.
     """
 
     point: Tuple[float, ...]
@@ -491,12 +494,13 @@ class SpaceTimeJet:
     k: int
     l: int
     flavor: str
-    table: Dict[MultiIndex, float]
+    table: np.ndarray
     dt1: Dict[MultiIndex, float] = field(default_factory=dict)
     dt2: Dict[MultiIndex, float] = field(default_factory=dict)
 
     def d(self, beta: MultiIndex) -> float:
-        return self.table.get(tuple(beta), 0.0)
+        c = _columns(self.nvars, self.order)[0].get(tuple(beta))
+        return 0.0 if c is None else self.table[c].item()
 
     def dt(self, beta: MultiIndex = ()) -> float:
         b = tuple(beta) if beta else (0,) * self.nvars
@@ -510,12 +514,9 @@ class SpaceTimeJet:
         return np.array([self.d(unit_index(self.nvars, i)) for i in range(self.nvars)])
 
     def hessian(self):
-        n = self.nvars
-        h = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                h[i, j] = h[j, i] = self.d(unit_index(n, i, j))
-        return h
+        if self.order < 2:  # no second partials in the table: they read zero
+            return np.zeros((self.nvars, self.nvars))
+        return self.table[_hessian_columns(self.nvars, self.order)]
 
     def hessian_blocks(self):
         """Convex/mixed/concave Hessian blocks (A, B, C) of a real-flavored jet.
@@ -544,13 +545,11 @@ def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4)
         raise DimensionMismatch(f"point has {len(point)} coordinates, spec has {spec.nvars}")
     if not spec.in_domain(point):
         raise DomainViolation(f"point {point} outside declared box of halfwidth {spec.domain_halfwidth}")
-    values = _node_jet(spec.expr, point, order).tolist()
-    table = dict(zip(multi_indices(spec.nvars, order), values))
-    zero = (0,) * spec.nvars
+    table = _node_jet(spec.expr, point, order)
     dt1: Dict[MultiIndex, float] = {}
     if spec.time_drift != 0.0:
-        table[zero] += spec.time_drift * time
-        dt1[zero] = spec.time_drift
+        table[0] += spec.time_drift * time
+        dt1[(0,) * spec.nvars] = spec.time_drift
     return SpaceTimeJet(
         point=point,
         time=time,
@@ -565,9 +564,9 @@ def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4)
 
 
 @lru_cache(maxsize=None)
-def _hessian_columns(nvars: int) -> np.ndarray:
-    """``(n, n)`` array of the column of ``e_i + e_j`` in a jet array over ``multi_indices(n, 2)``."""
-    col, _, _ = _columns(nvars, 2)
+def _hessian_columns(nvars: int, order: int) -> np.ndarray:
+    """``(n, n)`` array of the column of ``e_i + e_j`` in a jet array over ``multi_indices(n, order)``."""
+    col, _, _ = _columns(nvars, order)
     return np.array(
         [[col[unit_index(nvars, i, j)] for j in range(nvars)] for i in range(nvars)], dtype=np.intp
     )
@@ -634,7 +633,7 @@ def evaluate_hessians(spec: ExpressionSpec, points) -> np.ndarray:
         naming the first row that leaves the declared box, or when an atom is
         evaluated outside its domain.
     """
-    return _cloud_jet(spec, points, 2)[..., _hessian_columns(spec.nvars)]
+    return _cloud_jet(spec, points, 2)[..., _hessian_columns(spec.nvars, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -707,20 +706,23 @@ def _real_expansion(m: int, beta: MultiIndex):
 
 @dataclass
 class WirtingerTable:
-    """Mixed holomorphic/antiholomorphic partials at one point of C^k x C^l.
+    """Mixed holomorphic/antiholomorphic partials at one point of C^k x C^l, or at a stack of points.
 
-    Keys are pairs ``(hol, anti)`` of exponent tuples over the m = k + l
-    complex variables (z-slots first, then w-slots); the entry is
-    ``d^{hol}_z d^{anti}_zbar u``.  For real-valued u the table satisfies
-    ``entry(anti, hol) == conj(entry(hol, anti))`` bit-exactly.
+    ``entries[..., c]`` is ``d^{hol}_z d^{anti}_zbar u`` for the key ``(hol,
+    anti) = wirtinger_keys(k + l, order)[c]``, a pair of exponent tuples over
+    the m = k + l complex variables (z-slots first, then w-slots).  A table
+    at one point has one axis; the leading axes of a stack run over its
+    points.  For real-valued u the entries satisfy ``entry(anti, hol) ==
+    conj(entry(hol, anti))`` bit-exactly.  ``dt1`` maps the zero key to du/dt
+    when the jet carried a drift, and ``dt2`` holds d^2u/dt^2.
     """
 
-    point: Tuple[float, ...]
-    time: float
     k: int
     l: int
     order: int
-    entries: Dict[WirtKey, complex]
+    entries: np.ndarray
+    point: Tuple[float, ...] = ()
+    time: float = 0.0
     dt1: Dict[WirtKey, complex] = field(default_factory=dict)
     dt2: complex = 0.0
 
@@ -729,14 +731,11 @@ class WirtingerTable:
         return self.k + self.l
 
     def d(self, hol: MultiIndex, anti: MultiIndex) -> complex:
-        return self.entries.get((tuple(hol), tuple(anti)), 0.0)
+        c = _wirtinger_positions(self.m, self.order).get((tuple(hol), tuple(anti)))
+        return 0.0 if c is None else self.entries[c].item()
 
     def dt(self, hol: MultiIndex, anti: MultiIndex) -> complex:
         return self.dt1.get((tuple(hol), tuple(anti)), 0.0)
-
-    def zpoint(self) -> Tuple[complex, ...]:
-        m = self.m
-        return tuple(self.point[a] + 1.0j * self.point[m + a] for a in range(m))
 
     def second_blocks(self):
         """Wirtinger second-derivative blocks (Z, M, V).
@@ -744,22 +743,14 @@ class WirtingerTable:
         ``Z[a,b] = u_{z_a zbar_b}`` (k x k), ``M[a,c] = u_{z_a wbar_c}``
         (k x l), ``V[c,d] = u_{w_c wbar_d}`` (l x l); Z and V are Hermitian for
         real-valued u, and the class conditions are ``lam <= Z <= Lam`` and
-        ``lam <= -V <= Lam``.
+        ``lam <= -V <= Lam``.  A stack gives stacks of blocks.
         """
-        m, k, l = self.m, self.k, self.l
-        z = np.empty((k, k), dtype=complex)
-        for a in range(k):
-            for b in range(k):
-                z[a, b] = self.d(unit_index(m, a), unit_index(m, b))
-        mm = np.empty((k, l), dtype=complex)
-        for a in range(k):
-            for c in range(l):
-                mm[a, c] = self.d(unit_index(m, a), unit_index(m, k + c))
-        v = np.empty((l, l), dtype=complex)
-        for c in range(l):
-            for d in range(l):
-                v[c, d] = self.d(unit_index(m, k + c), unit_index(m, k + d))
-        return z, mm, v
+        if self.order < 2:  # no second partials in the table: they read zero
+            h = np.zeros(self.entries.shape[:-1] + (self.m, self.m), dtype=complex)
+        else:
+            h = self.entries[..., _wirtinger_hessian_positions(self.m, self.order)]
+        k = self.k
+        return h[..., :k, :k], h[..., :k, k:], h[..., k:, k:]
 
 
 @lru_cache(maxsize=None)
@@ -767,6 +758,21 @@ def wirtinger_keys(m: int, order: int) -> Tuple[WirtKey, ...]:
     """Every key ``(hol, anti)`` of total order <= ``order`` over m complex variables, in table order."""
     return tuple(
         (hol, anti) for hol in multi_indices(m, order) for anti in multi_indices(m, order - sum(hol))
+    )
+
+
+@lru_cache(maxsize=None)
+def _wirtinger_positions(m: int, order: int) -> Dict[WirtKey, int]:
+    """The column of every key among ``wirtinger_keys(m, order)``."""
+    return {key: c for c, key in enumerate(wirtinger_keys(m, order))}
+
+
+@lru_cache(maxsize=None)
+def _wirtinger_hessian_positions(m: int, order: int) -> np.ndarray:
+    """``(m, m)`` columns of the keys ``(e_a, e_b)`` among ``wirtinger_keys(m, order)``."""
+    position = _wirtinger_positions(m, order)
+    return np.array(
+        [[position[(unit_index(m, a), unit_index(m, b))] for b in range(m)] for a in range(m)], dtype=np.intp
     )
 
 
@@ -804,43 +810,12 @@ def _wirtinger_entries(jets: np.ndarray, m: int, order: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WirtingerStack:
-    """Wirtinger partials at a stack of points of C^k x C^l, one row per point.
-
-    ``entries[..., c]`` is the partial keyed ``wirtinger_keys(k + l,
-    order)[c]``; the leading axes run over the points.  It holds the same
-    numbers as one :class:`WirtingerTable` per point, laid out for gathers.
-    """
-
-    entries: np.ndarray
-    k: int
-    l: int
-    order: int
-
-    @classmethod
-    def from_table(cls, table: "WirtingerTable") -> "WirtingerStack":
-        """The one-row stack of a table; keys absent from the table read zero."""
-        keys = wirtinger_keys(table.m, table.order)
-        entries = np.array([[table.entries.get(key, 0.0) for key in keys]], dtype=complex)
-        return cls(entries=entries, k=table.k, l=table.l, order=table.order)
-
-
-def wirtinger_stack(jets: np.ndarray, k: int, l: int, order: int) -> WirtingerStack:
+def wirtinger_stack(jets: np.ndarray, k: int, l: int, order: int) -> WirtingerTable:
     """Convert real jet arrays ``(..., P)`` over ``multi_indices(2(k + l), order)`` into a stack.
 
     Rows are bit-identical to :func:`wirtinger_from_real` of each row's jet.
     """
-    return WirtingerStack(entries=_wirtinger_entries(jets, k + l, order), k=k, l=l, order=order)
-
-
-@lru_cache(maxsize=None)
-def _wirtinger_hessian_positions(m: int) -> np.ndarray:
-    """``(m, m)`` positions of the keys ``(e_a, e_b)`` among ``wirtinger_keys(m, 2)``."""
-    position = {key: c for c, key in enumerate(wirtinger_keys(m, 2))}
-    return np.array(
-        [[position[(unit_index(m, a), unit_index(m, b))] for b in range(m)] for a in range(m)], dtype=np.intp
-    )
+    return WirtingerTable(k=k, l=l, order=order, entries=_wirtinger_entries(jets, k + l, order))
 
 
 def wirtinger_hessians(spec: ExpressionSpec, points) -> np.ndarray:
@@ -856,13 +831,7 @@ def wirtinger_hessians(spec: ExpressionSpec, points) -> np.ndarray:
         raise DimensionMismatch("wirtinger_hessians applies to complex-flavored specs")
     m = spec.k + spec.l
     entries = _wirtinger_entries(_cloud_jet(spec, points, 2), m, 2)
-    return entries[..., _wirtinger_hessian_positions(m)]
-
-
-def _table_entries(table: Dict[MultiIndex, float], m: int, order: int) -> Dict[WirtKey, complex]:
-    """Wirtinger entries of one real partial table; partials absent from it read zero."""
-    jet = np.array([table.get(beta, 0.0) for beta in multi_indices(2 * m, order)])
-    return dict(zip(wirtinger_keys(m, order), _wirtinger_entries(jet, m, order).tolist()))
+    return entries[..., _wirtinger_hessian_positions(m, 2)]
 
 
 def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
@@ -882,14 +851,15 @@ def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
         k, l = jet.k, jet.l
     else:
         k, l = m, 0
+    zero = (0,) * m
     return WirtingerTable(
-        point=jet.point,
-        time=jet.time,
         k=k,
         l=l,
         order=jet.order,
-        entries=_table_entries(jet.table, m, jet.order),
-        dt1=_table_entries(jet.dt1, m, 2) if jet.dt1 else {},
+        entries=_wirtinger_entries(jet.table, m, jet.order),
+        point=jet.point,
+        time=jet.time,
+        dt1={(zero, zero): complex(jet.dt())} if jet.dt1 else {},
         dt2=jet.dtt(),
     )
 
@@ -901,6 +871,6 @@ def real_from_wirtinger(wt: WirtingerTable) -> Dict[MultiIndex, float]:
     for beta in multi_indices(2 * m, wt.order):
         acc = 0.0 + 0.0j
         for key, coeff in _real_expansion(m, beta):
-            acc += coeff * wt.entries.get(key, 0.0)
+            acc += coeff * wt.d(*key)
         out[beta] = acc.real
     return out

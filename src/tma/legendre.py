@@ -176,7 +176,7 @@ def _source_hessians(spec: ExpressionSpec, point):
     return evaluate_hessians(spec, np.atleast_2d(pts)), pts.ndim < 2
 
 
-def real_W(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
+def real_W(spec: ExpressionSpec, point) -> np.ndarray:
     """Transformed Hessian W of a real-flavored description at a source point.
 
     The symmetric block matrix with the concave slot inverted:
@@ -186,7 +186,7 @@ def real_W(spec: ExpressionSpec, point, time: float = 0.0) -> np.ndarray:
 
     ``point`` is one source point, giving an ``(n, n)`` matrix, or an
     ``(m, n)`` array of them, giving the ``(m, n, n)`` stack.  W does not
-    depend on ``time``: a spec's only time dependence is its linear drift.
+    depend on the time: a spec's only time dependence is its linear drift.
     """
     h, single = _source_hessians(spec, point)
     w, _ = _assemble(h, spec.k)

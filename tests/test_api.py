@@ -1,0 +1,41 @@
+"""The public surface: every exported name resolves, and the README tour prints what it promises."""
+
+import contextlib
+import decimal
+import importlib
+import io
+import pathlib
+import pkgutil
+import re
+
+import tma
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_resolves():
+    submodules = [info.name for info in pkgutil.iter_modules(tma.__path__) if not info.name.startswith("_")]
+    modules = [tma] + [importlib.import_module(f"tma.{name}") for name in submodules]
+    exporting = [mod for mod in modules if hasattr(mod, "__all__")]
+    missing = [f"{mod.__name__}.{name}" for mod in exporting for name in mod.__all__ if not hasattr(mod, name)]
+    assert len(exporting) > 1 and not missing
+
+
+def test_readme_examples_print_what_their_comments_give():
+    # The first two python blocks: the library quick tour and the exact
+    # quadratic flow, run in one namespace as a reader would paste them.  The
+    # third, the oscillation measurement, takes 2500 RK4 steps at 128^2
+    # (about 6 s on a 2-core machine), too long for the unit suite.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)[:2]
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+    promised = [line.split("#")[1].split() for block in blocks for line in block.splitlines() if line.startswith("print(")]
+    printed = [line.split() for line in out.getvalue().splitlines()]
+    assert len(printed) == len(promised) == 5
+    for got, want in zip(printed, promised):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            tol = 0.5 * 10.0 ** decimal.Decimal(w).as_tuple().exponent  # half a unit in the comment's last digit
+            assert abs(float(g) - float(w)) <= tol, (got, want)

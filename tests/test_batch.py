@@ -31,10 +31,14 @@ from tma.jets import (
     ExpressionSpec,
     SpaceTimeJet,
     _wirtinger_expansion,
+    evaluate_hessians,
     evaluate_jet,
     multi_indices,
     stacked_jets,
     wirtinger_from_real,
+    wirtinger_hessians,
+    wirtinger_keys,
+    wirtinger_stack,
 )
 from tma.legendre import det_transform_residual, real_W
 from tma.linalg import inverse_and_logdet
@@ -151,11 +155,6 @@ def _with_domain_atom(member, fn, const):
     return ExpressionSpec(expr=expr, k=member.k, l=member.l, flavor=member.flavor)
 
 
-def _table_row(spec, point, order):
-    table = evaluate_jet(spec, point, order=order).table
-    return np.array([table[beta] for beta in multi_indices(spec.nvars, order)])
-
-
 @given(
     shapes,
     st.sampled_from(["real", "complex"]),
@@ -173,12 +172,31 @@ def test_stacked_jets_equal_per_member_jets(shape, flavor, seed, first, size, p,
         members = [_with_domain_atom(s, *domain_atoms[r % len(domain_atoms)]) for r, s in enumerate(members)]
     pts = np.stack([sample_points(es, first + r, p) for r in range(size)])
     try:
-        expected = np.array([[_table_row(s, x, order) for x in xs] for s, xs in zip(members, pts)])
+        jets = [[evaluate_jet(s, x, order=order) for x in xs] for s, xs in zip(members, pts)]
     except DomainViolation:
         with pytest.raises(DomainViolation):
             stacked_jets(members, pts, order)
         return
-    assert np.array_equal(stacked_jets(members, pts, order), expected)
+    stacked = stacked_jets(members, pts, order)
+    assert np.array_equal(stacked, np.array([[jet.table for jet in row] for row in jets]))
+    if order < 2:
+        return
+    # each per-point jet is a row of the stacked arrays, its Hessian and Wirtinger table too
+    k, l = shape
+    entries = wirtinger_stack(stacked, k, l, order).entries if flavor == "complex" else None
+    for r, (s, xs) in enumerate(zip(members, pts)):
+        hessians = evaluate_hessians(s, xs)
+        for i, jet in enumerate(jets[r]):
+            assert np.array_equal(jet.hessian(), hessians[i])
+        if entries is None:
+            continue
+        blocks = wirtinger_hessians(s, xs)
+        for i, jet in enumerate(jets[r]):
+            table = wirtinger_from_real(jet)
+            assert np.array_equal(table.entries, entries[r, i])
+            z, mm, v = table.second_blocks()
+            assert np.array_equal(z, blocks[i, :k, :k]) and np.array_equal(mm, blocks[i, :k, k:])
+            assert np.array_equal(v, blocks[i, k:, k:])
 
 
 def _per_point_rows(suite, k, l, seed, first, size, p):
@@ -267,13 +285,12 @@ def test_wirtinger_conversion_equals_term_by_term_loop(m, order, seed):
     betas = multi_indices(2 * m, order)
     values = rng.normal(size=len(betas)) * (rng.random(len(betas)) < 0.8)  # some exact zeros
     jet = SpaceTimeJet(
-        point=(0.0,) * 2 * m, time=0.0, nvars=2 * m, order=order, k=m, l=0, flavor="complex",
-        table=dict(zip(betas, values.tolist())),
+        point=(0.0,) * 2 * m, time=0.0, nvars=2 * m, order=order, k=m, l=0, flavor="complex", table=values
     )
     got = wirtinger_from_real(jet).entries
-    want = _loop_wirtinger_entries(jet.table, m, order)
-    assert list(got) == list(want)
-    assert all(got[key] == want[key] for key in want)
+    want = _loop_wirtinger_entries(dict(zip(betas, values.tolist())), m, order)
+    assert list(wirtinger_keys(m, order)) == list(want)
+    assert all(got[c] == want[key] for c, key in enumerate(want))
 
 
 @settings(max_examples=30)

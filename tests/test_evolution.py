@@ -31,7 +31,7 @@ from tma.evolution import (
     subsolution_spectrum,
 )
 from tma.funclass import EnsembleSpec, draw_member, sample_points
-from tma.jets import ExpressionSpec, evaluate_jet, wirtinger_from_real
+from tma.jets import ExpressionSpec, evaluate_jet, wirtinger_from_real, wirtinger_keys
 from tma.legendre import _assemble
 from tma.twistedops import complex_W
 
@@ -195,7 +195,8 @@ def test_source_rejects_non_member():
 def test_hermitian_defect_guard_trips_on_corrupted_table():
     table = cubic_table(0.1)
     key = ((1, 0), (1, 1))  # one z-derivative, one zbar- and one wbar-derivative
-    table.entries[key] = table.entries.get(key, 0.0) + 1e-4
+    c = wirtinger_keys(table.m, table.order).index(key)
+    table.entries[c] = table.entries[c] + 1e-4
     with pytest.raises(TmaError, match="Hermitian"):
         assemble_Q(table)
 

@@ -14,6 +14,7 @@ from tma.jets import (
     unit_index,
     wirtinger_from_real,
     wirtinger_hessians,
+    wirtinger_keys,
 )
 from tma.solver import BoxGrid, evaluate_on_grid
 
@@ -170,6 +171,16 @@ def test_time_drift_enters_value_and_dt():
     assert jet.d((0,)) == pytest.approx(0.5 + 7.0)
     assert jet.dt() == 3.5
     assert jet.dtt() == 0.0
+
+
+def test_partials_above_the_order_read_zero():
+    spec = ExpressionSpec(expr=random_spec(np.random.default_rng(5), 4).expr, k=1, l=1, flavor="complex")
+    jet = evaluate_jet(spec, [0.1, 0.2, -0.3, 0.4], order=2)
+    assert jet.d((3, 0, 0, 0)) == 0.0 and jet.d((1, 1, 1, 0)) == 0.0
+    assert type(jet.d((1, 1, 0, 0))) is float and jet.d((1, 1, 0, 0)) != 0.0
+    wt = wirtinger_from_real(jet)
+    assert wt.d((2, 0), (1, 0)) == 0.0 and wt.d((0, 0), (0, 3)) == 0.0
+    assert type(wt.d((1, 0), (0, 1))) is complex and wt.d((1, 0), (0, 1)) != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +380,8 @@ def test_conjugation_symmetry_bit_exact():
     spec = random_spec(rng, 4)
     spec = ExpressionSpec(expr=spec.expr, k=1, l=1, flavor="complex")
     wt = wirtinger_from_real(evaluate_jet(spec, rng.uniform(-0.5, 0.5, 4)))
-    for (hol, anti), v in wt.entries.items():
-        assert wt.entries[(anti, hol)] == v.conjugate()  # exact, not approx
+    for (hol, anti), v in zip(wirtinger_keys(2, 4), wt.entries):
+        assert wt.d(anti, hol) == v.conjugate()  # exact, not approx
     # balanced second derivatives of a real-valued function are real
     for a in range(2):
         e = unit_index(2, a)

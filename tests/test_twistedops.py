@@ -5,7 +5,7 @@ import pytest
 
 from tma.errors import NotPositiveDefinite
 from tma.funclass import EnsembleSpec, sample_ensemble, sample_points
-from tma.jets import ExpressionSpec, evaluate_jet, wirtinger_from_real
+from tma.jets import ExpressionSpec, evaluate_jet, wirtinger_from_real, wirtinger_keys
 from tma.legendre import partial_legendre
 from tma.twistedops import (
     OperatorValue,
@@ -161,7 +161,8 @@ def test_complex_w_adjointness_guard():
     table = ctable(complex_quad(eps=0.2))
     m = table.m
     key = ((0, 1, 0, 0)[:m], (1, 0, 0, 0)[:m])  # u_{w zbar} entry
-    table.entries[key] = table.entries[key] + 1e-6
+    c = wirtinger_keys(m, table.order).index(key)
+    table.entries[c] = table.entries[c] + 1e-6
     with pytest.raises(ValueError):
         complex_W(table)
 
