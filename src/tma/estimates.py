@@ -24,7 +24,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,9 +45,8 @@ from .solver import (
     FlowField,
     FrozenFrame,
     PeriodicBase,
-    _blocks,
     _flow_value,
-    _second_differences,
+    _slot_fields,
     flow_from_values,
 )
 from .twistedops import eval_H
@@ -161,70 +162,39 @@ class FieldQuantities:
         return tuple(self.values)
 
 
-#: direction labels for the transformed-Hessian components, in output order
-_REAL_DIRECTIONS = ("w_e1", "w_e2", "w_plus", "w_minus")
-_COMPLEX_DIRECTIONS = ("w_e1", "w_e2", "w_plus", "w_minus", "w_iplus", "w_iminus")
+def _w_scalar_parts(z: np.ndarray, conc: np.ndarray, m: Tuple[np.ndarray, ...]):
+    """Per-node W data on the interior: ``(w00, w01 parts, w11)``.
 
-#: the second differences W reads, per flavor; the time speed reads their diagonal
-_W_PAIRS = {
-    "real": ((0, 0), (1, 1), (0, 1)),
-    "complex11": ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3), (0, 3), (1, 2)),
-}
-
-
-def _w_scalar_parts(flavor: str, d2: Dict[Tuple[int, int], np.ndarray]):
-    """Per-node W data on the interior: (w00, w01 or (re, im), w11).
-
-    ``d2`` holds the interior second differences ``_W_PAIRS[flavor]``.
-
-    Real flavor: the 2x2 transformed Hessian of ``u`` has entries
-    ``w00 = u_xx - u_xy^2/u_yy``, ``w01 = u_xy/u_yy``, ``w11 = -1/u_yy``.
-    Complex flavor (4-D carrier): the Hermitian 2x2 analogue built from the
-    complex second derivatives Z = u_{z zbar}, M = u_{z wbar}, V = u_{w wbar}:
-    ``w00 = Z - |M|^2/V``, ``w01 = M/V``, ``w11 = -1/V``.
+    ``z`` and ``conc`` are the convex and negated concave block fields, ``m``
+    the parts of the mixed slot derivative (see :func:`tma.solver._slot_fields`).
+    With ``V = -conc`` the Hermitian 2x2 transformed Hessian has entries
+    ``w00 = Z - |M|^2/V``, ``w01 = M/V`` (part by part) and ``w11 = -1/V``; on
+    the real carrier these are ``u_xx - u_xy^2/u_yy``, ``u_xy/u_yy`` and
+    ``-1/u_yy``.
     """
-    if flavor == "real":
-        uxx, uxy, uyy = d2[0, 0], d2[0, 1], d2[1, 1]
-        if float(np.abs(uyy).min()) < 1e-12:
-            raise IllConditioned("concave-block second derivative vanishes on a node")
-        return uxx - uxy * uxy / uyy, uxy / uyy, -1.0 / uyy
-    z = 0.25 * (d2[0, 0] + d2[2, 2])
-    v = 0.25 * (d2[1, 1] + d2[3, 3])
-    m_re = 0.25 * (d2[0, 1] + d2[2, 3])
-    m_im = 0.25 * (d2[0, 3] - d2[1, 2])
+    v = -conc
     if float(np.abs(v).min()) < 1e-12:
-        raise IllConditioned("concave-block complex second derivative vanishes on a node")
-    w00 = z - (m_re * m_re + m_im * m_im) / v
-    return w00, (m_re / v, m_im / v), -1.0 / v
+        kind = "complex second derivative" if len(m) > 1 else "second derivative"
+        raise IllConditioned(f"concave-block {kind} vanishes on a node")
+    return z - reduce(add, [p * p for p in m]) / v, tuple(p / v for p in m), -1.0 / v
 
 
-def _directional_values(flavor: str,
-                        d2: Dict[Tuple[int, int], np.ndarray]) -> Dict[str, np.ndarray]:
+def _directional_values(z: np.ndarray, conc: np.ndarray,
+                        m: Tuple[np.ndarray, ...]) -> Dict[str, np.ndarray]:
     """The quadratic form of W along the unit-direction family.
 
     Directions are the coordinate axes, their normalized sums and
-    differences, and (complex flavor only) the imaginary combinations; for a
-    Hermitian W the values are ``w00``, ``w11``, ``(w00+w11)/2 +- Re w01``
-    and ``(w00+w11)/2 -+ Im w01``.
+    differences, and (when ``M`` has an imaginary part) the imaginary
+    combinations; for a Hermitian W the values are ``w00``, ``w11``,
+    ``(w00+w11)/2 +- Re w01`` and ``(w00+w11)/2 -+ Im w01``.
     """
-    w00, w01, w11 = _w_scalar_parts(flavor, d2)
+    w00, w01, w11 = _w_scalar_parts(z, conc, m)
     mean = 0.5 * (w00 + w11)
-    if flavor == "real":
-        return {
-            "w_e1": w00,
-            "w_e2": w11,
-            "w_plus": mean + w01,
-            "w_minus": mean - w01,
-        }
-    w01_re, w01_im = w01
-    return {
-        "w_e1": w00,
-        "w_e2": w11,
-        "w_plus": mean + w01_re,
-        "w_minus": mean - w01_re,
-        "w_iplus": mean - w01_im,
-        "w_iminus": mean + w01_im,
-    }
+    out = {"w_e1": w00, "w_e2": w11, "w_plus": mean + w01[0], "w_minus": mean - w01[0]}
+    if len(w01) > 1:
+        out["w_iplus"] = mean - w01[1]
+        out["w_iminus"] = mean + w01[1]
+    return out
 
 
 def _crop_slices(grid: BoxGrid, center: Optional[Sequence[float]],
@@ -263,23 +233,17 @@ def flow_quantities(
     if indices is None:
         indices = range(len(field.slices))
     crops, axes = _crop_slices(field.grid, center, radius)
-    names = _REAL_DIRECTIONS if field.flavor == "real" else _COMPLEX_DIRECTIONS
     # the same crop on interior-shaped arrays
     inner = tuple(slice(c.start - field.grid.frame, c.stop - field.grid.frame) for c in crops)
-    speed_stack = []
-    dir_stacks: Dict[str, List[np.ndarray]] = {name: [] for name in names}
+    stacks: Dict[str, List[np.ndarray]] = {"time_speed": []}
     times = []
     for i in indices:
         times.append(field.times[i])
-        d2 = _second_differences(field, field.slices[i], _W_PAIRS[field.flavor])
-        speed = _flow_value(*_blocks(field.flavor, d2), "time-speed evaluation")
-        speed_stack.append(speed[inner])
-        dirs = _directional_values(field.flavor, d2)
-        for name in names:
-            dir_stacks[name].append(dirs[name][inner])
-    values = {"time_speed": np.stack(speed_stack)}
-    for name in names:
-        values[name] = np.stack(dir_stacks[name])
+        conv, conc, m = _slot_fields(field, field.slices[i])
+        stacks["time_speed"].append(_flow_value(conv, conc, "time-speed evaluation")[inner])
+        for name, arr in _directional_values(conv, conc, m).items():
+            stacks.setdefault(name, []).append(arr[inner])
+    values = {name: np.stack(stack) for name, stack in stacks.items()}
     return FieldQuantities(axes=axes, times=np.asarray(times, dtype=float),
                            values=values)
 
@@ -574,7 +538,6 @@ def parabolic_rescale_field(field: FlowField, mu: float) -> FlowField:
         field.flavor,
         policy,
         time=field.times[0] / (mu * mu),
-        cfl_constant=field.cfl_constant,
     )
     return dataclasses.replace(
         out,
@@ -674,11 +637,9 @@ def discrete_w_entries(field: FlowField, index: int = -1) -> Dict[str, np.ndarra
     ``w01_re``, ``w01_im``, ``w11`` (the Hermitian off-diagonal split into
     real and imaginary parts).
     """
-    d2 = _second_differences(field, field.slices[index], _W_PAIRS[field.flavor])
-    w00, w01, w11 = _w_scalar_parts(field.flavor, d2)
-    if field.flavor == "real":
-        return {"w00": w00, "w01": w01, "w11": w11}
-    return {"w00": w00, "w01_re": w01[0], "w01_im": w01[1], "w11": w11}
+    w00, w01, w11 = _w_scalar_parts(*_slot_fields(field, field.slices[index]))
+    names = ("w01",) if len(w01) == 1 else ("w01_re", "w01_im")
+    return {"w00": w00, **dict(zip(names, w01)), "w11": w11}
 
 
 @dataclass(frozen=True)
@@ -700,12 +661,8 @@ class RigidityReport:
 def rigidity_probe(field: FlowField, index: int = -1) -> RigidityReport:
     """Probe a (supposed) steady solution for quadratic rigidity."""
     entries = discrete_w_entries(field, index)
-    if field.flavor == "real":
-        det = entries["w00"] * entries["w11"] - entries["w01"] ** 2
-    else:
-        det = entries["w00"] * entries["w11"] - (
-            entries["w01_re"] ** 2 + entries["w01_im"] ** 2
-        )
+    mixed = [arr ** 2 for name, arr in entries.items() if name.startswith("w01")]
+    det = entries["w00"] * entries["w11"] - reduce(add, mixed)
     det_dev = float(np.abs(det - 1.0).max())
     variation = max(float(arr.max() - arr.min()) for arr in entries.values())
     return RigidityReport(

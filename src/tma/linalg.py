@@ -74,7 +74,7 @@ def certify_psd(a, tol: float | None = None) -> bool:
     return lo >= -tol
 
 
-def inverse_and_logdet(a, cond_guard: float = DEFAULT_COND_GUARD):
+def inverse_and_logdet(a):
     """Inverse and log-determinant of a positive-definite matrix.
 
     One eigendecomposition ``A = Q diag(lambda) Q^H`` serves everything: the
@@ -83,7 +83,9 @@ def inverse_and_logdet(a, cond_guard: float = DEFAULT_COND_GUARD):
 
     ``a`` is one ``(n, n)`` matrix, giving an ``(n, n)`` inverse and a float,
     or a stack ``(..., n, n)``, giving inverses of the same shape and an array
-    of log-determinants; every matrix of a stack passes the same guards.
+    of log-determinants; every matrix of a stack passes the same guards.  An
+    empty block (``n = 0``, a slot of dimension zero) has the empty inverse
+    and log-determinant 0.
 
     Raises
     ------
@@ -91,10 +93,14 @@ def inverse_and_logdet(a, cond_guard: float = DEFAULT_COND_GUARD):
         if the smallest eigenvalue is <= 0 (the message quotes the lowest
         one in the stack).
     IllConditioned
-        if lambda_min / lambda_max < cond_guard (the message quotes the lowest
-        ratio in the stack).
+        if lambda_min / lambda_max < DEFAULT_COND_GUARD (the message quotes the
+        lowest ratio in the stack).
     """
-    vals, vecs = np.linalg.eigh(np.asarray(a))
+    a = np.asarray(a)
+    if a.shape[-1] == 0:
+        logdet = 0.0 if a.ndim == 2 else np.zeros(a.shape[:-2])
+        return np.zeros(a.shape, np.result_type(a, float)), logdet
+    vals, vecs = np.linalg.eigh(a)
     # guards on Python floats: numpy reductions on a few values would cost a
     # single small matrix a third of its eigh again
     lo = vals[..., 0].ravel().tolist()
@@ -102,18 +108,18 @@ def inverse_and_logdet(a, cond_guard: float = DEFAULT_COND_GUARD):
     bad = [x for x in lo if x <= 0.0]
     if bad:
         raise NotPositiveDefinite(f"lambda_min = {min(bad):.3e} <= 0")
-    bad = [r for r in map(truediv, lo, hi) if r < cond_guard]
+    bad = [r for r in map(truediv, lo, hi) if r < DEFAULT_COND_GUARD]
     if bad:
-        raise IllConditioned(f"lambda_min/lambda_max = {min(bad):.3e} below guard {cond_guard:.1e}")
+        raise IllConditioned(f"lambda_min/lambda_max = {min(bad):.3e} below guard {DEFAULT_COND_GUARD:.1e}")
     logdet = np.log(vals).sum(axis=-1)
     inv = (vecs / vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     inv = (inv + inv.conj().swapaxes(-1, -2)) / 2.0
     return inv, (float(logdet) if vals.ndim == 1 else logdet)
 
 
-def logdet_pd(a, cond_guard: float = DEFAULT_COND_GUARD) -> float:
+def logdet_pd(a) -> float:
     """Log-determinant only; same guards as :func:`inverse_and_logdet`."""
-    return inverse_and_logdet(a, cond_guard)[1]
+    return inverse_and_logdet(a)[1]
 
 
 def block_det_via_schur(m, ksplit: int) -> float:

@@ -16,18 +16,18 @@ Jacobi-preconditioned BiCGSTAB; a solve that misses its tolerance raises
 step solves the linearized operator ``L`` itself by a direct sparse LU
 factorization.
 
-Two discrete flavors are supported:
+Each grid flavor carries one convex and one concave slot on a real grid:
+even axes carry the convex slot, odd axes the concave slot, and a slot's
+second derivative is the slot weight (1 or 1/4) times the sum of the pure
+second differences along its axes.  The flow value is
+``F = log(convex slot) - log(-concave slot)``.
 
 ``"real"``
-    one convex and one concave direction on a 2-D grid; the flow value is
-    ``F = log u_xx - log(-u_yy)``.
+    a 2-D grid ``[x, y]``, weight 1: ``F = log u_xx - log(-u_yy)``.
 
 ``"complex11"``
-    one complex convex and one complex concave direction carried as a real
-    4-D grid with axes ordered ``[X_z, X_w, Y_z, Y_w]`` (real parts first);
-    the flow value is ``F = log((u_00 + u_22)/4) - log(-(u_11 + u_33)/4)``,
-    the Laplacian quarter-combinations being the complex second derivatives
-    of the convex and concave directions.
+    a 4-D grid ``[X_z, X_w, Y_z, Y_w]`` (real parts first), weight 1/4: the
+    slots are the complex second derivatives ``u_{z zbar}`` and ``u_{w wbar}``.
 
 Grids are *framed* (a frozen frame of ``frame`` node layers carries boundary
 values from an analytic description, refreshed at every stage time) or
@@ -58,7 +58,7 @@ from .errors import (
     NoConvergence,
     TmaError,
 )
-from .jets import ExpressionSpec, _node_jet
+from .jets import ExpressionSpec, _node_jet, evaluate_hessians
 
 __all__ = [
     "BoxGrid",
@@ -88,10 +88,28 @@ __all__ = [
     "write_snapshot_json",
 ]
 
-FLAVORS = ("real", "complex11")
+#: grid flavor -> (grid dimension, spec flavor, slot weight); see the module docstring
+_CARRIERS = {"real": (2, "real", 1.0), "complex11": (4, "complex", 0.25)}
+
+FLAVORS = tuple(_CARRIERS)
+
+#: the second differences the slot fields read: the diagonal, then ``u_{z wbar}``'s pairs
+_SLOT_PAIRS = {
+    "real": ((0, 0), (1, 1), (0, 1)),
+    "complex11": ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3), (0, 3), (1, 2)),
+}
 
 #: floor used for the "membership with margin" pre-step check
 CLASS_MARGIN = 1e-10
+
+#: constant ``c`` of the explicit stability bound ``dt <= c*h^2*lam/Lam``
+CFL_CONSTANT = 0.2
+
+
+def _carrier(flavor: str) -> Tuple[int, str, float]:
+    if flavor not in _CARRIERS:
+        raise TmaError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    return _CARRIERS[flavor]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +306,6 @@ class FlowField:
     dt: float
     slices: List[np.ndarray]
     times: List[float]
-    cfl_constant: float = 0.2
     cfl_log: List[float] = dc_field(default_factory=list)
     # cached boundary data, filled by the factories
     _frame_vals: Optional[np.ndarray] = dc_field(default=None, repr=False)
@@ -300,14 +317,6 @@ class FlowField:
         return self.times[-1], self.slices[-1]
 
 
-def _flavor_dim(flavor: str) -> int:
-    if flavor == "real":
-        return 2
-    if flavor == "complex11":
-        return 4
-    raise TmaError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-
-
 def flow_from_values(
     values: np.ndarray,
     grid: BoxGrid,
@@ -315,7 +324,6 @@ def flow_from_values(
     flavor: str,
     policy: BoundaryPolicy,
     time: float = 0.0,
-    cfl_constant: float = 0.2,
 ) -> FlowField:
     """Wrap explicit nodal values as a single-slice flow field."""
     values = np.asarray(values, dtype=float)
@@ -323,25 +331,22 @@ def flow_from_values(
         raise DimensionMismatch(
             f"values have shape {values.shape}, grid has {grid.shape}"
         )
-    if grid.dim != _flavor_dim(flavor):
-        raise DimensionMismatch(
-            f"flavor {flavor!r} needs a {_flavor_dim(flavor)}-D grid, got {grid.dim}-D"
-        )
+    dim = _carrier(flavor)[0]
+    if grid.dim != dim:
+        raise DimensionMismatch(f"flavor {flavor!r} needs a {dim}-D grid, got {grid.dim}-D")
     if not (dt >= 0.0):
         raise TmaError(f"timestep must be nonnegative, got {dt}")
     if isinstance(policy, PeriodicBase):
         if not grid.periodic:
             raise TmaError("a periodic-base policy requires a periodic grid (frame == 0)")
         base = policy.values_on(grid)
-        f = FlowField(grid, flavor, policy, float(dt), [values.copy()], [float(time)],
-                      cfl_constant=cfl_constant, _base_vals=base)
+        f = FlowField(grid, flavor, policy, float(dt), [values.copy()], [float(time)], _base_vals=base)
     elif isinstance(policy, FrozenFrame):
         if grid.periodic:
             raise TmaError("a frozen-frame policy requires a framed grid (frame >= 1)")
         mask = grid.frame_mask()
         frame_at_zero = evaluate_on_grid(policy.spec, grid, time=0.0)[mask]
         f = FlowField(grid, flavor, policy, float(dt), [values.copy()], [float(time)],
-                      cfl_constant=cfl_constant,
                       _frame_vals=frame_at_zero, _frame_mask=mask)
         _apply_frame(f, f.slices[0], float(time))
     else:
@@ -355,7 +360,6 @@ def flow_from_spec(
     dt: float,
     policy: Optional[BoundaryPolicy] = None,
     time: float = 0.0,
-    cfl_constant: float = 0.2,
 ) -> FlowField:
     """Initialize a flow field by evaluating ``spec`` on the grid.
 
@@ -372,25 +376,19 @@ def flow_from_spec(
         policy = FrozenFrame(spec)
     values = evaluate_on_grid(spec, grid, time=time)
     flavor = _infer_flavor(spec, grid)
-    return flow_from_values(values, grid, dt, flavor, policy, time=time,
-                            cfl_constant=cfl_constant)
+    return flow_from_values(values, grid, dt, flavor, policy, time=time)
 
 
 def _infer_flavor(spec: ExpressionSpec, grid: BoxGrid) -> str:
-    if spec.flavor == "real":
-        if (spec.k, spec.l) != (1, 1) or grid.dim != 2:
-            raise DimensionMismatch(
-                "real grid flows support one convex and one concave direction "
-                f"on a 2-D grid; got dims ({spec.k}, {spec.l}) on a {grid.dim}-D grid"
-            )
-        return "real"
-    if (spec.k, spec.l) != (1, 1) or grid.dim != 4:
+    """The grid flavor carrying ``spec``'s flavor; it must have one slot each."""
+    flavor, (dim, _, _) = next(
+        (name, c) for name, c in _CARRIERS.items() if c[1] == spec.flavor)
+    if (spec.k, spec.l) != (1, 1) or grid.dim != dim:
         raise DimensionMismatch(
-            "complex grid flows support one convex and one concave direction "
-            f"carried as a 4-D real grid; got dims ({spec.k}, {spec.l}) "
-            f"on a {grid.dim}-D grid"
+            f"{spec.flavor} grid flows support one convex and one concave direction "
+            f"on a {dim}-D grid; got dims ({spec.k}, {spec.l}) on a {grid.dim}-D grid"
         )
-    return "complex11"
+    return flavor
 
 
 def _apply_frame(f: FlowField, u: np.ndarray, t: float) -> None:
@@ -473,6 +471,22 @@ def _block_fields(f: FlowField, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return _blocks(f.flavor, _second_differences(f, u))
 
 
+def _slot_fields(
+    f: FlowField, u: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    """The block fields of ``u`` and its mixed slot derivative ``M = u_{z wbar}``.
+
+    ``M`` is a tuple of its parts: the real part, and on the complex carrier
+    also the imaginary part.
+    """
+    d2 = _second_differences(f, u, _SLOT_PAIRS[f.flavor])
+    if f.flavor == "real":
+        m = (d2[0, 1],)
+    else:
+        m = (0.25 * (d2[0, 1] + d2[2, 3]), 0.25 * (d2[0, 3] - d2[1, 2]))
+    return (*_blocks(f.flavor, d2), m)
+
+
 def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str,
                         margin: float = CLASS_MARGIN) -> Tuple[float, float]:
     """Check both blocks are definite with margin; return (lam, Lam) measured."""
@@ -532,7 +546,7 @@ def discrete_hessian(f: FlowField, index: int = -1) -> np.ndarray:
 
 def _cfl_bound(f: FlowField, lam: float, Lam: float) -> float:
     h_min = min(f.grid.spacing)
-    return f.cfl_constant * h_min * h_min * lam / Lam
+    return CFL_CONSTANT * h_min * h_min * lam / Lam
 
 
 def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
@@ -544,7 +558,7 @@ def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(
             f"timestep {dt:.6e} exceeds the explicit stability bound "
-            f"{bound:.6e} = c*h^2*lam/Lam with c = {f.cfl_constant}, "
+            f"{bound:.6e} = c*h^2*lam/Lam with c = {CFL_CONSTANT}, "
             f"measured lam = {lam:.6e}, Lam = {Lam:.6e}"
         )
     k1 = np.log(conv) - np.log(conc)
@@ -571,15 +585,12 @@ def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]
 def _linearized_gammas(f: FlowField, conv: np.ndarray, conc: np.ndarray) -> List[np.ndarray]:
     """Per-axis coefficients of the linearized operator ``L = sum_a gamma_a d^2_a``.
 
-    Linearizing ``F`` at the current slice gives positive coefficients:
-    the reciprocal of the convex block on convex axes and of the negated
-    concave block on concave axes (with the quarter factor in the 4-D case).
+    Linearizing ``F`` at the current slice gives positive coefficients: the
+    slot weight over the convex block on convex axes and over the negated
+    concave block on concave axes.
     """
-    if f.flavor == "real":
-        return [1.0 / conv, 1.0 / conc]
-    gz = 0.25 / conv
-    gw = 0.25 / conc
-    return [gz, gw, gz, gw]
+    dim, _, weight = _carrier(f.flavor)
+    return [weight / conv, weight / conc] * (dim // 2)
 
 
 def _operator_matrix(
@@ -950,11 +961,11 @@ def hessian_error(
     axes = grid.axes()
     if samples is None:
         samples = _aligned_samples(grid)
+    points = np.array([[axes[a][i] for a, i in enumerate(idx)] for idx in samples])
+    exact = evaluate_hessians(spec, points)
     worst = 0.0
-    for idx in samples:
-        point = tuple(float(axes[a][i]) for a, i in enumerate(idx))
-        exact = spec.jet(point, time, order=2).hessian()
-        worst = max(worst, float(np.abs(hess[idx] - exact).max()))
+    for idx, ex in zip(samples, exact):
+        worst = max(worst, float(np.abs(hess[idx] - ex).max()))
     return worst
 
 
@@ -1072,29 +1083,20 @@ def reference_flow_spec(a: float, b: float, flavor: str = "real") -> ExpressionS
     """
     if a <= 0 or b <= 0:
         raise TmaError(f"need positive block scales, got a = {a}, b = {b}")
-    drift = math.log(a / b)
-    if flavor == "real":
-        expr = {
-            "kind": "quad",
-            "matrix": [[a, 0.0], [0.0, -b]],
-            "linear": [0.0, 0.0],
-            "constant": 0.0,
-        }
-        return ExpressionSpec(expr=expr, k=1, l=1, flavor="real", time_drift=drift)
-    if flavor == "complex11":
-        expr = {
-            "kind": "quad",
-            "matrix": [
-                [2 * a, 0.0, 0.0, 0.0],
-                [0.0, -2 * b, 0.0, 0.0],
-                [0.0, 0.0, 2 * a, 0.0],
-                [0.0, 0.0, 0.0, -2 * b],
-            ],
-            "linear": [0.0, 0.0, 0.0, 0.0],
-            "constant": 0.0,
-        }
-        return ExpressionSpec(expr=expr, k=1, l=1, flavor="complex", time_drift=drift)
-    raise TmaError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    curv = _base_curvatures(a, b, flavor)
+    matrix = [[c if i == j else 0.0 for j in range(len(curv))] for i, c in enumerate(curv)]
+    expr = {"kind": "quad", "matrix": matrix, "linear": [0.0] * len(curv), "constant": 0.0}
+    return ExpressionSpec(expr=expr, k=1, l=1, flavor=_carrier(flavor)[1], time_drift=math.log(a / b))
+
+
+def _base_curvatures(a: float, b: float, flavor: str) -> Tuple[float, ...]:
+    """Axis curvatures giving slots ``a`` and ``-b``: ``(a, -b)`` or ``(2a, -2b, 2a, -2b)``.
+
+    A slot is the weight times the sum of its ``dim/2`` axis curvatures.
+    """
+    dim, _, weight = _carrier(flavor)
+    scale = round(2.0 / (weight * dim))
+    return (scale * a, -scale * b) * (dim // 2)
 
 
 def perturbed_flow_spec(
@@ -1148,8 +1150,4 @@ def perturbed_flow_spec(
 
 def periodic_base_for(a: float, b: float, flavor: str = "real") -> PeriodicBase:
     """The periodic-run base matching :func:`reference_flow_spec`'s quadratic."""
-    if flavor == "real":
-        return PeriodicBase((a, -b))
-    if flavor == "complex11":
-        return PeriodicBase((2 * a, -2 * b, 2 * a, -2 * b))
-    raise TmaError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    return PeriodicBase(_base_curvatures(a, b, flavor))

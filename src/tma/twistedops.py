@@ -121,7 +121,7 @@ def operator_value(obj: JetOrTable) -> OperatorValue:
     return OperatorValue(f_value=f, h_residual=h, logdet_convex=ld_top, logdet_concave=ld_bottom)
 
 
-def complex_W(table: WirtingerTable, *, adjoint_tol: float = 1e-12):
+def complex_W(table: WirtingerTable):
     """Hermitian transformed Hessian of a complex-flavored function.
 
     Assembled blockwise from the Wirtinger second derivatives; before
@@ -140,7 +140,7 @@ def complex_W(table: WirtingerTable, *, adjoint_tol: float = 1e-12):
         for b in range(k):
             other[c, b] = table.d(unit_index(m, k + c), unit_index(m, b))
     scale = max(1.0, float(np.max(np.abs(mblk))))
-    if float(np.max(np.abs(other - mblk.conj().T))) > adjoint_tol * scale:
+    if float(np.max(np.abs(other - mblk.conj().T))) > 1e-12 * scale:
         raise ValueError("mixed Wirtinger blocks are not mutually adjoint")
     neg_vinv, _ = inverse_and_logdet(as_hermitian(-v))
     vinv = -neg_vinv

@@ -487,12 +487,18 @@ class TestRigidity:
         assert rep.det_deviation <= 1e-10
         assert rep.entry_variation <= 1e-10
 
-    def test_det_of_w_equals_exp_of_flow_value(self):
-        grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (33, 33), frame=2)
-        spec = perturbed_flow_spec(1.0, 1.0, 0.1, modes=[(2.0, 1.0)], weights=[1.0])
+    @pytest.mark.parametrize("flavor, grid, mode, mixed", [
+        pytest.param("real", BoxGrid((-1.0, -1.0), (1.0, 1.0), (33, 33), frame=2),
+                     (2.0, 1.0), ("w01",), id="real"),
+        pytest.param("complex11", BoxGrid((-1.0,) * 4, (1.0,) * 4, (9,) * 4, frame=2),
+                     (2.0, 1.0, -1.0, 0.5), ("w01_re", "w01_im"), id="complex11"),
+    ])
+    def test_det_of_w_equals_exp_of_flow_value(self, flavor, grid, mode, mixed):
+        spec = perturbed_flow_spec(1.0, 1.0, 0.1, flavor, modes=[mode], weights=[1.0])
         field = flow_from_spec(spec, grid, dt=1e-4)
         entries = discrete_w_entries(field)
-        det = entries["w00"] * entries["w11"] - entries["w01"] ** 2
+        assert tuple(entries) == ("w00",) + mixed + ("w11",)
+        det = entries["w00"] * entries["w11"] - sum(entries[name] ** 2 for name in mixed)
         speed = discrete_time_speed(field)[grid.interior]
         np.testing.assert_allclose(det, np.exp(speed), rtol=1e-11, atol=1e-11)
 
@@ -515,19 +521,27 @@ class TestRigidity:
         assert rep.entry_variation > 1e-3
         assert rep.det_deviation > 1e-3
 
-    def test_vanishing_concave_derivative_raises(self):
-        grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9), frame=2)
-        xx, _ = grid.mesh()
+    @pytest.mark.parametrize("flavor, nodes, message", [
+        pytest.param("real", (9, 9), "concave-block second derivative vanishes", id="real"),
+        pytest.param("complex11", (7,) * 4, "concave-block complex second derivative vanishes",
+                     id="complex11"),
+    ])
+    def test_vanishing_concave_derivative_raises(self, flavor, nodes, message):
+        grid = BoxGrid((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes, frame=2)
+        mesh = grid.mesh()
+        # convex slot only: u = x^2/2 on the real carrier, |z|^2/2 on the complex one
         flat = FlowField(
             grid=grid,
-            flavor="real",
-            policy=FrozenFrame(reference_flow_spec(1.0, 1.0)),
+            flavor=flavor,
+            policy=FrozenFrame(reference_flow_spec(1.0, 1.0, flavor)),
             dt=1e-3,
-            slices=[xx**2 / 2.0],
+            slices=[sum(x**2 for x in mesh[::2]) / 2.0],
             times=[0.0],
         )
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned, match=message):
             discrete_w_entries(flat)
+        with pytest.raises(IllConditioned, match=message):
+            rigidity_probe(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +571,17 @@ def periodic_quantities(periodic_run):
 
 class TestFlowLadder:
     def test_quantity_channels_present(self, periodic_quantities):
-        assert set(periodic_quantities.names) == {
-            "time_speed",
-            "w_e1",
-            "w_e2",
-            "w_plus",
-            "w_minus",
-        }
+        # the channel order is the row order of the oscillation CSV
+        real_names = ("time_speed", "w_e1", "w_e2", "w_plus", "w_minus")
+        assert periodic_quantities.names == real_names
         assert np.isfinite(
             periodic_quantities.values["time_speed"]
         ).all()
+        grid = BoxGrid((0.0,) * 4, (2 * math.pi,) * 4, (6,) * 4, frame=0)
+        spec = perturbed_flow_spec(1.0, 1.0, 0.05, "complex11", modes=[(1.0, 0.0, 0.0, 1.0)])
+        policy = periodic_base_for(1.0, 1.0, "complex11")
+        run = run_flow(flow_from_spec(spec, grid, dt=1e-2, policy=policy), 2)
+        assert flow_quantities(run).names == real_names + ("w_iplus", "w_iminus")
 
     def test_crop_covers_requested_ball(self, periodic_quantities):
         ax = periodic_quantities.axes[0]

@@ -216,6 +216,12 @@ class TestQuadraticMotion:
         speed = discrete_time_speed(f)
         assert np.nanmax(np.abs(speed - DRIFT_AT_E)) <= 1e-10
 
+    @pytest.mark.parametrize("flavor", ["real", "complex11"])
+    def test_periodic_base_is_the_reference_quadratic(self, flavor):
+        matrix = np.array(reference_flow_spec(2.0, 0.5, flavor).expr["matrix"])
+        assert np.array_equal(matrix, np.diag(np.diag(matrix)))
+        assert periodic_base_for(2.0, 0.5, flavor).coeffs == tuple(np.diag(matrix))
+
 
 # ---------------------------------------------------------------------------
 # measured scheme orders

@@ -76,6 +76,17 @@ def test_f_real_wrong_sign_raises():
         eval_F_real(evaluate_jet(spec, [0.0, 0.0], order=2))
 
 
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+@pytest.mark.parametrize("k, l", [(0, 1), (0, 2), (1, 0)])
+def test_empty_block_has_zero_logdet(flavor, k, l):
+    es = EnsembleSpec(k=k, l=l, flavor=flavor, eps=0.1, seed=3)
+    (spec,) = sample_ensemble(es, 1)
+    jet = evaluate_jet(spec, sample_points(es, 0, 1)[0], order=2)
+    ov = operator_value(wirtinger_from_real(jet) if flavor == "complex" else jet)
+    assert (ov.logdet_convex if k == 0 else ov.logdet_concave) == 0.0
+    assert ov.f_value == ov.logdet_convex - ov.logdet_concave
+
+
 # --------------------------------------------------------------- F, complex
 def test_f_complex_balanced():
     assert eval_F_complex(ctable(complex_quad(1.5, 1.5))) == pytest.approx(0.0, abs=1e-14)
