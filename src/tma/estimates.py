@@ -72,7 +72,6 @@ __all__ = [
     "rigidity_probe",
     "third_derivative_norm",
     "weak_harnack_diagnostic",
-    "write_oscillation_csv",
 ]
 
 
@@ -415,24 +414,6 @@ def oscillation_csv_rows(reports: Sequence[LadderReport],
             for rho, osc in zip(rep.rhos, vals):
                 rows.append((cid, rho, name, osc, fit.alpha, fit.residual))
     return rows
-
-
-def write_oscillation_csv(path: str, reports: Sequence[LadderReport],
-                          ids: Optional[Sequence[str]] = None) -> None:
-    """Emit ladders as CSV: cylinder_id, rho, quantity, osc, alpha_fit, fit_residual.
-
-    RFC-4180, LF line endings, '.' decimal separator, 17 significant digits.
-    """
-    lines = [",".join(OSCILLATION_CSV_HEADER)]
-    for row in oscillation_csv_rows(reports, ids):
-        lines.append(
-            ",".join(
-                cell if isinstance(cell, str) else format(cell, ".17g")
-                for cell in row
-            )
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

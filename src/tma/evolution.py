@@ -615,8 +615,8 @@ class FlowBlock:
     """
 
     def __init__(self, members: Sequence[ExpressionSpec], points):
-        self.k, self.l, self.flavor = members[0].k, members[0].l, members[0].flavor
         jets = stacked_jets(members, points, order=4)
+        self.k, self.l, self.flavor = members[0].k, members[0].l, members[0].flavor
         self.jets = jets.reshape(-1, jets.shape[-1])
 
     @cached_property

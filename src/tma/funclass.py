@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.stats import qmc
 
-from .errors import AmplitudeTooLarge, ParseError
+from .errors import AmplitudeTooLarge, DimensionMismatch, ParseError, TmaError
 from .jets import ExpressionSpec, evaluate_hessians, map_leaves, wirtinger_hessians
 from .linalg import min_max_eigenvalues
 
@@ -70,10 +70,10 @@ def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float, tol: f
     :func:`wirtinger_hessians`) and one stacked eigenvalue call per block.
     """
     if not (0.0 < lam <= Lam):
-        raise ValueError(f"need 0 < lam <= Lam, got ({lam}, {Lam})")
+        raise TmaError(f"need 0 < lam <= Lam, got ({lam}, {Lam})")
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     if cloud.shape[0] == 0:
-        raise ValueError("empty sample cloud")
+        raise DimensionMismatch("empty sample cloud")
     h = evaluate_hessians(spec, cloud) if spec.flavor == "real" else wirtinger_hessians(spec, cloud)
     k = spec.k
     bounds = np.empty((cloud.shape[0], 4))

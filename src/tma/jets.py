@@ -482,9 +482,8 @@ class SpaceTimeJet:
     the spatial partial ``multi_indices(nvars, order)[c]``, and column 0, the
     value, includes the drift term ``drift * time``.  ``dt1`` maps the zero
     multi-index to du/dt, the spec's drift, and is empty for a spec without
-    one; ``dt2`` would hold d^2u/dt^2 the same way, and nothing populates it,
-    a spec's time dependence being linear.  Partials absent from a table, or
-    above its order, read zero.
+    one (a spec's time dependence is linear).  Partials absent from a table,
+    or above its order, read zero.
     """
 
     point: Tuple[float, ...]
@@ -496,7 +495,6 @@ class SpaceTimeJet:
     flavor: str
     table: np.ndarray
     dt1: Dict[MultiIndex, float] = field(default_factory=dict)
-    dt2: Dict[MultiIndex, float] = field(default_factory=dict)
 
     def d(self, beta: MultiIndex) -> float:
         c = _columns(self.nvars, self.order)[0].get(tuple(beta))
@@ -505,10 +503,6 @@ class SpaceTimeJet:
     def dt(self, beta: MultiIndex = ()) -> float:
         b = tuple(beta) if beta else (0,) * self.nvars
         return self.dt1.get(b, 0.0)
-
-    def dtt(self, beta: MultiIndex = ()) -> float:
-        b = tuple(beta) if beta else (0,) * self.nvars
-        return self.dt2.get(b, 0.0)
 
     def gradient(self):
         return np.array([self.d(unit_index(self.nvars, i)) for i in range(self.nvars)])
@@ -585,12 +579,15 @@ def stacked_jets(members, points, order: int = 4) -> np.ndarray:
     Raises
     ------
     DimensionMismatch
-        when the specs differ in shape, flavor or tree layout, or ``points``
-        does not hold p points of ``nvars`` coordinates for each spec.
+        when there are no specs, the specs differ in shape, flavor or tree
+        layout, or ``points`` does not hold p points of ``nvars`` coordinates
+        for each spec (p may be 0).
     DomainViolation
         naming the first (spec, point) row that leaves its spec's box, or when
         an atom is evaluated outside its domain.
     """
+    if not members:
+        raise DimensionMismatch("a block of stacked specs needs at least one spec")
     first = members[0]
     if any((s.k, s.l, s.flavor) != (first.k, first.l, first.flavor) for s in members):
         raise DimensionMismatch("stacked specs differ in shape or flavor")
@@ -611,7 +608,7 @@ def stacked_jets(members, points, order: int = 4) -> np.ndarray:
     b, p, n = points.shape
     tree = first.expr if b == 1 else _stack_tree([s.expr for s in members for _ in range(p)])
     coords = np.ascontiguousarray(points.reshape(b * p, n).T)
-    return _node_jet(tree, tuple(coords), order).reshape(b, p, -1)
+    return _node_jet(tree, tuple(coords), order).reshape(b, p, len(multi_indices(n, order)))
 
 
 def _cloud_jet(spec: ExpressionSpec, points, order: int) -> np.ndarray:
@@ -714,7 +711,7 @@ class WirtingerTable:
     at one point has one axis; the leading axes of a stack run over its
     points.  For real-valued u the entries satisfy ``entry(anti, hol) ==
     conj(entry(hol, anti))`` bit-exactly.  ``dt1`` maps the zero key to du/dt
-    when the jet carried a drift, and ``dt2`` holds d^2u/dt^2.
+    when the jet carried a drift.
     """
 
     k: int
@@ -724,7 +721,6 @@ class WirtingerTable:
     point: Tuple[float, ...] = ()
     time: float = 0.0
     dt1: Dict[WirtKey, complex] = field(default_factory=dict)
-    dt2: complex = 0.0
 
     @property
     def m(self) -> int:
@@ -737,18 +733,21 @@ class WirtingerTable:
     def dt(self, hol: MultiIndex, anti: MultiIndex) -> complex:
         return self.dt1.get((tuple(hol), tuple(anti)), 0.0)
 
+    def hessian(self):
+        """The ``(m, m)`` Wirtinger Hessian ``h[a, b] = u_{z_a zbar_b}`` (a stack of them for a stack)."""
+        if self.order < 2:  # no second partials in the table: they read zero
+            return np.zeros(self.entries.shape[:-1] + (self.m, self.m), dtype=complex)
+        return self.entries[..., _wirtinger_hessian_positions(self.m, self.order)]
+
     def second_blocks(self):
-        """Wirtinger second-derivative blocks (Z, M, V).
+        """Wirtinger second-derivative blocks (Z, M, V) of :meth:`hessian`.
 
         ``Z[a,b] = u_{z_a zbar_b}`` (k x k), ``M[a,c] = u_{z_a wbar_c}``
         (k x l), ``V[c,d] = u_{w_c wbar_d}`` (l x l); Z and V are Hermitian for
         real-valued u, and the class conditions are ``lam <= Z <= Lam`` and
         ``lam <= -V <= Lam``.  A stack gives stacks of blocks.
         """
-        if self.order < 2:  # no second partials in the table: they read zero
-            h = np.zeros(self.entries.shape[:-1] + (self.m, self.m), dtype=complex)
-        else:
-            h = self.entries[..., _wirtinger_hessian_positions(self.m, self.order)]
+        h = self.hessian()
         k = self.k
         return h[..., :k, :k], h[..., :k, k:], h[..., k:, k:]
 
@@ -860,7 +859,6 @@ def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
         point=jet.point,
         time=jet.time,
         dt1={(zero, zero): complex(jet.dt())} if jet.dt1 else {},
-        dt2=jet.dtt(),
     )
 
 

@@ -22,10 +22,12 @@ and the block-diagonal operator diag(u_xx^{-1}, -u_yy^{-1}) obtained by
 conjugating W^{-1} with T.  Differentiating w numerically would compound the
 inversion error for no benefit, so we never do that.
 
-W and T are assembled for a whole stack ``(m, n, n)`` of Hessians at once, so
+W comes from :func:`tma.linalg.transformed_hessian`, the assembly shared with
+the complex flavor, for a whole stack ``(m, n, n)`` of Hessians at once, so
 :func:`real_W` and :func:`det_transform_residual` take either one source
 point or an ``(m, n)`` array of them, from one jet-engine call.  Each matrix
-of a stack is bit-identical to the one assembled for its point alone.
+of a stack is bit-identical to the one assembled for its point alone.  T is
+built only where it is returned.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExceeded, NoConvergence
+from .errors import DimensionMismatch, DomainExceeded, NoConvergence
 from .jets import ExpressionSpec, evaluate_hessians, evaluate_jet
-from .linalg import inverse_and_logdet
+from .linalg import inverse_and_logdet, transformed_hessian
 
 _GRAD_TOL = 1e-12
 _MAX_NEWTON = 100
@@ -82,9 +84,9 @@ class PartialLegendreResult:
 
 def _require_transformable(spec: ExpressionSpec) -> None:
     if spec.flavor != "real":
-        raise ValueError("the partial Legendre transform is defined for real-flavor functions only")
+        raise DimensionMismatch("the partial Legendre transform is defined for real-flavor functions only")
     if spec.l == 0:
-        raise ValueError("no concave directions to transform (l = 0)")
+        raise DimensionMismatch("no concave directions to transform (l = 0)")
 
 
 def _gradient_residual(spec: ExpressionSpec, x, y, z):
@@ -145,28 +147,12 @@ def invert_partial_gradient(spec: ExpressionSpec, x, z, y0=None):
     return y
 
 
-def _assemble(h: np.ndarray, k: int):
-    """Transformed Hessians W and coordinate Jacobians T of a Hessian stack ``(..., n, n)``.
-
-    ``k`` is the size of the convex block; both results have the shape of ``h``.
-    """
-    b, c = h[..., :k, k:], h[..., k:, k:]
-    neg_cinv, _ = inverse_and_logdet(-c)
-    cinv = -neg_cinv
-    bt = np.swapaxes(b, -1, -2)
-    b_cinv = b @ cinv
-    w = np.concatenate(
-        [
-            np.concatenate([h[..., :k, :k] - b_cinv @ bt, b_cinv], axis=-1),
-            np.concatenate([np.swapaxes(b_cinv, -1, -2), neg_cinv], axis=-1),
-        ],
-        axis=-2,
-    )
-    w = 0.5 * (w + np.swapaxes(w, -1, -2))
-    upper = np.zeros(h.shape[:-2] + (k, h.shape[-1]))
-    upper[..., :k] = np.eye(k)
-    t = np.concatenate([upper, np.concatenate([-cinv @ bt, cinv], axis=-1)], axis=-2)
-    return w, t
+def _jacobian(h: np.ndarray, k: int, cinv: np.ndarray) -> np.ndarray:
+    """Coordinate Jacobian T of a Hessian ``h`` whose concave block has inverse ``cinv``."""
+    upper = np.zeros((k, h.shape[-1]))
+    upper[:, :k] = np.eye(k)
+    lower = np.concatenate([-cinv @ h[:k, k:].T, cinv], axis=-1)
+    return np.concatenate([upper, lower], axis=-2)
 
 
 def _source_hessians(spec: ExpressionSpec, point):
@@ -189,7 +175,7 @@ def real_W(spec: ExpressionSpec, point) -> np.ndarray:
     depend on the time: a spec's only time dependence is its linear drift.
     """
     h, single = _source_hessians(spec, point)
-    w, _ = _assemble(h, spec.k)
+    w, _ = transformed_hessian(h, spec.k)
     return w[0] if single else w
 
 
@@ -204,8 +190,9 @@ def partial_legendre(spec: ExpressionSpec, x, z) -> PartialLegendreResult:
     z = np.asarray(z, dtype=float)
     y, iters, jet = _invert(spec, x, z, None)
     w_value = jet.d((0,) * spec.nvars) - float(y @ z)
-    w, t = _assemble(jet.hessian(), spec.k)
-    return PartialLegendreResult(w=w_value, y=y, T=t, W=w, newton_iters=iters)
+    h = jet.hessian()
+    w, cinv = transformed_hessian(h, spec.k)
+    return PartialLegendreResult(w=w_value, y=y, T=_jacobian(h, spec.k, cinv), W=w, newton_iters=iters)
 
 
 def det_transform_residual(spec: ExpressionSpec, point):
@@ -217,7 +204,7 @@ def det_transform_residual(spec: ExpressionSpec, point):
     ``(m,)`` array for an ``(m, n)`` array of points.
     """
     h, single = _source_hessians(spec, point)
-    w, _ = _assemble(h, spec.k)
+    w, _ = transformed_hessian(h, spec.k)
     k = spec.k
     res = np.abs(np.linalg.det(w) - np.linalg.det(h[..., :k, :k]) / np.linalg.det(-h[..., k:, k:]))
     return float(res[0]) if single else res
@@ -235,7 +222,8 @@ def transformed_operator_L(spec: ExpressionSpec, point, *, long_form: bool = Fal
     h = evaluate_hessians(spec, np.asarray(point, dtype=float)[None])[0]
     k = spec.k
     if long_form:
-        w, t = _assemble(h, k)
+        w, cinv = transformed_hessian(h, k)
+        t = _jacobian(h, k, cinv)
         w_inv, _ = inverse_and_logdet(w)
         out = t @ w_inv @ t.T
         return 0.5 * (out + out.T)

@@ -12,6 +12,10 @@ conditioning guards; other eigenvalue bounds come from ``numpy.linalg.eigvalsh``
 matrix of a stack separately, so each answer is bit-identical to the one for
 that matrix alone.  :func:`as_hermitian` checks and averages each matrix of a
 stack on its own too.
+
+:func:`transformed_hessian` is the one assembly of the partial-Legendre
+transformed Hessian ``W``, for real Hessians and complex Wirtinger Hessians
+alike: written with conjugate transposes, which do nothing on real arrays.
 """
 
 from __future__ import annotations
@@ -20,9 +24,14 @@ from operator import truediv
 
 import numpy as np
 
-from .errors import IllConditioned, NotPositiveDefinite
+from .errors import IllConditioned, NotPositiveDefinite, TmaError
 
 DEFAULT_COND_GUARD = 1e-10
+
+
+def _adjoint(a):
+    """Conjugate transpose of the last two axes (a transpose on real arrays)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def as_hermitian(a, tol: float = 1e-10):
@@ -33,17 +42,17 @@ def as_hermitian(a, tol: float = 1e-10):
 
     Raises
     ------
-    ValueError
+    TmaError
         if some matrix's anti-Hermitian part exceeds ``tol * max(1, |A|_inf)``
         (the message quotes the largest such part).
     """
     a = np.asarray(a)
-    adj = a.conj().swapaxes(-1, -2)
+    adj = _adjoint(a)
     if a.size:
         skew = np.max(np.abs(a - adj), axis=(-2, -1))
         bad = skew > tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
         if np.any(bad):
-            raise ValueError(f"matrix is not Hermitian: anti-Hermitian part {np.max(skew * bad):.3e}")
+            raise TmaError(f"matrix is not Hermitian: anti-Hermitian part {np.max(skew * bad):.3e}")
     return (a + adj) / 2.0
 
 
@@ -112,14 +121,43 @@ def inverse_and_logdet(a):
     if bad:
         raise IllConditioned(f"lambda_min/lambda_max = {min(bad):.3e} below guard {DEFAULT_COND_GUARD:.1e}")
     logdet = np.log(vals).sum(axis=-1)
-    inv = (vecs / vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    inv = (inv + inv.conj().swapaxes(-1, -2)) / 2.0
+    inv = (vecs / vals[..., None, :]) @ _adjoint(vecs)
+    inv = (inv + _adjoint(inv)) / 2.0
     return inv, (float(logdet) if vals.ndim == 1 else logdet)
 
 
 def logdet_pd(a) -> float:
     """Log-determinant only; same guards as :func:`inverse_and_logdet`."""
     return inverse_and_logdet(a)[1]
+
+
+def transformed_hessian(h, k: int):
+    """Transformed Hessian ``W`` of a Hessian stack ``(..., n, n)``, and ``C^{-1}``.
+
+    With the blocks ``A = h[:k, :k]``, ``B = h[:k, k:]`` and ``C = h[k:, k:]``
+    (``k`` the size of the convex block),
+
+        W = [[A - B C^{-1} B*,  B C^{-1}],
+             [C^{-1} B*,        -C^{-1} ]],
+
+    averaged with its adjoint, so ``det W = det A / det(-C)``; ``*`` is the
+    transpose on a real Hessian and the conjugate transpose on a Wirtinger
+    one.  ``W`` has the shape of ``h``; ``C^{-1}`` is ``(..., n - k, n - k)``.
+    Either block may be empty (``k = 0`` or ``k = n``).  Raises as
+    :func:`inverse_and_logdet` does on ``-C``.
+    """
+    b, c = h[..., :k, k:], h[..., k:, k:]
+    neg_cinv, _ = inverse_and_logdet(-c)
+    cinv = -neg_cinv
+    b_cinv = b @ cinv
+    w = np.concatenate(
+        [
+            np.concatenate([h[..., :k, :k] - b_cinv @ _adjoint(b), b_cinv], axis=-1),
+            np.concatenate([_adjoint(b_cinv), neg_cinv], axis=-1),
+        ],
+        axis=-2,
+    )
+    return (w + _adjoint(w)) / 2.0, cinv
 
 
 def block_det_via_schur(m, ksplit: int) -> float:

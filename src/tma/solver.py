@@ -1,13 +1,12 @@
-"""Finite-difference flows, elliptic solves, and measurement-grade snapshots.
+"""Finite-difference flows, elliptic solves, class monitoring and convergence orders.
 
 The exact-jet layers certify pointwise identities; this module supplies the
 other half of the laboratory: actual grid dynamics.  It advances the parabolic
 flow ``du/dt = F(u)`` (explicit RK4 or a semi-implicit lagged-coefficient
 scheme), solves the steady equation ``F(u) = target`` by a damped Newton
 iteration, monitors class membership (convex block positive definite, concave
-block negative definite, with quantitative bounds) along runs, estimates
-convergence orders, and writes field snapshots in text or binary form for the
-oscillation-measurement layer.
+block negative definite, with quantitative bounds) along runs, and estimates
+convergence orders.
 
 The two sparse linear solves differ.  The semi-implicit step's system
 ``I - dt*L`` is strictly diagonally dominant and is solved iteratively by
@@ -41,7 +40,6 @@ wrap of ``u - base`` on periodic ones.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -76,16 +74,12 @@ __all__ = [
     "monitor_class",
     "periodic_base_for",
     "perturbed_flow_spec",
-    "read_snapshot_csv",
-    "read_snapshot_json",
     "reference_flow_spec",
     "run_flow",
     "solve_elliptic",
     "spatial_order_estimate",
     "step_parabolic",
     "time_order_estimate",
-    "write_snapshot_csv",
-    "write_snapshot_json",
 ]
 
 #: grid flavor -> (grid dimension, spec flavor, slot weight); see the module docstring
@@ -184,10 +178,6 @@ class BoxGrid:
 
     def mesh(self) -> Tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
-
-    def points(self) -> np.ndarray:
-        """All node coordinates as an ``(n_nodes, dim)`` array in C order."""
-        return np.stack([m.ravel() for m in self.mesh()], axis=-1)
 
     # -- interior bookkeeping ----------------------------------------------
 
@@ -311,10 +301,6 @@ class FlowField:
     _frame_vals: Optional[np.ndarray] = dc_field(default=None, repr=False)
     _frame_mask: Optional[np.ndarray] = dc_field(default=None, repr=False)
     _base_vals: Optional[np.ndarray] = dc_field(default=None, repr=False)
-
-    @property
-    def latest(self) -> Tuple[float, np.ndarray]:
-        return self.times[-1], self.slices[-1]
 
 
 def flow_from_values(
@@ -949,7 +935,7 @@ def hessian_error(
 
     The exact Hessian comes from the analytic jet of ``spec``; the gap is
     maximized over a refinement-aligned sample of interior nodes (all Hessian
-    entries, mixed included).
+    entries, mixed included).  An empty ``samples`` list gives 0.0.
     """
     if grid.periodic:
         policy: BoundaryPolicy = PeriodicBase((0.0,) * grid.dim)
@@ -961,7 +947,7 @@ def hessian_error(
     axes = grid.axes()
     if samples is None:
         samples = _aligned_samples(grid)
-    points = np.array([[axes[a][i] for a, i in enumerate(idx)] for idx in samples])
+    points = np.array([[axes[a][i] for a, i in enumerate(idx)] for idx in samples]).reshape(-1, grid.dim)
     exact = evaluate_hessians(spec, points)
     worst = 0.0
     for idx, ex in zip(samples, exact):
@@ -990,82 +976,6 @@ def spatial_order_estimate(
             "degree <= 2?); spatial order is not measurable"
         )
     return OrderEstimate(order=math.log2(e_coarse / e_fine), errors=(e_coarse, e_fine))
-
-
-# ---------------------------------------------------------------------------
-# snapshot input/output
-# ---------------------------------------------------------------------------
-
-
-def _snapshot_meta(f: FlowField, index: int) -> dict:
-    return {
-        "format": "flow-snapshot",
-        "flavor": f.flavor,
-        "time": f.times[index],
-        "dt": f.dt,
-        "lo": list(f.grid.lo),
-        "hi": list(f.grid.hi),
-        "shape": list(f.grid.shape),
-        "frame": f.grid.frame,
-    }
-
-
-def write_snapshot_csv(f: FlowField, path: str, index: int = -1) -> None:
-    """Write one slice as text: node coordinates and value, one node per row.
-
-    Plain RFC-4180 CSV with LF line endings, '.' decimal separator, and 17
-    significant digits (floats round-trip exactly).
-    """
-    coords = f.grid.points()
-    values = f.slices[index].ravel()
-    d = f.grid.dim
-    header = ",".join([f"x{a}" for a in range(d)] + ["u"])
-    lines = [header]
-    for row, v in zip(coords, values):
-        lines.append(",".join(format(c, ".17g") for c in row) + "," + format(v, ".17g"))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_snapshot_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Read a CSV snapshot back as ``(coordinates, values)`` arrays."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, :-1], data[:, -1]
-
-
-def write_snapshot_json(
-    f: FlowField,
-    path: str,
-    index: int = -1,
-    data_path: Optional[str] = None,
-) -> str:
-    """Write one slice as JSON metadata plus a flat little-endian float64 file.
-
-    Returns the data-file path (default: ``path`` with a ``.bin`` suffix).
-    The array is stored in C order with the grid shape in the metadata.
-    """
-    if data_path is None:
-        data_path = path[: -len(".json")] + ".bin" if path.endswith(".json") else path + ".bin"
-    meta = _snapshot_meta(f, index)
-    meta["data_file"] = data_path.rsplit("/", 1)[-1]
-    meta["dtype"] = "<f8"
-    meta["order"] = "C"
-    with open(data_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(f.slices[index], dtype="<f8").tobytes())
-    with open(path, "w", newline="") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return data_path
-
-
-def read_snapshot_json(path: str) -> Tuple[dict, np.ndarray]:
-    """Read a JSON+binary snapshot back as ``(metadata, values)``."""
-    with open(path) as fh:
-        meta = json.load(fh)
-    directory = path.rsplit("/", 1)[0] if "/" in path else "."
-    data_path = directory + "/" + meta["data_file"]
-    raw = np.fromfile(data_path, dtype="<f8")
-    return meta, raw.reshape(tuple(meta["shape"]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ replaces the Hessian blocks with the mixed Wirtinger blocks u_{z zbar} and
 same code path serves analytic verification and the finite-difference solver,
 which adapts stencils into jets.
 
-The module also assembles the complex transformed Hessian
+The module also gives the complex transformed Hessian
 
     W = [[Z - M V^{-1} M*,  M V^{-1}],
          [V^{-1} M*,        -V^{-1} ]],      Z = u_{z zbar}, V = u_{w wbar},
                                              M = u_{z wbar},
 
-whose determinant is det Z / det(-V), so the flow du/dt = F(u) is identically
-du/dt = log det W; and the linearized operator
+assembled by :func:`tma.linalg.transformed_hessian`, the real flavor's
+assembly with conjugate transposes.  Its determinant is det Z / det(-V), so
+the flow du/dt = F(u) is identically du/dt = log det W; and the linearized
+operator
 
     L(phi) = u^{zbar_b z_a} phi_{z_a zbar_b} - u^{wbar_b w_a} phi_{w_a wbar_b}.
 
@@ -33,15 +35,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .jets import SpaceTimeJet, WirtingerTable, unit_index
-from .linalg import as_hermitian, inverse_and_logdet, logdet_pd
+from .errors import DimensionMismatch, TmaError
+from .jets import SpaceTimeJet, WirtingerTable
+from .linalg import as_hermitian, inverse_and_logdet, logdet_pd, transformed_hessian
 
 __all__ = [
     "OperatorValue",
     "operator_value",
-    "eval_F_real",
-    "eval_F_complex",
     "eval_F",
     "eval_H",
     "complex_W",
@@ -87,30 +87,6 @@ def _has_time_data(obj: JetOrTable) -> bool:
     return bool(obj.dt1)
 
 
-def eval_F_real(jet: SpaceTimeJet) -> float:
-    """log det u_xx - log det(-u_yy) at the jet's point."""
-    top, bottom = _blocks(jet)
-    return logdet_pd(top) - logdet_pd(bottom)
-
-
-def eval_F_complex(table: WirtingerTable) -> float:
-    """log det u_{z zbar} - log det(-u_{w wbar}) at the table's point."""
-    top, bottom = _blocks(table)
-    return logdet_pd(top) - logdet_pd(bottom)
-
-
-def eval_F(obj: JetOrTable) -> float:
-    """Flavor-dispatching twisted operator value."""
-    if isinstance(obj, WirtingerTable):
-        return eval_F_complex(obj)
-    return eval_F_real(obj)
-
-
-def eval_H(obj: JetOrTable) -> float:
-    """Parabolic residual du/dt - F(u); zero iff the flow holds at the point."""
-    return _time_derivative(obj) - eval_F(obj)
-
-
 def operator_value(obj: JetOrTable) -> OperatorValue:
     """Package F, the parabolic residual, and both block log-determinants."""
     top, bottom = _blocks(obj)
@@ -121,32 +97,32 @@ def operator_value(obj: JetOrTable) -> OperatorValue:
     return OperatorValue(f_value=f, h_residual=h, logdet_convex=ld_top, logdet_concave=ld_bottom)
 
 
+def eval_F(obj: JetOrTable) -> float:
+    """Twisted operator value: log det of the convex block minus log det of the negated concave one."""
+    return operator_value(obj).f_value
+
+
+def eval_H(obj: JetOrTable) -> float:
+    """Parabolic residual du/dt - F(u); zero iff the flow holds at the point."""
+    return _time_derivative(obj) - eval_F(obj)
+
+
 def complex_W(table: WirtingerTable):
     """Hermitian transformed Hessian of a complex-flavored function.
 
-    Assembled blockwise from the Wirtinger second derivatives; before
-    construction the two anti-diagonal blocks u_{z wbar} and u_{w zbar} are
-    checked to be mutual adjoints (they must be, for a real-valued u).
+    Assembled from the Wirtinger Hessian by
+    :func:`tma.linalg.transformed_hessian`; before that, the two
+    anti-diagonal blocks u_{z wbar} and u_{w zbar} are checked to be mutual
+    adjoints (they must be, for a real-valued u).
     """
-    z, mblk, v = table.second_blocks()
-    k, l, m = table.k, table.l, table.m
-    if l == 0:
-        return as_hermitian(z)
-    if k == 0:
-        neg_vinv, _ = inverse_and_logdet(as_hermitian(-v))
-        return neg_vinv
-    other = np.empty((l, k), dtype=complex)
-    for c in range(l):
-        for b in range(k):
-            other[c, b] = table.d(unit_index(m, k + c), unit_index(m, b))
-    scale = max(1.0, float(np.max(np.abs(mblk))))
-    if float(np.max(np.abs(other - mblk.conj().T))) > 1e-12 * scale:
-        raise ValueError("mixed Wirtinger blocks are not mutually adjoint")
-    neg_vinv, _ = inverse_and_logdet(as_hermitian(-v))
-    vinv = -neg_vinv
-    coupling = mblk @ vinv
-    w = np.block([[z - coupling @ mblk.conj().T, coupling], [coupling.conj().T, neg_vinv]])
-    return (w + w.conj().T) / 2.0
+    h = table.hessian()
+    k = table.k
+    mix = h[:k, k:]
+    scale = max(1.0, float(np.max(np.abs(mix), initial=0.0)))
+    if float(np.max(np.abs(h[k:, :k] - mix.conj().T), initial=0.0)) > 1e-12 * scale:
+        raise TmaError("mixed Wirtinger blocks are not mutually adjoint")
+    w, _ = transformed_hessian(as_hermitian(h), k)
+    return w
 
 
 def complex_L_apply(u_table: WirtingerTable, phi_table: WirtingerTable) -> float:

@@ -1,5 +1,7 @@
-"""The public surface: every exported name resolves, and the README tour prints what it promises."""
+"""The public surface: every exported name resolves, every raise is a package error, and the README tour prints what it promises."""
 
+import ast
+import builtins
 import contextlib
 import decimal
 import importlib
@@ -11,6 +13,7 @@ import re
 import tma
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted(pathlib.Path(tma.__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -19,6 +22,22 @@ def test_every_exported_name_resolves():
     exporting = [mod for mod in modules if hasattr(mod, "__all__")]
     missing = [f"{mod.__name__}.{name}" for mod in exporting for name in mod.__all__ if not hasattr(mod, name)]
     assert len(exporting) > 1 and not missing
+
+
+def test_every_raise_is_a_package_error():
+    # errors.py promises that every failure derives from TmaError, so no
+    # module may raise a builtin exception class (bare re-raises are fine)
+    builtin_errors = {
+        name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in builtin_errors:
+                    offenders.append(f"{path.name}:{node.lineno} raises {exc.id}")
+    assert len(SOURCES) > 10 and not offenders
 
 
 def test_readme_examples_print_what_their_comments_give():

@@ -14,8 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tma import cli
-from tma.errors import DomainViolation
+from tma.errors import DimensionMismatch, DomainViolation
 from tma.evolution import (
+    FlowBlock,
     assemble_Q,
     wirtinger_derivative_arrays,
     complexification_scaling,
@@ -42,6 +43,7 @@ from tma.jets import (
 )
 from tma.legendre import det_transform_residual, real_W
 from tma.linalg import inverse_and_logdet
+from tma.solver import BoxGrid, hessian_error, reference_flow_spec
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (0, 1), (0, 2)]
 
@@ -81,6 +83,34 @@ def test_stacked_legendre_equals_per_point(shape, seed, draw, m):
         assert isinstance(one, float)
         assert np.array_equal(w[i], w_ref) and np.array_equal(real_W(member, point), w_ref)
         assert res[i] == one == res_ref
+
+
+_REAL21 = draw_member(EnsembleSpec(k=2, l=1, seed=5), 0)
+_COMPLEX11 = draw_member(EnsembleSpec(k=1, l=1, flavor="complex", seed=5), 0)
+_EMPTY_INPUTS = {
+    "evaluate_hessians": (lambda: evaluate_hessians(_REAL21, np.zeros((0, 3))), (0, 3, 3)),
+    "wirtinger_hessians": (lambda: wirtinger_hessians(_COMPLEX11, np.zeros((0, 4))), (0, 2, 2)),
+    "real_W": (lambda: real_W(_REAL21, np.zeros((0, 3))), (0, 3, 3)),
+    "det_transform_residual": (lambda: det_transform_residual(_REAL21, np.zeros((0, 3))), (0,)),
+    "hessian_error": (
+        lambda: hessian_error(reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9)), samples=[]),
+        0.0,
+    ),
+    "FlowBlock": (lambda: FlowBlock([], np.zeros((0, 1, 4))), DimensionMismatch),
+    "class_membership": (lambda: class_membership(_REAL21, np.zeros((0, 3)), 0.5, 2.0), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("name", list(_EMPTY_INPUTS))
+def test_empty_inputs_give_empty_results_or_dimension_mismatch(name):
+    call, expected = _EMPTY_INPUTS[name]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    elif isinstance(expected, float):
+        assert call() == expected
+    else:
+        assert call().shape == expected
 
 
 @given(st.integers(1, 4), counts, seeds, st.booleans())

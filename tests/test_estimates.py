@@ -21,13 +21,16 @@ from tma.errors import (
     IllConditioned,
     TmaError,
 )
+from tma.cli import _write_csv
 from tma.estimates import (
+    OSCILLATION_CSV_HEADER,
     CylinderSpec,
     FieldQuantities,
     cylinder_oscillation,
     discrete_w_entries,
     flow_quantities,
     holder_exponent_fit,
+    oscillation_csv_rows,
     oscillation_ladder,
     parabolic_rescale,
     parabolic_rescale_field,
@@ -35,7 +38,6 @@ from tma.estimates import (
     rigidity_probe,
     third_derivative_norm,
     weak_harnack_diagnostic,
-    write_oscillation_csv,
 )
 from tma.jets import ExpressionSpec
 from tma.solver import (
@@ -279,8 +281,8 @@ class TestLadderAndCsv:
         cyl = CylinderSpec((0.0,), 0.0, 0.5, ladder=(0.5, 0.25, 0.125))
         rep = oscillation_ladder(line_quantities, cyl)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_oscillation_csv(str(p1), [rep])
-        write_oscillation_csv(str(p2), [rep])
+        _write_csv(str(p1), OSCILLATION_CSV_HEADER, oscillation_csv_rows([rep]))
+        _write_csv(str(p2), OSCILLATION_CSV_HEADER, oscillation_csv_rows([rep]))
         data = p1.read_bytes()
         assert data == p2.read_bytes()
         assert b"\r" not in data

@@ -32,7 +32,7 @@ from tma.evolution import (
 )
 from tma.funclass import EnsembleSpec, draw_member, sample_points
 from tma.jets import ExpressionSpec, evaluate_jet, wirtinger_from_real, wirtinger_keys
-from tma.legendre import _assemble
+from tma.linalg import transformed_hessian
 from tma.twistedops import complex_W
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def test_complexified_second_derivatives_are_quarter_hessian():
 
 def test_complexified_w_matches_rescaled_real_w():
     u, x = real_member()
-    w_real, _ = _assemble(evaluate_jet(u, x, order=2).hessian(), u.k)
+    w_real, _ = transformed_hessian(evaluate_jet(u, x, order=2).hessian(), u.k)
     table = wirtinger_from_real(evaluate_jet(complexify_real(u), complexify_point(x), order=2))
     d = complexification_scaling(u.k, u.l)
     assert np.max(np.abs(complex_W(table) - d @ w_real @ d)) < 1e-12

@@ -170,7 +170,6 @@ def test_time_drift_enters_value_and_dt():
     jet = evaluate_jet(spec, [1.0], time=2.0)
     assert jet.d((0,)) == pytest.approx(0.5 + 7.0)
     assert jet.dt() == 3.5
-    assert jet.dtt() == 0.0
 
 
 def test_partials_above_the_order_read_zero():

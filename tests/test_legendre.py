@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from tma.errors import DomainExceeded
+from tma.errors import DimensionMismatch, DomainExceeded
 from tma.funclass import EnsembleSpec, sample_ensemble, sample_points
 from tma.jets import ExpressionSpec, evaluate_jet
 from tma.legendre import (
-    _assemble,
+    _jacobian,
     det_transform_residual,
     invert_partial_gradient,
     partial_legendre,
     real_W,
     transformed_operator_L,
 )
+from tma.linalg import transformed_hessian
 
 
 # ----------------------------------------------------------------- oracles
@@ -139,7 +140,9 @@ def test_w_psd_and_symmetric_on_ensemble():
     es = EnsembleSpec(k=1, l=2, a=1.0, b=1.0, eps=0.15, n_atoms=3, seed=4)
     for idx, spec in enumerate(sample_ensemble(es, 8)):
         for p in sample_points(es, idx, 4):
-            w, t = _assemble(evaluate_jet(spec, p, order=2).hessian(), spec.k)
+            h = evaluate_jet(spec, p, order=2).hessian()
+            w, cinv = transformed_hessian(h, spec.k)
+            t = _jacobian(h, spec.k, cinv)
             assert np.array_equal(w, w.T)
             assert np.linalg.eigvalsh(w).min() >= -1e-10
             assert np.allclose(t[:1, 1:], 0.0)  # upper-right block vanishes
@@ -209,5 +212,5 @@ def test_complex_flavor_rejected():
         l=1,
         flavor="complex",
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         partial_legendre(spec, [0.0], [0.0])

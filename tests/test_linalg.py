@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tma.errors import IllConditioned, NotPositiveDefinite
+from tma.errors import IllConditioned, NotPositiveDefinite, TmaError
 from tma.linalg import (
     as_hermitian,
     block_det_via_schur,
@@ -95,7 +95,7 @@ def test_psd_certificates_back_quadratic_forms():
 
 
 def test_as_hermitian_rejects_skew():
-    with pytest.raises(ValueError):
+    with pytest.raises(TmaError):
         as_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]), tol=1e-12)
     h = as_hermitian(np.array([[1.0, 2.0 + 1e-14], [2.0, 1.0]]))
     assert np.allclose(h, h.T)
@@ -108,5 +108,5 @@ def test_as_hermitian_on_a_stack_checks_each_matrix_on_its_own_scale():
     out = as_hermitian(stack)
     assert np.array_equal(out[0], as_hermitian(good)) and np.array_equal(out[1], as_hermitian(big))
     skewed = np.array([[1.0, 1e-6], [0.0, 1.0]])  # 1e-6 against a scale of 1 fails
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(TmaError, match="not Hermitian"):
         as_hermitian(np.stack([big, skewed]))

@@ -1,4 +1,4 @@
-"""Grid-flow, elliptic-solve, monitoring, and snapshot tests.
+"""Grid-flow, elliptic-solve and monitoring tests.
 
 The stepping oracles are independent closed forms written in plain numpy
 before any solver call: the separable quadratic has flow value log(a/b)
@@ -10,7 +10,6 @@ reference and no exact solution is needed.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -43,16 +42,12 @@ from tma.solver import (
     monitor_class,
     periodic_base_for,
     perturbed_flow_spec,
-    read_snapshot_csv,
-    read_snapshot_json,
     reference_flow_spec,
     run_flow,
     solve_elliptic,
     spatial_order_estimate,
     step_parabolic,
     time_order_estimate,
-    write_snapshot_csv,
-    write_snapshot_json,
 )
 
 # ---------------------------------------------------------------------------
@@ -491,40 +486,3 @@ class TestDiscreteHessian:
         # diagonal entries hover around the base curvatures
         assert np.abs(hess[..., 0, 0] - 1.0).max() <= 0.06
         assert np.abs(hess[..., 1, 1] + 1.0).max() <= 0.06
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-
-class TestSnapshots:
-    def test_csv_roundtrip_and_stability(self, tmp_path):
-        spec = perturbed_flow_spec(1.0, 1.0, 0.05)
-        f = flow_from_spec(spec, PERIODIC, dt=1e-4,
-                           policy=periodic_base_for(1.0, 1.0))
-        p1 = tmp_path / "snap_a.csv"
-        p2 = tmp_path / "snap_b.csv"
-        write_snapshot_csv(f, str(p1))
-        write_snapshot_csv(f, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-        text = p1.read_text()
-        assert text.startswith("x0,x1,u\n")
-        assert "\r" not in text
-        coords, values = read_snapshot_csv(str(p1))
-        assert coords.shape == (32 * 32, 2)
-        assert np.array_equal(values, f.slices[-1].ravel())
-
-    def test_json_binary_roundtrip(self, tmp_path):
-        spec = reference_flow_spec(math.e, 1.0)
-        f = flow_from_spec(spec, FRAMED, dt=1e-4)
-        f = run_flow(f, 2)
-        path = tmp_path / "snap.json"
-        data_path = write_snapshot_json(f, str(path))
-        assert os.path.exists(data_path)
-        meta, values = read_snapshot_json(str(path))
-        assert meta["flavor"] == "real"
-        assert meta["dtype"] == "<f8"
-        assert meta["shape"] == [33, 33]
-        assert meta["time"] == pytest.approx(2e-4, abs=0.0)
-        assert np.array_equal(values, f.slices[-1])

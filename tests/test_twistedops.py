@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tma.errors import NotPositiveDefinite
+from tma.errors import NotPositiveDefinite, TmaError
 from tma.funclass import EnsembleSpec, sample_ensemble, sample_points
 from tma.jets import ExpressionSpec, evaluate_jet, wirtinger_from_real, wirtinger_keys
 from tma.legendre import partial_legendre
@@ -11,8 +11,7 @@ from tma.twistedops import (
     OperatorValue,
     complex_L_apply,
     complex_W,
-    eval_F_complex,
-    eval_F_real,
+    eval_F,
     eval_H,
     logdetW_equivalence_residual,
     operator_value,
@@ -53,17 +52,17 @@ def ctable(spec, point=(0.0, 0.0, 0.0, 0.0), time=0.0):
 # ------------------------------------------------------------------ F, real
 def test_f_real_balanced_quadratic():
     jet = evaluate_jet(real_quad(2.0, 2.0), [0.3, -0.1], order=2)
-    assert eval_F_real(jet) == pytest.approx(0.0, abs=1e-14)
+    assert eval_F(jet) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_f_real_log_scale():
     jet = evaluate_jet(real_quad(math.e, 1.0), [0.0, 0.0], order=2)
-    assert eval_F_real(jet) == pytest.approx(1.0, abs=1e-14)
+    assert eval_F(jet) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_f_real_cross_term():
     jet = evaluate_jet(real_quad(1.0, 1.0, cross=0.5), [0.2, 0.2], order=2)
-    assert eval_F_real(jet) == pytest.approx(0.0, abs=1e-14)
+    assert eval_F(jet) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_f_real_wrong_sign_raises():
@@ -73,7 +72,7 @@ def test_f_real_wrong_sign_raises():
         l=1,
     )
     with pytest.raises(NotPositiveDefinite):
-        eval_F_real(evaluate_jet(spec, [0.0, 0.0], order=2))
+        eval_F(evaluate_jet(spec, [0.0, 0.0], order=2))
 
 
 @pytest.mark.parametrize("flavor", ["real", "complex"])
@@ -89,15 +88,15 @@ def test_empty_block_has_zero_logdet(flavor, k, l):
 
 # --------------------------------------------------------------- F, complex
 def test_f_complex_balanced():
-    assert eval_F_complex(ctable(complex_quad(1.5, 1.5))) == pytest.approx(0.0, abs=1e-14)
+    assert eval_F(ctable(complex_quad(1.5, 1.5))) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_f_complex_coupling_enters_only_mixed_blocks():
-    assert eval_F_complex(ctable(complex_quad(eps=0.4))) == pytest.approx(0.0, abs=1e-14)
+    assert eval_F(ctable(complex_quad(eps=0.4))) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_f_complex_log_two():
-    assert eval_F_complex(ctable(complex_quad(a=2.0))) == pytest.approx(math.log(2.0), abs=1e-14)
+    assert eval_F(ctable(complex_quad(a=2.0))) == pytest.approx(math.log(2.0), abs=1e-14)
 
 
 def test_f_complex_wrong_sign_raises():
@@ -108,7 +107,7 @@ def test_f_complex_wrong_sign_raises():
         flavor="complex",
     )
     with pytest.raises(NotPositiveDefinite):
-        eval_F_complex(ctable(spec))
+        eval_F(ctable(spec))
 
 
 # ----------------------------------------------------------------------- H
@@ -159,8 +158,9 @@ def test_complex_w_block_scale():
     assert np.allclose(w, np.diag([1.0, 0.5]), atol=1e-14)
 
 
-def test_complex_w_hermitian_psd_on_ensemble():
-    es = EnsembleSpec(k=1, l=1, flavor="complex", eps=0.15, n_atoms=3, seed=13)
+@pytest.mark.parametrize("k, l", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 0), (0, 1)])
+def test_complex_w_hermitian_psd_on_ensemble(k, l):
+    es = EnsembleSpec(k=k, l=l, flavor="complex", eps=0.15, n_atoms=3, seed=13)
     for idx, spec in enumerate(sample_ensemble(es, 6)):
         for p in sample_points(es, idx, 3):
             w = complex_W(wirtinger_from_real(evaluate_jet(spec, p, order=2)))
@@ -174,7 +174,7 @@ def test_complex_w_adjointness_guard():
     key = ((0, 1, 0, 0)[:m], (1, 0, 0, 0)[:m])  # u_{w zbar} entry
     c = wirtinger_keys(m, table.order).index(key)
     table.entries[c] = table.entries[c] + 1e-6
-    with pytest.raises(ValueError):
+    with pytest.raises(TmaError):
         complex_W(table)
 
 
@@ -237,4 +237,4 @@ def test_f_real_equals_logdet_of_transformed_hessian():
             res = partial_legendre(spec, p[: spec.k], z)
             sign, logdet = np.linalg.slogdet(res.W)
             assert sign == 1.0
-            assert eval_F_real(jet) == pytest.approx(logdet, abs=1e-10)
+            assert eval_F(jet) == pytest.approx(logdet, abs=1e-10)
