@@ -18,6 +18,7 @@ block size or on which other draws share the pass.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import operator
@@ -408,7 +409,9 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
         for payload in payloads:
             rows.extend(_sweep_block_rows(payload))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked worker freezes the heap it inherited, so its collections
+        # never walk those objects or write to (and so copy) their pages
+        with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
             for chunk in pool.map(_sweep_block_rows, payloads, chunksize=1):
                 rows.extend(chunk)
     tol = p["tolerance"]

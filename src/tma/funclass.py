@@ -19,11 +19,38 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import AmplitudeTooLarge, DimensionMismatch, ParseError, TmaError
 from .jets import ExpressionSpec, evaluate_hessians, map_leaves, wirtinger_hessians
 from .linalg import min_max_eigenvalues
+
+
+def _primes(count: int) -> List[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: List[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _radical_inverse(n: int, base: int) -> np.ndarray:
+    """Van der Corput points ``0, 1, ..., n-1`` in ``base``, each in ``[0, 1)``.
+
+    Digits are added least significant first, each times a weight divided
+    by ``base`` once per digit, so the rounding is that of the unscrambled
+    ``scipy.stats.qmc.van_der_corput``.
+    """
+    index = np.arange(n)
+    out = np.zeros(n)
+    weight = 1.0 / base
+    while index.any():
+        index, digit = np.divmod(index, base)
+        out += digit * weight
+        weight /= base
+    return out
 
 
 def default_cloud(dim: int, halfwidth: float = 1.0, grid_per_axis: int | None = None, n_quasi: int = 500):
@@ -31,13 +58,16 @@ def default_cloud(dim: int, halfwidth: float = 1.0, grid_per_axis: int | None = 
 
     The default grid is 11 points per axis for dim <= 4 (the spec-scale
     cases); higher dimensions drop to 5 and then 3 per axis to stay at desk
-    scale.  The Halton sequence is unscrambled, so clouds are deterministic.
+    scale.  The ``n_quasi`` Halton points (Halton 1960) are the radical
+    inverses of ``0, ..., n_quasi - 1`` in the first ``dim`` prime bases,
+    unscrambled, so clouds are deterministic; they are bit-identical to
+    ``scipy.stats.qmc.Halton(dim, scramble=False).random(n_quasi)``.
     """
     if grid_per_axis is None:
         grid_per_axis = 11 if dim <= 4 else (5 if dim <= 6 else 3)
     axis = np.linspace(-halfwidth, halfwidth, grid_per_axis)
     grid = np.array(list(itertools.product(axis, repeat=dim)))
-    halton = qmc.Halton(d=dim, scramble=False).random(n_quasi)
+    halton = np.stack([_radical_inverse(n_quasi, base) for base in _primes(dim)], axis=-1)
     quasi = (2.0 * halton - 1.0) * halfwidth
     return np.vstack([grid, quasi])
 

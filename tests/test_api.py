@@ -9,6 +9,8 @@ import io
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import tma
 
@@ -38,6 +40,14 @@ def test_every_raise_is_a_package_error():
                 if isinstance(exc, ast.Name) and exc.id in builtin_errors:
                     offenders.append(f"{path.name}:{node.lineno} raises {exc.id}")
     assert len(SOURCES) > 10 and not offenders
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs over a second to import; the package must not load it
+    src = str(pathlib.Path(tma.__file__).parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); import tma; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_readme_examples_print_what_their_comments_give():

@@ -9,6 +9,7 @@ Oracle strategy:
   no tolerance.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -30,6 +31,11 @@ from tma.cli import (
 from tma.errors import ConfigInvalid, ParseError, UnknownAtom
 from tma.funclass import EnsembleSpec, class_membership, default_cloud, draw_member
 from tma.solver import perturbed_flow_spec
+
+
+def _freeze_count_rows(payload):
+    """Stands in for ``cli._sweep_block_rows`` in a pool worker: one row carrying the worker's freeze count."""
+    return [(payload[7], payload[1], payload[2], 0, float(gc.get_freeze_count()))]
 
 
 def write_json(tmp_path, name, body):
@@ -249,6 +255,12 @@ class TestRunOutputs:
         r = run_experiment(cfg, workers=3)
         assert r.error is None and r.passed
         assert len(r.rows) == cli._BLOCK
+
+    def test_pool_workers_freeze_inherited_heap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_block_rows", _freeze_count_rows)
+        cfg = ExperimentConfig.from_dict({"suite": "det-law", "seed": 3, "draws": 2 * cli._BLOCK, "out": str(tmp_path)})
+        _, rows, _ = cli._run_sweep(cfg, workers=2)
+        assert len(rows) > 1 and all(r[4] > 0 for r in rows)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         body = {"suite": "q-sign", "seed": 42, "draws": 10}

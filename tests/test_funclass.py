@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from tma.errors import AmplitudeTooLarge
 from tma.funclass import (
@@ -24,6 +27,18 @@ def quad(matrix, k, l):
 
 
 CLOUD2 = default_cloud(2, 1.0, grid_per_axis=5, n_quasi=50)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_default_cloud_matches_scipy_halton(dim):
+    # scipy's unscrambled Halton sequence is the oracle, bit for bit
+    axis = np.linspace(-0.8, 0.8, 3)
+    grid = np.array(list(itertools.product(axis, repeat=dim)))
+    for n in (0, 1, 50, 500, 2000):
+        halton = qmc.Halton(d=dim, scramble=False).random(n)
+        want = np.vstack([grid, (2.0 * halton - 1.0) * 0.8])
+        got = default_cloud(dim, 0.8, grid_per_axis=3, n_quasi=n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
 
 
 def test_saddle_quadratic_is_member():

@@ -331,6 +331,21 @@ class TestSemiImplicitSolve:
         with pytest.raises(NoConvergence, match="semi-implicit"):
             step_parabolic(rippled(1e-3), "semi-implicit")
 
+    @pytest.mark.parametrize("n", [7, 9, 13])
+    def test_steady_4d_slice_steps(self, n):
+        # F is rounding noise here (|F| <= 1.2e-14; exactly 0 at n = 9), which
+        # drives BiCGSTAB into a breakdown at n = 7 and 13; the step must
+        # still return, moving the field by no more than that noise
+        spec = reference_flow_spec(1.0, 1.0, "complex11")
+        f = flow_from_spec(spec, BoxGrid((-1.0,) * 4, (1.0,) * 4, (n,) * 4), 1e-3)
+        out = run_flow(f, 1, scheme="semi-implicit")
+        assert np.abs(out.slices[-1] - out.slices[0]).max() <= 1e-3 * 1e-13
+
+    def test_breakdown_far_from_steady_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "bicgstab", lambda a, b, x0=None, **kw: (x0, -10))
+        with pytest.raises(NoConvergence, match="info=-10"):
+            step_parabolic(rippled(1e-3), "semi-implicit")
+
 
 # ---------------------------------------------------------------------------
 # elliptic solves
