@@ -13,6 +13,13 @@ blocks' rows are concatenated in block order, never in completion order.  A
 block's rows come from one stacked pass over its draws, yet every row is a
 pure function of (suite, shape, seed, draw index): it does not depend on the
 block size or on which other draws share the pass.
+
+A sweep with more than one worker and more than one block runs on the
+process's worker pool.  The first such sweep starts it; it lives for the
+process and is reused by every later sweep with the same worker count, so its
+workers keep the gather caches their earlier blocks built.  Another worker
+count replaces it, and a pool whose worker died is dropped after the run it
+failed.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -395,6 +403,35 @@ def _shape_draw_counts(total: int, n_shapes: int) -> List[int]:
     return [base + (1 if i < extra else 0) for i in range(n_shapes)]
 
 
+# The sweep pool of this process, as (worker count, executor), or None.
+_pool: Optional[Tuple[int, ProcessPoolExecutor]] = None
+
+
+def _sweep_pool(workers: int) -> ProcessPoolExecutor:
+    """The process's sweep pool with ``workers`` workers, started on first use.
+
+    A request for another worker count replaces the pool.  Nothing is
+    registered for exit: ``concurrent.futures`` joins a live pool's workers
+    when the interpreter exits.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _shutdown_pool()
+    if _pool is None:
+        # a forked worker freezes the heap it inherited, so its collections
+        # never walk those objects or write to (and so copy) their pages
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze))
+    return _pool[1]
+
+
+def _shutdown_pool() -> None:
+    """Shut the sweep pool down, if there is one; the next pooled sweep starts afresh."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
 def _run_sweep(cfg: ExperimentConfig, workers: int):
     p = cfg.params
     shapes = p["shapes"]
@@ -409,11 +446,15 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
         for payload in payloads:
             rows.extend(_sweep_block_rows(payload))
     else:
-        # a forked worker freezes the heap it inherited, so its collections
-        # never walk those objects or write to (and so copy) their pages
-        with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
-            for chunk in pool.map(_sweep_block_rows, payloads, chunksize=1):
+        # one pool per process: later sweeps with the same worker count reuse
+        # it, and its workers keep the gather caches their earlier blocks built
+        try:
+            for chunk in _sweep_pool(workers).map(_sweep_block_rows, payloads, chunksize=1):
                 rows.extend(chunk)
+        except BrokenProcessPool:
+            # a worker died: this run fails, and the next one starts a fresh pool
+            _shutdown_pool()
+            raise
     tol = p["tolerance"]
     if cfg.suite == "w-psd":
         assertions = [_check("min_w_eigenvalue", min(r[4] for r in rows), ">=", -tol)]
@@ -702,6 +743,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     an assertion failure or a runner crash is recorded in it rather than
     leaving no trace.  Assertion failures are data (``passed: false``);
     only the orchestration itself reports exceptions, as the ``error`` field.
+
+    A sweep with ``workers > 1`` and more than one block leaves the process's
+    worker pool running when it returns: its ``workers`` processes stay alive
+    for later sweeps and end only at interpreter exit (or when a sweep asks
+    for another worker count).
     """
     if workers < 1:
         raise ConfigInvalid(f"workers: must be >= 1, got {workers}")

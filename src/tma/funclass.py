@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
+# numpy loads its random module on first use; loading it with the package
+# means sweep pool workers inherit it instead of each importing it again
+import numpy.random
 
 from .errors import AmplitudeTooLarge, DimensionMismatch, ParseError, TmaError
 from .jets import ExpressionSpec, evaluate_hessians, map_leaves, wirtinger_hessians

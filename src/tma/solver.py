@@ -13,7 +13,9 @@ The two sparse linear solves differ.  The semi-implicit step's system
 Jacobi-preconditioned BiCGSTAB; a solve that misses its tolerance raises
 :class:`NoConvergence` instead of returning an unconverged step.  Each Newton
 step solves the linearized operator ``L`` itself by a direct sparse LU
-factorization.
+factorization.  ``scipy.sparse`` is imported by the functions that build or
+solve these systems, not by the module, so importing the package does not
+pay for it.
 
 Each grid flavor carries one convex and one concave slot on a real grid:
 even axes carry the convex slot, odd axes the concave slot, and a slot's
@@ -45,8 +47,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import bicgstab, splu
 
 from .errors import (
     CFLViolation,
@@ -581,8 +581,8 @@ def _linearized_gammas(f: FlowField, conv: np.ndarray, conc: np.ndarray) -> List
 
 def _operator_matrix(
     f: FlowField, gammas: Sequence[np.ndarray]
-) -> Tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """Sparse matrix of ``L = sum_a gamma_a d^2_a`` over the unknown nodes.
+) -> Tuple[object, np.ndarray, np.ndarray]:
+    """Sparse (CSC) matrix of ``L = sum_a gamma_a d^2_a`` over the unknown nodes.
 
     The coefficients ``gammas`` are interior-shaped.  Unknowns are the
     interior nodes (framed grids; frame values are data, so stencil legs
@@ -591,6 +591,8 @@ def _operator_matrix(
     unknowns in C order, and the per-row sum of dropped leg weights (the
     coupling of each unknown to the frame; all zero on periodic grids).
     """
+    import scipy.sparse as sp
+
     grid = f.grid
     n_total = int(np.prod(grid.shape))
     idx = np.arange(n_total).reshape(grid.shape)
@@ -651,6 +653,9 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
     except a breakdown whose true residual is already below the rounding
     floor of ``dt*F`` (a slice steady to rounding, where ``F`` is noise).
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import bicgstab
+
     dt = f.dt
     conv, conc = _block_fields(f, u)
     rhs = dt * _flow_value(conv, conc, "semi-implicit step").ravel()
@@ -758,6 +763,8 @@ def solve_elliptic(
     of class and :class:`NoConvergence` after ``max_iterations`` Newton steps
     (or when damping stalls).
     """
+    from scipy.sparse.linalg import splu
+
     if grid.periodic:
         raise TmaError("the elliptic solve needs boundary data: use a framed grid")
     if guess is None:

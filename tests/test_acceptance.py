@@ -13,7 +13,7 @@ or a structural property (monotonicity, byte determinism).
 
 import json
 import math
-import os
+import pathlib
 import time
 
 import numpy as np
@@ -298,8 +298,8 @@ def test_11_csv_determinism(tmp_path):
     out1, out2 = str(tmp_path / "serial"), str(tmp_path / "parallel")
     code1 = main(["run", "--config", str(cfg_path), "--out", out1, "--workers", "1"])
     code2 = main(["run", "--config", str(cfg_path), "--out", out2, "--workers", "2"])
-    blob1 = open(os.path.join(out1, "q-sign.csv"), "rb").read()
-    blob2 = open(os.path.join(out2, "q-sign.csv"), "rb").read()
+    blob1 = pathlib.Path(out1, "q-sign.csv").read_bytes()
+    blob2 = pathlib.Path(out2, "q-sign.csv").read_bytes()
     n_rows = blob1.count(b"\n") - 1
     ok = code1 == 0 and code2 == 0 and blob1 == blob2 and n_rows == 1000
     report(

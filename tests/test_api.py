@@ -42,12 +42,40 @@ def test_every_raise_is_a_package_error():
     assert len(SOURCES) > 10 and not offenders
 
 
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this checkout's ``tma``."""
+    src = str(pathlib.Path(tma.__file__).parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r})\n{code}"
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout.strip()
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs over a second to import; the package must not load it
-    src = str(pathlib.Path(tma.__file__).parents[1])
-    probe = f"import sys; sys.path.insert(0, {src!r}); import tma; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh_python("import tma; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is most of what is left of the import time; only the
+    # sparse solves use it, and they import it when they run
+    assert fresh_python("import tma; print('scipy.sparse' in sys.modules)") == "False"
+
+
+def test_sparse_solves_run_from_a_cold_import():
+    # one semi-implicit step and one Newton solve, each the first sparse call
+    # of its interpreter: the step moves the quadratic u0 exactly to
+    # u0 + dt*log(a/b), and the solve of a rippled boundary converges
+    grid = "from tma.solver import *; import numpy as np; grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9))\n"
+    step = grid + (
+        "spec = reference_flow_spec(2.0, 1.0)\n"
+        "f = run_flow(flow_from_spec(spec, grid, 1e-3), 1, scheme='semi-implicit')\n"
+        "print(np.abs(f.slices[-1] - evaluate_on_grid(spec, grid, time=f.times[-1])).max() <= 1e-13)"
+    )
+    solve = grid + (
+        "sol = solve_elliptic(perturbed_flow_spec(1.0, 1.0, 0.05, modes=((1.0, 1.0),)), grid)\n"
+        "print(np.nanmax(np.abs(discrete_time_speed(sol, 0))) <= 1e-10)"
+    )
+    assert fresh_python(step) == "True"
+    assert fresh_python(solve) == "True"
 
 
 def test_readme_examples_print_what_their_comments_give():

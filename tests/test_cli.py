@@ -12,8 +12,11 @@ Oracle strategy:
 import gc
 import json
 import os
+import pathlib
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +39,34 @@ from tma.solver import perturbed_flow_spec
 def _freeze_count_rows(payload):
     """Stands in for ``cli._sweep_block_rows`` in a pool worker: one row carrying the worker's freeze count."""
     return [(payload[7], payload[1], payload[2], 0, float(gc.get_freeze_count()))]
+
+
+def _pid_rows(payload):
+    """Stands in for ``cli._sweep_block_rows`` in a pool worker: one row carrying the worker's PID.
+
+    The pause keeps a worker busy long enough that every worker of a
+    2-worker pool takes some of a sweep's blocks.
+    """
+    time.sleep(0.05)
+    return [(payload[7], payload[1], payload[2], 0, float(os.getpid()))]
+
+
+def _payload_rows(payload):
+    """Stands in for ``cli._sweep_block_rows``: rows that are a function of the payload alone."""
+    _, k, l, _, _, _, seed, first, count, n_points = payload
+    return [
+        (draw, k, l, i, seed + draw / 7.0 + i / 3.0)
+        for draw in range(first, first + count)
+        for i in range(n_points)
+    ]
+
+
+def checkout_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``, for ``python -m`` subprocesses."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(tma.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def write_json(tmp_path, name, body):
@@ -175,7 +206,8 @@ class TestRunOutputs:
         assert result.passed
         assert len(result.rows) == 25  # one point per draw by default
         assert max(r[4] for r in result.rows) <= 1e-8
-        header = open(result.csv_path).readline().rstrip("\n")
+        with open(result.csv_path) as fh:
+            header = fh.readline().rstrip("\n")
         assert header == "draw,shape_k,shape_l,point,q_lambda_max,g1,g2,g3,g4"
 
     def test_wpsd_rows_are_strictly_positive(self, tmp_path):
@@ -209,7 +241,7 @@ class TestRunOutputs:
             ExperimentConfig.from_dict({**body, "out": out3}), workers=3
         )
         assert r1.passed and r3.passed
-        assert open(r1.csv_path, "rb").read() == open(r3.csv_path, "rb").read()
+        assert pathlib.Path(r1.csv_path).read_bytes() == pathlib.Path(r3.csv_path).read_bytes()
 
     @pytest.mark.parametrize(
         "suite, shapes",
@@ -230,7 +262,7 @@ class TestRunOutputs:
             out = str(tmp_path / f"w{workers}")
             r = run_experiment(ExperimentConfig.from_dict({**body, "out": out}), workers=workers)
             assert r.passed and r.error is None
-            blobs.append(open(r.csv_path, "rb").read())
+            blobs.append(pathlib.Path(r.csv_path).read_bytes())
         assert blobs[0] == blobs[1]
         assert blobs[0].count(b"\n") - 1 == draws * SUITES[suite].defaults["points"]
 
@@ -243,20 +275,24 @@ class TestRunOutputs:
             out = str(tmp_path / f"b{block}")
             r = run_experiment(ExperimentConfig.from_dict({**body, "out": out}), workers=1)
             assert r.error is None
-            blobs.add(open(r.csv_path, "rb").read())
+            blobs.add(pathlib.Path(r.csv_path).read_bytes())
         assert len(blobs) == 1
 
-    def test_one_block_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+    def test_one_block_sweep_starts_no_pool(self, tmp_path, monkeypatch, fresh_sweep_pool):
+        # an earlier test may have left a 3-worker pool that would be handed
+        # back without a new executor, so asking for the pool at all fails
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-block sweep started a worker pool")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_sweep_pool", no_pool)
         cfg = ExperimentConfig.from_dict({"suite": "q-sign", "seed": 4, "draws": cli._BLOCK, "out": str(tmp_path)})
         r = run_experiment(cfg, workers=3)
         assert r.error is None and r.passed
         assert len(r.rows) == cli._BLOCK
+        assert cli._pool is None
 
-    def test_pool_workers_freeze_inherited_heap(self, tmp_path, monkeypatch):
+    def test_pool_workers_freeze_inherited_heap(self, tmp_path, monkeypatch, fresh_sweep_pool):
         monkeypatch.setattr(cli, "_sweep_block_rows", _freeze_count_rows)
         cfg = ExperimentConfig.from_dict({"suite": "det-law", "seed": 3, "draws": 2 * cli._BLOCK, "out": str(tmp_path)})
         _, rows, _ = cli._run_sweep(cfg, workers=2)
@@ -268,7 +304,7 @@ class TestRunOutputs:
         blobs = []
         for out in outs:
             r = run_experiment(ExperimentConfig.from_dict({**body, "out": out}))
-            blobs.append(open(r.csv_path, "rb").read())
+            blobs.append(pathlib.Path(r.csv_path).read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_csv_floats_carry_17_significant_digits(self, tmp_path):
@@ -276,7 +312,7 @@ class TestRunOutputs:
             {"suite": "w-psd", "seed": 1, "draws": 2, "points": 2, "out": str(tmp_path)}
         )
         result = run_experiment(cfg)
-        lines = open(result.csv_path).read().splitlines()
+        lines = pathlib.Path(result.csv_path).read_text().splitlines()
         for line, row in zip(lines[1:], result.rows):
             assert float(line.split(",")[4]) == row[4]  # format round-trips exactly
 
@@ -285,7 +321,7 @@ class TestRunOutputs:
             {"suite": "rigidity", "nodes": 17, "out": str(tmp_path)}
         )
         result = run_experiment(cfg, workers=1)
-        manifest = json.load(open(result.manifest_path))
+        manifest = json.loads(pathlib.Path(result.manifest_path).read_text())
         assert manifest["suite"] == "rigidity"
         assert manifest["passed"] is True
         assert manifest["config"]["params"]["nodes"] == 17
@@ -309,7 +345,7 @@ class TestRunOutputs:
         result = run_experiment(cfg)
         assert not result.passed
         assert result.error is None  # failed assertions are data, not errors
-        manifest = json.load(open(result.manifest_path))
+        manifest = json.loads(pathlib.Path(result.manifest_path).read_text())
         assert manifest["passed"] is False
         assert os.path.exists(result.csv_path)  # rows still written
 
@@ -324,7 +360,7 @@ class TestRunOutputs:
         result = run_experiment(cfg)
         assert not result.passed
         assert result.error is not None and "EmptyCylinder" in result.error
-        manifest = json.load(open(result.manifest_path))
+        manifest = json.loads(pathlib.Path(result.manifest_path).read_text())
         assert manifest["passed"] is False
         assert "EmptyCylinder" in manifest["error"]
         assert manifest["csv"] is None
@@ -358,10 +394,83 @@ class TestRunOutputs:
         )
         result = run_experiment(cfg)
         assert result.passed
-        lines = open(result.csv_path).read().splitlines()
+        lines = pathlib.Path(result.csv_path).read_text().splitlines()
         assert lines[0] == "cylinder_id,rho,quantity,osc,alpha_fit,fit_residual"
         # 5 real channels (time speed + 4 directions) + total, 3 rungs each
         assert len(lines) - 1 == 6 * 3
+
+
+# ---------------------------------------------------------------------------
+# the sweep pool
+# ---------------------------------------------------------------------------
+
+
+class TestSweepPool:
+    """One pool per process: reused across sweeps, replaced on a new worker count or a dead worker."""
+
+    BODY = {"suite": "det-law", "seed": 5, "draws": 4 * cli._BLOCK + 1, "points": 2}
+
+    def run(self, tmp_path, name, workers):
+        cfg = ExperimentConfig.from_dict({**self.BODY, "out": str(tmp_path / name)})
+        return run_experiment(cfg, workers=workers)
+
+    def test_consecutive_sweeps_run_on_the_same_workers(self, tmp_path, monkeypatch, fresh_sweep_pool):
+        monkeypatch.setattr(cli, "_sweep_block_rows", _pid_rows)
+        pids = [{r[4] for r in self.run(tmp_path, name, 2).rows} for name in ("a", "b")]
+        assert len(pids[0]) == 2 and os.getpid() not in pids[0]
+        assert pids[1] == pids[0]
+
+    def test_worker_count_changes_replace_the_pool_and_keep_bytes(self, tmp_path, monkeypatch, fresh_sweep_pool):
+        monkeypatch.setattr(cli, "_sweep_block_rows", _payload_rows)
+        serial = self.run(tmp_path, "w1", 1)
+        assert serial.error is None and cli._pool is None
+        expected = pathlib.Path(serial.csv_path).read_bytes()
+        pools = []
+        for i, workers in enumerate((2, 3, 2)):
+            r = self.run(tmp_path, f"run{i}", workers)
+            assert r.error is None
+            assert pathlib.Path(r.csv_path).read_bytes() == expected
+            assert cli._pool[0] == workers
+            pools.append(cli._pool[1])
+        assert len({id(p) for p in pools}) == 3
+        for replaced in pools[:2]:
+            with pytest.raises(RuntimeError, match="shutdown"):
+                replaced.submit(int)
+
+    def test_killed_worker_fails_one_run_and_the_next_recovers(self, tmp_path, monkeypatch, fresh_sweep_pool):
+        monkeypatch.setattr(cli, "_sweep_block_rows", _pid_rows)
+        first = self.run(tmp_path, "first", 2)
+        assert first.error is None
+        victim = int(first.rows[0][4])
+        os.kill(victim, signal.SIGKILL)
+        # the pool marks itself broken before it reaps its workers
+        deadline = time.monotonic() + 60.0
+        while True:
+            try:
+                os.kill(victim, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the killed worker was never reaped"
+            time.sleep(0.01)
+        broken = self.run(tmp_path, "broken", 2)
+        assert not broken.passed and "BrokenProcessPool" in broken.error
+        manifest = json.loads(pathlib.Path(broken.manifest_path).read_text())
+        assert "BrokenProcessPool" in manifest["error"]
+        assert cli._pool is None
+        recovered = self.run(tmp_path, "recovered", 2)
+        assert recovered.error is None
+        assert not {r[4] for r in recovered.rows} & {r[4] for r in first.rows}
+
+    def test_pooled_cli_run_exits(self, tmp_path):
+        # the pool outlives the run; a pool that kept the interpreter from
+        # exiting would hit the timeout
+        cfg = write_json(tmp_path, "cfg.json", {"suite": "q-sign", "seed": 2, "draws": 2 * cli._BLOCK + 1})
+        res = subprocess.run(
+            [sys.executable, "-m", "tma", "run", "--config", cfg, "--out", str(tmp_path), "--workers", "2"],
+            capture_output=True, text=True, env=checkout_env(), timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "q-sign.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +555,10 @@ class TestCommandLine:
     @pytest.mark.parametrize("module", ["tma", "tma.cli"])
     def test_python_dash_m_runs_without_runpy_warning(self, tmp_path, module):
         good = write_json(tmp_path, "good.json", {"suite": "rigidity"})
-        src = os.path.dirname(os.path.dirname(tma.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         res = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
              "validate", "--config", good],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=checkout_env(), timeout=120,
         )
         assert res.returncode == 0, res.stderr
         assert "config ok" in res.stdout
@@ -498,6 +602,6 @@ class TestCommandLine:
         out1, out2 = str(tmp_path / "s"), str(tmp_path / "p")
         assert main(["run", "--config", cfg, "--out", out1, "--workers", "1"]) == 0
         assert main(["run", "--config", cfg, "--out", out2, "--workers", "2"]) == 0
-        a = open(os.path.join(out1, "q-sign.csv"), "rb").read()
-        b = open(os.path.join(out2, "q-sign.csv"), "rb").read()
+        a = pathlib.Path(out1, "q-sign.csv").read_bytes()
+        b = pathlib.Path(out2, "q-sign.csv").read_bytes()
         assert a == b
