@@ -25,6 +25,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -736,6 +737,17 @@ class ExperimentResult:
     workers: int
 
 
+@functools.lru_cache(maxsize=None)
+def _scipy_version() -> str:
+    """SciPy's version from its installed metadata, read once per process.
+
+    The manifest records it without importing SciPy, which no sweep needs.
+    """
+    import importlib.metadata
+
+    return importlib.metadata.version("scipy")
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Execute one suite; write its CSV and manifest; never raise past config.
 
@@ -773,8 +785,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         _write_csv(csv_path, header, rows)
         wrote_csv = csv_path
 
-    import scipy
-
     manifest = {
         "suite": cfg.suite,
         "config": {
@@ -783,7 +793,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "package": __version__,
         },
         "workers": workers,

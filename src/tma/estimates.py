@@ -45,7 +45,10 @@ from .solver import (
     FlowField,
     FrozenFrame,
     PeriodicBase,
-    _flow_value,
+    _Stencil,
+    _blocks,
+    _mixed_slot,
+    _require_membership,
     _slot_fields,
     flow_from_values,
 )
@@ -165,7 +168,7 @@ def _w_scalar_parts(z: np.ndarray, conc: np.ndarray, m: Tuple[np.ndarray, ...]):
     """Per-node W data on the interior: ``(w00, w01 parts, w11)``.
 
     ``z`` and ``conc`` are the convex and negated concave block fields, ``m``
-    the parts of the mixed slot derivative (see :func:`tma.solver._slot_fields`).
+    the parts of the mixed slot derivative (see :func:`tma.solver._mixed_slot`).
     With ``V = -conc`` the Hermitian 2x2 transformed Hessian has entries
     ``w00 = Z - |M|^2/V``, ``w01 = M/V`` (part by part) and ``w11 = -1/V``; on
     the real carrier these are ``u_xx - u_xy^2/u_yy``, ``u_xy/u_yy`` and
@@ -225,26 +228,42 @@ def flow_quantities(
     """Extract the measurement channels of a run: time speed and W directions.
 
     ``center``/``radius`` crop the spatial sampling to the box of that
-    sup-norm ball (intersected with the interior), which keeps memory
-    proportional to the cylinder actually being measured; by default the full
+    sup-norm ball (intersected with the interior); by default the full
     interior is kept.  ``indices`` selects snapshots (default: all).
+
+    Each slice is class-checked (with margin) on the whole interior, which
+    needs only the diagonal second differences.  Everything else, the mixed
+    differences, the time speed and the W channels, is computed on the crop
+    alone, reading one ghost layer around it; the values equal the crop of
+    the uncropped call bit for bit.  Beyond the returned arrays, memory is a
+    few interior-shaped buffers reused from slice to slice.  The
+    ``IllConditioned`` guard of the W entries sees only the crop, but it
+    cannot fire there: the class check has already bounded the concave
+    block away from zero by a margin above the guard's threshold.
     """
     if indices is None:
         indices = range(len(field.slices))
+    if len(indices) == 0:
+        raise EmptyCylinder("no snapshots selected")
     crops, axes = _crop_slices(field.grid, center, radius)
     # the same crop on interior-shaped arrays
     inner = tuple(slice(c.start - field.grid.frame, c.stop - field.grid.frame) for c in crops)
-    stacks: Dict[str, List[np.ndarray]] = {"time_speed": []}
-    times = []
-    for i in indices:
-        times.append(field.times[i])
-        conv, conc, m = _slot_fields(field, field.slices[i])
-        stacks["time_speed"].append(_flow_value(conv, conc, "time-speed evaluation")[inner])
-        for name, arr in _directional_values(conv, conc, m).items():
-            stacks.setdefault(name, []).append(arr[inner])
-    values = {name: np.stack(stack) for name, stack in stacks.items()}
-    return FieldQuantities(axes=axes, times=np.asarray(times, dtype=float),
-                           values=values)
+    stencil = _Stencil(field)
+    values: Dict[str, np.ndarray] = {}
+    for j, i in enumerate(indices):
+        conv, conc = _blocks(field.flavor, stencil.load(field.slices[i]).differences())
+        _require_membership(conv, conc, "time-speed evaluation")
+        # contiguous, as in the uncropped call: a SIMD log may take another path on strided input
+        conv, conc = np.ascontiguousarray(conv[inner]), np.ascontiguousarray(conc[inner])
+        m = _mixed_slot(field.flavor, stencil, inner)
+        channels = {"time_speed": np.log(conv) - np.log(conc),
+                    **_directional_values(conv, conc, m)}
+        for name, arr in channels.items():
+            if j == 0:
+                values[name] = np.empty((len(indices),) + arr.shape)
+            values[name][j] = arr
+    times = np.asarray([field.times[i] for i in indices], dtype=float)
+    return FieldQuantities(axes=axes, times=times, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,8 @@ _CARRIERS = {"real": (2, "real", 1.0), "complex11": (4, "complex", 0.25)}
 
 FLAVORS = tuple(_CARRIERS)
 
-#: the second differences the slot fields read: the diagonal, then ``u_{z wbar}``'s pairs
-_SLOT_PAIRS = {
-    "real": ((0, 0), (1, 1), (0, 1)),
-    "complex11": ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3), (0, 3), (1, 2)),
-}
+#: the mixed second differences that ``M = u_{z wbar}`` reads (the blocks read the diagonal)
+_MIXED_PAIRS = {"real": ((0, 1),), "complex11": ((0, 1), (2, 3), (0, 3), (1, 2))}
 
 #: floor used for the "membership with margin" pre-step check
 CLASS_MARGIN = 1e-10
@@ -377,10 +374,11 @@ def _infer_flavor(spec: ExpressionSpec, grid: BoxGrid) -> str:
     return flavor
 
 
-def _apply_frame(f: FlowField, u: np.ndarray, t: float) -> None:
-    """Refresh the boundary frame of ``u`` in place for time ``t``."""
+def _apply_frame(f: FlowField, u: np.ndarray, t: float) -> np.ndarray:
+    """Refresh the boundary frame of ``u`` in place for time ``t``; return ``u``."""
     if isinstance(f.policy, FrozenFrame):
         u[f._frame_mask] = f._frame_vals + f.policy.spec.time_drift * t
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +386,28 @@ def _apply_frame(f: FlowField, u: np.ndarray, t: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _wrap(g: np.ndarray) -> None:
+    """Fill the one-layer ghost frame of ``g`` with a periodic wrap of the rest.
+
+    The layer is copied one axis at a time, so the corners wrap too.
+    """
+    for a in range(g.ndim):
+        lead = (slice(None),) * a
+        g[lead + (0,)] = g[lead + (-2,)]
+        g[lead + (-1,)] = g[lead + (1,)]
+
+
 def _neighbours(grid: BoxGrid, arr: np.ndarray) -> Callable[[dict], np.ndarray]:
     """Interior-shaped views of ``arr``, moved ``steps[a]`` nodes along each axis ``a``.
 
-    The views read one ghost layer around the interior.  On a framed grid
-    the frame is that layer; on a periodic grid it is a one-layer wrap of
-    ``arr``, copied one axis at a time so that the corners wrap too.
+    The views read one ghost layer around the interior: the frame on a
+    framed grid, a one-layer wrap of ``arr`` (see :func:`_wrap`) on a
+    periodic one.
     """
     if grid.periodic:
         g = np.empty(tuple(n + 2 for n in arr.shape), dtype=arr.dtype)
         g[(slice(1, -1),) * arr.ndim] = arr
-        for a in range(arr.ndim):
-            lead = (slice(None),) * a
-            g[lead + (0,)] = g[lead + (-2,)]
-            g[lead + (-1,)] = g[lead + (1,)]
+        _wrap(g)
         offset = 1
     else:
         g, offset = arr, grid.frame
@@ -416,40 +422,112 @@ def _neighbours(grid: BoxGrid, arr: np.ndarray) -> Callable[[dict], np.ndarray]:
     return moved
 
 
+class _Stencil:
+    """Centered second differences of one flow's slices, on buffers kept between calls.
+
+    :meth:`load` makes a slice the one to difference; on a periodic grid it
+    writes ``u - base`` and its wrap into a ghosted buffer, on a framed grid
+    it reads the slice itself, frame included.  :meth:`differences` writes
+    each result into a buffer kept per pair and region shape, so the arrays
+    it returns are overwritten by the next call for the same pair and shape.
+    """
+
+    def __init__(self, f: FlowField):
+        self.h = f.grid.spacing
+        self.shape = f.grid.interior_shape
+        self.coeffs = f.policy.coeffs if isinstance(f.policy, PeriodicBase) else None
+        if self.coeffs is not None:
+            self.base = f._base_vals
+            self.ghosted = np.empty(tuple(n + 2 for n in f.grid.shape))
+            self.offset = 1
+        else:
+            self.offset = f.grid.frame
+        self.buffers: Dict[tuple, np.ndarray] = {}
+
+    def load(self, u: np.ndarray) -> "_Stencil":
+        if self.coeffs is not None:
+            np.subtract(u, self.base, out=self.ghosted[(slice(1, -1),) * u.ndim])
+            _wrap(self.ghosted)
+        else:
+            self.ghosted = u
+        return self
+
+    def _buffer(self, key, shape: Tuple[int, ...]) -> np.ndarray:
+        if (key, shape) not in self.buffers:
+            self.buffers[key, shape] = np.empty(shape)
+        return self.buffers[key, shape]
+
+    def differences(
+        self,
+        pairs: Optional[Sequence[Tuple[int, int]]] = None,
+        region: Optional[Tuple[slice, ...]] = None,
+    ) -> Dict[Tuple[int, int], np.ndarray]:
+        """Centered ``d_a d_b u`` of the loaded slice for each ``(a, b)`` in ``pairs``.
+
+        ``pairs`` defaults to the diagonal ``(a, a)`` of every axis and
+        ``region`` (slices in interior coordinates) to the whole interior;
+        the stencil reads one ghost layer around the region.  Pure seconds
+        are ``((u+ + u-) - 2u)/h^2``, mixed ones the four-point cross
+        ``(((u++ - u+-) - u-+) + u--)/(4 h_a h_b)``; on a periodic grid the
+        base coefficient is added back on the diagonal.  ``2u`` is computed
+        once per call.
+        """
+        h = self.h
+        region = region or tuple(slice(0, m) for m in self.shape)
+        shape = tuple(r.stop - r.start for r in region)
+        centre = [slice(self.offset + r.start, self.offset + r.stop) for r in region]
+
+        def at(*moves: Tuple[int, int]) -> np.ndarray:
+            """The region's view moved ``step`` nodes along ``axis`` for each ``(axis, step)``."""
+            index = list(centre)
+            for axis, step in moves:
+                index[axis] = slice(centre[axis].start + step, centre[axis].stop + step)
+            return self.ghosted[tuple(index)]
+
+        twice = None
+        out = {}
+        for a, b in pairs or [(a, a) for a in range(len(self.shape))]:
+            d = self._buffer((a, b), shape)
+            if a == b:
+                if twice is None:
+                    twice = np.multiply(at(), 2.0, out=self._buffer("twice", shape))
+                np.add(at((a, 1)), at((a, -1)), out=d)
+                np.subtract(d, twice, out=d)
+                np.divide(d, h[a] * h[a], out=d)
+                if self.coeffs is not None:
+                    np.add(d, self.coeffs[a], out=d)
+            else:
+                np.subtract(at((a, 1), (b, 1)), at((a, 1), (b, -1)), out=d)
+                np.subtract(d, at((a, -1), (b, 1)), out=d)
+                np.add(d, at((a, -1), (b, -1)), out=d)
+                np.divide(d, 4.0 * h[a] * h[b], out=d)
+            out[a, b] = d
+        return out
+
+
 def _second_differences(
     f: FlowField, u: np.ndarray, pairs: Optional[Sequence[Tuple[int, int]]] = None
 ) -> Dict[Tuple[int, int], np.ndarray]:
-    """Centered ``d_a d_b u`` on the interior for each ``(a, b)`` in ``pairs``.
+    """Centered ``d_a d_b u`` on the whole interior for each ``(a, b)`` in ``pairs``.
 
-    ``pairs`` defaults to the diagonal ``(a, a)`` of every axis.  Pure
-    seconds are ``(u+ + u- - 2u)/h^2``, mixed ones the four-point cross
-    ``(u++ - u+- - u-+ + u--)/(4 h_a h_b)``.  On a periodic grid the stencil
-    reads ``u - base`` and the base coefficient is added back on the diagonal.
+    A one-slice use of :class:`_Stencil`, whose buffers the caller then owns;
+    ``pairs`` defaults to the diagonal.
     """
-    h = f.grid.spacing
-    periodic = isinstance(f.policy, PeriodicBase)
-    at = _neighbours(f.grid, u - f._base_vals if periodic else u)
-    out = {}
-    for a, b in pairs or [(a, a) for a in range(f.grid.dim)]:
-        if a == b:
-            d = (at({a: 1}) + at({a: -1}) - 2.0 * at({})) / (h[a] * h[a])
-            out[a, b] = d + f.policy.coeffs[a] if periodic else d
-        else:
-            out[a, b] = (
-                at({a: 1, b: 1}) - at({a: 1, b: -1}) - at({a: -1, b: 1}) + at({a: -1, b: -1})
-            ) / (4.0 * h[a] * h[b])
-    return out
+    return _Stencil(f).load(u).differences(pairs)
 
 
 def _blocks(flavor: str, d2: Dict[Tuple[int, int], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Scalar convex-block and (negated) concave-block fields on the interior.
 
-    ``d2`` holds the diagonal second differences; both fields are positive
-    wherever the slice is in class.
+    ``d2`` holds the diagonal second differences, which this overwrites:
+    the fields are computed in place in its arrays.  Both fields are
+    positive wherever the slice is in class.
     """
     if flavor == "real":
-        return d2[0, 0], -d2[1, 1]
-    return 0.25 * (d2[0, 0] + d2[2, 2]), -0.25 * (d2[1, 1] + d2[3, 3])
+        return d2[0, 0], np.negative(d2[1, 1], out=d2[1, 1])
+    conv = np.add(d2[0, 0], d2[2, 2], out=d2[0, 0])
+    conc = np.add(d2[1, 1], d2[3, 3], out=d2[1, 1])
+    return np.multiply(conv, 0.25, out=conv), np.multiply(conc, -0.25, out=conc)
 
 
 def _block_fields(f: FlowField, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -457,20 +535,26 @@ def _block_fields(f: FlowField, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return _blocks(f.flavor, _second_differences(f, u))
 
 
-def _slot_fields(
-    f: FlowField, u: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-    """The block fields of ``u`` and its mixed slot derivative ``M = u_{z wbar}``.
+def _mixed_slot(
+    flavor: str, stencil: _Stencil, region: Optional[Tuple[slice, ...]] = None
+) -> Tuple[np.ndarray, ...]:
+    """The mixed slot derivative ``M = u_{z wbar}`` of the stencil's slice on ``region``.
 
     ``M`` is a tuple of its parts: the real part, and on the complex carrier
     also the imaginary part.
     """
-    d2 = _second_differences(f, u, _SLOT_PAIRS[f.flavor])
-    if f.flavor == "real":
-        m = (d2[0, 1],)
-    else:
-        m = (0.25 * (d2[0, 1] + d2[2, 3]), 0.25 * (d2[0, 3] - d2[1, 2]))
-    return (*_blocks(f.flavor, d2), m)
+    d2 = stencil.differences(_MIXED_PAIRS[flavor], region)
+    if flavor == "real":
+        return (d2[0, 1],)
+    return (0.25 * (d2[0, 1] + d2[2, 3]), 0.25 * (d2[0, 3] - d2[1, 2]))
+
+
+def _slot_fields(
+    f: FlowField, u: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    """The block fields of ``u`` and the parts of ``M = u_{z wbar}`` (see :func:`_mixed_slot`)."""
+    stencil = _Stencil(f).load(u)
+    return (*_blocks(f.flavor, stencil.differences()), _mixed_slot(f.flavor, stencil))
 
 
 def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str,
@@ -536,10 +620,28 @@ def _cfl_bound(f: FlowField, lam: float, Lam: float) -> float:
 
 
 def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
+    """One classical RK4 step from ``u`` at time ``t``; returns the new slice and the CFL bound.
+
+    The stages share one :class:`_Stencil` and a few interior-shaped
+    buffers: each stage speed ``F`` is taken in place in the stencil's block
+    fields, ``k1 + 2 k2 + 2 k3 + k4`` is summed stage by stage in that order,
+    stages 2 and 3 share one slice buffer (one frame time), and stage 4's
+    slice becomes the new slice (the frame time of both is ``t + dt``).
+    """
     dt = f.dt
     ii = f.grid.interior
-    conv, conc = _block_fields(f, u)
-    lam, Lam = _require_membership(conv, conc, "explicit step")
+    stencil = _Stencil(f)
+
+    def speed(slice_: np.ndarray, where: str, out: np.ndarray) -> Tuple[float, float]:
+        conv, conc = _blocks(f.flavor, stencil.load(slice_).differences())
+        bounds = _require_membership(conv, conc, where)
+        np.subtract(np.log(conv, out=conv), np.log(conc, out=conc), out=out)
+        return bounds
+
+    total = np.empty(f.grid.interior_shape)  # k1 + 2 k2 + 2 k3 + k4
+    k = np.empty_like(total)
+    scaled = np.empty_like(total)
+    lam, Lam = speed(u, "explicit step", total)
     bound = _cfl_bound(f, lam, Lam)
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(
@@ -547,24 +649,25 @@ def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]
             f"{bound:.6e} = c*h^2*lam/Lam with c = {CFL_CONSTANT}, "
             f"measured lam = {lam:.6e}, Lam = {Lam:.6e}"
         )
-    k1 = np.log(conv) - np.log(conc)
 
-    def advanced(kval: np.ndarray, scale: float, t_new: float) -> np.ndarray:
-        out = u.copy()
-        out[ii] += scale * kval
-        _apply_frame(f, out, t_new)
-        return out
+    def advance(into: np.ndarray, scale: float, kval: np.ndarray) -> np.ndarray:
+        np.add(u[ii], np.multiply(kval, scale, out=scaled), out=into[ii])
+        return into
 
-    u2 = advanced(k1, 0.5 * dt, t + 0.5 * dt)
-    k2 = _flow_value(*_block_fields(f, u2), "explicit stage 2")
-    u3 = advanced(k2, 0.5 * dt, t + 0.5 * dt)
-    k3 = _flow_value(*_block_fields(f, u3), "explicit stage 3")
-    u4 = advanced(k3, dt, t + dt)
-    k4 = _flow_value(*_block_fields(f, u4), "explicit stage 4")
+    def accumulate(kval: np.ndarray, weight: float) -> None:
+        np.add(total, np.multiply(kval, weight, out=scaled), out=total)
 
-    unew = u.copy()
-    unew[ii] += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _apply_frame(f, unew, t + dt)
+    half = _apply_frame(f, np.empty_like(u), t + 0.5 * dt)
+    unew = _apply_frame(f, np.empty_like(u), t + dt)
+    speed(advance(half, 0.5 * dt, total), "explicit stage 2", k)
+    advance(half, 0.5 * dt, k)
+    accumulate(k, 2.0)
+    speed(half, "explicit stage 3", k)
+    advance(unew, dt, k)
+    accumulate(k, 2.0)
+    speed(unew, "explicit stage 4", k)
+    np.add(total, k, out=total)
+    advance(unew, dt / 6.0, total)
     return unew, bound
 
 

@@ -335,6 +335,28 @@ class TestRunOutputs:
         names = {a["name"] for a in manifest["assertions"]}
         assert names == {"det_deviation", "entry_variation"}
 
+    def test_manifest_records_scipy_without_importing_it(self, tmp_path):
+        """A fresh interpreter runs a small det-law sweep: SciPy stays unloaded."""
+        import scipy
+
+        script = (
+            "import json, sys\n"
+            "from tma.cli import ExperimentConfig, run_experiment\n"
+            "cfg = ExperimentConfig.from_dict({'suite': 'det-law', 'seed': 3, 'draws': 4,\n"
+            "                                  'points': 2, 'out': sys.argv[1]})\n"
+            "result = run_experiment(cfg)\n"
+            "print(json.dumps({'passed': result.passed, 'manifest': result.manifest_path,\n"
+            "                  'scipy_loaded': 'scipy' in sys.modules}))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report["passed"] is True
+        assert report["scipy_loaded"] is False
+        manifest = json.loads(pathlib.Path(report["manifest"]).read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
+
     def test_manifest_written_on_assertion_failure(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {

@@ -2,20 +2,25 @@
 
 The reference below is a copy of the earlier implementation: second and
 mixed differences by ``np.roll`` over the whole grid, the flow value with a
-NaN frame, and the operator matrix with rolled neighbour indices.  The
-solver's interior stencil must reproduce it bit for bit on periodic and
-framed grids, frame NaNs included.  A field that leaves the class only
+NaN frame, RK4 stages on fresh copies of the slice, and the operator matrix
+with rolled neighbour indices.  The solver's interior stencil, which works
+on reused buffers, must reproduce it bit for bit on periodic and framed
+grids, frame NaNs included.  ``flow_quantities`` differences only a crop
+and its ghost layer beyond the class check, so a cropped call must equal
+the crop of the uncropped one, and a field that leaves the class only
 outside a measured crop must still be refused, with the same messages.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tma.errors import ClassExit
+from tma.errors import ClassExit, EmptyCylinder
 from tma.estimates import flow_quantities
 from tma.solver import (
+    CFL_CONSTANT,
     BoxGrid,
     FrozenFrame,
     PeriodicBase,
@@ -117,6 +122,29 @@ def _ref_rk4(f, u, t):
     return unew
 
 
+def _ref_bound(f, u):
+    """The explicit stability bound measured on the interior of the rolled blocks."""
+    ii = f.grid.interior
+    conv, conc = (block[ii] for block in _ref_blocks(f, u))
+    lam = min(float(conv.min()), float(conc.min()))
+    big = max(float(conv.max()), float(conc.max()))
+    h = min(f.grid.spacing)
+    return CFL_CONSTANT * h * h * lam / big
+
+
+def _ref_run(f, steps, every):
+    """Chained reference steps: stored slices, their times and the bounds."""
+    u, t0 = f.slices[-1], f.times[-1]
+    slices, times, bounds = [u], [t0], []
+    for n in range(1, steps + 1):
+        bounds.append(_ref_bound(f, u))
+        u = _ref_rk4(f, u, t0 + (n - 1) * f.dt)
+        if n % every == 0 or n == steps:
+            slices.append(u)
+            times.append(t0 + n * f.dt)
+    return slices, times, bounds
+
+
 def _ref_operator(f, gammas):
     """Dense operator over the unknowns, with ``np.roll`` neighbour indices."""
     grid = f.grid
@@ -167,12 +195,25 @@ def framed4d():
                           dt=2e-4)
 
 
-FIELDS = pytest.mark.parametrize("make", [periodic2d, framed2d, framed4d],
-                                 ids=["periodic2d", "framed2d", "framed4d"])
+def periodic4d():
+    spec = perturbed_flow_spec(2.0, 1.0, 0.02, flavor="complex11",
+                               modes=((1.0, 0.0, -1.0, 1.0), (0.0, 2.0, 1.0, -1.0)),
+                               weights=(1.0, 0.5))
+    grid = BoxGrid((0.0,) * 4, (2 * math.pi,) * 4, (8,) * 4, frame=0)
+    return flow_from_spec(spec, grid, 1e-3, policy=periodic_base_for(2.0, 1.0, "complex11"))
+
+
+FIELDS = pytest.mark.parametrize("make", [periodic2d, framed2d, framed4d, periodic4d],
+                                 ids=["periodic2d", "framed2d", "framed4d", "periodic4d"])
 
 
 def identical(a, b):
     return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestMatchesRollReference:
@@ -193,6 +234,16 @@ class TestMatchesRollReference:
         assert identical(stepped, _ref_rk4(f, f.slices[-1], f.times[-1]))
 
     @FIELDS
+    def test_run_flow(self, make):
+        f = make()
+        run = run_flow(f, 5, snapshot_every=2)
+        slices, times, bounds = _ref_run(f, 5, 2)
+        assert len(run.slices) == len(slices) == 4
+        assert all(same_bytes(a, b) for a, b in zip(run.slices, slices))
+        assert same_bytes(run.times, times)
+        assert same_bytes(run.cfl_log, bounds)
+
+    @FIELDS
     def test_operator_matrix(self, make):
         f = make()
         conv, conc = _block_fields(f, f.slices[-1])
@@ -203,6 +254,66 @@ class TestMatchesRollReference:
         assert identical(mat.toarray(), ref_mat)
         assert identical(unknowns, ref_unknowns)
         assert identical(legs, ref_legs)
+
+
+# ---------------------------------------------------------------------------
+# cropped quantities
+# ---------------------------------------------------------------------------
+
+
+def _crop_of(full, q):
+    """``full``'s channels on the nodes of ``q``'s axes, which are a box of ``full``'s."""
+    starts = [int(np.flatnonzero(fa == qa[0])[0]) for fa, qa in zip(full.axes, q.axes)]
+    box = tuple(slice(s, s + len(qa)) for s, qa in zip(starts, q.axes))
+    axes = tuple(fa[b] for fa, b in zip(full.axes, box))
+    return axes, {name: arr[(slice(None),) + box] for name, arr in full.values.items()}
+
+
+class TestCropEqualsFullCall:
+    @pytest.mark.parametrize("make, center, radius", [
+        (periodic2d, (0.0, 2 * math.pi - 0.2), 0.5),
+        (periodic4d, (0.0, 1.0, 2 * math.pi - 0.5, 3.0), 1.0),
+        (framed2d, (0.3, -0.4), 0.35),
+        (framed4d, (0.2, -0.3, 0.0, 0.4), 0.5),
+        (framed4d, (-1.0, 1.0, 0.0, 0.0), 0.6),
+    ], ids=["periodic2d-seams", "periodic4d-seams", "framed2d", "framed4d", "framed4d-edges"])
+    def test_channels_match_byte_for_byte(self, make, center, radius):
+        f = run_flow(make(), 3)
+        full = flow_quantities(f)
+        q = flow_quantities(f, center=center, radius=radius)
+        axes, values = _crop_of(full, q)
+        assert all(len(qa) < len(fa) for qa, fa in zip(q.axes, full.axes))
+        assert all(same_bytes(a, b) for a, b in zip(q.axes, axes))
+        assert same_bytes(q.times, full.times)
+        assert q.names == full.names
+        assert all(same_bytes(q.values[name], values[name]) for name in q.names)
+
+    def test_periodic_crop_reads_the_seam(self):
+        f = run_flow(periodic2d(), 2)
+        q = flow_quantities(f, center=(0.0, 2 * math.pi - 0.2), radius=0.5)
+        assert q.axes[0][0] == 0.0
+        assert q.axes[1][-1] == f.grid.axes()[1][-1]
+
+    def test_no_snapshots_is_refused(self):
+        with pytest.raises(EmptyCylinder):
+            flow_quantities(periodic2d(), indices=[])
+
+    def test_memory_follows_the_crop(self):
+        """Peak traced memory: the returned arrays and a few slice-sized buffers.
+
+        200 slices of a 64^2 run; the crop keeps about 100 of 4096 nodes.
+        """
+        spec = perturbed_flow_spec(1.0, 1.0, 0.05, modes=((1.0, 1.0),))
+        grid = BoxGrid((0.0, 0.0), (2 * math.pi, 2 * math.pi), (64, 64), frame=0)
+        f = run_flow(flow_from_spec(spec, grid, 1.5e-3, policy=periodic_base_for(1.0, 1.0)), 200)
+        tracemalloc.start()
+        try:
+            q = flow_quantities(f, center=(1.5, 1.2), radius=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(arr.nbytes for arr in q.values.values())
+        assert peak <= 2.5 * returned + 8 * f.slices[0].nbytes
 
 
 # ---------------------------------------------------------------------------
