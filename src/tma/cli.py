@@ -550,7 +550,7 @@ def _run_oscillation(cfg: ExperimentConfig, workers: int):
         center=center, time=f.times[-1], radius=radius, ladder=tuple(p["ladder"])
     )
     rep = oscillation_ladder(quantities, cyl)
-    rows = oscillation_csv_rows([rep], ids=["cyl0"])
+    rows = oscillation_csv_rows([rep])
 
     worst_increase = 0.0
     for series in list(rep.per_quantity.values()) + [rep.totals]:

@@ -223,13 +223,12 @@ def flow_quantities(
     field: FlowField,
     center: Optional[Sequence[float]] = None,
     radius: Optional[float] = None,
-    indices: Optional[Sequence[int]] = None,
 ) -> FieldQuantities:
-    """Extract the measurement channels of a run: time speed and W directions.
+    """Extract the measurement channels of every stored slice of a run: time speed and W directions.
 
     ``center``/``radius`` crop the spatial sampling to the box of that
     sup-norm ball (intersected with the interior); by default the full
-    interior is kept.  ``indices`` selects snapshots (default: all).
+    interior is kept.
 
     Each slice is class-checked (with margin) on the whole interior, which
     needs only the diagonal second differences.  Everything else, the mixed
@@ -241,17 +240,13 @@ def flow_quantities(
     cannot fire there: the class check has already bounded the concave
     block away from zero by a margin above the guard's threshold.
     """
-    if indices is None:
-        indices = range(len(field.slices))
-    if len(indices) == 0:
-        raise EmptyCylinder("no snapshots selected")
     crops, axes = _crop_slices(field.grid, center, radius)
     # the same crop on interior-shaped arrays
     inner = tuple(slice(c.start - field.grid.frame, c.stop - field.grid.frame) for c in crops)
     stencil = _Stencil(field)
     values: Dict[str, np.ndarray] = {}
-    for j, i in enumerate(indices):
-        conv, conc = _blocks(field.flavor, stencil.load(field.slices[i]).differences())
+    for j, u in enumerate(field.slices):
+        conv, conc = _blocks(field.flavor, stencil.load(u).differences())
         _require_membership(conv, conc, "time-speed evaluation")
         # contiguous, as in the uncropped call: a SIMD log may take another path on strided input
         conv, conc = np.ascontiguousarray(conv[inner]), np.ascontiguousarray(conc[inner])
@@ -260,9 +255,9 @@ def flow_quantities(
                     **_directional_values(conv, conc, m)}
         for name, arr in channels.items():
             if j == 0:
-                values[name] = np.empty((len(indices),) + arr.shape)
+                values[name] = np.empty((len(field.slices),) + arr.shape)
             values[name][j] = arr
-    times = np.asarray([field.times[i] for i in indices], dtype=float)
+    times = np.asarray(field.times, dtype=float)
     return FieldQuantities(axes=axes, times=times, values=values)
 
 
@@ -297,21 +292,15 @@ def _cylinder_selection(q: FieldQuantities, cyl: CylinderSpec):
     return np.nonzero(tmask)[0], spatial
 
 
-def cylinder_oscillation(
-    q: FieldQuantities,
-    cyl: CylinderSpec,
-    names: Optional[Sequence[str]] = None,
-) -> Dict[str, float]:
-    """Oscillation (sup - inf) of each quantity over the cylinder's samples.
+def cylinder_oscillation(q: FieldQuantities, cyl: CylinderSpec) -> Dict[str, float]:
+    """Oscillation (sup - inf) of every quantity over the cylinder's samples.
 
     Deterministic: the same samples always give the same values.  Raises
     :class:`EmptyCylinder` when no sampled node or snapshot falls inside.
     """
     tidx, spatial = _cylinder_selection(q, cyl)
-    if names is None:
-        names = q.names
     out = {}
-    for name in names:
+    for name in q.names:
         vals = q.values[name][tidx][:, spatial]
         out[name] = float(vals.max() - vals.min())
     return out
@@ -415,23 +404,21 @@ OSCILLATION_CSV_HEADER = (
 )
 
 
-def oscillation_csv_rows(reports: Sequence[LadderReport],
-                         ids: Optional[Sequence[str]] = None) -> List[tuple]:
+def oscillation_csv_rows(reports: Sequence[LadderReport]) -> List[tuple]:
     """Ladder reports flattened to rows matching :data:`OSCILLATION_CSV_HEADER`.
 
-    Quantity rows appear in channel order followed by the ``total`` rows;
-    each row repeats its quantity's fitted exponent and residual.
+    Report ``i`` is cylinder ``cyl{i}``.  Quantity rows appear in channel
+    order followed by the ``total`` rows; each row repeats its quantity's
+    fitted exponent and residual.
     """
-    if ids is None:
-        ids = [f"cyl{i}" for i in range(len(reports))]
     rows = []
-    for cid, rep in zip(ids, reports):
+    for i, rep in enumerate(reports):
         ordered = list(rep.per_quantity) + ["total"]
         for name in ordered:
             vals = rep.totals if name == "total" else rep.per_quantity[name]
             fit = rep.fits[name]
             for rho, osc in zip(rep.rhos, vals):
-                rows.append((cid, rho, name, osc, fit.alpha, fit.residual))
+                rows.append((f"cyl{i}", rho, name, osc, fit.alpha, fit.residual))
     return rows
 
 
@@ -630,14 +617,14 @@ def rescale_report(
 # ---------------------------------------------------------------------------
 
 
-def discrete_w_entries(field: FlowField, index: int = -1) -> Dict[str, np.ndarray]:
-    """Real scalar channels of the transformed Hessian on the interior.
+def discrete_w_entries(field: FlowField) -> Dict[str, np.ndarray]:
+    """Real scalar channels of the transformed Hessian of the latest slice, on the interior.
 
     Real flavor: ``w00``, ``w01``, ``w11``.  Complex flavor: ``w00``,
     ``w01_re``, ``w01_im``, ``w11`` (the Hermitian off-diagonal split into
     real and imaginary parts).
     """
-    w00, w01, w11 = _w_scalar_parts(*_slot_fields(field, field.slices[index]))
+    w00, w01, w11 = _w_scalar_parts(*_slot_fields(field, field.slices[-1]))
     names = ("w01",) if len(w01) == 1 else ("w01_re", "w01_im")
     return {"w00": w00, **dict(zip(names, w01)), "w11": w11}
 
@@ -658,9 +645,9 @@ class RigidityReport:
     n_nodes: int
 
 
-def rigidity_probe(field: FlowField, index: int = -1) -> RigidityReport:
-    """Probe a (supposed) steady solution for quadratic rigidity."""
-    entries = discrete_w_entries(field, index)
+def rigidity_probe(field: FlowField) -> RigidityReport:
+    """Probe the latest slice of a (supposed) steady solution for quadratic rigidity."""
+    entries = discrete_w_entries(field)
     mixed = [arr ** 2 for name, arr in entries.items() if name.startswith("w01")]
     det = entries["w00"] * entries["w11"] - reduce(add, mixed)
     det_dev = float(np.abs(det - 1.0).max())
@@ -698,15 +685,15 @@ def weak_harnack_diagnostic(
     q: FieldQuantities,
     name: str,
     cyl: CylinderSpec,
-    p: float = 2.0,
 ) -> HarnackRecord:
-    """Record the integral-to-pointwise comparison on Theta(R) vs Q(R).
+    """Record the integral-to-pointwise comparison on Theta(R) vs Q(R), with ``p = 2``.
 
     Purely diagnostic: nothing is asserted.  The measure normalization uses
     the exact cylinder volume ``(2R)^n * R^2``, so the reported value is
     ``(2^n * mean(q^p))^(1/p)`` over the shifted cylinder's samples.
     """
     n = len(q.axes)
+    p = 2.0
     tidx, spatial = _cylinder_selection(q, cyl.shifted())
     vals = q.values[name][tidx][:, spatial]
     mean_power = float((2.0**n * np.mean(vals**p)) ** (1.0 / p))

@@ -66,6 +66,8 @@ def default_cloud(dim: int, halfwidth: float = 1.0, grid_per_axis: int | None = 
     unscrambled, so clouds are deterministic; they are bit-identical to
     ``scipy.stats.qmc.Halton(dim, scramble=False).random(n_quasi)``.
     """
+    if dim < 1:
+        raise DimensionMismatch(f"a sample cloud needs dim >= 1, got {dim}")
     if grid_per_axis is None:
         grid_per_axis = 11 if dim <= 4 else (5 if dim <= 6 else 3)
     axis = np.linspace(-halfwidth, halfwidth, grid_per_axis)
@@ -93,11 +95,11 @@ def _block_bounds(blocks: np.ndarray):
     return min_max_eigenvalues(blocks)
 
 
-def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float, tol: float = 1e-9) -> ClassReport:
+def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float) -> ClassReport:
     """Check both Hessian-block eigenvalue bounds at every cloud point.
 
     Deterministic given the cloud.  ``member`` is true iff every sampled bound
-    lies in ``[lam - tol, Lam + tol]``; ``first_violation`` is the first
+    lies in ``[lam - 1e-9, Lam + 1e-9]``; ``first_violation`` is the first
     failing point in cloud order.  The blocks of the whole cloud come from one
     jet-engine call (real: :func:`evaluate_hessians`; complex:
     :func:`wirtinger_hessians`) and one stacked eigenvalue call per block.
@@ -113,7 +115,7 @@ def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float, tol: f
     bounds[:, 0], bounds[:, 1] = _block_bounds(h[:, :k, :k])
     bounds[:, 2], bounds[:, 3] = _block_bounds(-h[:, k:, k:])
     lows, highs = bounds[:, 0::2], bounds[:, 1::2]
-    ok = np.all(~np.isfinite(lows) | ((lows >= lam - tol) & (highs <= Lam + tol)), axis=1)
+    ok = np.all(~np.isfinite(lows) | ((lows >= lam - 1e-9) & (highs <= Lam + 1e-9)), axis=1)
     member = bool(ok.all())
     first_violation = None if member else tuple(cloud[np.argmin(ok)])
     return ClassReport(member=member, lam=lam, Lam=Lam, bounds=bounds, first_violation=first_violation)
@@ -130,7 +132,8 @@ class EnsembleSpec:
 
     Base quadratic ``a|x|^2/2 - b|y|^2/2`` (real flavor) or ``a|z|^2 - b|w|^2``
     (complex flavor) plus ``n_atoms`` trig atoms whose Hessian sup-norms sum to
-    ``eps``.  Every draw passes membership with ``lam = min(a,b)/2`` and
+    ``eps``, over ``k >= 0`` convex and ``l >= 0`` concave variables with
+    ``k + l >= 1`` (else :class:`ParseError`).  Every draw passes membership with ``lam = min(a,b)/2`` and
     ``Lam = 2 max(a,b)`` provided ``eps <= min(a,b)/2``.
     """
 
@@ -143,6 +146,10 @@ class EnsembleSpec:
     n_atoms: int = 3
     seed: int = 0
     domain_halfwidth: float = 1.0
+
+    def __post_init__(self):
+        if self.k < 0 or self.l < 0 or self.k + self.l == 0:
+            raise ParseError(f"at dims: need k >= 0, l >= 0, k + l >= 1; got ({self.k}, {self.l})")
 
     @property
     def nvars(self) -> int:
@@ -199,13 +206,20 @@ def _base_quadratic_hessian(es: EnsembleSpec) -> np.ndarray:
     return np.diag(diag)
 
 
+def _draw_rng(es: EnsembleSpec, index: int, *stream: int) -> np.random.Generator:
+    """The generator of draw ``index`` (and sub-stream ``stream``): a pure function of the seed and key."""
+    if index < 0:
+        raise TmaError(f"draw index must be >= 0, got {index}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=es.seed, spawn_key=(index, *stream)))
+
+
 def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
     """The ``index``-th ensemble member: pure function of (seed, index).
 
     Splittable per draw so parallel and serial sweeps agree.
     """
     n = es.nvars
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=es.seed, spawn_key=(index,)))
+    rng = _draw_rng(es, index)
     terms = [
         {
             "kind": "quad",
@@ -249,7 +263,9 @@ def sample_ensemble(es: EnsembleSpec, n_draws: int) -> List[ExpressionSpec]:
 
 def sample_points(es: EnsembleSpec, index: int, n_points: int) -> np.ndarray:
     """Deterministic per-draw evaluation points inside the declared box."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=es.seed, spawn_key=(index, 1)))
+    if n_points < 0:
+        raise DimensionMismatch(f"need n_points >= 0, got {n_points}")
+    rng = _draw_rng(es, index, 1)
     return rng.uniform(-es.domain_halfwidth, es.domain_halfwidth, (n_points, es.nvars))
 
 

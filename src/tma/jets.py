@@ -31,13 +31,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation, ParseError, UnknownAtom
+from .errors import DimensionMismatch, DomainViolation, ParseError, TmaError, UnknownAtom
 from .taylor import ATOM_NAMES, atom_derivatives
 
 MultiIndex = Tuple[int, ...]
@@ -480,10 +480,10 @@ class SpaceTimeJet:
 
     ``table`` is the jet array of the engine at the point: column ``c`` holds
     the spatial partial ``multi_indices(nvars, order)[c]``, and column 0, the
-    value, includes the drift term ``drift * time``.  ``dt1`` maps the zero
-    multi-index to du/dt, the spec's drift, and is empty for a spec without
-    one (a spec's time dependence is linear).  Partials absent from a table,
-    or above its order, read zero.
+    value, includes the drift term ``drift * time``.  ``drift`` is du/dt, the
+    spec's drift (a spec's time dependence is linear), and 0.0 for a spec
+    without one.  Partials absent from a table, or above its order, read
+    zero.
     """
 
     point: Tuple[float, ...]
@@ -494,15 +494,11 @@ class SpaceTimeJet:
     l: int
     flavor: str
     table: np.ndarray
-    dt1: Dict[MultiIndex, float] = field(default_factory=dict)
+    drift: float = 0.0
 
     def d(self, beta: MultiIndex) -> float:
         c = _columns(self.nvars, self.order)[0].get(tuple(beta))
         return 0.0 if c is None else self.table[c].item()
-
-    def dt(self, beta: MultiIndex = ()) -> float:
-        b = tuple(beta) if beta else (0,) * self.nvars
-        return self.dt1.get(b, 0.0)
 
     def gradient(self):
         return np.array([self.d(unit_index(self.nvars, i)) for i in range(self.nvars)])
@@ -525,6 +521,11 @@ class SpaceTimeJet:
         return h[:k, :k], h[:k, k:], h[k:, k:]
 
 
+def _require_order(order: int) -> None:
+    if order < 0:
+        raise TmaError(f"jet order must be >= 0, got {order}")
+
+
 def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4) -> SpaceTimeJet:
     """Exact spatial derivative table of ``spec`` at ``point``, plus its time drift.
 
@@ -534,16 +535,17 @@ def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4)
         when an atom is evaluated outside its domain or the point leaves the
         declared box.
     """
+    _require_order(order)
     point = tuple(float(c) for c in point)
     if len(point) != spec.nvars:
         raise DimensionMismatch(f"point has {len(point)} coordinates, spec has {spec.nvars}")
     if not spec.in_domain(point):
         raise DomainViolation(f"point {point} outside declared box of halfwidth {spec.domain_halfwidth}")
     table = _node_jet(spec.expr, point, order)
-    dt1: Dict[MultiIndex, float] = {}
+    drift = 0.0
     if spec.time_drift != 0.0:
-        table[0] += spec.time_drift * time
-        dt1[(0,) * spec.nvars] = spec.time_drift
+        drift = spec.time_drift
+        table[0] += drift * time
     return SpaceTimeJet(
         point=point,
         time=time,
@@ -553,7 +555,7 @@ def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4)
         l=spec.l,
         flavor=spec.flavor,
         table=table,
-        dt1=dt1,
+        drift=drift,
     )
 
 
@@ -586,6 +588,7 @@ def stacked_jets(members, points, order: int = 4) -> np.ndarray:
         naming the first (spec, point) row that leaves its spec's box, or when
         an atom is evaluated outside its domain.
     """
+    _require_order(order)
     if not members:
         raise DimensionMismatch("a block of stacked specs needs at least one spec")
     first = members[0]
@@ -710,17 +713,15 @@ class WirtingerTable:
     the m = k + l complex variables (z-slots first, then w-slots).  A table
     at one point has one axis; the leading axes of a stack run over its
     points.  For real-valued u the entries satisfy ``entry(anti, hol) ==
-    conj(entry(hol, anti))`` bit-exactly.  ``dt1`` maps the zero key to du/dt
-    when the jet carried a drift.
+    conj(entry(hol, anti))`` bit-exactly.  ``drift`` is du/dt, the drift of
+    the jet it was converted from.
     """
 
     k: int
     l: int
     order: int
     entries: np.ndarray
-    point: Tuple[float, ...] = ()
-    time: float = 0.0
-    dt1: Dict[WirtKey, complex] = field(default_factory=dict)
+    drift: float = 0.0
 
     @property
     def m(self) -> int:
@@ -729,9 +730,6 @@ class WirtingerTable:
     def d(self, hol: MultiIndex, anti: MultiIndex) -> complex:
         c = _wirtinger_positions(self.m, self.order).get((tuple(hol), tuple(anti)))
         return 0.0 if c is None else self.entries[c].item()
-
-    def dt(self, hol: MultiIndex, anti: MultiIndex) -> complex:
-        return self.dt1.get((tuple(hol), tuple(anti)), 0.0)
 
     def hessian(self):
         """The ``(m, m)`` Wirtinger Hessian ``h[a, b] = u_{z_a zbar_b}`` (a stack of them for a stack)."""
@@ -850,15 +848,12 @@ def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
         k, l = jet.k, jet.l
     else:
         k, l = m, 0
-    zero = (0,) * m
     return WirtingerTable(
         k=k,
         l=l,
         order=jet.order,
         entries=_wirtinger_entries(jet.table, m, jet.order),
-        point=jet.point,
-        time=jet.time,
-        dt1={(zero, zero): complex(jet.dt())} if jet.dt1 else {},
+        drift=jet.drift,
     )
 
 

@@ -101,10 +101,10 @@ def _gradient_residual(spec: ExpressionSpec, x, y, z):
     return jet, g, float(np.max(np.abs(g)))
 
 
-def _invert(spec: ExpressionSpec, x, z, y0):
+def _invert(spec: ExpressionSpec, x, z):
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    y = np.zeros(spec.l) if y0 is None else np.array(y0, dtype=float)
+    y = np.zeros(spec.l)
     tol = _GRAD_TOL * (1.0 + float(np.max(np.abs(z))))
     jet, g, res = _gradient_residual(spec, x, y, z)
     for iters in range(_MAX_NEWTON + 1):
@@ -127,8 +127,8 @@ def _invert(spec: ExpressionSpec, x, z, y0):
     raise NoConvergence(f"gradient inversion did not converge in {_MAX_NEWTON} Newton steps")
 
 
-def invert_partial_gradient(spec: ExpressionSpec, x, z, y0=None):
-    """Solve ``du/dy(x, y) = z`` for y by damped Newton iteration.
+def invert_partial_gradient(spec: ExpressionSpec, x, z):
+    """Solve ``du/dy(x, y) = z`` for y by damped Newton iteration from ``y = 0``.
 
     The concavity of u in y makes the residual norm decrease along the Newton
     direction, so plain step halving suffices as a globalizer.  Converges to
@@ -143,7 +143,7 @@ def invert_partial_gradient(spec: ExpressionSpec, x, z, y0=None):
         in the image of du/dy over the domain.
     """
     _require_transformable(spec)
-    y, _, _ = _invert(spec, x, z, y0)
+    y, _, _ = _invert(spec, x, z)
     return y
 
 
@@ -188,7 +188,7 @@ def partial_legendre(spec: ExpressionSpec, x, z) -> PartialLegendreResult:
     _require_transformable(spec)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    y, iters, jet = _invert(spec, x, z, None)
+    y, iters, jet = _invert(spec, x, z)
     w_value = jet.d((0,) * spec.nvars) - float(y @ z)
     h = jet.hessian()
     w, cinv = transformed_hessian(h, spec.k)

@@ -34,7 +34,7 @@ def _adjoint(a):
     return a.conj().swapaxes(-1, -2)
 
 
-def as_hermitian(a, tol: float = 1e-10):
+def as_hermitian(a):
     """Validate near-Hermitian input and return the exactly Hermitian average.
 
     ``a`` is one ``(n, n)`` matrix or a stack ``(..., n, n)``; each matrix is
@@ -43,14 +43,14 @@ def as_hermitian(a, tol: float = 1e-10):
     Raises
     ------
     TmaError
-        if some matrix's anti-Hermitian part exceeds ``tol * max(1, |A|_inf)``
+        if some matrix's anti-Hermitian part exceeds ``1e-10 * max(1, |A|_inf)``
         (the message quotes the largest such part).
     """
     a = np.asarray(a)
     adj = _adjoint(a)
     if a.size:
         skew = np.max(np.abs(a - adj), axis=(-2, -1))
-        bad = skew > tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        bad = skew > 1e-10 * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
         if np.any(bad):
             raise TmaError(f"matrix is not Hermitian: anti-Hermitian part {np.max(skew * bad):.3e}")
     return (a + adj) / 2.0
@@ -75,12 +75,10 @@ def psd_tolerance(a) -> float:
     return 1e-8 * max(1.0, scale)
 
 
-def certify_psd(a, tol: float | None = None) -> bool:
-    """True iff lambda_min(A) >= -tol with the scale-relative default tolerance."""
-    if tol is None:
-        tol = psd_tolerance(a)
+def certify_psd(a) -> bool:
+    """True iff lambda_min(A) >= -psd_tolerance(A)."""
     lo, _ = min_max_eigenvalues(a)
-    return lo >= -tol
+    return lo >= -psd_tolerance(a)
 
 
 def inverse_and_logdet(a):

@@ -3,7 +3,7 @@
 The exact-jet layers certify pointwise identities; this module supplies the
 other half of the laboratory: actual grid dynamics.  It advances the parabolic
 flow ``du/dt = F(u)`` (explicit RK4 or a semi-implicit lagged-coefficient
-scheme), solves the steady equation ``F(u) = target`` by a damped Newton
+scheme), solves the steady equation ``F(u) = 0`` by a damped Newton
 iteration, monitors class membership (convex block positive definite, concave
 block negative definite, with quantitative bounds) along runs, and estimates
 convergence orders.
@@ -95,6 +95,12 @@ CLASS_MARGIN = 1e-10
 
 #: constant ``c`` of the explicit stability bound ``dt <= c*h^2*lam/Lam``
 CFL_CONSTANT = 0.2
+
+#: sup-norm residual at which the Newton iteration of :func:`solve_elliptic` stops
+NEWTON_TOL = 1e-10
+
+#: Newton steps :func:`solve_elliptic` takes before it gives up
+NEWTON_MAX_STEPS = 50
 
 
 def _carrier(flavor: str) -> Tuple[int, str, float]:
@@ -557,20 +563,19 @@ def _slot_fields(
     return (*_blocks(f.flavor, stencil.differences()), _mixed_slot(f.flavor, stencil))
 
 
-def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str,
-                        margin: float = CLASS_MARGIN) -> Tuple[float, float]:
-    """Check both blocks are definite with margin; return (lam, Lam) measured."""
+def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str) -> Tuple[float, float]:
+    """Check both blocks exceed ``CLASS_MARGIN``; return (lam, Lam) measured."""
     cmin, cmax = float(conv.min()), float(conv.max())
     kmin, kmax = float(conc.min()), float(conc.max())
-    if cmin <= margin:
+    if cmin <= CLASS_MARGIN:
         raise ClassExit(
             f"{where}: convex block lost definiteness "
-            f"(min second derivative {cmin:.3e} <= margin {margin:.0e})"
+            f"(min second derivative {cmin:.3e} <= margin {CLASS_MARGIN:.0e})"
         )
-    if kmin <= margin:
+    if kmin <= CLASS_MARGIN:
         raise ClassExit(
             f"{where}: concave block lost definiteness "
-            f"(min negated second derivative {kmin:.3e} <= margin {margin:.0e})"
+            f"(min negated second derivative {kmin:.3e} <= margin {CLASS_MARGIN:.0e})"
         )
     return min(cmin, kmin), max(cmax, kmax)
 
@@ -593,8 +598,8 @@ def discrete_time_speed(f: FlowField, index: int = -1) -> np.ndarray:
     return out
 
 
-def discrete_hessian(f: FlowField, index: int = -1) -> np.ndarray:
-    """Full centered-difference Hessian of a stored slice.
+def discrete_hessian(f: FlowField) -> np.ndarray:
+    """Full centered-difference Hessian of the latest slice.
 
     Returns an array of shape ``grid.shape + (dim, dim)``; frame entries are
     NaN on framed grids.  Mixed entries use the standard four-point cross.
@@ -603,7 +608,7 @@ def discrete_hessian(f: FlowField, index: int = -1) -> np.ndarray:
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
     out = np.full(f.grid.shape + (d, d), np.nan)
     inner = out[f.grid.interior]
-    for (a, b), v in _second_differences(f, f.slices[index], pairs).items():
+    for (a, b), v in _second_differences(f, f.slices[-1], pairs).items():
         inner[..., a, b] = v
         inner[..., b, a] = v
     return out
@@ -852,18 +857,16 @@ def solve_elliptic(
     boundary: ExpressionSpec,
     grid: BoxGrid,
     guess: Optional[Union[ExpressionSpec, np.ndarray]] = None,
-    target: float = 0.0,
-    tol: float = 1e-10,
-    max_iterations: int = 50,
 ) -> FlowField:
-    """Solve the steady equation ``F(u) = target`` by damped Newton iteration.
+    """Solve the steady equation ``F(u) = 0`` by damped Newton iteration.
 
     ``boundary`` supplies the frozen frame (evaluated at time 0); the initial
     guess defaults to the boundary description evaluated everywhere.  Each
     Newton step solves the linearized equation on the interior and halves the
     step until the iterate both stays in class and strictly decreases the
-    sup-norm residual.  Raises :class:`ClassExit` if the initial guess is out
-    of class and :class:`NoConvergence` after ``max_iterations`` Newton steps
+    sup-norm residual; the iteration stops at sup-norm residual
+    ``NEWTON_TOL``.  Raises :class:`ClassExit` if the initial guess is out of
+    class and :class:`NoConvergence` after ``NEWTON_MAX_STEPS`` Newton steps
     (or when damping stalls).
     """
     from scipy.sparse.linalg import splu
@@ -884,12 +887,12 @@ def solve_elliptic(
     def residual_of(candidate: np.ndarray,
                     where: str) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         conv, conc = _block_fields(f, candidate)
-        r = _flow_value(conv, conc, where) - target
+        r = _flow_value(conv, conc, where)
         return float(np.abs(r).max()), r, conv, conc
 
     res, r, conv, conc = residual_of(u, "elliptic initial guess")
-    for _ in range(max_iterations):
-        if res <= tol:
+    for _ in range(NEWTON_MAX_STEPS):
+        if res <= NEWTON_TOL:
             return dataclasses.replace(f, slices=[u], times=[0.0])
         lmat, _, _ = _operator_matrix(f, _linearized_gammas(f, conv, conc))
         delta = splu(lmat, permc_spec="MMD_AT_PLUS_A").solve(-r.ravel())
@@ -914,11 +917,11 @@ def solve_elliptic(
                 raise NoConvergence(
                     "damping stalled: no in-class step decreases the residual"
                 )
-    if res <= tol:
+    if res <= NEWTON_TOL:
         return dataclasses.replace(f, slices=[u], times=[0.0])
     raise NoConvergence(
-        f"Newton iteration did not reach residual {tol:.1e} in "
-        f"{max_iterations} steps (final residual {res:.3e})"
+        f"Newton iteration did not reach residual {NEWTON_TOL:.1e} in "
+        f"{NEWTON_MAX_STEPS} steps (final residual {res:.3e})"
     )
 
 
@@ -950,14 +953,13 @@ def monitor_class(
     f: FlowField,
     lower: float,
     upper: float,
-    tol: float = 1e-9,
 ) -> ClassSeries:
     """Track block eigenvalue bounds over the stored slices of a run.
 
     For the supported flavors both Hessian blocks are one-dimensional, so the
     eigenvalue bounds are the extrema of the discrete block fields over the
     interior.  A slice violates the window when any of the four bounds falls
-    outside ``[lower - tol, upper + tol]``.
+    outside ``[lower - 1e-9, upper + 1e-9]``.
     """
     n = len(f.slices)
     cmin = np.empty(n)
@@ -970,8 +972,8 @@ def monitor_class(
         cmin[i], cmax[i] = conv.min(), conv.max()
         kmin[i], kmax[i] = conc.min(), conc.max()
         bad = (
-            min(cmin[i], kmin[i]) < lower - tol
-            or max(cmax[i], kmax[i]) > upper + tol
+            min(cmin[i], kmin[i]) < lower - 1e-9
+            or max(cmax[i], kmax[i]) > upper + 1e-9
         )
         if bad and first is None:
             first = i
@@ -1037,12 +1039,12 @@ def time_order_estimate(
     return OrderEstimate(order=math.log2(d1 / d2), errors=(d1, d2))
 
 
-def _aligned_samples(grid: BoxGrid, per_axis: int = 7) -> List[Tuple[int, ...]]:
-    """Interior node indices, ~``per_axis`` per axis, refinement-aligned."""
+def _aligned_samples(grid: BoxGrid) -> List[Tuple[int, ...]]:
+    """Interior node indices, ~7 per axis, refinement-aligned."""
     choices = []
     for n in grid.shape:
         lo, hi = grid.frame, n - 1 - grid.frame
-        count = min(per_axis, hi - lo + 1)
+        count = min(7, hi - lo + 1)
         choices.append(np.unique(np.linspace(lo, hi, count).round().astype(int)))
     mesh = np.meshgrid(*choices, indexing="ij")
     return [tuple(int(m[idx]) for m in mesh) for idx in np.ndindex(mesh[0].shape)]
@@ -1051,10 +1053,9 @@ def _aligned_samples(grid: BoxGrid, per_axis: int = 7) -> List[Tuple[int, ...]]:
 def hessian_error(
     spec: ExpressionSpec,
     grid: BoxGrid,
-    time: float = 0.0,
     samples: Optional[List[Tuple[int, ...]]] = None,
 ) -> float:
-    """Sup-norm gap between the centered-difference Hessian and the exact one.
+    """Sup-norm gap between the centered-difference Hessian and the exact one, at time 0.
 
     The exact Hessian comes from the analytic jet of ``spec``; the gap is
     maximized over a refinement-aligned sample of interior nodes (all Hessian
@@ -1063,10 +1064,10 @@ def hessian_error(
     if grid.periodic:
         policy: BoundaryPolicy = PeriodicBase((0.0,) * grid.dim)
         flavor = _infer_flavor(spec, grid)
-        f = flow_from_values(evaluate_on_grid(spec, grid, time), grid, 0.0, flavor, policy)
+        f = flow_from_values(evaluate_on_grid(spec, grid), grid, 0.0, flavor, policy)
     else:
-        f = flow_from_spec(spec, grid, 0.0, time=time)
-    hess = discrete_hessian(f, 0)
+        f = flow_from_spec(spec, grid, 0.0)
+    hess = discrete_hessian(f)
     axes = grid.axes()
     if samples is None:
         samples = _aligned_samples(grid)
@@ -1078,12 +1079,8 @@ def hessian_error(
     return worst
 
 
-def spatial_order_estimate(
-    spec: ExpressionSpec,
-    grid: BoxGrid,
-    time: float = 0.0,
-) -> OrderEstimate:
-    """Measured spatial order of the discrete Hessian under one refinement.
+def spatial_order_estimate(spec: ExpressionSpec, grid: BoxGrid) -> OrderEstimate:
+    """Measured spatial order of the discrete Hessian under one refinement, at time 0.
 
     Errors are evaluated at the same physical points on the coarse grid and
     its refinement (coarse node ``i`` = fine node ``2i``), so the ratio
@@ -1091,8 +1088,8 @@ def spatial_order_estimate(
     """
     coarse_samples = _aligned_samples(grid)
     fine_samples = [tuple(2 * i for i in idx) for idx in coarse_samples]
-    e_coarse = hessian_error(spec, grid, time, samples=coarse_samples)
-    e_fine = hessian_error(spec, grid.refined(), time, samples=fine_samples)
+    e_coarse = hessian_error(spec, grid, samples=coarse_samples)
+    e_fine = hessian_error(spec, grid.refined(), samples=fine_samples)
     if e_fine == 0.0:
         raise TmaError(
             "discrete Hessian is exact on this description (polynomial of "

@@ -57,8 +57,8 @@ class OperatorValue:
     """Operator evaluation at one point, with its block log-determinants.
 
     ``f_value`` is exactly ``logdet_convex - logdet_concave`` as assembled;
-    ``h_residual`` is ``du/dt - f_value`` and is None when the input carries
-    no time derivative (pure elliptic evaluation).
+    ``h_residual`` is ``du/dt - f_value`` and is None when the input's drift
+    is 0.0 (pure elliptic evaluation).
     """
 
     f_value: float
@@ -76,24 +76,13 @@ def _blocks(obj: JetOrTable):
     return a, -c
 
 
-def _time_derivative(obj: JetOrTable) -> float:
-    if isinstance(obj, WirtingerTable):
-        zero = (0,) * obj.m
-        return float(np.real(obj.dt(zero, zero)))
-    return obj.dt()
-
-
-def _has_time_data(obj: JetOrTable) -> bool:
-    return bool(obj.dt1)
-
-
 def operator_value(obj: JetOrTable) -> OperatorValue:
     """Package F, the parabolic residual, and both block log-determinants."""
     top, bottom = _blocks(obj)
     ld_top = logdet_pd(top)
     ld_bottom = logdet_pd(bottom)
     f = ld_top - ld_bottom
-    h = _time_derivative(obj) - f if _has_time_data(obj) else None
+    h = obj.drift - f if obj.drift != 0.0 else None
     return OperatorValue(f_value=f, h_residual=h, logdet_convex=ld_top, logdet_concave=ld_bottom)
 
 
@@ -104,7 +93,7 @@ def eval_F(obj: JetOrTable) -> float:
 
 def eval_H(obj: JetOrTable) -> float:
     """Parabolic residual du/dt - F(u); zero iff the flow holds at the point."""
-    return _time_derivative(obj) - eval_F(obj)
+    return obj.drift - eval_F(obj)
 
 
 def complex_W(table: WirtingerTable):
@@ -148,4 +137,4 @@ def logdetW_equivalence_residual(table: WirtingerTable) -> float:
     the returned number is floating-point noise.
     """
     w = complex_W(table)
-    return abs((_time_derivative(table) - logdet_pd(w)) - eval_H(table))
+    return abs((table.drift - logdet_pd(w)) - eval_H(table))

@@ -1,4 +1,4 @@
-"""The public surface: every exported name resolves, every raise is a package error, and the README tour prints what it promises."""
+"""The public surface: the package root exports the README tour, every exported name resolves, every raise is a package error, and the tour prints what it promises."""
 
 import ast
 import builtins
@@ -24,6 +24,22 @@ def test_every_exported_name_resolves():
     exporting = [mod for mod in modules if hasattr(mod, "__all__")]
     missing = [f"{mod.__name__}.{name}" for mod in exporting for name in mod.__all__ if not hasattr(mod, name)]
     assert len(exporting) > 1 and not missing
+
+
+def test_top_level_names_are_the_readme_tour():
+    # the package root re-exports what the README's python blocks import from
+    # it, and nothing else: every other name lives in its submodule
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    toured = {
+        alias.name
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "tma"
+        for alias in node.names
+    }
+    assert len(toured) > 10
+    assert set(tma.__all__) == toured | {"errors", "__version__"}
+    assert len(tma.__all__) == len(set(tma.__all__))
 
 
 def test_every_raise_is_a_package_error():

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tma import cli
-from tma.errors import DimensionMismatch, DomainViolation
+from tma.errors import DimensionMismatch, DomainViolation, ParseError, TmaError
 from tma.evolution import (
     FlowBlock,
     assemble_Q,
@@ -27,7 +27,7 @@ from tma.evolution import (
     heat_residual,
     real_evolution_lhs,
 )
-from tma.funclass import EnsembleSpec, class_membership, draw_member, sample_points
+from tma.funclass import EnsembleSpec, class_membership, default_cloud, draw_member, sample_points
 from tma.jets import (
     ExpressionSpec,
     SpaceTimeJet,
@@ -85,9 +85,13 @@ def test_stacked_legendre_equals_per_point(shape, seed, draw, m):
         assert res[i] == one == res_ref
 
 
-_REAL21 = draw_member(EnsembleSpec(k=2, l=1, seed=5), 0)
+_ES21 = EnsembleSpec(k=2, l=1, seed=5)
+_REAL21 = draw_member(_ES21, 0)
 _COMPLEX11 = draw_member(EnsembleSpec(k=1, l=1, flavor="complex", seed=5), 0)
-_EMPTY_INPUTS = {
+# Empty inputs give empty results; other degenerate inputs raise a package
+# error.  The k = l = 0 case only builds the spec: a draw from it used to
+# loop forever, so a regression must fail here rather than hang.
+_DEGENERATE_INPUTS = {
     "evaluate_hessians": (lambda: evaluate_hessians(_REAL21, np.zeros((0, 3))), (0, 3, 3)),
     "wirtinger_hessians": (lambda: wirtinger_hessians(_COMPLEX11, np.zeros((0, 4))), (0, 2, 2)),
     "real_W": (lambda: real_W(_REAL21, np.zeros((0, 3))), (0, 3, 3)),
@@ -98,12 +102,22 @@ _EMPTY_INPUTS = {
     ),
     "FlowBlock": (lambda: FlowBlock([], np.zeros((0, 1, 4))), DimensionMismatch),
     "class_membership": (lambda: class_membership(_REAL21, np.zeros((0, 3)), 0.5, 2.0), DimensionMismatch),
+    "EnsembleSpec_k0_l0": (lambda: EnsembleSpec(k=0, l=0, seed=5), ParseError),
+    "EnsembleSpec.from_dict_k0_l0": (lambda: EnsembleSpec.from_dict({"k": 0, "l": 0}), ParseError),
+    "EnsembleSpec_negative_k": (lambda: EnsembleSpec(k=-1, l=2), ParseError),
+    "draw_member_negative_index": (lambda: draw_member(_ES21, -1), TmaError),
+    "sample_points_negative_index": (lambda: sample_points(_ES21, -1, 3), TmaError),
+    "sample_points_negative_count": (lambda: sample_points(_ES21, 0, -1), DimensionMismatch),
+    "sample_points_no_points": (lambda: sample_points(_ES21, 0, 0), (0, 3)),
+    "evaluate_jet_negative_order": (lambda: evaluate_jet(_REAL21, [0.0, 0.0, 0.0], order=-1), TmaError),
+    "stacked_jets_negative_order": (lambda: stacked_jets([_REAL21], np.zeros((1, 1, 3)), order=-1), TmaError),
+    "default_cloud_dim0": (lambda: default_cloud(0), DimensionMismatch),
 }
 
 
-@pytest.mark.parametrize("name", list(_EMPTY_INPUTS))
+@pytest.mark.parametrize("name", list(_DEGENERATE_INPUTS))
 def test_empty_inputs_give_empty_results_or_dimension_mismatch(name):
-    call, expected = _EMPTY_INPUTS[name]
+    call, expected = _DEGENERATE_INPUTS[name]
     if isinstance(expected, type):
         with pytest.raises(expected):
             call()

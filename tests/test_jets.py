@@ -169,7 +169,7 @@ def test_time_drift_enters_value_and_dt():
     spec = quad_spec([[1.0]], k=1, l=0, time_drift=3.5)
     jet = evaluate_jet(spec, [1.0], time=2.0)
     assert jet.d((0,)) == pytest.approx(0.5 + 7.0)
-    assert jet.dt() == 3.5
+    assert jet.drift == 3.5
 
 
 def test_partials_above_the_order_read_zero():

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import spsolve
 
+from tma import solver
 from tma.errors import (
     CFLViolation,
     ClassExit,
@@ -390,10 +391,11 @@ class TestSolveElliptic:
         with pytest.raises(ClassExit):
             solve_elliptic(spec, FRAMED, guess=upside_down)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         spec = perturbed_flow_spec(1.0, 1.0, 0.3, modes=((1.0, 1.0),))
-        with pytest.raises(NoConvergence):
-            solve_elliptic(spec, FRAMED, max_iterations=1)
+        monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(NoConvergence, match="in 1 steps"):
+            solve_elliptic(spec, FRAMED)
 
     def test_periodic_grid_rejected(self):
         spec = reference_flow_spec(1.0, 1.0)

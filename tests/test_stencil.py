@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tma.errors import ClassExit, EmptyCylinder
+from tma.errors import ClassExit
 from tma.estimates import flow_quantities
 from tma.solver import (
     CFL_CONSTANT,
@@ -293,10 +293,6 @@ class TestCropEqualsFullCall:
         q = flow_quantities(f, center=(0.0, 2 * math.pi - 0.2), radius=0.5)
         assert q.axes[0][0] == 0.0
         assert q.axes[1][-1] == f.grid.axes()[1][-1]
-
-    def test_no_snapshots_is_refused(self):
-        with pytest.raises(EmptyCylinder):
-            flow_quantities(periodic2d(), indices=[])
 
     def test_memory_follows_the_crop(self):
         """Peak traced memory: the returned arrays and a few slice-sized buffers.
