@@ -25,7 +25,6 @@ failed.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import math
@@ -737,17 +736,6 @@ class ExperimentResult:
     workers: int
 
 
-@functools.lru_cache(maxsize=None)
-def _scipy_version() -> str:
-    """SciPy's version from its installed metadata, read once per process.
-
-    The manifest records it without importing SciPy, which no sweep needs.
-    """
-    import importlib.metadata
-
-    return importlib.metadata.version("scipy")
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Execute one suite; write its CSV and manifest; never raise past config.
 
@@ -793,7 +781,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
             "package": __version__,
         },
         "workers": workers,

@@ -133,8 +133,9 @@ class EnsembleSpec:
     Base quadratic ``a|x|^2/2 - b|y|^2/2`` (real flavor) or ``a|z|^2 - b|w|^2``
     (complex flavor) plus ``n_atoms`` trig atoms whose Hessian sup-norms sum to
     ``eps``, over ``k >= 0`` convex and ``l >= 0`` concave variables with
-    ``k + l >= 1`` (else :class:`ParseError`).  Every draw passes membership with ``lam = min(a,b)/2`` and
-    ``Lam = 2 max(a,b)`` provided ``eps <= min(a,b)/2``.
+    ``k + l >= 1``; the ``seed`` is a nonnegative integer (else
+    :class:`ParseError` for either).  Every draw passes membership with
+    ``lam = min(a,b)/2`` and ``Lam = 2 max(a,b)`` provided ``eps <= min(a,b)/2``.
     """
 
     k: int
@@ -150,6 +151,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.k < 0 or self.l < 0 or self.k + self.l == 0:
             raise ParseError(f"at dims: need k >= 0, l >= 0, k + l >= 1; got ({self.k}, {self.l})")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ParseError("ensemble.seed: expected an unsigned integer")
 
     @property
     def nvars(self) -> int:
@@ -185,8 +188,6 @@ class EnsembleSpec:
             raise ParseError(f"ensemble: {e}") from e
         if es.flavor not in ("real", "complex"):
             raise ParseError(f"ensemble.flavor: expected real|complex, got {es.flavor!r}")
-        if not isinstance(es.seed, int) or es.seed < 0:
-            raise ParseError("ensemble.seed: expected an unsigned integer")
         return es
 
     def canonical_json(self) -> str:

@@ -8,14 +8,16 @@ iteration, monitors class membership (convex block positive definite, concave
 block negative definite, with quantitative bounds) along runs, and estimates
 convergence orders.
 
-The two sparse linear solves differ.  The semi-implicit step's system
-``I - dt*L`` is strictly diagonally dominant and is solved iteratively by
-Jacobi-preconditioned BiCGSTAB; a solve that misses its tolerance raises
-:class:`NoConvergence` instead of returning an unconverged step.  Each Newton
-step solves the linearized operator ``L`` itself by a direct sparse LU
-factorization.  ``scipy.sparse`` is imported by the functions that build or
-solve these systems, not by the module, so importing the package does not
-pay for it.
+Both linear solves, the semi-implicit step's ``(I - dt*L) du = dt*F`` and
+each Newton step's ``L du = -F``, are matrix-free: ``L = sum_a gamma_a d^2_a``
+is applied from the stencil, and a restarted GMRES is preconditioned by a
+fast transform (the DST-I on framed grids, the FFT on periodic ones) of the
+same operator with its coefficients averaged.  At a steady state ``L`` is a
+scaled Laplacian, so the preconditioner is nearly exact there: a Newton
+solve at 129^2 takes 1, 9, 5, 3 and 2 Krylov iterations in its five steps,
+and a semi-implicit step on a quadratic takes one.  A solve that misses its
+tolerance raises :class:`NoConvergence` instead of returning an unconverged
+step.
 
 Each grid flavor carries one convex and one concave slot on a real grid:
 even axes carry the convex slot, odd axes the concave slot, and a slot's
@@ -403,31 +405,6 @@ def _wrap(g: np.ndarray) -> None:
         g[lead + (-1,)] = g[lead + (1,)]
 
 
-def _neighbours(grid: BoxGrid, arr: np.ndarray) -> Callable[[dict], np.ndarray]:
-    """Interior-shaped views of ``arr``, moved ``steps[a]`` nodes along each axis ``a``.
-
-    The views read one ghost layer around the interior: the frame on a
-    framed grid, a one-layer wrap of ``arr`` (see :func:`_wrap`) on a
-    periodic one.
-    """
-    if grid.periodic:
-        g = np.empty(tuple(n + 2 for n in arr.shape), dtype=arr.dtype)
-        g[(slice(1, -1),) * arr.ndim] = arr
-        _wrap(g)
-        offset = 1
-    else:
-        g, offset = arr, grid.frame
-    shape = grid.interior_shape
-
-    def moved(steps: dict) -> np.ndarray:
-        return g[tuple(
-            slice(offset + steps.get(a, 0), offset + steps.get(a, 0) + m)
-            for a, m in enumerate(shape)
-        )]
-
-    return moved
-
-
 class _Stencil:
     """Centered second differences of one flow's slices, on buffers kept between calls.
 
@@ -687,54 +664,201 @@ def _linearized_gammas(f: FlowField, conv: np.ndarray, conc: np.ndarray) -> List
     return [weight / conv, weight / conc] * (dim // 2)
 
 
-def _operator_matrix(
-    f: FlowField, gammas: Sequence[np.ndarray]
-) -> Tuple[object, np.ndarray, np.ndarray]:
-    """Sparse (CSC) matrix of ``L = sum_a gamma_a d^2_a`` over the unknown nodes.
+class _Operator:
+    """``L = sum_a gamma_a d^2_a`` on the unknown nodes or, given ``dt``, ``I - dt*L``.
 
-    The coefficients ``gammas`` are interior-shaped.  Unknowns are the
-    interior nodes (framed grids; frame values are data, so stencil legs
-    reaching into the frame drop out of the matrix) or all nodes (periodic
-    grids, wrapped legs).  Returns the matrix, the flat indices of the
-    unknowns in C order, and the per-row sum of dropped leg weights (the
-    coupling of each unknown to the frame; all zero on periodic grids).
+    It is applied from the stencil; no matrix is assembled.  The
+    coefficients ``gammas`` are interior-shaped, and so are the unknowns: the
+    interior nodes of a framed grid, whose frame values are data, so stencil
+    legs reaching the frame read zero; or every node of a periodic grid,
+    whose legs wrap.  Vectors are flat, in C order.
     """
-    import scipy.sparse as sp
 
-    grid = f.grid
-    n_total = int(np.prod(grid.shape))
-    idx = np.arange(n_total).reshape(grid.shape)
-    unknowns = idx[grid.interior].ravel()
-    m = unknowns.size
-    compact = np.full(n_total, -1, dtype=np.int64)
-    compact[unknowns] = np.arange(m)
-    at = _neighbours(grid, idx)
+    def __init__(self, grid: BoxGrid, gammas: Sequence[np.ndarray], dt: Optional[float] = None):
+        self.periodic = grid.periodic
+        self.shape = grid.interior_shape
+        scale = 1.0 if dt is None else -dt
+        self.weights = [scale * g / (h * h) for g, h in zip(gammas, grid.spacing)]
+        self.diag = -2.0 * sum(self.weights) + (0.0 if dt is None else 1.0)
+        self.inner = (slice(1, -1),) * len(self.shape)
+        self.ghosted = np.zeros(tuple(n + 2 for n in self.shape))
 
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-    diag = np.zeros(m)
-    frame_legs = np.zeros(m)
-    rows_self = np.arange(m)
-    for a, (g, h) in enumerate(zip(gammas, grid.spacing)):
-        w = g.ravel() / (h * h)
-        diag -= 2.0 * w
-        for shift in (1, -1):
-            nb = at({a: shift}).ravel()
-            cn = compact[nb]
-            keep = cn >= 0
-            rows.append(rows_self[keep])
-            cols.append(cn[keep])
-            vals.append(w[keep])
-            frame_legs[~keep] += w[~keep]
-    rows.append(rows_self)
-    cols.append(rows_self)
-    vals.append(diag)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    ).tocsc()
-    return mat, unknowns, frame_legs
+    def _legs(self, g: np.ndarray) -> np.ndarray:
+        """``sum_a w_a (g_{+a} + g_{-a})`` on the interior of the ghosted array ``g``."""
+        out = np.zeros(self.shape)
+        for a, w in enumerate(self.weights):
+            lead, tail = self.inner[:a], self.inner[a + 1:]
+            out += w * (g[lead + (slice(2, None),) + tail] + g[lead + (slice(None, -2),) + tail])
+        return out
+
+    def _load(self, v: np.ndarray) -> np.ndarray:
+        """Write ``v`` into the ghosted buffer (wrapped on periodic grids); return it interior-shaped."""
+        v = v.reshape(self.shape)
+        self.ghosted[self.inner] = v
+        if self.periodic:
+            _wrap(self.ghosted)
+        return v
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        v = self._load(v)
+        return (self._legs(self.ghosted) + self.diag * v).ravel()
+
+    def bound(self, v: np.ndarray) -> np.ndarray:
+        """``|A| |v|``: the scale of the rounding error of computing ``A v``.
+
+        All leg weights share one sign, so the legs of ``|v|`` are ``|A|``'s
+        off-diagonal part up to that sign.
+        """
+        v = self._load(np.abs(v))
+        return (np.abs(self._legs(self.ghosted)) + np.abs(self.diag) * v).ravel()
+
+    def frame_coupling(self) -> np.ndarray:
+        """Per unknown, the summed weight of its stencil legs that reach the frame.
+
+        Frame data ``c`` adds ``c`` times this to the operator's value; it
+        is zero on periodic grids.
+        """
+        g = np.full(self.ghosted.shape, 0.0 if self.periodic else 1.0)
+        g[self.inner] = 0.0
+        return self._legs(g).ravel()
+
+
+def _sine_transform(x: np.ndarray) -> np.ndarray:
+    """The DST-I of ``x`` along every axis, unnormalized (``scipy.fft.dstn(x, type=1)``).
+
+    Along an axis of ``n`` nodes it is minus the imaginary part of the real
+    FFT of the odd extension ``[0, x, 0, -reversed x]``, of length
+    ``2(n + 1)``.  Applied twice it multiplies by the product of those
+    lengths.
+    """
+    for axis, n in enumerate(x.shape):
+        lead = (slice(None),) * axis
+        ext = np.zeros(x.shape[:axis] + (2 * n + 2,) + x.shape[axis + 1:])
+        ext[lead + (slice(1, n + 1),)] = x
+        ext[lead + (slice(n + 2, None),)] = -np.flip(x, axis)
+        x = -np.fft.rfft(ext, axis=axis).imag[lead + (slice(1, n + 1),)]
+    return x
+
+
+class _FastPoisson:
+    """Fast-transform preconditioner for ``L`` or, given ``dt``, for ``I - dt*L``.
+
+    ``P^{-1} v = T^{-1}(T(v / gbar) / D)``, where ``gbar`` is the pointwise
+    mean of the ``gamma_a``, ``T`` the DST-I on framed grids and the FFT on
+    periodic ones, and ``D`` the symbol ``Lambda`` of the axis-weighted
+    Laplacian ``sum_a c_a d^2_a`` with ``c_a = mean(gamma_a)/mean(gbar)``, or
+    ``1/mean(gbar) - dt*Lambda``.  For constant coefficients ``P`` is the
+    operator itself.  On a periodic grid ``L`` annihilates constants, and the
+    preconditioner of ``L`` drops that mode.
+    """
+
+    def __init__(self, grid: BoxGrid, gammas: Sequence[np.ndarray], dt: Optional[float] = None):
+        self.periodic = grid.periodic
+        self.shape = grid.interior_shape
+        self.gbar = sum(gammas) / len(gammas)
+        mean = float(self.gbar.mean())
+        dim = len(self.shape)
+        symbol = np.zeros(())
+        for a, (g, h, n) in enumerate(zip(gammas, grid.spacing, self.shape)):
+            if self.periodic:
+                modes = np.arange(n // 2 + 1 if a == dim - 1 else n)
+                eig = -4.0 * np.sin(math.pi * modes / n) ** 2 / (h * h)
+            else:
+                eig = -4.0 * np.sin(0.5 * math.pi * np.arange(1, n + 1) / (n + 1)) ** 2 / (h * h)
+            symbol = symbol + (float(g.mean()) / mean) * eig.reshape((-1,) + (1,) * (dim - 1 - a))
+        denom = symbol if dt is None else 1.0 / mean - dt * symbol
+        if self.periodic:
+            if dt is None:
+                denom[(0,) * dim] = math.inf
+        else:
+            denom = denom * math.prod(2 * n + 2 for n in self.shape)
+        self.inverse = 1.0 / denom
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        x = v.reshape(self.shape) / self.gbar
+        if self.periodic:
+            x = np.fft.irfftn(np.fft.rfftn(x) * self.inverse, s=self.shape,
+                              axes=range(len(self.shape)))
+        else:
+            x = _sine_transform(_sine_transform(x) * self.inverse)
+        return x.ravel()
+
+
+#: GMRES restart length of the matrix-free linear solves
+_KRYLOV_RESTART = 40
+
+#: Krylov iterations after which a linear solve raises :class:`NoConvergence`
+_KRYLOV_MAX_ITERATIONS = 400
+
+
+def _gmres(
+    system: _Operator,
+    precondition: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    rtol: float,
+    atol: float,
+    where: str,
+) -> np.ndarray:
+    """``x`` with ``||b - A x||_2 <= max(rtol*||b||_2, atol)``, by right-preconditioned GMRES.
+
+    ``system`` is ``A`` and ``precondition`` is ``P^{-1}``, on flat vectors;
+    the iteration starts from zero and restarts every ``_KRYLOV_RESTART``
+    iterations.  The Arnoldi basis is orthogonalized by classical
+    Gram-Schmidt run twice, and the least-squares residual is tracked by
+    Givens rotations.  Each cycle ends by computing the true residual, and
+    only that is tested: against the tolerance, or against
+    ``eps*|| |A| |x| ||_2``, the rounding error of computing it, below which
+    no iteration can push it (large ``dt/h^2`` in the semi-implicit step).
+    After ``_KRYLOV_MAX_ITERATIONS`` iterations in all, or on a singular
+    Krylov system, raises :class:`NoConvergence` naming ``where``.
+    """
+    norm = np.linalg.norm
+    tol = max(rtol * float(norm(b)), atol)
+    x = np.zeros_like(b)
+    r, beta = b, float(norm(b))
+    iterations = 0
+    m = _KRYLOV_RESTART
+    while beta > tol:
+        if iterations >= _KRYLOV_MAX_ITERATIONS:
+            raise NoConvergence(
+                f"{where}: GMRES did not reach relative residual {rtol:.0e} "
+                f"in {iterations} iterations"
+            )
+        basis = np.empty((m + 1, b.size))
+        basis[0] = r / beta
+        hess = np.zeros((m + 1, m))
+        rotations = np.zeros((m, 2))
+        g = np.zeros(m + 1)
+        g[0] = beta
+        for j in range(m):
+            w = system(precondition(basis[j]))
+            iterations += 1
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            again = basis[:j + 1] @ w
+            w -= again @ basis[:j + 1]
+            col = hess[:, j]
+            col[:j + 1] = h + again
+            below = float(norm(w))
+            for i, (c, s) in enumerate(rotations[:j]):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            radius = math.hypot(col[j], below)
+            if radius == 0.0:
+                raise NoConvergence(f"{where}: GMRES met a singular Krylov system")
+            c, s = col[j] / radius, below / radius
+            rotations[j] = c, s
+            col[j] = radius
+            g[j + 1], g[j] = -s * g[j], c * g[j]
+            if abs(g[j + 1]) <= tol or below == 0.0 or iterations >= _KRYLOV_MAX_ITERATIONS:
+                break
+            basis[j + 1] = w / below
+        k = j + 1
+        x = x + precondition(np.linalg.solve(hess[:k, :k], g[:k]) @ basis[:k])
+        r = b - system(x)
+        beta = float(norm(r))
+        if beta > tol and beta <= np.finfo(float).eps * norm(system.bound(x)):
+            break
+    return x
 
 
 # Relative residual at which the semi-implicit step's linear solve stops.
@@ -748,52 +872,25 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
     (the boundary values are linear in time), so its stencil coupling moves
     to the right-hand side instead of being lagged.
 
-    ``I - dt*L_n`` is strictly diagonally dominant (``L_n`` has a negative
-    diagonal and positive off-diagonals summing to at most its magnitude), so
-    the system is solved by Jacobi-preconditioned BiCGSTAB to relative
-    residual ``_SEMI_RTOL``; a direct factorization's fill grows too fast to
-    be usable on 4-D grids.  Iteration counts grow with ``dt/h^2``: 3-4 on
-    13^4 and 17^4 at ``dt = 1e-3``, about 50 and 110 on 129^2 at ``dt`` 1e-3
-    and 5e-3.  Every caller in this package steps with ``dt <= 5e-3``; on
-    fine 2-D grids at ``dt`` of order one (~270 iterations at 129^2) a direct
-    solve would be faster.  A solve that misses the tolerance raises
-    :class:`NoConvergence` rather than returning an unconverged increment,
-    except a breakdown whose true residual is already below the rounding
-    floor of ``dt*F`` (a slice steady to rounding, where ``F`` is noise).
+    The system is solved matrix-free by :func:`_gmres` to relative residual
+    ``_SEMI_RTOL``, preconditioned by :class:`_FastPoisson`, which is exact
+    when the coefficients are constant.  A step of a quadratic (129^2, 13^4)
+    takes one Krylov iteration.  A step of a rippled field takes 10 at 17^2
+    (``dt`` 8e-4 to 5e-3, the flow-convergence suite included) and 11-14 at
+    129^2 (``dt`` 5e-3 to 1).  A solve that misses the tolerance raises
+    :class:`NoConvergence` rather than returning an unconverged increment.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import bicgstab
-
     dt = f.dt
     conv, conc = _block_fields(f, u)
     rhs = dt * _flow_value(conv, conc, "semi-implicit step").ravel()
-    lmat, _, frame_legs = _operator_matrix(f, _linearized_gammas(f, conv, conc))
+    gammas = _linearized_gammas(f, conv, conc)
+    system = _Operator(f.grid, gammas, dt)
     if isinstance(f.policy, FrozenFrame):
         frame_delta = f.policy.spec.time_drift * dt
         if frame_delta != 0.0:
-            rhs += dt * frame_delta * frame_legs
-    a_mat = (sp.identity(lmat.shape[0], format="csr") - dt * lmat).tocsr()
-    diag = a_mat.diagonal()
-    delta, info = bicgstab(
-        a_mat, rhs, x0=rhs / diag, rtol=_SEMI_RTOL, atol=0.0,
-        maxiter=10 * rhs.size, M=sp.diags(1.0 / diag),
-    )
-    if info < 0:
-        # SciPy flags a breakdown when rho or omega falls below eps**2 in
-        # absolute value, which a right-hand side of pure rounding noise
-        # reaches.  Accept the increment when its true residual is below the
-        # rounding of dt*F: a pure second difference of values up to U rounds
-        # by about 4*eps*U/h^2, and each log in F = log(conv) - log(conc) by
-        # that over its block's size.
-        eps = np.finfo(float).eps
-        floor = 8.0 * eps * dt * np.abs(u).max() / min(f.grid.spacing) ** 2 / min(conv.min(), conc.min())
-        if np.abs(rhs - a_mat @ delta).max() <= floor:
-            info = 0
-    if info != 0:
-        raise NoConvergence(
-            f"semi-implicit step at t={t:.6g}: BiCGSTAB did not reach relative "
-            f"residual {_SEMI_RTOL:.0e} (info={info})"
-        )
+            rhs -= frame_delta * system.frame_coupling()
+    delta = _gmres(system, _FastPoisson(f.grid, gammas, dt), rhs, _SEMI_RTOL, 0.0,
+                   f"semi-implicit step at t={t:.6g}")
     unew = u.copy()
     unew[f.grid.interior] += delta.reshape(f.grid.interior_shape)
     _apply_frame(f, unew, t + dt)
@@ -853,6 +950,13 @@ def step_parabolic(f: FlowField, scheme: str = "rk4") -> FlowField:
 # ---------------------------------------------------------------------------
 
 
+# Residual at which a Newton step's linear solve stops: relative to the
+# Newton residual, with an absolute floor near the solution (the forcing term
+# of inexact Newton, Eisenstat & Walker 1996).
+_NEWTON_LINEAR_RTOL = 1e-10
+_NEWTON_LINEAR_ATOL = 1e-12
+
+
 def solve_elliptic(
     boundary: ExpressionSpec,
     grid: BoxGrid,
@@ -867,10 +971,8 @@ def solve_elliptic(
     sup-norm residual; the iteration stops at sup-norm residual
     ``NEWTON_TOL``.  Raises :class:`ClassExit` if the initial guess is out of
     class and :class:`NoConvergence` after ``NEWTON_MAX_STEPS`` Newton steps
-    (or when damping stalls).
+    (or when damping stalls, or a step's linear solve fails).
     """
-    from scipy.sparse.linalg import splu
-
     if grid.periodic:
         raise TmaError("the elliptic solve needs boundary data: use a framed grid")
     if guess is None:
@@ -894,8 +996,9 @@ def solve_elliptic(
     for _ in range(NEWTON_MAX_STEPS):
         if res <= NEWTON_TOL:
             return dataclasses.replace(f, slices=[u], times=[0.0])
-        lmat, _, _ = _operator_matrix(f, _linearized_gammas(f, conv, conc))
-        delta = splu(lmat, permc_spec="MMD_AT_PLUS_A").solve(-r.ravel())
+        gammas = _linearized_gammas(f, conv, conc)
+        delta = _gmres(_Operator(grid, gammas), _FastPoisson(grid, gammas), -r.ravel(),
+                       _NEWTON_LINEAR_RTOL, _NEWTON_LINEAR_ATOL, "Newton step")
         step = 1.0
         while True:
             cand = u.copy()

@@ -71,27 +71,30 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is most of what is left of the import time; only the
-    # sparse solves use it, and they import it when they run
+    # scipy.sparse was most of the import time; the solves are matrix-free
+    # now, and neither the import nor a solve may load it
     assert fresh_python("import tma; print('scipy.sparse' in sys.modules)") == "False"
 
 
 def test_sparse_solves_run_from_a_cold_import():
-    # one semi-implicit step and one Newton solve, each the first sparse call
-    # of its interpreter: the step moves the quadratic u0 exactly to
-    # u0 + dt*log(a/b), and the solve of a rippled boundary converges
+    # one semi-implicit step and one Newton solve, each the first solve of
+    # its interpreter: the step moves the quadratic u0 exactly to
+    # u0 + dt*log(a/b), the solve of a rippled boundary converges, and
+    # neither loads SciPy
     grid = "from tma.solver import *; import numpy as np; grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9))\n"
     step = grid + (
         "spec = reference_flow_spec(2.0, 1.0)\n"
         "f = run_flow(flow_from_spec(spec, grid, 1e-3), 1, scheme='semi-implicit')\n"
-        "print(np.abs(f.slices[-1] - evaluate_on_grid(spec, grid, time=f.times[-1])).max() <= 1e-13)"
+        "print(np.abs(f.slices[-1] - evaluate_on_grid(spec, grid, time=f.times[-1])).max() <= 1e-13)\n"
+        "print('scipy' in sys.modules)"
     )
     solve = grid + (
         "sol = solve_elliptic(perturbed_flow_spec(1.0, 1.0, 0.05, modes=((1.0, 1.0),)), grid)\n"
-        "print(np.nanmax(np.abs(discrete_time_speed(sol, 0))) <= 1e-10)"
+        "print(np.nanmax(np.abs(discrete_time_speed(sol, 0))) <= 1e-10)\n"
+        "print('scipy' in sys.modules)"
     )
-    assert fresh_python(step) == "True"
-    assert fresh_python(solve) == "True"
+    assert fresh_python(step).split() == ["True", "False"]
+    assert fresh_python(solve).split() == ["True", "False"]
 
 
 def test_readme_examples_print_what_their_comments_give():

@@ -105,6 +105,7 @@ _DEGENERATE_INPUTS = {
     "EnsembleSpec_k0_l0": (lambda: EnsembleSpec(k=0, l=0, seed=5), ParseError),
     "EnsembleSpec.from_dict_k0_l0": (lambda: EnsembleSpec.from_dict({"k": 0, "l": 0}), ParseError),
     "EnsembleSpec_negative_k": (lambda: EnsembleSpec(k=-1, l=2), ParseError),
+    "EnsembleSpec_negative_seed": (lambda: EnsembleSpec(k=1, l=1, seed=-1), ParseError),
     "draw_member_negative_index": (lambda: draw_member(_ES21, -1), TmaError),
     "sample_points_negative_index": (lambda: sample_points(_ES21, -1, 3), TmaError),
     "sample_points_negative_count": (lambda: sample_points(_ES21, 0, -1), DimensionMismatch),

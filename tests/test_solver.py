@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import spsolve
 
 from tma import solver
@@ -29,9 +29,10 @@ from tma.errors import (
 from tma.jets import ExpressionSpec
 from tma.solver import (
     BoxGrid,
-    _block_fields,
+    _FastPoisson,
     _linearized_gammas,
-    _operator_matrix,
+    _Operator,
+    _sine_transform,
     FrozenFrame,
     PeriodicBase,
     discrete_hessian,
@@ -50,6 +51,7 @@ from tma.solver import (
     step_parabolic,
     time_order_estimate,
 )
+from test_stencil import _ref_blocks, _ref_operator, periodic2d
 
 # ---------------------------------------------------------------------------
 # oracle: exact motion of the separable quadratic, in plain numpy
@@ -315,38 +317,83 @@ class TestGuards:
 
 
 class TestSemiImplicitSolve:
-    @pytest.mark.parametrize("dt", [1e-3, 5e-3])
-    def test_increment_matches_direct_solve(self, dt):
-        f = rippled(dt)
-        u = f.slices[-1]
-        # the same system (I - dt L) du = dt F, solved directly
-        conv, conc = _block_fields(f, u)
-        lmat, unknowns, _ = _operator_matrix(f, _linearized_gammas(f, conv, conc))
+    @pytest.mark.parametrize("make", [lambda: rippled(1e-3), lambda: rippled(5e-3), periodic2d],
+                             ids=["0.001", "0.005", "periodic2d"])
+    def test_increment_matches_direct_solve(self, make):
+        f = make()
+        u, dt = f.slices[-1], f.dt
+        # the same system (I - dt L) du = dt F, assembled and solved directly
+        lmat, unknowns, _ = _ref_operator(f, _linearized_gammas(f, *_ref_blocks(f, u)))
         rhs = dt * discrete_time_speed(f)[f.grid.interior].ravel()
-        direct = spsolve((sp.identity(lmat.shape[0], format="csc") - dt * lmat).tocsc(), rhs)
+        direct = spsolve(sp.csc_matrix(np.eye(len(lmat)) - dt * lmat), rhs)
         increment = (step_parabolic(f, "semi-implicit").slices[-1] - u).ravel()[unknowns]
-        assert np.abs(increment - direct).max() <= 1e-12 * np.abs(direct).max()
+        # read as a difference of slices, the increment carries their rounding
+        rounding = 4 * np.finfo(float).eps * np.abs(u).max()
+        assert np.abs(increment - direct).max() <= 1e-12 * np.abs(direct).max() + rounding
 
     def test_unconverged_solve_raises(self, monkeypatch):
-        # the step imports bicgstab when it runs, so the stand-in goes on scipy's module
-        monkeypatch.setattr(spla, "bicgstab", lambda a, b, x0=None, **kw: (x0, 1))
-        with pytest.raises(NoConvergence, match="semi-implicit"):
+        # the rippled step needs about ten Krylov iterations; capped at one,
+        # it must raise instead of returning an unconverged increment
+        monkeypatch.setattr(solver, "_KRYLOV_MAX_ITERATIONS", 1)
+        message = r"^semi-implicit step at t=0: GMRES did not reach relative residual 1e-13 in 1 iterations$"
+        with pytest.raises(NoConvergence, match=message):
             step_parabolic(rippled(1e-3), "semi-implicit")
 
     @pytest.mark.parametrize("n", [7, 9, 13])
     def test_steady_4d_slice_steps(self, n):
-        # F is rounding noise here (|F| <= 1.2e-14; exactly 0 at n = 9), which
-        # drives BiCGSTAB into a breakdown at n = 7 and 13; the step must
-        # still return, moving the field by no more than that noise
+        # F is rounding noise here (|F| <= 1.2e-14; exactly 0 at n = 9); the
+        # step must still return, moving the field by no more than that noise
         spec = reference_flow_spec(1.0, 1.0, "complex11")
         f = flow_from_spec(spec, BoxGrid((-1.0,) * 4, (1.0,) * 4, (n,) * 4), 1e-3)
         out = run_flow(f, 1, scheme="semi-implicit")
         assert np.abs(out.slices[-1] - out.slices[0]).max() <= 1e-3 * 1e-13
 
-    def test_breakdown_far_from_steady_raises(self, monkeypatch):
-        monkeypatch.setattr(spla, "bicgstab", lambda a, b, x0=None, **kw: (x0, -10))
-        with pytest.raises(NoConvergence, match="info=-10"):
-            step_parabolic(rippled(1e-3), "semi-implicit")
+
+# ---------------------------------------------------------------------------
+# the matrix-free solves' transform, preconditioner and Newton step counts
+# ---------------------------------------------------------------------------
+
+
+class TestMatrixFreeSolves:
+    @pytest.mark.parametrize("shape", [(127, 127), (11,) * 4, (255, 255)], ids=str)
+    def test_sine_transform_is_scipy_dst1(self, shape):
+        x = np.random.default_rng(5).normal(size=shape)
+        want = scipy.fft.dstn(x, type=1)
+        assert np.abs(_sine_transform(x) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("grid", [
+        BoxGrid((-1.0, -1.0), (1.0, 2.0), (17, 21)),
+        BoxGrid((-1.0,) * 4, (1.0,) * 4, (9, 8, 9, 10), frame=1),
+        BoxGrid((0.0, 0.0), (2 * math.pi, 3.0), (16, 15), frame=0),
+        BoxGrid((0.0,) * 4, (2 * math.pi,) * 4, (8, 7, 8, 6), frame=0),
+    ], ids=["framed2d", "framed4d", "periodic2d", "periodic4d"])
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    def test_preconditioner_inverts_constant_coefficients(self, grid, dt):
+        gammas = [np.full(grid.interior_shape, 0.7 + 0.5 * a) for a in range(grid.dim)]
+        system, precondition = _Operator(grid, gammas, dt), _FastPoisson(grid, gammas, dt)
+        v = np.random.default_rng(3).normal(size=math.prod(grid.interior_shape))
+        if grid.periodic and dt is None:
+            v -= v.mean()  # L annihilates constants, and P^{-1} drops them
+        assert np.abs(precondition(system(v)) - v).max() <= 1e-12 * np.abs(v).max()
+
+    @pytest.mark.parametrize("boundary, grid, guess, steps", [
+        (reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (129, 129)), None, 5),
+        (reference_flow_spec(1.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (33, 33)),
+         perturbed_flow_spec(1.0, 1.0, 1e-3, modes=[(2.0, 1.0)], weights=[1.0]), 4),
+    ], ids=["reference129", "rigidity33"])
+    def test_newton_takes_the_direct_solves_step_count(self, monkeypatch, boundary, grid, guess, steps):
+        # the step counts SuperLU's direct solves gave: one linear solve per Newton step
+        calls = []
+        krylov = solver._gmres
+
+        def counted(*args):
+            calls.append(args[-1])
+            return krylov(*args)
+
+        monkeypatch.setattr(solver, "_gmres", counted)
+        sol = solve_elliptic(boundary, grid, guess=guess)
+        assert calls == ["Newton step"] * steps
+        assert np.nanmax(np.abs(discrete_time_speed(sol, 0))) <= solver.NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ mixed differences by ``np.roll`` over the whole grid, the flow value with a
 NaN frame, RK4 stages on fresh copies of the slice, and the operator matrix
 with rolled neighbour indices.  The solver's interior stencil, which works
 on reused buffers, must reproduce it bit for bit on periodic and framed
-grids, frame NaNs included.  ``flow_quantities`` differences only a crop
+grids, frame NaNs included; the matrix-free linearized operator must
+reproduce the assembled matrix's products to rounding.  ``flow_quantities`` differences only a crop
 and its ghost layer beyond the class check, so a cropped call must equal
 the crop of the uncropped one, and a field that leaves the class only
 outside a measured crop must still be refused, with the same messages.
@@ -26,8 +27,8 @@ from tma.solver import (
     PeriodicBase,
     _apply_frame,
     _block_fields,
+    _Operator,
     _linearized_gammas,
-    _operator_matrix,
     discrete_hessian,
     discrete_time_speed,
     evaluate_on_grid,
@@ -245,15 +246,22 @@ class TestMatchesRollReference:
 
     @FIELDS
     def test_operator_matrix(self, make):
+        # the matrix-free L, I - dt*L and |I - dt*L| against the assembled
+        # matrix, on seeded random vectors; the frame coupling against the
+        # dropped leg weights
         f = make()
-        conv, conc = _block_fields(f, f.slices[-1])
-        mat, unknowns, legs = _operator_matrix(f, _linearized_gammas(f, conv, conc))
-        ref_conv, ref_conc = _ref_blocks(f, f.slices[-1])
-        ref_mat, ref_unknowns, ref_legs = _ref_operator(
-            f, _linearized_gammas(f, ref_conv, ref_conc))
-        assert identical(mat.toarray(), ref_mat)
-        assert identical(unknowns, ref_unknowns)
-        assert identical(legs, ref_legs)
+        gammas = _linearized_gammas(f, *_block_fields(f, f.slices[-1]))
+        ref_mat, _, ref_legs = _ref_operator(
+            f, _linearized_gammas(f, *_ref_blocks(f, f.slices[-1])))
+        ref_system = np.eye(len(ref_mat)) - f.dt * ref_mat
+        lop, system = _Operator(f.grid, gammas), _Operator(f.grid, gammas, f.dt)
+        for v in np.random.default_rng(17).normal(size=(3, len(ref_mat))):
+            for got, want in ((lop(v), ref_mat @ v), (system(v), ref_system @ v),
+                              (system.bound(v), np.abs(ref_system) @ np.abs(v))):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        scale = max(ref_legs.max(), 1.0)
+        assert np.abs(lop.frame_coupling() - ref_legs).max() <= 1e-12 * scale
+        assert np.abs(system.frame_coupling() + f.dt * ref_legs).max() <= 1e-12 * f.dt * scale
 
 
 # ---------------------------------------------------------------------------
