@@ -6,6 +6,9 @@ manifest recording the config echo, library versions, wall time, and every
 assertion with its observed value — the manifest is written even when a suite
 fails, so a red run is as inspectable as a green one.
 
+Each randomized sweep suite is defined in one place, its record in
+``_SWEEPS``; the registry ``SUITES`` and the sweep runner read it.
+
 Determinism contract: the same config and seed produce byte-identical CSV no
 matter how many workers execute the sweep.  A sweep is cut into blocks of up
 to ``_BLOCK`` consecutive draws of one shape, by draw index alone, and the
@@ -347,15 +350,67 @@ def _check(name: str, observed: float, relation: str, bound: float) -> Dict[str,
 # randomized sweeps
 # ---------------------------------------------------------------------------
 
-_COMPLEX_SWEEPS = frozenset({"q-sign", "evolution-identity", "heat-identity"})
 
-_SWEEP_HEADERS: Dict[str, Tuple[str, ...]] = {
-    "det-law": ("draw", "shape_k", "shape_l", "point", "residual"),
-    "w-psd": ("draw", "shape_k", "shape_l", "point", "lambda_min"),
-    "q-sign": ("draw", "shape_k", "shape_l", "point", "q_lambda_max", "g1", "g2", "g3", "g4"),
-    "evolution-identity": ("draw", "shape_k", "shape_l", "point", "residual"),
-    "heat-identity": ("draw", "shape_k", "shape_l", "point", "residual"),
-    "real-complexify": ("draw", "shape_k", "shape_l", "point", "entry_gap"),
+@dataclass(frozen=True)
+class _Sweep:
+    """One randomized sweep suite: its ensemble flavor, measured values, checks and defaults.
+
+    ``values(members, points, k, l)`` gives a block's values, one row of
+    ``columns`` per (draw, point) in draw-major order.  ``checks`` names one
+    assertion per column: it bounds the column's max by ``tolerance`` or, for
+    a name starting ``min_``, its min from below by ``-tolerance``.
+    """
+
+    flavor: str
+    columns: Tuple[str, ...]
+    values: Callable[[List[ExpressionSpec], np.ndarray, int, int], np.ndarray]
+    checks: Tuple[str, ...]
+    shapes: List[List[int]]
+    draws: int
+    points: int
+    tolerance: float
+
+
+def _per_draw(measure: Callable) -> Callable:
+    """The values of ``measure(member, points)``, called once per draw: the Legendre suites' pass."""
+    return lambda members, pts, k, l: np.concatenate([measure(s, x) for s, x in zip(members, pts)])
+
+
+def _q_sign_values(members, pts, k, l):
+    block = FlowBlock(members, pts)
+    return np.column_stack([block.q_spectrum_max, block.grouping_spectrum_max])
+
+
+def _real_complexify_values(members, pts, k, l):
+    """Real route A against route B of the complexified members."""
+    d = complexification_scaling(k, l)
+    lhs = d @ FlowBlock(members, pts).lhs @ d
+    lifted = np.concatenate([pts, np.zeros_like(pts)], axis=-1)
+    q = FlowBlock([complexify_real(s) for s in members], lifted).source
+    return np.max(np.abs(lhs - q), axis=(-2, -1))
+
+
+_SHAPES_ALL = [[1, 1], [2, 1], [1, 2], [2, 2]]
+_SHAPES_COMPLEX = [[1, 1], [2, 1], [1, 2]]
+
+# The one place a sweep suite is defined.  The flow suites take a whole block
+# in one stacked pass; the Legendre suites take one draw's points per call.
+_SWEEPS: Dict[str, _Sweep] = {
+    "det-law": _Sweep("real", ("residual",), _per_draw(det_transform_residual),
+                      ("max_det_residual",), _SHAPES_ALL, 100, 20, 1e-10),
+    "w-psd": _Sweep("real", ("lambda_min",), _per_draw(lambda s, x: np.linalg.eigvalsh(real_W(s, x))[:, 0]),
+                    ("min_w_eigenvalue",), _SHAPES_ALL, 100, 20, 1e-10),
+    "q-sign": _Sweep("complex", ("q_lambda_max", "g1", "g2", "g3", "g4"), _q_sign_values,
+                     ("max_q_eigenvalue",) + tuple(f"max_g{j}_eigenvalue" for j in range(1, 5)),
+                     [[1, 1]], 100, 1, 1e-8),
+    "evolution-identity": _Sweep("complex", ("residual",),
+                                 lambda members, pts, k, l: FlowBlock(members, pts).evolution_residual,
+                                 ("max_evolution_residual",), _SHAPES_COMPLEX, 100, 1, 1e-8),
+    "heat-identity": _Sweep("complex", ("residual",),
+                            lambda members, pts, k, l: FlowBlock(members, pts).heat_residual,
+                            ("max_heat_residual",), _SHAPES_COMPLEX, 100, 1, 1e-10),
+    "real-complexify": _Sweep("real", ("entry_gap",), _real_complexify_values,
+                              ("max_entry_gap",), _SHAPES_ALL, 50, 2, 1e-10),
 }
 
 
@@ -369,30 +424,12 @@ _BLOCK = 16
 def _sweep_block_rows(payload: Tuple) -> List[Tuple]:
     """Rows for a block of consecutive draws of one shape; pure function of the payload (picklable)."""
     suite, k, l, a, b, eps, seed, first, count, n_points = payload
-    flavor = "complex" if suite in _COMPLEX_SWEEPS else "real"
-    es = EnsembleSpec(k=k, l=l, flavor=flavor, a=a, b=b, eps=eps, seed=seed)
+    sweep = _SWEEPS[suite]
+    es = EnsembleSpec(k=k, l=l, flavor=sweep.flavor, a=a, b=b, eps=eps, seed=seed)
     draws = range(first, first + count)
     members = [draw_member(es, draw) for draw in draws]
     pts = np.stack([sample_points(es, draw, n_points) for draw in draws])
-    # the Legendre suites take one draw's points per call; the flow suites
-    # take the whole block in one stacked pass
-    if suite == "det-law":
-        values = np.concatenate([det_transform_residual(s, x) for s, x in zip(members, pts)])
-    elif suite == "w-psd":
-        values = np.concatenate([np.linalg.eigvalsh(real_W(s, x))[:, 0] for s, x in zip(members, pts)])
-    elif suite == "q-sign":
-        block = FlowBlock(members, pts)
-        values = np.column_stack([block.q_spectrum_max, block.grouping_spectrum_max])
-    elif suite == "evolution-identity":
-        values = FlowBlock(members, pts).evolution_residual
-    elif suite == "heat-identity":
-        values = FlowBlock(members, pts).heat_residual
-    else:  # real-complexify: real route A against route B of the complexified members
-        d = complexification_scaling(k, l)
-        lhs = d @ FlowBlock(members, pts).lhs @ d
-        lifted = np.concatenate([pts, np.zeros_like(pts)], axis=-1)
-        q = FlowBlock([complexify_real(s) for s in members], lifted).source
-        values = np.max(np.abs(lhs - q), axis=(-2, -1))
+    values = sweep.values(members, pts, k, l)
     ids = [(draw, k, l, i) for draw in draws for i in range(n_points)]
     return [row + tuple(v) for row, v in zip(ids, values.reshape(len(ids), -1).tolist())]
 
@@ -455,24 +492,15 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
             # a worker died: this run fails, and the next one starts a fresh pool
             _shutdown_pool()
             raise
-    tol = p["tolerance"]
-    if cfg.suite == "w-psd":
-        assertions = [_check("min_w_eigenvalue", min(r[4] for r in rows), ">=", -tol)]
-    elif cfg.suite == "q-sign":
-        assertions = [_check("max_q_eigenvalue", max(r[4] for r in rows), "<=", tol)]
-        for j, g in enumerate(("g1", "g2", "g3", "g4")):
-            assertions.append(
-                _check(f"max_{g}_eigenvalue", max(r[5 + j] for r in rows), "<=", tol)
-            )
-    else:
-        label = {
-            "det-law": "max_det_residual",
-            "evolution-identity": "max_evolution_residual",
-            "heat-identity": "max_heat_residual",
-            "real-complexify": "max_entry_gap",
-        }[cfg.suite]
-        assertions = [_check(label, max(r[4] for r in rows), "<=", tol)]
-    return _SWEEP_HEADERS[cfg.suite], rows, assertions
+    sweep, tol = _SWEEPS[cfg.suite], p["tolerance"]
+    assertions = []
+    for j, name in enumerate(sweep.checks, start=4):
+        column = [r[j] for r in rows]
+        if name.startswith("min_"):
+            assertions.append(_check(name, min(column), ">=", -tol))
+        else:
+            assertions.append(_check(name, max(column), "<=", tol))
+    return ("draw", "shape_k", "shape_l", "point") + sweep.columns, rows, assertions
 
 
 # ---------------------------------------------------------------------------
@@ -484,25 +512,16 @@ def _run_flow_convergence(cfg: ExperimentConfig, workers: int):
     p = cfg.params
     rows: List[Tuple] = []
 
-    # exact-transport check, planar flavor
-    spec_r = reference_flow_spec(p["a"], p["b"], "real")
-    grid_r = BoxGrid((-1.0, -1.0), (1.0, 1.0), (p["nodes_real"],) * 2)
-    f = flow_from_spec(spec_r, grid_r, p["dt_real"])
-    f = run_flow(f, p["steps"], scheme="rk4", snapshot_every=p["steps"])
-    exact = evaluate_on_grid(spec_r, grid_r, time=f.times[-1])
-    ii = grid_r.interior
-    err_real = float(np.abs(f.slices[-1][ii] - exact[ii]).max()) / p["steps"]
-    rows.append(("per_step_error_real", err_real))
-
-    # exact-transport check, paired flavor on the 4-axis grid
-    spec_c = reference_flow_spec(p["a"], p["b"], "complex11")
-    grid_c = BoxGrid((-1.0,) * 4, (1.0,) * 4, (p["nodes_complex"],) * 4)
-    fc = flow_from_spec(spec_c, grid_c, p["dt_complex"])
-    fc = run_flow(fc, p["steps"], scheme="rk4", snapshot_every=p["steps"])
-    exact_c = evaluate_on_grid(spec_c, grid_c, time=fc.times[-1])
-    iic = grid_c.interior
-    err_complex = float(np.abs(fc.slices[-1][iic] - exact_c[iic]).max()) / p["steps"]
-    rows.append(("per_step_error_complex11", err_complex))
+    # exact-transport checks: the planar flavor, then the paired one on the 4-axis grid
+    for flavor, nodes, dt in (("real", p["nodes_real"], p["dt_real"]),
+                              ("complex11", p["nodes_complex"], p["dt_complex"])):
+        spec = reference_flow_spec(p["a"], p["b"], flavor)
+        grid = BoxGrid((-1.0,) * spec.nvars, (1.0,) * spec.nvars, (nodes,) * spec.nvars)
+        f = run_flow(flow_from_spec(spec, grid, dt), p["steps"], scheme="rk4", snapshot_every=p["steps"])
+        ii = grid.interior
+        gap = f.slices[-1][ii] - evaluate_on_grid(spec, grid, time=f.times[-1])[ii]
+        rows.append((f"per_step_error_{flavor}", float(np.abs(gap).max()) / p["steps"]))
+    transport = [_check(name, err, "<=", p["tolerance"]) for name, err in rows]
 
     # measured orders on a rippled field with genuine time error
     ripple = perturbed_flow_spec(
@@ -520,9 +539,7 @@ def _run_flow_convergence(cfg: ExperimentConfig, workers: int):
     rows.append(("spatial_ratio", sp.ratio))
     rows.append(("spatial_order", sp.order))
 
-    assertions = [
-        _check("per_step_error_real", err_real, "<=", p["tolerance"]),
-        _check("per_step_error_complex11", err_complex, "<=", p["tolerance"]),
+    assertions = transport + [
         _check("time_order_rk4", t_rk4.order, ">=", p["time_order_min"]),
         _check("time_order_semi_min", t_semi.order, ">=", p["semi_order_min"]),
         _check("time_order_semi_max", t_semi.order, "<=", p["semi_order_max"]),
@@ -602,64 +619,15 @@ def _run_rigidity(cfg: ExperimentConfig, workers: int):
 # the registry itself
 # ---------------------------------------------------------------------------
 
-_SHAPES_ALL = [[1, 1], [2, 1], [1, 2], [2, 2]]
-_SHAPES_COMPLEX = [[1, 1], [2, 1], [1, 2]]
-
 SUITES: Dict[str, SuiteDef] = {
-    "det-law": SuiteDef(
-        randomized=True,
-        defaults={
-            "shapes": _SHAPES_ALL, "draws": 100, "points": 20,
-            "eps": 0.1, "a": 1.0, "b": 1.0, "tolerance": 1e-10,
-        },
-        fields=_SWEEP_FIELDS,
-        runner=_run_sweep,
-    ),
-    "w-psd": SuiteDef(
-        randomized=True,
-        defaults={
-            "shapes": _SHAPES_ALL, "draws": 100, "points": 20,
-            "eps": 0.1, "a": 1.0, "b": 1.0, "tolerance": 1e-10,
-        },
-        fields=_SWEEP_FIELDS,
-        runner=_run_sweep,
-    ),
-    "q-sign": SuiteDef(
-        randomized=True,
-        defaults={
-            "shapes": [[1, 1]], "draws": 100, "points": 1,
-            "eps": 0.1, "a": 1.0, "b": 1.0, "tolerance": 1e-8,
-        },
-        fields=_SWEEP_FIELDS,
-        runner=_run_sweep,
-    ),
-    "evolution-identity": SuiteDef(
-        randomized=True,
-        defaults={
-            "shapes": _SHAPES_COMPLEX, "draws": 100, "points": 1,
-            "eps": 0.1, "a": 1.0, "b": 1.0, "tolerance": 1e-8,
-        },
-        fields=_SWEEP_FIELDS,
-        runner=_run_sweep,
-    ),
-    "heat-identity": SuiteDef(
-        randomized=True,
-        defaults={
-            "shapes": _SHAPES_COMPLEX, "draws": 100, "points": 1,
-            "eps": 0.1, "a": 1.0, "b": 1.0, "tolerance": 1e-10,
-        },
-        fields=_SWEEP_FIELDS,
-        runner=_run_sweep,
-    ),
-    "real-complexify": SuiteDef(
-        randomized=True,
-        defaults={
-            "shapes": _SHAPES_ALL, "draws": 50, "points": 2,
-            "eps": 0.1, "a": 1.0, "b": 1.0, "tolerance": 1e-10,
-        },
-        fields=_SWEEP_FIELDS,
-        runner=_run_sweep,
-    ),
+    **{
+        name: SuiteDef(
+            randomized=True, fields=_SWEEP_FIELDS, runner=_run_sweep,
+            defaults={"shapes": sweep.shapes, "draws": sweep.draws, "points": sweep.points,
+                      "eps": 0.1, "a": 1.0, "b": 1.0, "tolerance": sweep.tolerance},
+        )
+        for name, sweep in _SWEEPS.items()
+    },
     "flow-convergence": SuiteDef(
         randomized=False,
         defaults={

@@ -49,7 +49,6 @@ from .solver import (
     _blocks,
     _mixed_slot,
     _require_membership,
-    _slot_fields,
     flow_from_values,
 )
 from .twistedops import eval_H
@@ -624,7 +623,9 @@ def discrete_w_entries(field: FlowField) -> Dict[str, np.ndarray]:
     ``w01_re``, ``w01_im``, ``w11`` (the Hermitian off-diagonal split into
     real and imaginary parts).
     """
-    w00, w01, w11 = _w_scalar_parts(*_slot_fields(field, field.slices[-1]))
+    stencil = _Stencil(field).load(field.slices[-1])
+    conv, conc = _blocks(field.flavor, stencil.differences())
+    w00, w01, w11 = _w_scalar_parts(conv, conc, _mixed_slot(field.flavor, stencil))
     names = ("w01",) if len(w01) == 1 else ("w01_re", "w01_im")
     return {"w00": w00, **dict(zip(names, w01)), "w11": w11}
 

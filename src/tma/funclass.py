@@ -24,7 +24,7 @@ import numpy as np
 import numpy.random
 
 from .errors import AmplitudeTooLarge, DimensionMismatch, ParseError, TmaError
-from .jets import ExpressionSpec, evaluate_hessians, map_leaves, wirtinger_hessians
+from .jets import FLAVORS, ExpressionSpec, evaluate_hessians, map_leaves, wirtinger_hessians
 from .linalg import min_max_eigenvalues
 
 
@@ -133,9 +133,10 @@ class EnsembleSpec:
     Base quadratic ``a|x|^2/2 - b|y|^2/2`` (real flavor) or ``a|z|^2 - b|w|^2``
     (complex flavor) plus ``n_atoms`` trig atoms whose Hessian sup-norms sum to
     ``eps``, over ``k >= 0`` convex and ``l >= 0`` concave variables with
-    ``k + l >= 1``; the ``seed`` is a nonnegative integer (else
-    :class:`ParseError` for either).  Every draw passes membership with
-    ``lam = min(a,b)/2`` and ``Lam = 2 max(a,b)`` provided ``eps <= min(a,b)/2``.
+    ``k + l >= 1``; the ``flavor`` is ``"real"`` or ``"complex"`` and the
+    ``seed`` a nonnegative integer (else :class:`ParseError` for any of
+    them).  Every draw passes membership with ``lam = min(a,b)/2`` and
+    ``Lam = 2 max(a,b)`` provided ``eps <= min(a,b)/2``.
     """
 
     k: int
@@ -153,6 +154,8 @@ class EnsembleSpec:
             raise ParseError(f"at dims: need k >= 0, l >= 0, k + l >= 1; got ({self.k}, {self.l})")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ParseError("ensemble.seed: expected an unsigned integer")
+        if self.flavor not in FLAVORS:
+            raise ParseError(f"ensemble.flavor: expected real|complex, got {self.flavor!r}")
 
     @property
     def nvars(self) -> int:
@@ -186,8 +189,6 @@ class EnsembleSpec:
             es = cls(**obj)
         except TypeError as e:
             raise ParseError(f"ensemble: {e}") from e
-        if es.flavor not in ("real", "complex"):
-            raise ParseError(f"ensemble.flavor: expected real|complex, got {es.flavor!r}")
         return es
 
     def canonical_json(self) -> str:

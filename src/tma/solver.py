@@ -532,14 +532,6 @@ def _mixed_slot(
     return (0.25 * (d2[0, 1] + d2[2, 3]), 0.25 * (d2[0, 3] - d2[1, 2]))
 
 
-def _slot_fields(
-    f: FlowField, u: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-    """The block fields of ``u`` and the parts of ``M = u_{z wbar}`` (see :func:`_mixed_slot`)."""
-    stencil = _Stencil(f).load(u)
-    return (*_blocks(f.flavor, stencil.differences()), _mixed_slot(f.flavor, stencil))
-
-
 def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str) -> Tuple[float, float]:
     """Check both blocks exceed ``CLASS_MARGIN``; return (lam, Lam) measured."""
     cmin, cmax = float(conv.min()), float(conv.max())
@@ -1006,12 +998,7 @@ def solve_elliptic(
             try:
                 res_new, r_new, c_new, k_new = residual_of(cand, "elliptic damping")
             except ClassExit:
-                step *= 0.5
-                if step < 2.0**-30:
-                    raise NoConvergence(
-                        "damping stalled: no in-class step decreases the residual"
-                    ) from None
-                continue
+                res_new = math.inf  # out of class: no decrease
             if res_new < res:
                 u, res, r, conv, conc = cand, res_new, r_new, c_new, k_new
                 break

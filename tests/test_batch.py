@@ -246,7 +246,7 @@ def test_stacked_jets_equal_per_member_jets(shape, flavor, seed, first, size, p,
 
 def _per_point_rows(suite, k, l, seed, first, size, p):
     """The rows of a block from one public call per point, as a traced replay makes them."""
-    flavor = "complex" if suite in cli._COMPLEX_SWEEPS else "real"
+    flavor = cli._SWEEPS[suite].flavor
     es = EnsembleSpec(k=k, l=l, flavor=flavor, seed=seed)
     rows = []
     for draw in range(first, first + size):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import tma
-from tma import cli
+from tma import cli, jets
 from tma.cli import (
     ExperimentConfig,
     SUITES,
@@ -266,7 +266,7 @@ class TestRunOutputs:
         assert blobs[0] == blobs[1]
         assert blobs[0].count(b"\n") - 1 == draws * SUITES[suite].defaults["points"]
 
-    @pytest.mark.parametrize("suite", sorted(cli._SWEEP_HEADERS))
+    @pytest.mark.parametrize("suite", sorted(cli._SWEEPS))
     def test_rows_do_not_depend_on_block_size(self, tmp_path, monkeypatch, suite):
         body = {"suite": suite, "seed": 8, "draws": 7, "points": 2, "shapes": [[1, 1], [2, 1]]}
         blobs = set()
@@ -418,6 +418,127 @@ class TestRunOutputs:
         assert lines[0] == "cylinder_id,rho,quantity,osc,alpha_fit,fit_residual"
         # 5 real channels (time speed + 4 directions) + total, 3 rungs each
         assert len(lines) - 1 == 6 * 3
+
+
+# Every suite's CSV header and ordered (name, relation, bound) assertions, at
+# default tolerances: the output contract a config file's user reads.
+_SWEEP_IDS = "draw,shape_k,shape_l,point,"
+_CONTRACT = {
+    "det-law": (
+        {"draws": 2, "points": 1},
+        _SWEEP_IDS + "residual",
+        [("max_det_residual", "<=", 1e-10)],
+    ),
+    "w-psd": (
+        {"draws": 2, "points": 1},
+        _SWEEP_IDS + "lambda_min",
+        [("min_w_eigenvalue", ">=", -1e-10)],
+    ),
+    "q-sign": (
+        {"draws": 2},
+        _SWEEP_IDS + "q_lambda_max,g1,g2,g3,g4",
+        [("max_q_eigenvalue", "<=", 1e-8)]
+        + [(f"max_g{j}_eigenvalue", "<=", 1e-8) for j in range(1, 5)],
+    ),
+    "evolution-identity": (
+        {"draws": 2},
+        _SWEEP_IDS + "residual",
+        [("max_evolution_residual", "<=", 1e-8)],
+    ),
+    "heat-identity": (
+        {"draws": 2},
+        _SWEEP_IDS + "residual",
+        [("max_heat_residual", "<=", 1e-10)],
+    ),
+    "real-complexify": (
+        {"draws": 2, "points": 1},
+        _SWEEP_IDS + "entry_gap",
+        [("max_entry_gap", "<=", 1e-10)],
+    ),
+    "flow-convergence": (
+        {"nodes_real": 9, "nodes_complex": 7, "steps": 1},
+        "quantity,value",
+        [
+            ("per_step_error_real", "<=", 1e-10),
+            ("per_step_error_complex11", "<=", 1e-10),
+            ("time_order_rk4", ">=", 3.5),
+            ("time_order_semi_min", ">=", 0.7),
+            ("time_order_semi_max", "<=", 1.5),
+            ("spatial_order_min", ">=", 1.8),
+            ("spatial_order_max", "<=", 2.2),
+        ],
+    ),
+    "oscillation-decay": (
+        {"nodes": 16, "steps": 20},
+        "cylinder_id,rho,quantity,osc,alpha_fit,fit_residual",
+        [
+            ("max_ladder_increase", "<=", 0.0),
+            ("total_decay_exponent", ">", 0.0),
+            ("total_fit_residual", "<=", 0.1),
+        ],
+    ),
+    "rigidity": (
+        {"nodes": 17},
+        "quantity,value",
+        [("det_deviation", "<=", 1e-9), ("entry_variation", "<=", 1e-8)],
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_CONTRACT))
+def test_csv_header_and_assertion_list(tmp_path, suite):
+    overrides, header, assertions = _CONTRACT[suite]
+    body = {"suite": suite, "out": str(tmp_path), **overrides}
+    if SUITES[suite].randomized:
+        body["seed"] = 7
+    result = run_experiment(ExperimentConfig.from_dict(body))
+    assert result.error is None
+    assert pathlib.Path(result.csv_path).read_text().splitlines()[0] == header
+    manifest = json.loads(pathlib.Path(result.manifest_path).read_text())
+    assert [(a["name"], a["relation"], a["bound"]) for a in manifest["assertions"]] == assertions
+
+
+# ---------------------------------------------------------------------------
+# the sweep table
+# ---------------------------------------------------------------------------
+
+_ALL, _COMPLEX = [[1, 1], [2, 1], [1, 2], [2, 2]], [[1, 1], [2, 1], [1, 2]]
+
+
+class TestSweepTable:
+    """Each sweep suite is one ``cli._SWEEPS`` record, and ``SUITES`` is built from it."""
+
+    def test_randomized_suites_are_the_table(self):
+        assert [name for name, sd in SUITES.items() if sd.randomized] == list(cli._SWEEPS)
+
+    def test_records_are_well_formed(self):
+        for sweep in cli._SWEEPS.values():
+            assert len(sweep.checks) == len(sweep.columns)
+            assert sweep.flavor in jets.FLAVORS
+
+    def test_registry_contents(self):
+        common = {"eps": 0.1, "a": 1.0, "b": 1.0}
+        defaults = {
+            "det-law": dict(common, shapes=_ALL, draws=100, points=20, tolerance=1e-10),
+            "w-psd": dict(common, shapes=_ALL, draws=100, points=20, tolerance=1e-10),
+            "q-sign": dict(common, shapes=[[1, 1]], draws=100, points=1, tolerance=1e-8),
+            "evolution-identity": dict(common, shapes=_COMPLEX, draws=100, points=1, tolerance=1e-8),
+            "heat-identity": dict(common, shapes=_COMPLEX, draws=100, points=1, tolerance=1e-10),
+            "real-complexify": dict(common, shapes=_ALL, draws=50, points=2, tolerance=1e-10),
+        }
+        assert list(SUITES) == list(defaults) + ["flow-convergence", "oscillation-decay", "rigidity"]
+        for name, want in defaults.items():
+            sd = SUITES[name]
+            assert sd.randomized and sd.fields is cli._SWEEP_FIELDS and sd.runner is cli._run_sweep
+            assert sd.defaults == want
+        for name, runner, fields in [
+            ("flow-convergence", cli._run_flow_convergence, cli._FLOW_FIELDS),
+            ("oscillation-decay", cli._run_oscillation, cli._OSC_FIELDS),
+            ("rigidity", cli._run_rigidity, cli._RIG_FIELDS),
+        ]:
+            sd = SUITES[name]
+            assert not sd.randomized and sd.fields is fields and sd.runner is runner
+            assert set(sd.defaults) == set(fields)
 
 
 # ---------------------------------------------------------------------------

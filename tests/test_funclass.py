@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from tma.errors import AmplitudeTooLarge
+from tma.errors import AmplitudeTooLarge, ParseError
 from tma.funclass import (
     ClassReport,
     EnsembleSpec,
@@ -125,6 +125,17 @@ def test_ensemble_spec_round_trip():
     es = EnsembleSpec(k=2, l=1, flavor="complex", a=1.5, b=0.75, eps=0.2, n_atoms=4, seed=99)
     again = EnsembleSpec.from_dict(__import__("json").loads(es.canonical_json()))
     assert again == es
+
+
+def test_unknown_flavor_rejected_on_construction():
+    with pytest.raises(ParseError) as info:
+        EnsembleSpec(k=1, l=1, flavor="bogus")
+    assert str(info.value) == "ensemble.flavor: expected real|complex, got 'bogus'"
+    # with both bad, the seed is named first, as from_dict did before
+    with pytest.raises(ParseError, match="ensemble.seed"):
+        EnsembleSpec.from_dict({"k": 1, "l": 1, "flavor": "bogus", "seed": -1})
+    with pytest.raises(ParseError, match="ensemble.flavor"):
+        EnsembleSpec.from_dict({"k": 1, "l": 1, "flavor": "bogus"})
 
 
 def test_report_type():

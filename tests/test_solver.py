@@ -449,6 +449,23 @@ class TestSolveElliptic:
         with pytest.raises(TmaError):
             solve_elliptic(spec, PERIODIC)
 
+    @pytest.mark.parametrize("direction", [
+        # uphill: the negated Newton step increases the residual at every length
+        lambda delta: -delta,
+        # a huge checkerboard: every halving down to 2^-30 leaves the class
+        lambda delta: 1e12 * np.resize([1.0, -1.0], delta.size),
+    ], ids=["uphill", "out_of_class"])
+    def test_damping_stall_raises(self, monkeypatch, direction):
+        krylov = solver._gmres
+        monkeypatch.setattr(solver, "_gmres", lambda *args: direction(krylov(*args)))
+        boundary = reference_flow_spec(1.0, 1.0)
+        guess = perturbed_flow_spec(1.0, 1.0, 1e-3, modes=[(2.0, 1.0)], weights=[1.0])
+        grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (17, 17))
+        with pytest.raises(NoConvergence) as info:
+            solve_elliptic(boundary, grid, guess=guess)
+        assert str(info.value) == "damping stalled: no in-class step decreases the residual"
+        assert info.value.__cause__ is None
+
 
 # ---------------------------------------------------------------------------
 # class monitoring
