@@ -6,8 +6,10 @@ manifest recording the config echo, library versions, wall time, and every
 assertion with its observed value — the manifest is written even when a suite
 fails, so a red run is as inspectable as a green one.
 
-Each randomized sweep suite is defined in one place, its record in
-``_SWEEPS``; the registry ``SUITES`` and the sweep runner read it.
+Each suite is one record of the registry ``SUITES``, which names every
+config field once, with its validator and default.  A randomized sweep suite
+is defined by its record in ``_SWEEPS``: its ``SUITES`` record and the sweep
+runner both read it.
 
 Determinism contract: the same config and seed produce byte-identical CSV no
 matter how many workers execute the sweep.  A sweep is cut into blocks of up
@@ -44,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigInvalid, ParseError, UnknownAtom
+from .errors import AmplitudeTooLarge, ConfigInvalid, ParseError, UnknownAtom
 from .estimates import (
     CylinderSpec,
     OSCILLATION_CSV_HEADER,
@@ -176,65 +178,24 @@ def _v_ladder(key: str, v) -> List[float]:
 
 @dataclass(frozen=True)
 class SuiteDef:
-    """One runnable suite: its defaults, field schema, and runner."""
+    """One runnable suite: each config field's ``(validator, default)``, the runner, a cross-field check."""
 
-    randomized: bool
-    defaults: Dict[str, object]
-    fields: Dict[str, Callable]
+    fields: Dict[str, Tuple[Callable, object]]
     runner: Callable
     post: Optional[Callable] = None
 
+    @property
+    def randomized(self) -> bool:
+        """Whether the suite draws from seeded ensembles, and so needs a seed: the sweeps do."""
+        return self.runner is _run_sweep
 
-_SWEEP_FIELDS: Dict[str, Callable] = {
-    "shapes": _v_shapes,
-    "draws": _v_posint,
-    "points": _v_posint,
-    "eps": _v_nonneg,
-    "a": _v_pos,
-    "b": _v_pos,
-    "tolerance": _v_pos,
-}
 
-_FLOW_FIELDS: Dict[str, Callable] = {
-    "nodes_real": _v_nodes,
-    "nodes_complex": _v_nodes,
-    "dt_real": _v_pos,
-    "dt_complex": _v_pos,
-    "steps": _v_posint,
-    "a": _v_pos,
-    "b": _v_pos,
-    "tolerance": _v_pos,
-    "time_order_min": _v_float,
-    "semi_order_min": _v_float,
-    "semi_order_max": _v_float,
-    "space_order_min": _v_float,
-    "space_order_max": _v_float,
-}
-
-_OSC_FIELDS: Dict[str, Callable] = {
-    "nodes": _v_nodes,
-    "amplitude": _v_nonneg,
-    "a": _v_pos,
-    "b": _v_pos,
-    "modes": _v_modes,
-    "dt": _v_pos,
-    "steps": _v_posint,
-    "snapshot_every": _v_posint,
-    "center": _v_pair,
-    "radius": _v_pos,
-    "ladder": _v_ladder,
-    "alpha_min": _v_float,
-    "residual_max": _v_pos,
-    "monotone_tol": _v_nonneg,
-}
-
-_RIG_FIELDS: Dict[str, Callable] = {
-    "nodes": _v_nodes,
-    "guess_eps": _v_nonneg,
-    "mode": _v_pair,
-    "det_tol": _v_pos,
-    "variation_tol": _v_pos,
-}
+def _post_sweep(params: Dict[str, object]) -> None:
+    # the ensemble states the amplitude rule; a sweep that breaks it is a config error
+    try:
+        EnsembleSpec(k=1, l=1, a=params["a"], b=params["b"], eps=params["eps"])
+    except AmplitudeTooLarge as e:
+        raise ConfigInvalid(f"eps: {e}") from e
 
 
 def _post_oscillation(params: Dict[str, object]) -> None:
@@ -276,7 +237,8 @@ class ExperimentConfig:
                 f"suite: unknown suite {suite!r}; expected one of {', '.join(sorted(SUITES))}"
             )
         sd = SUITES[suite]
-        params = dict(sd.defaults)
+        # a validator returns fresh lists, so no two configs share a default's
+        params = {key: validate(key, default) for key, (validate, default) in sd.fields.items()}
         seed: Optional[int] = None
         out = "."
         for key, value in raw.items():
@@ -293,7 +255,7 @@ class ExperimentConfig:
                     raise ConfigInvalid(f"out: expected a non-empty string, got {value!r}")
                 out = value
             elif key in sd.fields:
-                params[key] = sd.fields[key](key, value)
+                params[key] = sd.fields[key][0](key, value)
             else:
                 raise ConfigInvalid(
                     f"{key}: not a recognized field for suite {suite!r} "
@@ -622,46 +584,66 @@ def _run_rigidity(cfg: ExperimentConfig, workers: int):
 SUITES: Dict[str, SuiteDef] = {
     **{
         name: SuiteDef(
-            randomized=True, fields=_SWEEP_FIELDS, runner=_run_sweep,
-            defaults={"shapes": sweep.shapes, "draws": sweep.draws, "points": sweep.points,
-                      "eps": 0.1, "a": 1.0, "b": 1.0, "tolerance": sweep.tolerance},
+            fields={
+                "shapes": (_v_shapes, sweep.shapes),
+                "draws": (_v_posint, sweep.draws),
+                "points": (_v_posint, sweep.points),
+                "eps": (_v_nonneg, 0.1),
+                "a": (_v_pos, 1.0),
+                "b": (_v_pos, 1.0),
+                "tolerance": (_v_pos, sweep.tolerance),
+            },
+            runner=_run_sweep,
+            post=_post_sweep,
         )
         for name, sweep in _SWEEPS.items()
     },
     "flow-convergence": SuiteDef(
-        randomized=False,
-        defaults={
-            "nodes_real": 65, "nodes_complex": 9,
-            "dt_real": 5e-5, "dt_complex": 1e-3, "steps": 4,
-            "a": math.e, "b": 1.0, "tolerance": 1e-10,
-            "time_order_min": 3.5,
-            "semi_order_min": 0.7, "semi_order_max": 1.5,
-            "space_order_min": 1.8, "space_order_max": 2.2,
+        fields={
+            "nodes_real": (_v_nodes, 65),
+            "nodes_complex": (_v_nodes, 9),
+            "dt_real": (_v_pos, 5e-5),
+            "dt_complex": (_v_pos, 1e-3),
+            "steps": (_v_posint, 4),
+            "a": (_v_pos, math.e),
+            "b": (_v_pos, 1.0),
+            "tolerance": (_v_pos, 1e-10),
+            "time_order_min": (_v_float, 3.5),
+            "semi_order_min": (_v_float, 0.7),
+            "semi_order_max": (_v_float, 1.5),
+            "space_order_min": (_v_float, 1.8),
+            "space_order_max": (_v_float, 2.2),
         },
-        fields=_FLOW_FIELDS,
         runner=_run_flow_convergence,
     ),
     "oscillation-decay": SuiteDef(
-        randomized=False,
-        defaults={
-            "nodes": 64, "amplitude": 0.05, "a": 1.0, "b": 1.0,
-            "modes": [[1.0, 1.0]],
-            "dt": 1.5e-3, "steps": 200, "snapshot_every": 1,
-            "center": [1.5, 1.2], "radius": 0.5,
-            "ladder": [0.5, 0.25, 0.125],
-            "alpha_min": 0.0, "residual_max": 0.1, "monotone_tol": 0.0,
+        fields={
+            "nodes": (_v_nodes, 64),
+            "amplitude": (_v_nonneg, 0.05),
+            "a": (_v_pos, 1.0),
+            "b": (_v_pos, 1.0),
+            "modes": (_v_modes, [[1.0, 1.0]]),
+            "dt": (_v_pos, 1.5e-3),
+            "steps": (_v_posint, 200),
+            "snapshot_every": (_v_posint, 1),
+            "center": (_v_pair, [1.5, 1.2]),
+            "radius": (_v_pos, 0.5),
+            "ladder": (_v_ladder, [0.5, 0.25, 0.125]),
+            "alpha_min": (_v_float, 0.0),
+            "residual_max": (_v_pos, 0.1),
+            "monotone_tol": (_v_nonneg, 0.0),
         },
-        fields=_OSC_FIELDS,
         runner=_run_oscillation,
         post=_post_oscillation,
     ),
     "rigidity": SuiteDef(
-        randomized=False,
-        defaults={
-            "nodes": 33, "guess_eps": 1e-3, "mode": [2.0, 1.0],
-            "det_tol": 1e-9, "variation_tol": 1e-8,
+        fields={
+            "nodes": (_v_nodes, 33),
+            "guess_eps": (_v_nonneg, 1e-3),
+            "mode": (_v_pair, [2.0, 1.0]),
+            "det_tol": (_v_pos, 1e-9),
+            "variation_tol": (_v_pos, 1e-8),
         },
-        fields=_RIG_FIELDS,
         runner=_run_rigidity,
     ),
 }
@@ -836,6 +818,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "validate":
             cfg = load_config(args.config)
             print(f"config ok: suite {cfg.suite!r}, seed {cfg.seed}, out {cfg.out!r}")
+            print(json.dumps(cfg.params, sort_keys=True))
             return 0
         if args.command == "spec":
             spec = ingest_function_spec(args.check)

@@ -14,7 +14,7 @@ identity claims become sweep-testable without rejection sampling.
 from __future__ import annotations
 
 import itertools
-import json
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -131,12 +131,14 @@ class EnsembleSpec:
     """Generative family of guaranteed class members.
 
     Base quadratic ``a|x|^2/2 - b|y|^2/2`` (real flavor) or ``a|z|^2 - b|w|^2``
-    (complex flavor) plus ``n_atoms`` trig atoms whose Hessian sup-norms sum to
-    ``eps``, over ``k >= 0`` convex and ``l >= 0`` concave variables with
-    ``k + l >= 1``; the ``flavor`` is ``"real"`` or ``"complex"`` and the
+    (complex flavor) plus ``n_atoms >= 0`` trig atoms whose Hessian sup-norms
+    sum to ``eps >= 0``, over integers ``k >= 0`` convex and ``l >= 0`` concave
+    variables with ``k + l >= 1``; the ``flavor`` is ``"real"`` or
+    ``"complex"``, ``a``, ``b`` and ``domain_halfwidth`` are positive and the
     ``seed`` a nonnegative integer (else :class:`ParseError` for any of
     them).  Every draw passes membership with ``lam = min(a,b)/2`` and
-    ``Lam = 2 max(a,b)`` provided ``eps <= min(a,b)/2``.
+    ``Lam = 2 max(a,b)``, which needs ``eps <= min(a,b)/2`` (else
+    :class:`AmplitudeTooLarge`).
     """
 
     k: int
@@ -150,12 +152,27 @@ class EnsembleSpec:
     domain_halfwidth: float = 1.0
 
     def __post_init__(self):
-        if self.k < 0 or self.l < 0 or self.k + self.l == 0:
-            raise ParseError(f"at dims: need k >= 0, l >= 0, k + l >= 1; got ({self.k}, {self.l})")
+        integral = all(isinstance(d, (int, np.integer)) for d in (self.k, self.l))
+        if not integral or self.k < 0 or self.l < 0 or self.k + self.l == 0:
+            raise ParseError(
+                f"at dims: need integers k >= 0, l >= 0, k + l >= 1; got ({self.k!r}, {self.l!r})"
+            )
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ParseError("ensemble.seed: expected an unsigned integer")
         if self.flavor not in FLAVORS:
             raise ParseError(f"ensemble.flavor: expected real|complex, got {self.flavor!r}")
+        for name in ("a", "b", "domain_halfwidth"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise ParseError(f"ensemble.{name}: expected a positive number, got {value!r}")
+        if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 0:
+            raise ParseError(f"ensemble.n_atoms: expected an unsigned integer, got {self.n_atoms!r}")
+        if not (isinstance(self.eps, numbers.Real) and self.eps >= 0):
+            raise ParseError(f"ensemble.eps: expected a nonnegative number, got {self.eps!r}")
+        if self.eps > min(self.a, self.b) / 2.0 + 1e-15:
+            raise AmplitudeTooLarge(
+                f"perturbation bound eps = {self.eps} exceeds min(a,b)/2 = {min(self.a, self.b) / 2.0}"
+            )
 
     @property
     def nvars(self) -> int:
@@ -163,36 +180,6 @@ class EnsembleSpec:
 
     def guaranteed_bounds(self) -> Tuple[float, float]:
         return min(self.a, self.b) / 2.0, 2.0 * max(self.a, self.b)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "flavor": self.flavor,
-            "a": self.a,
-            "b": self.b,
-            "eps": self.eps,
-            "n_atoms": self.n_atoms,
-            "seed": self.seed,
-            "domain_halfwidth": self.domain_halfwidth,
-        }
-
-    @classmethod
-    def from_dict(cls, obj) -> "EnsembleSpec":
-        if not isinstance(obj, dict):
-            raise ParseError(f"ensemble: expected an object, got {type(obj).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
-        if extra:
-            raise ParseError(f"ensemble: unknown fields {sorted(extra)}")
-        try:
-            es = cls(**obj)
-        except TypeError as e:
-            raise ParseError(f"ensemble: {e}") from e
-        return es
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _base_quadratic_hessian(es: EnsembleSpec) -> np.ndarray:
@@ -249,17 +236,7 @@ def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
 
 
 def sample_ensemble(es: EnsembleSpec, n_draws: int) -> List[ExpressionSpec]:
-    """Draw ``n_draws`` members; identical seed implies identical output.
-
-    Raises
-    ------
-    AmplitudeTooLarge
-        when the atom-wise Hessian bound ``eps`` exceeds ``min(a, b)/2``.
-    """
-    if es.eps > min(es.a, es.b) / 2.0 + 1e-15:
-        raise AmplitudeTooLarge(
-            f"perturbation bound eps = {es.eps} exceeds min(a,b)/2 = {min(es.a, es.b) / 2.0}"
-        )
+    """Draw ``n_draws`` members; identical seed implies identical output."""
     return [draw_member(es, i) for i in range(n_draws)]
 
 

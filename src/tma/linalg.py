@@ -68,19 +68,6 @@ def min_max_eigenvalues(a):
     return vals[..., 0], vals[..., -1]
 
 
-def psd_tolerance(a) -> float:
-    """Scale-relative PSD tolerance: 1e-8 * max(1, |A|_inf)."""
-    a = np.asarray(a)
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return 1e-8 * max(1.0, scale)
-
-
-def certify_psd(a) -> bool:
-    """True iff lambda_min(A) >= -psd_tolerance(A)."""
-    lo, _ = min_max_eigenvalues(a)
-    return lo >= -psd_tolerance(a)
-
-
 def inverse_and_logdet(a):
     """Inverse and log-determinant of a positive-definite matrix.
 
@@ -157,20 +144,3 @@ def transformed_hessian(h, k: int):
     )
     return (w + _adjoint(w)) / 2.0, cinv
 
-
-def block_det_via_schur(m, ksplit: int) -> float:
-    """det of a 2x2-block matrix via det(D) * det(A - B D^-1 C).
-
-    ``ksplit`` is the row/column count of the upper-left block A.  This is the
-    block determinant route used to cross-check assembled W-matrices against
-    their Hessian-block expression.
-    """
-    m = np.asarray(m)
-    a = m[:ksplit, :ksplit]
-    b = m[:ksplit, ksplit:]
-    c = m[ksplit:, :ksplit]
-    d = m[ksplit:, ksplit:]
-    ddet = np.linalg.det(d)
-    schur = a - b @ np.linalg.solve(d, c)
-    out = ddet * np.linalg.det(schur)
-    return complex(out).real if np.iscomplexobj(m) else float(out)

@@ -103,9 +103,16 @@ _DEGENERATE_INPUTS = {
     "FlowBlock": (lambda: FlowBlock([], np.zeros((0, 1, 4))), DimensionMismatch),
     "class_membership": (lambda: class_membership(_REAL21, np.zeros((0, 3)), 0.5, 2.0), DimensionMismatch),
     "EnsembleSpec_k0_l0": (lambda: EnsembleSpec(k=0, l=0, seed=5), ParseError),
-    "EnsembleSpec.from_dict_k0_l0": (lambda: EnsembleSpec.from_dict({"k": 0, "l": 0}), ParseError),
     "EnsembleSpec_negative_k": (lambda: EnsembleSpec(k=-1, l=2), ParseError),
+    "EnsembleSpec_fractional_k": (lambda: EnsembleSpec(k=1.5, l=1), ParseError),
+    "EnsembleSpec_float_l": (lambda: EnsembleSpec(k=1, l=1.0), ParseError),
     "EnsembleSpec_negative_seed": (lambda: EnsembleSpec(k=1, l=1, seed=-1), ParseError),
+    "EnsembleSpec_negative_a": (lambda: EnsembleSpec(k=1, l=1, a=-1.0), ParseError),
+    "EnsembleSpec_zero_b": (lambda: EnsembleSpec(k=1, l=1, b=0.0), ParseError),
+    "EnsembleSpec_negative_halfwidth": (lambda: EnsembleSpec(k=1, l=1, domain_halfwidth=-1.0), ParseError),
+    "EnsembleSpec_negative_n_atoms": (lambda: EnsembleSpec(k=1, l=1, n_atoms=-2), ParseError),
+    "EnsembleSpec_fractional_n_atoms": (lambda: EnsembleSpec(k=1, l=1, n_atoms=1.5), ParseError),
+    "EnsembleSpec_negative_eps": (lambda: EnsembleSpec(k=1, l=1, eps=-3.0), ParseError),
     "draw_member_negative_index": (lambda: draw_member(_ES21, -1), TmaError),
     "sample_points_negative_index": (lambda: sample_points(_ES21, -1, 3), TmaError),
     "sample_points_negative_count": (lambda: sample_points(_ES21, 0, -1), DimensionMismatch),

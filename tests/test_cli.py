@@ -13,6 +13,7 @@ import gc
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -170,11 +171,37 @@ class TestConfigValidation:
         assert cfg.seed == 9
 
     def test_every_registered_suite_has_defaults_matching_schema(self):
+        # each default passes its own validator unchanged, type included, and
+        # a config naming only the suite (and a seed where one is needed)
+        # resolves to exactly the defaults
         for name, sd in SUITES.items():
+            for key, (validate, default) in sd.fields.items():
+                got = validate(key, default)
+                assert (got, type(got)) == (default, type(default)), (name, key)
             cfg = ExperimentConfig.from_dict(
                 {"suite": name, **({"seed": 0} if sd.randomized else {})}
             )
-            assert set(cfg.params) == set(sd.defaults)
+            assert cfg.params == {key: default for key, (_, default) in sd.fields.items()}
+
+    def test_configs_share_no_default_lists(self):
+        # det-law and w-psd default to the same shapes record; editing one
+        # config's params must reach neither the other suite nor a later config
+        first = ExperimentConfig.from_dict({"suite": "det-law", "seed": 1})
+        first.params["shapes"].append([3, 3])
+        osc = ExperimentConfig.from_dict({"suite": "oscillation-decay"})
+        osc.params["ladder"][0] = 9.0
+        assert ExperimentConfig.from_dict({"suite": "w-psd", "seed": 1}).params["shapes"] == _ALL
+        assert ExperimentConfig.from_dict({"suite": "oscillation-decay"}).params["ladder"] == [0.5, 0.25, 0.125]
+
+    def test_eps_beyond_the_class_guarantee_is_rejected(self):
+        # the ensemble's members are class members only for eps <= min(a, b)/2
+        for suite in cli._SWEEPS:
+            with pytest.raises(ConfigInvalid, match="eps"):
+                ExperimentConfig.from_dict({"suite": suite, "seed": 1, "eps": 3.0})
+        with pytest.raises(ConfigInvalid, match="eps"):
+            ExperimentConfig.from_dict({"suite": "det-law", "seed": 1, "b": 0.1, "eps": 0.1})
+        at_bound = ExperimentConfig.from_dict({"suite": "det-law", "seed": 1, "b": 0.2, "eps": 0.1})
+        assert at_bound.params["eps"] == 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +291,7 @@ class TestRunOutputs:
             assert r.passed and r.error is None
             blobs.append(pathlib.Path(r.csv_path).read_bytes())
         assert blobs[0] == blobs[1]
-        assert blobs[0].count(b"\n") - 1 == draws * SUITES[suite].defaults["points"]
+        assert blobs[0].count(b"\n") - 1 == draws * cli._SWEEPS[suite].points
 
     @pytest.mark.parametrize("suite", sorted(cli._SWEEPS))
     def test_rows_do_not_depend_on_block_size(self, tmp_path, monkeypatch, suite):
@@ -529,16 +556,33 @@ class TestSweepTable:
         assert list(SUITES) == list(defaults) + ["flow-convergence", "oscillation-decay", "rigidity"]
         for name, want in defaults.items():
             sd = SUITES[name]
-            assert sd.randomized and sd.fields is cli._SWEEP_FIELDS and sd.runner is cli._run_sweep
-            assert sd.defaults == want
-        for name, runner, fields in [
-            ("flow-convergence", cli._run_flow_convergence, cli._FLOW_FIELDS),
-            ("oscillation-decay", cli._run_oscillation, cli._OSC_FIELDS),
-            ("rigidity", cli._run_rigidity, cli._RIG_FIELDS),
+            assert sd.randomized and sd.runner is cli._run_sweep and sd.post is cli._post_sweep
+            assert {key: default for key, (_, default) in sd.fields.items()} == want
+        for name, runner in [
+            ("flow-convergence", cli._run_flow_convergence),
+            ("oscillation-decay", cli._run_oscillation),
+            ("rigidity", cli._run_rigidity),
         ]:
             sd = SUITES[name]
-            assert not sd.randomized and sd.fields is fields and sd.runner is runner
-            assert set(sd.defaults) == set(fields)
+            assert not sd.randomized and sd.runner is runner
+
+
+def test_readme_suites_table_matches_the_registry():
+    # the README's suites table: every suite, whether it is seeded, and each
+    # sweep's default shapes x draws x points and tolerance
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` +\| (yes|no) +\| (.*) \|$", readme, re.M)
+    assert [name for name, _, _ in rows] == list(SUITES)
+    sizes = re.compile(r"\((\d+) shapes? × (\d+) draws × (\d+) points?, (≤ |≥ −)(\S+)\)$")
+    for name, seeded, checks in rows:
+        sd = SUITES[name]
+        assert seeded == ("yes" if sd.randomized else "no"), name
+        if name in cli._SWEEPS:
+            sweep = cli._SWEEPS[name]
+            shapes, draws, points, relation, tolerance = sizes.search(checks).groups()
+            assert (int(shapes), int(draws), int(points)) == (len(sweep.shapes), sweep.draws, sweep.points), name
+            assert float(tolerance) == sweep.tolerance, name
+            assert relation == ("≥ −" if sweep.checks[0].startswith("min_") else "≤ "), name
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +730,12 @@ class TestCommandLine:
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
     def test_validate_subcommand(self, tmp_path, capsys):
-        good = write_json(tmp_path, "good.json", {"suite": "rigidity"})
+        good = write_json(tmp_path, "good.json", {"suite": "rigidity", "nodes": 17})
         assert main(["validate", "--config", good]) == 0
-        assert "rigidity" in capsys.readouterr().out
+        ok, params = capsys.readouterr().out.splitlines()
+        assert ok.startswith("config ok") and "rigidity" in ok
+        assert params == json.dumps(load_config(good).params, sort_keys=True)
+        assert json.loads(params)["nodes"] == 17 and json.loads(params)["det_tol"] == 1e-9
         bad = write_json(tmp_path, "bad.json", {"suite": "rigidity", "nodes": -1})
         assert main(["validate", "--config", bad]) == 2
         assert "nodes" in capsys.readouterr().err
@@ -703,6 +750,15 @@ class TestCommandLine:
         )
         assert res.returncode == 0, res.stderr
         assert "config ok" in res.stdout
+
+    def test_eps_beyond_the_class_guarantee_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "cfg.json", {"suite": "det-law", "seed": 1, "eps": 3.0})
+        assert main(["validate", "--config", cfg]) == 2
+        assert "eps" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "eps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_does_not_accept_missing_seed(self, tmp_path):
         cfg = write_json(tmp_path, "cfg.json", {"suite": "q-sign", "draws": 2})

@@ -103,9 +103,12 @@ def test_complex_ensemble_members():
 
 
 def test_amplitude_too_large():
-    es = EnsembleSpec(k=1, l=1, a=1.0, b=1.0, eps=0.6, n_atoms=2, seed=0)
+    # membership is guaranteed only for eps <= min(a, b)/2, so no spec past it is built
+    with pytest.raises(AmplitudeTooLarge, match="eps = 0.6"):
+        EnsembleSpec(k=1, l=1, a=1.0, b=1.0, eps=0.6, n_atoms=2, seed=0)
     with pytest.raises(AmplitudeTooLarge):
-        sample_ensemble(es, 1)
+        EnsembleSpec(k=1, l=1, a=2.0, b=0.5, eps=0.3)
+    assert EnsembleSpec(k=1, l=1, a=2.0, b=0.5, eps=0.25).eps == 0.25
 
 
 def test_block_swap_symmetry():
@@ -121,21 +124,13 @@ def test_block_swap_symmetry():
         assert np.allclose(pc, -a, atol=1e-14)
 
 
-def test_ensemble_spec_round_trip():
-    es = EnsembleSpec(k=2, l=1, flavor="complex", a=1.5, b=0.75, eps=0.2, n_atoms=4, seed=99)
-    again = EnsembleSpec.from_dict(__import__("json").loads(es.canonical_json()))
-    assert again == es
-
-
 def test_unknown_flavor_rejected_on_construction():
     with pytest.raises(ParseError) as info:
         EnsembleSpec(k=1, l=1, flavor="bogus")
     assert str(info.value) == "ensemble.flavor: expected real|complex, got 'bogus'"
-    # with both bad, the seed is named first, as from_dict did before
+    # with both bad, the seed is named first
     with pytest.raises(ParseError, match="ensemble.seed"):
-        EnsembleSpec.from_dict({"k": 1, "l": 1, "flavor": "bogus", "seed": -1})
-    with pytest.raises(ParseError, match="ensemble.flavor"):
-        EnsembleSpec.from_dict({"k": 1, "l": 1, "flavor": "bogus"})
+        EnsembleSpec(k=1, l=1, flavor="bogus", seed=-1)
 
 
 def test_report_type():

@@ -6,11 +6,8 @@ import pytest
 from tma.errors import IllConditioned, NotPositiveDefinite, TmaError
 from tma.linalg import (
     as_hermitian,
-    block_det_via_schur,
-    certify_psd,
     inverse_and_logdet,
     min_max_eigenvalues,
-    psd_tolerance,
 )
 
 
@@ -66,32 +63,6 @@ def test_inverse_closed_form_2x2():
     assert np.allclose(inv, np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0, atol=1e-14)
     n = a.shape[0]
     assert np.max(np.abs(a @ inv - np.eye(n))) <= 1e-12 * n
-
-
-def test_block_determinant_property():
-    rng = np.random.default_rng(5)
-    for n, ks in ((2, 1), (3, 1), (4, 2), (6, 3)):
-        m = rng.uniform(-1, 1, (n, n)) + 2.0 * np.eye(n)
-        assert block_det_via_schur(m, ks) == pytest.approx(np.linalg.det(m), rel=1e-10)
-    # Hermitian complex case
-    for n, ks in ((2, 1), (4, 2)):
-        b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-        m = b + b.conj().T + 3.0 * np.eye(n)
-        assert block_det_via_schur(m, ks) == pytest.approx(np.linalg.det(m).real, rel=1e-10)
-
-
-def test_psd_certificates_back_quadratic_forms():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        b = rng.uniform(-1, 1, (n, n))
-        a = b @ b.T  # PSD, possibly with tiny negative rounding eigenvalues
-        tol = psd_tolerance(a)
-        assert certify_psd(a)
-        for _ in range(100):
-            v = rng.normal(size=n)
-            v /= np.linalg.norm(v)
-            assert v @ a @ v >= -2.0 * tol
 
 
 def test_as_hermitian_rejects_skew():
