@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -715,20 +716,31 @@ class _Operator:
         return self._legs(g).ravel()
 
 
+@lru_cache(maxsize=None)
+def _sine_matrix(n: int) -> np.ndarray:
+    """The symmetric DST-I matrix ``S[j, k] = 2 sin(pi j k/(n + 1))``, ``j, k = 1..n``.
+
+    ``j k`` is reduced modulo ``2(n + 1)``, the period of the sine, before it
+    is scaled, so every entry is a sine of an angle below ``2 pi``.  Without
+    the reduction the transform drifts from the DST-I by 1.8e-14 of its max at
+    127^2 and 3.3e-14 at 255^2; with it, by 1.3e-15 or less.
+    """
+    k = np.arange(1, n + 1)
+    return 2.0 * np.sin(math.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+
+
 def _sine_transform(x: np.ndarray) -> np.ndarray:
     """The DST-I of ``x`` along every axis, unnormalized (``scipy.fft.dstn(x, type=1)``).
 
-    Along an axis of ``n`` nodes it is minus the imaginary part of the real
-    FFT of the odd extension ``[0, x, 0, -reversed x]``, of length
-    ``2(n + 1)``.  Applied twice it multiplies by the product of those
-    lengths.
+    Each axis is one contraction with :func:`_sine_matrix`, which BLAS
+    applies as a matrix product (the fast diagonalization of Lynch, Rice &
+    Thomas 1964).  A contraction moves the transformed axis last, so after
+    one per axis the axes are back in order.  Along an axis of ``n`` nodes
+    ``S^2 = 2(n + 1) I``, so applied twice the transform multiplies by the
+    product of the ``2(n + 1)``.
     """
-    for axis, n in enumerate(x.shape):
-        lead = (slice(None),) * axis
-        ext = np.zeros(x.shape[:axis] + (2 * n + 2,) + x.shape[axis + 1:])
-        ext[lead + (slice(1, n + 1),)] = x
-        ext[lead + (slice(n + 2, None),)] = -np.flip(x, axis)
-        x = -np.fft.rfft(ext, axis=axis).imag[lead + (slice(1, n + 1),)]
+    for n in x.shape:
+        x = np.tensordot(x, _sine_matrix(n), axes=(0, 0))
     return x
 
 
@@ -740,8 +752,10 @@ class _FastPoisson:
     periodic ones, and ``D`` the symbol ``Lambda`` of the axis-weighted
     Laplacian ``sum_a c_a d^2_a`` with ``c_a = mean(gamma_a)/mean(gbar)``, or
     ``1/mean(gbar) - dt*Lambda``.  For constant coefficients ``P`` is the
-    operator itself.  On a periodic grid ``L`` annihilates constants, and the
-    preconditioner of ``L`` drops that mode.
+    operator itself.  On a framed grid ``T^{-1}`` is :func:`_sine_transform`
+    again, one matrix product per axis each way, with the product of the
+    ``2(n + 1)`` folded into ``D``.  On a periodic grid ``L`` annihilates
+    constants, and the preconditioner of ``L`` drops that mode.
     """
 
     def __init__(self, grid: BoxGrid, gammas: Sequence[np.ndarray], dt: Optional[float] = None):
@@ -868,8 +882,11 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
     ``_SEMI_RTOL``, preconditioned by :class:`_FastPoisson`, which is exact
     when the coefficients are constant.  A step of a quadratic (129^2, 13^4)
     takes one Krylov iteration.  A step of a rippled field takes 10 at 17^2
-    (``dt`` 8e-4 to 5e-3, the flow-convergence suite included) and 11-14 at
-    129^2 (``dt`` 5e-3 to 1).  A solve that misses the tolerance raises
+    (``dt`` 8e-4 to 5e-3, the flow-convergence suite included).  At 129^2
+    (``dt`` 5e-3 to 1) a first step takes 14-15 and a second 9-12; from
+    ``dt`` 0.05 up a step's first cycle leaves the true residual just above
+    both the tolerance and the rounding floor of :func:`_gmres`, and a second
+    cycle of one iteration ends it.  A solve that misses the tolerance raises
     :class:`NoConvergence` rather than returning an unconverged increment.
     """
     dt = f.dt

@@ -6,11 +6,13 @@ import contextlib
 import decimal
 import importlib
 import io
+import os
 import pathlib
 import pkgutil
 import re
 import subprocess
 import sys
+from typing import Dict, Optional
 
 import tma
 
@@ -58,11 +60,15 @@ def test_every_raise_is_a_package_error():
     assert len(SOURCES) > 10 and not offenders
 
 
-def fresh_python(code: str) -> str:
-    """Standard output of ``code`` run in a new interpreter that imports this checkout's ``tma``."""
+def fresh_python(code: str, env: Optional[Dict[str, str]] = None) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this checkout's ``tma``.
+
+    ``env`` holds environment variables set in the interpreter on top of this one's.
+    """
     src = str(pathlib.Path(tma.__file__).parents[1])
     probe = f"import sys; sys.path.insert(0, {src!r})\n{code}"
-    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout.strip()
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, **(env or {})}).stdout.strip()
 
 
 def test_import_leaves_scipy_stats_unloaded():

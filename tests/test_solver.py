@@ -51,6 +51,7 @@ from tma.solver import (
     step_parabolic,
     time_order_estimate,
 )
+from test_api import fresh_python
 from test_stencil import _ref_blocks, _ref_operator, periodic2d
 
 # ---------------------------------------------------------------------------
@@ -355,11 +356,20 @@ class TestSemiImplicitSolve:
 
 
 class TestMatrixFreeSolves:
-    @pytest.mark.parametrize("shape", [(127, 127), (11,) * 4, (255, 255)], ids=str)
+    # the oblong and mixed-length shapes catch a transform that contracts the wrong axis
+    @pytest.mark.parametrize("shape", [(127, 127), (11,) * 4, (255, 255), (29, 29), (17, 21),
+                                       (9,) * 4, (9, 8, 9, 10)], ids=str)
     def test_sine_transform_is_scipy_dst1(self, shape):
         x = np.random.default_rng(5).normal(size=shape)
         want = scipy.fft.dstn(x, type=1)
         assert np.abs(_sine_transform(x) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", [(17, 21), (125, 125), (9, 8, 9, 10)], ids=str)
+    def test_sine_transform_twice_scales_by_the_extended_lengths(self, shape):
+        # _FastPoisson divides its symbol by this product instead of inverting the transform
+        x = np.random.default_rng(6).normal(size=shape)
+        scale = math.prod(2 * n + 2 for n in shape)
+        assert np.abs(_sine_transform(_sine_transform(x)) - scale * x).max() <= 1e-13 * scale * np.abs(x).max()
 
     @pytest.mark.parametrize("grid", [
         BoxGrid((-1.0, -1.0), (1.0, 2.0), (17, 21)),
@@ -394,6 +404,56 @@ class TestMatrixFreeSolves:
         sol = solve_elliptic(boundary, grid, guess=guess)
         assert calls == ["Newton step"] * steps
         assert np.nanmax(np.abs(discrete_time_speed(sol, 0))) <= solver.NEWTON_TOL
+
+    @pytest.mark.parametrize("boundary, grid, guess, iterations", [
+        (reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (129, 129)), None, (1, 9, 5, 3, 2)),
+        (reference_flow_spec(1.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (33, 33)),
+         perturbed_flow_spec(1.0, 1.0, 1e-3, modes=[(2.0, 1.0)], weights=[1.0]), (9, 5, 3, 1)),
+    ], ids=["reference129", "rigidity33"])
+    def test_newton_krylov_iteration_counts(self, monkeypatch, boundary, grid, guess, iterations):
+        # a weaker preconditioner shows here as more iterations, not only as time.
+        # Each Arnoldi iteration preconditions a unit basis vector; each GMRES
+        # cycle ends by preconditioning its correction, which is not one.
+        counts = []
+        poisson = solver._FastPoisson
+
+        class Counted(poisson):
+            def __init__(self, *args):
+                super().__init__(*args)
+                counts.append([0, 0])  # [iterations, cycles] of this Newton step
+
+            def __call__(self, v):
+                counts[-1][int(abs(np.linalg.norm(v) - 1.0) > 1e-12)] += 1
+                return super().__call__(v)
+
+        monkeypatch.setattr(solver, "_FastPoisson", Counted)
+        solve_elliptic(boundary, grid, guess=guess)
+        assert [tuple(c) for c in counts] == [(k, 1) for k in iterations]
+
+    def test_one_and_two_blas_threads_agree(self, tmp_path):
+        # The sine transform runs as BLAS matrix products, and GMRES's inner
+        # products are BLAS calls too.  Below BLAS's threading thresholds
+        # (rigidity at 33, the 13^4 step) the result is the same to the bit
+        # with 1 and 2 threads.  At 129^2 OpenBLAS splits some of those calls
+        # across threads, which moves the Newton solution by about 2e-15.
+        def run(threads: int):
+            saved = tmp_path / f"newton{threads}.npy"
+            code = (
+                "import hashlib; import numpy as np; from tma.solver import *\n"
+                "square = BoxGrid((-1.0, -1.0), (1.0, 1.0), (129, 129))\n"
+                f"np.save({str(saved)!r}, solve_elliptic(reference_flow_spec(2.0, 1.0), square).slices[-1])\n"
+                "rigidity = solve_elliptic(reference_flow_spec(1.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (33, 33)),\n"
+                "    guess=perturbed_flow_spec(1.0, 1.0, 1e-3, modes=[(2.0, 1.0)], weights=[1.0])).slices[-1]\n"
+                "box = BoxGrid((-1.0,) * 4, (1.0,) * 4, (13,) * 4)\n"
+                "spec = perturbed_flow_spec(1.0, 1.0, 0.05, 'complex11')\n"
+                "step = run_flow(flow_from_spec(spec, box, 1e-2), 1, scheme='semi-implicit').slices[-1]\n"
+                "print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (rigidity, step)))"
+            )
+            return fresh_python(code, {"OPENBLAS_NUM_THREADS": str(threads)}), np.load(saved)
+
+        (hashes_one, newton_one), (hashes_two, newton_two) = run(1), run(2)
+        assert len(hashes_one.split()) == 2 and hashes_one == hashes_two
+        assert np.abs(newton_one - newton_two).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
