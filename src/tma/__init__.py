@@ -1,8 +1,8 @@
 """Numerical laboratory for twisted Monge-Ampere operators.
 
 Exact jet arithmetic, the partial Legendre transform and its W-matrix, the
-complex twisted operators and their linearization, evolution/sign identities
-for the W-tensor, parabolic/elliptic grid solvers, and parabolic-cylinder
+complex twisted operators and their W-matrix, evolution/sign identities for
+the W-tensor, parabolic/elliptic grid solvers, and parabolic-cylinder
 oscillation measurement — all verifiable at desk scale from the `tma` CLI or
 the module APIs.
 

@@ -460,11 +460,6 @@ def _term_stack(table: WirtingerTable) -> Dict[str, np.ndarray]:
     return _terms_from_context(_term_context(one_row), table.k, table.l)
 
 
-def _term_matrices(table: WirtingerTable) -> Dict[str, np.ndarray]:
-    """Every labeled contraction at one point, embedded at its block of the full matrix."""
-    return {name: t[0] for name, t in _term_stack(table).items()}
-
-
 def _finalize_hermitian(q: np.ndarray, what: str):
     """Each matrix of a stack made exactly Hermitian, and the asymmetry each had before."""
     adj = q.conj().swapaxes(-1, -2)

@@ -24,7 +24,7 @@ import numpy as np
 import numpy.random
 
 from .errors import AmplitudeTooLarge, DimensionMismatch, ParseError, TmaError
-from .jets import FLAVORS, ExpressionSpec, evaluate_hessians, map_leaves, wirtinger_hessians
+from .jets import FLAVORS, ExpressionSpec, evaluate_hessians, wirtinger_hessians
 from .linalg import min_max_eigenvalues
 
 
@@ -235,41 +235,9 @@ def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
     return ExpressionSpec(expr={"kind": "sum", "terms": terms}, k=es.k, l=es.l, flavor=es.flavor)
 
 
-def sample_ensemble(es: EnsembleSpec, n_draws: int) -> List[ExpressionSpec]:
-    """Draw ``n_draws`` members; identical seed implies identical output."""
-    return [draw_member(es, i) for i in range(n_draws)]
-
-
 def sample_points(es: EnsembleSpec, index: int, n_points: int) -> np.ndarray:
     """Deterministic per-draw evaluation points inside the declared box."""
     if n_points < 0:
         raise DimensionMismatch(f"need n_points >= 0, got {n_points}")
     rng = _draw_rng(es, index, 1)
     return rng.uniform(-es.domain_halfwidth, es.domain_halfwidth, (n_points, es.nvars))
-
-
-def permute_negate(spec: ExpressionSpec, perm) -> ExpressionSpec:
-    """The function ``v(x) = -u(x[perm[0]], ..., x[perm[n-1]])``; block-swap smoke test helper."""
-    perm = list(perm)
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    perm = inv  # coefficient arrays move by the inverse permutation
-
-    def quad(node):
-        m = np.asarray(node["matrix"])[np.ix_(perm, perm)]
-        lin = np.asarray(node["linear"])[perm]
-        return {"kind": "quad", "matrix": m.tolist(), "linear": lin.tolist(), "constant": node["constant"]}
-
-    def atom(node):
-        return {**node, "affine": np.asarray(node["affine"])[perm].tolist()}
-
-    negated = {"kind": "scale", "coefficient": -1.0, "term": map_leaves(spec.expr, quad=quad, atom=atom)}
-    return ExpressionSpec(
-        expr=negated,
-        k=spec.l,
-        l=spec.k,
-        flavor=spec.flavor,
-        time_drift=-spec.time_drift,
-        domain_halfwidth=spec.domain_halfwidth,
-    )

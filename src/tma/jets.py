@@ -255,22 +255,11 @@ class ExpressionSpec:
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExpressionSpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-        return cls.from_dict(obj)
-
     # -- evaluation --------------------------------------------------------
 
     def value(self, point, time: float = 0.0) -> float:
         coords = tuple(float(c) for c in point)
         return float(_node_jet(self.expr, coords, 0)[0]) + self.time_drift * time
-
-    def jet(self, point, time: float = 0.0, order: int = 4) -> "SpaceTimeJet":
-        return evaluate_jet(self, point, time, order=order)
 
     def in_domain(self, point) -> bool:
         hw = self.domain_halfwidth
@@ -671,39 +660,6 @@ def _wirtinger_expansion(m: int, hol: MultiIndex, anti: MultiIndex):
     return tuple(sorted((beta, c) for beta, c in terms.items() if c != 0.0))
 
 
-@lru_cache(maxsize=None)
-def _real_expansion(m: int, beta: MultiIndex):
-    """Expansion of prod d/dX^p d/dY^q into Wirtinger operators; inverse of the above."""
-    terms: Dict[WirtKey, complex] = {((0,) * m, (0,) * m): 1.0 + 0.0j}
-    for a in range(m):  # d/dX_a = d/dz_a + d/dzbar_a
-        for _ in range(beta[a]):
-            new: Dict[WirtKey, complex] = {}
-            for (h, ab), c in terms.items():
-                hh = list(h)
-                hh[a] += 1
-                key = (tuple(hh), ab)
-                new[key] = new.get(key, 0.0j) + c
-                aa = list(ab)
-                aa[a] += 1
-                key = (h, tuple(aa))
-                new[key] = new.get(key, 0.0j) + c
-            terms = new
-    for a in range(m):  # d/dY_a = i (d/dz_a - d/dzbar_a)
-        for _ in range(beta[m + a]):
-            new = {}
-            for (h, ab), c in terms.items():
-                hh = list(h)
-                hh[a] += 1
-                key = (tuple(hh), ab)
-                new[key] = new.get(key, 0.0j) + 1.0j * c
-                aa = list(ab)
-                aa[a] += 1
-                key = (h, tuple(aa))
-                new[key] = new.get(key, 0.0j) - 1.0j * c
-            terms = new
-    return tuple(sorted((key, c) for key, c in terms.items() if c != 0.0))
-
-
 @dataclass
 class WirtingerTable:
     """Mixed holomorphic/antiholomorphic partials at one point of C^k x C^l, or at a stack of points.
@@ -855,15 +811,3 @@ def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
         entries=_wirtinger_entries(jet.table, m, jet.order),
         drift=jet.drift,
     )
-
-
-def real_from_wirtinger(wt: WirtingerTable) -> Dict[MultiIndex, float]:
-    """Inverse change of basis: recover the real partial table from a Wirtinger table."""
-    m = wt.m
-    out: Dict[MultiIndex, float] = {}
-    for beta in multi_indices(2 * m, wt.order):
-        acc = 0.0 + 0.0j
-        for key, coeff in _real_expansion(m, beta):
-            acc += coeff * wt.d(*key)
-        out[beta] = acc.real
-    return out

@@ -46,7 +46,6 @@ _MAX_HALVINGS = 50
 
 __all__ = [
     "PartialLegendreResult",
-    "invert_partial_gradient",
     "partial_legendre",
     "det_transform_residual",
     "real_W",
@@ -102,8 +101,16 @@ def _gradient_residual(spec: ExpressionSpec, x, y, z):
 
 
 def _invert(spec: ExpressionSpec, x, z):
+    """y solving ``du/dy(x, y) = z``, its Newton step count, and the order-2 jet at (x, y).
+
+    Damped Newton from ``y = 0``: the concavity of u in y makes the residual
+    norm decrease along the Newton direction, so plain step halving suffices
+    as a globalizer.  Converges to ``max|du/dy - z| <= 1e-12 * (1 + max|z|)``.
+    """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
+    if x.shape != (spec.k,) or z.shape != (spec.l,):
+        raise DimensionMismatch(f"need x of shape ({spec.k},) and z of shape ({spec.l},), got {x.shape} and {z.shape}")
     y = np.zeros(spec.l)
     tol = _GRAD_TOL * (1.0 + float(np.max(np.abs(z))))
     jet, g, res = _gradient_residual(spec, x, y, z)
@@ -125,26 +132,6 @@ def _invert(spec: ExpressionSpec, x, z):
         else:
             raise NoConvergence("step damping failed to reduce the gradient residual")
     raise NoConvergence(f"gradient inversion did not converge in {_MAX_NEWTON} Newton steps")
-
-
-def invert_partial_gradient(spec: ExpressionSpec, x, z):
-    """Solve ``du/dy(x, y) = z`` for y by damped Newton iteration from ``y = 0``.
-
-    The concavity of u in y makes the residual norm decrease along the Newton
-    direction, so plain step halving suffices as a globalizer.  Converges to
-    ``max|du/dy - z| <= 1e-12 * (1 + max|z|)``.
-
-    Raises
-    ------
-    NoConvergence
-        After 100 Newton steps, or if damping stalls.
-    DomainExceeded
-        A Newton trial point left the declared box — the signal that z is not
-        in the image of du/dy over the domain.
-    """
-    _require_transformable(spec)
-    y, _, _ = _invert(spec, x, z)
-    return y
 
 
 def _jacobian(h: np.ndarray, k: int, cinv: np.ndarray) -> np.ndarray:
@@ -183,11 +170,13 @@ def partial_legendre(spec: ExpressionSpec, x, z) -> PartialLegendreResult:
     """Transform u at the dual point (x, z).
 
     Inverts the concave-slot gradient to find the source point (x, y), then
-    assembles every output from the exact jet of u there.
+    assembles every output from the exact jet of u there; ``y`` alone is the
+    gradient inversion.  Raises :class:`DimensionMismatch` unless x has k
+    entries and z has l, :class:`NoConvergence` after 100 Newton steps or a
+    stalled damping, and :class:`DomainExceeded` when a Newton trial point
+    leaves the declared box: z is not in the image of du/dy over the domain.
     """
     _require_transformable(spec)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
     y, iters, jet = _invert(spec, x, z)
     w_value = jet.d((0,) * spec.nvars) - float(y @ z)
     h = jet.hessian()

@@ -6,9 +6,11 @@ The real elliptic operator on a convex/concave split u(x, y) is
 
 and the parabolic residual is H(u) = du/dt - F(u).  The complex flavor
 replaces the Hessian blocks with the mixed Wirtinger blocks u_{z zbar} and
--u_{w wbar}.  Both flavors consume exact jets/tables — never grids — so the
-same code path serves analytic verification and the finite-difference solver,
-which adapts stencils into jets.
+-u_{w wbar}.  Both flavors consume exact jets/tables, never grids: this is
+the analytic evaluation, which :func:`tma.estimates.rescale_report` reads for
+the flow residual.  The finite-difference solver does not share it; it
+evaluates its discrete ``F`` from second differences in
+``tma.solver._flow_value``.
 
 The module also gives the complex transformed Hessian
 
@@ -18,10 +20,7 @@ The module also gives the complex transformed Hessian
 
 assembled by :func:`tma.linalg.transformed_hessian`, the real flavor's
 assembly with conjugate transposes.  Its determinant is det Z / det(-V), so
-the flow du/dt = F(u) is identically du/dt = log det W; and the linearized
-operator
-
-    L(phi) = u^{zbar_b z_a} phi_{z_a zbar_b} - u^{wbar_b w_a} phi_{w_a wbar_b}.
+the flow du/dt = F(u) is identically du/dt = log det W.
 
 Blocks with the wrong sign raise immediately instead of producing complex
 logarithms: a function outside the twisted class invalidates every downstream
@@ -35,9 +34,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, TmaError
+from .errors import TmaError
 from .jets import SpaceTimeJet, WirtingerTable
-from .linalg import as_hermitian, inverse_and_logdet, logdet_pd, transformed_hessian
+from .linalg import as_hermitian, logdet_pd, transformed_hessian
 
 __all__ = [
     "OperatorValue",
@@ -45,8 +44,6 @@ __all__ = [
     "eval_F",
     "eval_H",
     "complex_W",
-    "complex_L_apply",
-    "logdetW_equivalence_residual",
 ]
 
 JetOrTable = Union[SpaceTimeJet, WirtingerTable]
@@ -112,29 +109,3 @@ def complex_W(table: WirtingerTable):
         raise TmaError("mixed Wirtinger blocks are not mutually adjoint")
     w, _ = transformed_hessian(as_hermitian(h), k)
     return w
-
-
-def complex_L_apply(u_table: WirtingerTable, phi_table: WirtingerTable) -> float:
-    """Linearized operator of u applied to phi.
-
-    ``tr(Z(u)^{-1} Z(phi)) - tr(V(u)^{-1} V(phi))`` with the index pairing
-    ``u^{zbar_b z_a} phi_{z_a zbar_b}``; real for real-valued phi.
-    """
-    if (u_table.k, u_table.l) != (phi_table.k, phi_table.l):
-        raise DimensionMismatch("u and phi live on different C^k x C^l spaces")
-    zu, _, vu = u_table.second_blocks()
-    zphi, _, vphi = phi_table.second_blocks()
-    zi, _ = inverse_and_logdet(as_hermitian(zu))
-    neg_vinv, _ = inverse_and_logdet(as_hermitian(-vu))
-    value = np.trace(zi @ zphi) + np.trace(neg_vinv @ vphi)
-    return float(np.real(value))
-
-
-def logdetW_equivalence_residual(table: WirtingerTable) -> float:
-    """|(du/dt - log det W) - H(u)| — the two flow formulations compared.
-
-    Identically zero in exact arithmetic because det W = det Z / det(-V);
-    the returned number is floating-point noise.
-    """
-    w = complex_W(table)
-    return abs((table.drift - logdet_pd(w)) - eval_H(table))

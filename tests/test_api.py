@@ -1,4 +1,4 @@
-"""The public surface: the package root exports the README tour, every exported name resolves, every raise is a package error, and the tour prints what it promises."""
+"""The public surface: the package root exports the README tour, every exported name resolves, every raise is a package error, every library name has a caller, and the tour prints what it promises."""
 
 import ast
 import builtins
@@ -58,6 +58,34 @@ def test_every_raise_is_a_package_error():
                 if isinstance(exc, ast.Name) and exc.id in builtin_errors:
                     offenders.append(f"{path.name}:{node.lineno} raises {exc.id}")
     assert len(SOURCES) > 10 and not offenders
+
+
+def _names_in(tree: ast.AST) -> set:
+    """Every variable and attribute name that occurs in ``tree``."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_library_name_has_a_caller():
+    # a top-level function or class must be read by other package code (a
+    # module-level table counts), by the benchmark workloads, or be named in
+    # the README as a tool kept for interactive use: a name that only its own
+    # tests call is not part of the library
+    defined, read = {}, set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined[own] = path.stem
+            read |= _names_in(node) - {own}
+    for path in (README.parent / "perfbench").glob("*.py"):
+        read |= _names_in(ast.parse(path.read_text(), str(path)))
+    read |= set(re.findall(r"\w+", README.read_text()))
+    uncalled = sorted(f"{module}.{name}" for name, module in defined.items() if name not in read)
+    assert len(defined) > 150 and not uncalled
 
 
 def fresh_python(code: str, env: Optional[Dict[str, str]] = None) -> str:

@@ -41,7 +41,7 @@ from tma.jets import (
     wirtinger_keys,
     wirtinger_stack,
 )
-from tma.legendre import det_transform_residual, real_W
+from tma.legendre import det_transform_residual, partial_legendre, real_W
 from tma.linalg import inverse_and_logdet
 from tma.solver import BoxGrid, hessian_error, reference_flow_spec
 
@@ -96,6 +96,8 @@ _DEGENERATE_INPUTS = {
     "wirtinger_hessians": (lambda: wirtinger_hessians(_COMPLEX11, np.zeros((0, 4))), (0, 2, 2)),
     "real_W": (lambda: real_W(_REAL21, np.zeros((0, 3))), (0, 3, 3)),
     "det_transform_residual": (lambda: det_transform_residual(_REAL21, np.zeros((0, 3))), (0,)),
+    "partial_legendre_long_z": (lambda: partial_legendre(_REAL21, [0.0, 0.0], [0.0, 0.0]), DimensionMismatch),
+    "partial_legendre_short_x": (lambda: partial_legendre(_REAL21, [0.0], [0.0]), DimensionMismatch),
     "hessian_error": (
         lambda: hessian_error(reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9)), samples=[]),
         0.0,

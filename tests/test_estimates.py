@@ -39,7 +39,7 @@ from tma.estimates import (
     third_derivative_norm,
     weak_harnack_diagnostic,
 )
-from tma.jets import ExpressionSpec
+from tma.jets import ExpressionSpec, evaluate_jet
 from tma.solver import (
     BoxGrid,
     FlowField,
@@ -363,7 +363,7 @@ class TestRescaleSpec:
         pt = (0.3, -0.4)
         big = tuple(mu * c for c in pt)
         np.testing.assert_allclose(
-            scaled.jet(pt).hessian(), spec.jet(big).hessian(), atol=1e-13
+            evaluate_jet(scaled, pt).hessian(), evaluate_jet(spec, big).hessian(), atol=1e-13
         )
 
     def test_third_derivative_norm_frozen_values(self):

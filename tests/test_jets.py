@@ -10,7 +10,6 @@ from tma.jets import (
     evaluate_hessians,
     evaluate_jet,
     multi_indices,
-    real_from_wirtinger,
     unit_index,
     wirtinger_from_real,
     wirtinger_hessians,
@@ -387,15 +386,35 @@ def test_conjugation_symmetry_bit_exact():
         assert wt.d(e, e).imag == 0.0
 
 
-def test_inverse_change_of_basis_recovers_real_jet():
+def test_wirtinger_conversion_matches_symbolic_oracle():
+    # sympy differentiates the tree in real coordinates, and each key's
+    # operator prod ((d_X - i d_Y)/2)^hol ((d_X + i d_Y)/2)^anti is expanded
+    # as a polynomial whose monomials name real partials: no code is shared
+    # with the conversion's own expansion
+    sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(13)
     spec = random_spec(rng, 4)
     spec = ExpressionSpec(expr=spec.expr, k=1, l=1, flavor="complex")
-    jet = evaluate_jet(spec, rng.uniform(-0.5, 0.5, 4))
-    back = real_from_wirtinger(wirtinger_from_real(jet))
-    for beta in multi_indices(4, 4):
-        ref = jet.d(beta)
-        assert back[beta] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    point = rng.uniform(-0.5, 0.5, 4)
+    xs = sympy.symbols("x0:4", real=True)
+    at = {x: sympy.Float(v, 40) for x, v in zip(xs, point)}
+    derivs = {(0, 0, 0, 0): sympy_tree(sympy, spec.expr, xs)}
+    for beta in multi_indices(4, 4)[1:]:  # sorted, so each lower partial comes first
+        i = next(i for i, b in enumerate(beta) if b)
+        derivs[beta] = sympy.diff(derivs[tuple(b - (j == i) for j, b in enumerate(beta))], xs[i])
+    real = {beta: d.evalf(30, subs=at) for beta, d in derivs.items()}
+    big_x, big_y = sympy.symbols("X0:2"), sympy.symbols("Y0:2")
+    want = {}
+    for hol, anti in wirtinger_keys(2, 4):
+        op = sympy.Integer(1)
+        for a in range(2):
+            op *= ((big_x[a] - sympy.I * big_y[a]) / 2) ** hol[a] * ((big_x[a] + sympy.I * big_y[a]) / 2) ** anti[a]
+        terms = sympy.Poly(sympy.expand(op), *big_x, *big_y).terms()
+        want[hol, anti] = complex(sympy.Add(*(c * real[monom] for monom, c in terms)).evalf(30))
+    scale = max(abs(v) for v in want.values())
+    wt = wirtinger_from_real(evaluate_jet(spec, point))
+    for (hol, anti), v in want.items():
+        assert wt.d(hol, anti) == pytest.approx(v, rel=1e-12, abs=1e-12 * scale), (hol, anti)
 
 
 # ---------------------------------------------------------------------------
@@ -420,25 +439,24 @@ def test_json_round_trip_bit_exact():
         l=1,
     )
     text = spec.canonical_json()
-    again = ExpressionSpec.from_json(text)
+    again = ExpressionSpec.from_dict(json.loads(text))
     assert again == spec
     assert again.canonical_json() == text  # byte-identical round trip
 
 
 def test_unknown_atom_and_parse_errors():
+    # malformed JSON text is the CLI's to report: TestIngestion covers it
     with pytest.raises(UnknownAtom):
-        ExpressionSpec.from_json(json.dumps({"kind": "atom", "fn": "tan", "affine": [1.0], "const": 0.0}))
+        ExpressionSpec.from_dict(json.loads('{"kind": "atom", "fn": "tan", "affine": [1.0], "const": 0.0}'))
     with pytest.raises(ParseError, match="matrix"):
-        ExpressionSpec.from_json(
-            json.dumps({"kind": "quad", "matrix": [[0.0, 1.0], [2.0, 0.0]], "linear": [0.0, 0.0], "constant": 0.0})
+        ExpressionSpec.from_dict(
+            json.loads('{"kind": "quad", "matrix": [[0.0, 1.0], [2.0, 0.0]], "linear": [0.0, 0.0], "constant": 0.0}')
         )
-    with pytest.raises(ParseError, match="line 1"):
-        ExpressionSpec.from_json("{not json")
 
 
 def test_default_dims_are_real_convex():
-    spec = ExpressionSpec.from_json(
-        json.dumps({"kind": "quad", "matrix": [[1.0, 0.0], [0.0, -1.0]], "linear": [0.0, 0.0], "constant": 0.0})
+    spec = ExpressionSpec.from_dict(
+        json.loads('{"kind": "quad", "matrix": [[1.0, 0.0], [0.0, -1.0]], "linear": [0.0, 0.0], "constant": 0.0}')
     )
     assert (spec.k, spec.l, spec.flavor) == (2, 0, "real")
     h = evaluate_jet(spec, [0.0, 0.0]).hessian()

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from tma.errors import DimensionMismatch, DomainExceeded
-from tma.funclass import EnsembleSpec, sample_ensemble, sample_points
+from tma.funclass import EnsembleSpec, draw_member, sample_points
 from tma.jets import ExpressionSpec, evaluate_jet
 from tma.legendre import (
     _jacobian,
     det_transform_residual,
-    invert_partial_gradient,
     partial_legendre,
     real_W,
     transformed_operator_L,
@@ -77,29 +76,29 @@ CROSS = quad_spec([[1.0, 0.5], [0.5, -1.0]], 1, 1)
 # ------------------------------------------------------- gradient inversion
 def test_linear_gradient_inversion():
     spec = quad_spec([[1.0, 0.0], [0.0, -2.0]], 1, 1)
-    y = invert_partial_gradient(spec, [0.0], [1.0])
+    y = partial_legendre(spec, [0.0], [1.0]).y
     assert y == pytest.approx([-0.5], abs=1e-13)
 
 
 def test_odd_gradient_zero():
-    y = invert_partial_gradient(cosh_spec(), [0.3], [0.0])
+    y = partial_legendre(cosh_spec(), [0.3], [0.0]).y
     assert y == pytest.approx([0.0], abs=1e-13)
 
 
 def test_cosh_inversion_matches_bisection_oracle():
-    y = invert_partial_gradient(cosh_spec(), [0.0], [1.0])
+    y = partial_legendre(cosh_spec(), [0.0], [1.0]).y
     assert abs(y[0] - FROZEN_COSH_ROOT) < 1e-11
     assert abs(y[0] - _COSH_ROOT) < 1e-11
 
 
 def test_inversion_fixed_point_on_ensemble():
     es = EnsembleSpec(k=2, l=1, a=1.0, b=1.5, eps=0.2, n_atoms=3, seed=11)
-    for idx, spec in enumerate(sample_ensemble(es, 5)):
+    for idx, spec in enumerate([draw_member(es, i) for i in range(5)]):
         pts = sample_points(es, idx, 3)
         for p in pts:
             x, y_true = p[:2], p[2:]
             z = evaluate_jet(spec, p, order=1).gradient()[2:]
-            y = invert_partial_gradient(spec, x, z)
+            y = partial_legendre(spec, x, z).y
             assert np.max(np.abs(y - y_true)) < 1e-9
             g = evaluate_jet(spec, np.concatenate([x, y]), order=1).gradient()[2:]
             assert np.max(np.abs(g - z)) <= 1e-12 * (1.0 + np.max(np.abs(z)))
@@ -107,7 +106,7 @@ def test_inversion_fixed_point_on_ensemble():
 
 def test_domain_exceeded_signals_unreachable_slope():
     with pytest.raises(DomainExceeded):
-        invert_partial_gradient(cosh_spec(domain_halfwidth=0.5), [0.0], [1.0])
+        partial_legendre(cosh_spec(domain_halfwidth=0.5), [0.0], [1.0])
 
 
 # ------------------------------------------------------------ the transform
@@ -138,7 +137,7 @@ def test_cosh_transform_at_zero():
 
 def test_w_psd_and_symmetric_on_ensemble():
     es = EnsembleSpec(k=1, l=2, a=1.0, b=1.0, eps=0.15, n_atoms=3, seed=4)
-    for idx, spec in enumerate(sample_ensemble(es, 8)):
+    for idx, spec in enumerate([draw_member(es, i) for i in range(8)]):
         for p in sample_points(es, idx, 4):
             h = evaluate_jet(spec, p, order=2).hessian()
             w, cinv = transformed_hessian(h, spec.k)
@@ -156,7 +155,7 @@ def test_det_residual_quadratics():
 
 def test_det_residual_ensemble():
     es = EnsembleSpec(k=2, l=2, a=1.0, b=1.0, eps=0.2, n_atoms=4, seed=21)
-    for idx, spec in enumerate(sample_ensemble(es, 6)):
+    for idx, spec in enumerate([draw_member(es, i) for i in range(6)]):
         for p in sample_points(es, idx, 4):
             assert det_transform_residual(spec, p) <= 1e-10
 
@@ -177,7 +176,7 @@ def test_operator_long_form_agrees():
     assert np.max(np.abs(long - short)) < 1e-12
 
     es = EnsembleSpec(k=1, l=1, a=1.0, b=2.0, eps=0.2, n_atoms=3, seed=8)
-    for idx, spec in enumerate(sample_ensemble(es, 4)):
+    for idx, spec in enumerate([draw_member(es, i) for i in range(4)]):
         for p in sample_points(es, idx, 3):
             short = transformed_operator_L(spec, p)
             long = transformed_operator_L(spec, p, long_form=True)
@@ -195,7 +194,7 @@ def test_real_w_of_mixed_quadratic_frozen():
 
 def test_real_w_det_identity_and_psd_on_ensemble():
     es = EnsembleSpec(k=2, l=1, a=1.0, b=1.5, eps=0.2, n_atoms=3, seed=13)
-    for idx, spec in enumerate(sample_ensemble(es, 5)):
+    for idx, spec in enumerate([draw_member(es, i) for i in range(5)]):
         for p in sample_points(es, idx, 3):
             w = real_W(spec, p)
             hess = evaluate_jet(spec, p, order=2).hessian()
