@@ -46,8 +46,6 @@ from .solver import (
     FrozenFrame,
     PeriodicBase,
     _Stencil,
-    _blocks,
-    _mixed_slot,
     _require_membership,
     flow_from_values,
 )
@@ -167,7 +165,7 @@ def _w_scalar_parts(z: np.ndarray, conc: np.ndarray, m: Tuple[np.ndarray, ...]):
     """Per-node W data on the interior: ``(w00, w01 parts, w11)``.
 
     ``z`` and ``conc`` are the convex and negated concave block fields, ``m``
-    the parts of the mixed slot derivative (see :func:`tma.solver._mixed_slot`).
+    the parts of the mixed slot derivative (see :meth:`tma.solver._Stencil.mixed`).
     With ``V = -conc`` the Hermitian 2x2 transformed Hessian has entries
     ``w00 = Z - |M|^2/V``, ``w01 = M/V`` (part by part) and ``w11 = -1/V``; on
     the real carrier these are ``u_xx - u_xy^2/u_yy``, ``u_xy/u_yy`` and
@@ -200,18 +198,20 @@ def _directional_values(z: np.ndarray, conc: np.ndarray,
 
 def _crop_slices(grid: BoxGrid, center: Optional[Sequence[float]],
                  radius: Optional[float]) -> Tuple[Tuple[slice, ...], Tuple[np.ndarray, ...]]:
+    if (center is None) != (radius is None):
+        raise TmaError("a crop needs both a center and a radius, or neither")
+    if center is not None and len(center) != grid.dim:
+        raise DimensionMismatch(f"crop center has {len(center)} coordinates, the grid has {grid.dim} axes")
     axes = grid.axes()
     crops = []
     cropped_axes = []
     for a, (ax, inner) in enumerate(zip(axes, grid.interior)):
         lo, hi = inner.start, inner.stop
-        if center is not None and radius is not None:
+        if center is not None:
             lo = max(lo, int(np.searchsorted(ax, center[a] - radius, side="left")))
             hi = min(hi, int(np.searchsorted(ax, center[a] + radius, side="right")))
         if hi <= lo:
-            where = (
-                f"within {radius} of {center[a]}" if center is not None else "available"
-            )
+            where = f"within {radius} of {center[a]}" if center is not None else "available"
             raise EmptyCylinder(f"axis {a}: no interior nodes {where}")
         crops.append(slice(lo, hi))
         cropped_axes.append(ax[lo:hi])
@@ -245,11 +245,11 @@ def flow_quantities(
     stencil = _Stencil(field)
     values: Dict[str, np.ndarray] = {}
     for j, u in enumerate(field.slices):
-        conv, conc = _blocks(field.flavor, stencil.load(u).differences())
+        conv, conc = stencil.load(u).blocks()
         _require_membership(conv, conc, "time-speed evaluation")
         # contiguous, as in the uncropped call: a SIMD log may take another path on strided input
         conv, conc = np.ascontiguousarray(conv[inner]), np.ascontiguousarray(conc[inner])
-        m = _mixed_slot(field.flavor, stencil, inner)
+        m = stencil.mixed(inner)
         channels = {"time_speed": np.log(conv) - np.log(conc),
                     **_directional_values(conv, conc, m)}
         for name, arr in channels.items():
@@ -521,7 +521,6 @@ def parabolic_rescale_field(field: FlowField, mu: float) -> FlowField:
         field.slices[0] / (mu * mu),
         new_grid,
         field.dt / (mu * mu),
-        field.flavor,
         policy,
         time=field.times[0] / (mu * mu),
     )
@@ -624,8 +623,7 @@ def discrete_w_entries(field: FlowField) -> Dict[str, np.ndarray]:
     real and imaginary parts).
     """
     stencil = _Stencil(field).load(field.slices[-1])
-    conv, conc = _blocks(field.flavor, stencil.differences())
-    w00, w01, w11 = _w_scalar_parts(conv, conc, _mixed_slot(field.flavor, stencil))
+    w00, w01, w11 = _w_scalar_parts(*stencil.blocks(), stencil.mixed())
     names = ("w01",) if len(w01) == 1 else ("w01_re", "w01_im")
     return {"w00": w00, **dict(zip(names, w01)), "w11": w11}
 

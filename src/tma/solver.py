@@ -23,7 +23,8 @@ Each grid flavor carries one convex and one concave slot on a real grid:
 even axes carry the convex slot, odd axes the concave slot, and a slot's
 second derivative is the slot weight (1 or 1/4) times the sum of the pure
 second differences along its axes.  The flow value is
-``F = log(convex slot) - log(-concave slot)``.
+``F = log(convex slot) - log(-concave slot)``.  A grid's dimension fixes
+its flavor, so no factory takes one:
 
 ``"real"``
     a 2-D grid ``[x, y]``, weight 1: ``F = log u_xx - log(-u_yy)``.
@@ -110,6 +111,14 @@ def _carrier(flavor: str) -> Tuple[int, str, float]:
     if flavor not in _CARRIERS:
         raise TmaError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     return _CARRIERS[flavor]
+
+
+def _grid_flavor(grid: "BoxGrid") -> str:
+    """The flavor that ``grid``'s dimension fixes; raises :class:`DimensionMismatch` if none."""
+    for flavor, (dim, _, _) in _CARRIERS.items():
+        if grid.dim == dim:
+            return flavor
+    raise DimensionMismatch(f"no grid flavor of {FLAVORS} runs on a {grid.dim}-D grid")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +297,7 @@ BoundaryPolicy = Union[FrozenFrame, PeriodicBase]
 
 @dataclass
 class FlowField:
-    """A grid, a flavor, a boundary policy, and the time slices of a run.
+    """A grid, a boundary policy, and the time slices of a run.
 
     ``slices[i]`` holds the nodal values at ``times[i]``; stepping appends.
     ``cfl_log`` records the measured explicit-stability bound at each step
@@ -297,7 +306,6 @@ class FlowField:
     """
 
     grid: BoxGrid
-    flavor: str
     policy: BoundaryPolicy
     dt: float
     slices: List[np.ndarray]
@@ -308,12 +316,16 @@ class FlowField:
     _frame_mask: Optional[np.ndarray] = dc_field(default=None, repr=False)
     _base_vals: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
+    @property
+    def flavor(self) -> str:
+        """The grid flavor, fixed by the grid's dimension (see the module docstring)."""
+        return _grid_flavor(self.grid)
+
 
 def flow_from_values(
     values: np.ndarray,
     grid: BoxGrid,
     dt: float,
-    flavor: str,
     policy: BoundaryPolicy,
     time: float = 0.0,
 ) -> FlowField:
@@ -323,22 +335,20 @@ def flow_from_values(
         raise DimensionMismatch(
             f"values have shape {values.shape}, grid has {grid.shape}"
         )
-    dim = _carrier(flavor)[0]
-    if grid.dim != dim:
-        raise DimensionMismatch(f"flavor {flavor!r} needs a {dim}-D grid, got {grid.dim}-D")
+    _grid_flavor(grid)  # a grid whose dimension fixes no flavor raises here
     if not (dt >= 0.0):
         raise TmaError(f"timestep must be nonnegative, got {dt}")
     if isinstance(policy, PeriodicBase):
         if not grid.periodic:
             raise TmaError("a periodic-base policy requires a periodic grid (frame == 0)")
         base = policy.values_on(grid)
-        f = FlowField(grid, flavor, policy, float(dt), [values.copy()], [float(time)], _base_vals=base)
+        f = FlowField(grid, policy, float(dt), [values.copy()], [float(time)], _base_vals=base)
     elif isinstance(policy, FrozenFrame):
         if grid.periodic:
             raise TmaError("a frozen-frame policy requires a framed grid (frame >= 1)")
         mask = grid.frame_mask()
         frame_at_zero = evaluate_on_grid(policy.spec, grid, time=0.0)[mask]
-        f = FlowField(grid, flavor, policy, float(dt), [values.copy()], [float(time)],
+        f = FlowField(grid, policy, float(dt), [values.copy()], [float(time)],
                       _frame_vals=frame_at_zero, _frame_mask=mask)
         _apply_frame(f, f.slices[0], float(time))
     else:
@@ -351,9 +361,8 @@ def flow_from_spec(
     grid: BoxGrid,
     dt: float,
     policy: Optional[BoundaryPolicy] = None,
-    time: float = 0.0,
 ) -> FlowField:
-    """Initialize a flow field by evaluating ``spec`` on the grid.
+    """Initialize a flow field by evaluating ``spec`` on the grid at time 0.
 
     On a framed grid the policy defaults to a frozen frame carrying the same
     description (so the initial slice and the boundary agree); on a periodic
@@ -366,21 +375,19 @@ def flow_from_spec(
                 "(the diagonal quadratic base cannot be inferred)"
             )
         policy = FrozenFrame(spec)
-    values = evaluate_on_grid(spec, grid, time=time)
-    flavor = _infer_flavor(spec, grid)
-    return flow_from_values(values, grid, dt, flavor, policy, time=time)
+    values = evaluate_on_grid(spec, grid)
+    _require_one_slot_each(spec, grid)
+    return flow_from_values(values, grid, dt, policy)
 
 
-def _infer_flavor(spec: ExpressionSpec, grid: BoxGrid) -> str:
-    """The grid flavor carrying ``spec``'s flavor; it must have one slot each."""
-    flavor, (dim, _, _) = next(
-        (name, c) for name, c in _CARRIERS.items() if c[1] == spec.flavor)
+def _require_one_slot_each(spec: ExpressionSpec, grid: BoxGrid) -> None:
+    """Check ``spec`` has one convex and one concave direction, of the grid's flavor."""
+    dim = next(d for d, spec_flavor, _ in _CARRIERS.values() if spec_flavor == spec.flavor)
     if (spec.k, spec.l) != (1, 1) or grid.dim != dim:
         raise DimensionMismatch(
             f"{spec.flavor} grid flows support one convex and one concave direction "
             f"on a {dim}-D grid; got dims ({spec.k}, {spec.l}) on a {grid.dim}-D grid"
         )
-    return flavor
 
 
 def _apply_frame(f: FlowField, u: np.ndarray, t: float) -> np.ndarray:
@@ -407,16 +414,18 @@ def _wrap(g: np.ndarray) -> None:
 
 
 class _Stencil:
-    """Centered second differences of one flow's slices, on buffers kept between calls.
+    """Centered second differences of one flow's slices and their slots, on buffers kept between calls.
 
     :meth:`load` makes a slice the one to difference; on a periodic grid it
     writes ``u - base`` and its wrap into a ghosted buffer, on a framed grid
     it reads the slice itself, frame included.  :meth:`differences` writes
     each result into a buffer kept per pair and region shape, so the arrays
     it returns are overwritten by the next call for the same pair and shape.
+    :meth:`blocks` and :meth:`mixed` combine them into the flavor's slots.
     """
 
     def __init__(self, f: FlowField):
+        self.flavor = f.flavor
         self.h = f.grid.spacing
         self.shape = f.grid.interior_shape
         self.coeffs = f.policy.coeffs if isinstance(f.policy, PeriodicBase) else None
@@ -488,49 +497,30 @@ class _Stencil:
             out[a, b] = d
         return out
 
+    def blocks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Scalar convex-block and (negated) concave-block fields of the loaded slice.
 
-def _second_differences(
-    f: FlowField, u: np.ndarray, pairs: Optional[Sequence[Tuple[int, int]]] = None
-) -> Dict[Tuple[int, int], np.ndarray]:
-    """Centered ``d_a d_b u`` on the whole interior for each ``(a, b)`` in ``pairs``.
+        They are computed in place in the buffers of the diagonal
+        differences, which the next diagonal :meth:`differences` overwrites.
+        Both fields are positive wherever the slice is in class.
+        """
+        d2 = self.differences()
+        if self.flavor == "real":
+            return d2[0, 0], np.negative(d2[1, 1], out=d2[1, 1])
+        conv = np.add(d2[0, 0], d2[2, 2], out=d2[0, 0])
+        conc = np.add(d2[1, 1], d2[3, 3], out=d2[1, 1])
+        return np.multiply(conv, 0.25, out=conv), np.multiply(conc, -0.25, out=conc)
 
-    A one-slice use of :class:`_Stencil`, whose buffers the caller then owns;
-    ``pairs`` defaults to the diagonal.
-    """
-    return _Stencil(f).load(u).differences(pairs)
+    def mixed(self, region: Optional[Tuple[slice, ...]] = None) -> Tuple[np.ndarray, ...]:
+        """The mixed slot derivative ``M = u_{z wbar}`` of the loaded slice on ``region``.
 
-
-def _blocks(flavor: str, d2: Dict[Tuple[int, int], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar convex-block and (negated) concave-block fields on the interior.
-
-    ``d2`` holds the diagonal second differences, which this overwrites:
-    the fields are computed in place in its arrays.  Both fields are
-    positive wherever the slice is in class.
-    """
-    if flavor == "real":
-        return d2[0, 0], np.negative(d2[1, 1], out=d2[1, 1])
-    conv = np.add(d2[0, 0], d2[2, 2], out=d2[0, 0])
-    conc = np.add(d2[1, 1], d2[3, 3], out=d2[1, 1])
-    return np.multiply(conv, 0.25, out=conv), np.multiply(conc, -0.25, out=conc)
-
-
-def _block_fields(f: FlowField, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The block fields of the slice ``u`` (see :func:`_blocks`)."""
-    return _blocks(f.flavor, _second_differences(f, u))
-
-
-def _mixed_slot(
-    flavor: str, stencil: _Stencil, region: Optional[Tuple[slice, ...]] = None
-) -> Tuple[np.ndarray, ...]:
-    """The mixed slot derivative ``M = u_{z wbar}`` of the stencil's slice on ``region``.
-
-    ``M`` is a tuple of its parts: the real part, and on the complex carrier
-    also the imaginary part.
-    """
-    d2 = stencil.differences(_MIXED_PAIRS[flavor], region)
-    if flavor == "real":
-        return (d2[0, 1],)
-    return (0.25 * (d2[0, 1] + d2[2, 3]), 0.25 * (d2[0, 3] - d2[1, 2]))
+        ``M`` is a tuple of its parts: the real part, and on the complex carrier
+        also the imaginary part.
+        """
+        d2 = self.differences(_MIXED_PAIRS[self.flavor], region)
+        if self.flavor == "real":
+            return (d2[0, 1],)
+        return (0.25 * (d2[0, 1] + d2[2, 3]), 0.25 * (d2[0, 3] - d2[1, 2]))
 
 
 def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str) -> Tuple[float, float]:
@@ -563,7 +553,7 @@ def discrete_time_speed(f: FlowField, index: int = -1) -> np.ndarray:
     frame entries are NaN on framed grids.
     """
     out = np.full(f.grid.shape, np.nan)
-    out[f.grid.interior] = _flow_value(*_block_fields(f, f.slices[index]),
+    out[f.grid.interior] = _flow_value(*_Stencil(f).load(f.slices[index]).blocks(),
                                        "time-speed evaluation")
     return out
 
@@ -578,7 +568,7 @@ def discrete_hessian(f: FlowField) -> np.ndarray:
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
     out = np.full(f.grid.shape + (d, d), np.nan)
     inner = out[f.grid.interior]
-    for (a, b), v in _second_differences(f, f.slices[-1], pairs).items():
+    for (a, b), v in _Stencil(f).load(f.slices[-1]).differences(pairs).items():
         inner[..., a, b] = v
         inner[..., b, a] = v
     return out
@@ -608,7 +598,7 @@ def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]
     stencil = _Stencil(f)
 
     def speed(slice_: np.ndarray, where: str, out: np.ndarray) -> Tuple[float, float]:
-        conv, conc = _blocks(f.flavor, stencil.load(slice_).differences())
+        conv, conc = stencil.load(slice_).blocks()
         bounds = _require_membership(conv, conc, where)
         np.subtract(np.log(conv, out=conv), np.log(conc, out=conc), out=out)
         return bounds
@@ -890,7 +880,7 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
     :class:`NoConvergence` rather than returning an unconverged increment.
     """
     dt = f.dt
-    conv, conc = _block_fields(f, u)
+    conv, conc = _Stencil(f).load(u).blocks()
     rhs = dt * _flow_value(conv, conc, "semi-implicit step").ravel()
     gammas = _linearized_gammas(f, conv, conc)
     system = _Operator(f.grid, gammas, dt)
@@ -945,7 +935,7 @@ def run_flow(
         if n % snapshot_every == 0 or n == steps:
             new_slices.append(u)
             new_times.append(t0 + n * f.dt)
-    _require_membership(*_block_fields(f, u), "post-step check")
+    _require_membership(*_Stencil(f).load(u).blocks(), "post-step check")
     return dataclasses.replace(f, slices=new_slices, times=new_times, cfl_log=new_log)
 
 
@@ -984,20 +974,18 @@ def solve_elliptic(
     """
     if grid.periodic:
         raise TmaError("the elliptic solve needs boundary data: use a framed grid")
-    if guess is None:
-        values = evaluate_on_grid(boundary, grid, time=0.0)
-    elif isinstance(guess, ExpressionSpec):
-        values = evaluate_on_grid(guess, grid, time=0.0)
-    else:
-        values = np.asarray(guess, dtype=float).copy()
-    f = flow_from_values(values, grid, 0.0, _infer_flavor(boundary, grid),
-                         FrozenFrame(boundary))
+    guess = boundary if guess is None else guess
+    if isinstance(guess, ExpressionSpec):
+        guess = evaluate_on_grid(guess, grid)
+    _require_one_slot_each(boundary, grid)
+    f = flow_from_values(guess, grid, 0.0, FrozenFrame(boundary))
     u = f.slices[0]
     ii = grid.interior
 
     def residual_of(candidate: np.ndarray,
                     where: str) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        conv, conc = _block_fields(f, candidate)
+        # a fresh stencil per evaluation: the accepted iterate's blocks outlive the trials
+        conv, conc = _Stencil(f).load(candidate).blocks()
         r = _flow_value(conv, conc, where)
         return float(np.abs(r).max()), r, conv, conc
 
@@ -1075,7 +1063,7 @@ def monitor_class(
     kmax = np.empty(n)
     first: Optional[int] = None
     for i, u in enumerate(f.slices):
-        conv, conc = _block_fields(f, u)
+        conv, conc = _Stencil(f).load(u).blocks()
         cmin[i], cmax[i] = conv.min(), conv.max()
         kmin[i], kmax[i] = conc.min(), conc.max()
         bad = (
@@ -1119,7 +1107,10 @@ def time_order_estimate(
     final slices on the interior: for a scheme of order p the successive
     differences shrink by ``2^p``.
     """
-    n0 = int(round(total_time / f.dt))
+    if f.dt <= 0.0:
+        raise TmaError("time-order estimation needs a positive timestep")
+    steps = total_time / f.dt
+    n0 = int(round(steps)) if math.isfinite(steps) else 0
     if n0 < 1 or abs(n0 * f.dt - total_time) > 1e-9 * abs(total_time):
         raise TmaError(
             f"total_time {total_time} is not a positive multiple of dt {f.dt}"
@@ -1168,12 +1159,7 @@ def hessian_error(
     maximized over a refinement-aligned sample of interior nodes (all Hessian
     entries, mixed included).  An empty ``samples`` list gives 0.0.
     """
-    if grid.periodic:
-        policy: BoundaryPolicy = PeriodicBase((0.0,) * grid.dim)
-        flavor = _infer_flavor(spec, grid)
-        f = flow_from_values(evaluate_on_grid(spec, grid), grid, 0.0, flavor, policy)
-    else:
-        f = flow_from_spec(spec, grid, 0.0)
+    f = flow_from_spec(spec, grid, 0.0, PeriodicBase((0.0,) * grid.dim) if grid.periodic else None)
     hess = discrete_hessian(f)
     axes = grid.axes()
     if samples is None:

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from tma.cli import main, run_experiment, ExperimentConfig
+from tma.cli import main
 from tma.estimates import (
     CylinderSpec,
     flow_quantities,

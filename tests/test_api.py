@@ -1,4 +1,4 @@
-"""The public surface: the package root exports the README tour, every exported name resolves, every raise is a package error, every library name has a caller, and the tour prints what it promises."""
+"""The public surface: the package root exports the README tour, every exported name resolves, every raise is a package error, every library name has a caller, every imported name is read, and the tour prints what it promises."""
 
 import ast
 import builtins
@@ -86,6 +86,38 @@ def test_every_library_name_has_a_caller():
     read |= set(re.findall(r"\w+", README.read_text()))
     uncalled = sorted(f"{module}.{name}" for name, module in defined.items() if name not in read)
     assert len(defined) > 150 and not uncalled
+
+
+def _dead_imports(path: pathlib.Path) -> list:
+    """Names an import in ``path`` binds that the module never reads.
+
+    A read is a loaded name, a function parameter (pytest fixtures arrive
+    that way) or a string in ``__all__``.  A dotted ``import a.b`` without
+    ``as`` is an import for its side effect, and ``__future__`` imports are
+    compiler directives; neither binds a name to read.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    read = set()
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            read.add(node.arg)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        elif isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name for alias in node.names if alias.asname or "." not in alias.name]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    return [f"{path.parent.name}/{path.name}: {name}" for name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # an import that nothing reads is dead code, in the package and in its tests alike
+    paths = SOURCES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    dead = [entry for path in paths for entry in _dead_imports(path)]
+    assert len(paths) > 25 and not dead
 
 
 def fresh_python(code: str, env: Optional[Dict[str, str]] = None) -> str:

@@ -43,7 +43,8 @@ from tma.jets import (
 )
 from tma.legendre import det_transform_residual, partial_legendre, real_W
 from tma.linalg import inverse_and_logdet
-from tma.solver import BoxGrid, hessian_error, reference_flow_spec
+from tma.estimates import flow_quantities
+from tma.solver import BoxGrid, flow_from_spec, hessian_error, reference_flow_spec, time_order_estimate
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (0, 1), (0, 2)]
 
@@ -88,6 +89,12 @@ def test_stacked_legendre_equals_per_point(shape, seed, draw, m):
 _ES21 = EnsembleSpec(k=2, l=1, seed=5)
 _REAL21 = draw_member(_ES21, 0)
 _COMPLEX11 = draw_member(EnsembleSpec(k=1, l=1, flavor="complex", seed=5), 0)
+
+
+def _flow9(dt=1e-4):
+    return flow_from_spec(reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9)), dt)
+
+
 # Empty inputs give empty results; other degenerate inputs raise a package
 # error.  The k = l = 0 case only builds the spec: a draw from it used to
 # loop forever, so a regression must fail here rather than hang.
@@ -122,6 +129,14 @@ _DEGENERATE_INPUTS = {
     "evaluate_jet_negative_order": (lambda: evaluate_jet(_REAL21, [0.0, 0.0, 0.0], order=-1), TmaError),
     "stacked_jets_negative_order": (lambda: stacked_jets([_REAL21], np.zeros((1, 1, 3)), order=-1), TmaError),
     "default_cloud_dim0": (lambda: default_cloud(0), DimensionMismatch),
+    "time_order_estimate_dt0": (lambda: time_order_estimate(_flow9(0.0), 1e-3), TmaError),
+    "time_order_estimate_nan_time": (lambda: time_order_estimate(_flow9(), float("nan")), TmaError),
+    "time_order_estimate_inf_time": (lambda: time_order_estimate(_flow9(), float("inf")), TmaError),
+    "flow_quantities_short_center": (lambda: flow_quantities(_flow9(), center=(0.0,), radius=0.5), DimensionMismatch),
+    "flow_quantities_long_center": (
+        lambda: flow_quantities(_flow9(), center=(0.0, 0.0, 0.0), radius=0.5), DimensionMismatch),
+    "flow_quantities_center_only": (lambda: flow_quantities(_flow9(), center=(0.0, 0.0)), TmaError),
+    "flow_quantities_radius_only": (lambda: flow_quantities(_flow9(), radius=0.5), TmaError),
 }
 
 

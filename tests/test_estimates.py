@@ -534,7 +534,6 @@ class TestRigidity:
         # convex slot only: u = x^2/2 on the real carrier, |z|^2/2 on the complex one
         flat = FlowField(
             grid=grid,
-            flavor=flavor,
             policy=FrozenFrame(reference_flow_spec(1.0, 1.0, flavor)),
             dt=1e-3,
             slices=[sum(x**2 for x in mesh[::2]) / 2.0],

@@ -33,7 +33,6 @@ from tma.solver import (
     _linearized_gammas,
     _Operator,
     _sine_transform,
-    FrozenFrame,
     PeriodicBase,
     discrete_hessian,
     discrete_time_speed,
@@ -293,7 +292,7 @@ class TestGuards:
             flow_from_spec(spec, PERIODIC, dt=1e-4)  # periodic needs explicit base
         vals = evaluate_on_grid(spec, FRAMED)
         with pytest.raises(TmaError):
-            flow_from_values(vals, FRAMED, 1e-4, "real", PeriodicBase((1.0, -1.0)))
+            flow_from_values(vals, FRAMED, 1e-4, PeriodicBase((1.0, -1.0)))
 
     def test_step_rejects_bad_arguments(self):
         spec = reference_flow_spec(1.0, 1.0)
@@ -310,6 +309,19 @@ class TestGuards:
         spec = reference_flow_spec(1.0, 1.0, flavor="complex11")
         with pytest.raises(DimensionMismatch):
             flow_from_spec(spec, FRAMED, dt=1e-4)
+
+    @pytest.mark.parametrize("dim, flavor", [(2, "real"), (4, "complex11"), (1, None), (3, None)])
+    def test_grid_dimension_fixes_flavor(self, dim, flavor):
+        grid = BoxGrid((0.0,) * dim, (1.0,) * dim, (4,) * dim, frame=0)
+
+        def wrap():
+            return flow_from_values(np.zeros(grid.shape), grid, 1e-4, PeriodicBase((1.0,) * dim))
+
+        if flavor is None:
+            with pytest.raises(DimensionMismatch):
+                wrap()
+        else:
+            assert wrap().flavor == flavor
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from tma.solver import (
     FrozenFrame,
     PeriodicBase,
     _apply_frame,
-    _block_fields,
     _Operator,
+    _Stencil,
     _linearized_gammas,
     discrete_hessian,
     discrete_time_speed,
@@ -250,7 +250,7 @@ class TestMatchesRollReference:
         # matrix, on seeded random vectors; the frame coupling against the
         # dropped leg weights
         f = make()
-        gammas = _linearized_gammas(f, *_block_fields(f, f.slices[-1]))
+        gammas = _linearized_gammas(f, *_Stencil(f).load(f.slices[-1]).blocks())
         ref_mat, _, ref_legs = _ref_operator(
             f, _linearized_gammas(f, *_ref_blocks(f, f.slices[-1])))
         ref_system = np.eye(len(ref_mat)) - f.dt * ref_mat
@@ -337,13 +337,13 @@ class TestClassExitOutsideCrop:
         grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (17, 17), frame=2)
         u = evaluate_on_grid(spec, grid)
         u[2, 2] += 0.05
-        return spec, flow_from_values(u, grid, 1e-4, "real", FrozenFrame(spec))
+        return spec, flow_from_values(u, grid, 1e-4, FrozenFrame(spec))
 
     def test_crop_excludes_the_dent(self, dented):
         spec, f = dented
         u = f.slices[0].copy()
         u[2, 2] -= 0.05
-        healthy = flow_from_values(u, f.grid, 1e-4, "real", FrozenFrame(spec))
+        healthy = flow_from_values(u, f.grid, 1e-4, FrozenFrame(spec))
         q = flow_quantities(healthy, center=(0.5, 0.5), radius=0.3)
         assert q.axes[0][0] > f.grid.axes()[0][3]
         assert q.axes[1][0] > f.grid.axes()[1][3]
