@@ -317,7 +317,7 @@ def _check(name: str, observed: float, relation: str, bound: float) -> Dict[str,
 class _Sweep:
     """One randomized sweep suite: its ensemble flavor, measured values, checks and defaults.
 
-    ``values(members, points, k, l)`` gives a block's values, one row of
+    ``values(members, points)`` gives a block's values, one row of
     ``columns`` per (draw, point) in draw-major order.  ``checks`` names one
     assertion per column: it bounds the column's max by ``tolerance`` or, for
     a name starting ``min_``, its min from below by ``-tolerance``.
@@ -325,7 +325,7 @@ class _Sweep:
 
     flavor: str
     columns: Tuple[str, ...]
-    values: Callable[[List[ExpressionSpec], np.ndarray, int, int], np.ndarray]
+    values: Callable[[List[ExpressionSpec], np.ndarray], np.ndarray]
     checks: Tuple[str, ...]
     shapes: List[List[int]]
     draws: int
@@ -335,17 +335,17 @@ class _Sweep:
 
 def _per_draw(measure: Callable) -> Callable:
     """The values of ``measure(member, points)``, called once per draw: the Legendre suites' pass."""
-    return lambda members, pts, k, l: np.concatenate([measure(s, x) for s, x in zip(members, pts)])
+    return lambda members, pts: np.concatenate([measure(s, x) for s, x in zip(members, pts)])
 
 
-def _q_sign_values(members, pts, k, l):
+def _q_sign_values(members, pts):
     block = FlowBlock(members, pts)
     return np.column_stack([block.q_spectrum_max, block.grouping_spectrum_max])
 
 
-def _real_complexify_values(members, pts, k, l):
+def _real_complexify_values(members, pts):
     """Real route A against route B of the complexified members."""
-    d = complexification_scaling(k, l)
+    d = complexification_scaling(members[0].k, members[0].l)
     lhs = d @ FlowBlock(members, pts).lhs @ d
     lifted = np.concatenate([pts, np.zeros_like(pts)], axis=-1)
     q = FlowBlock([complexify_real(s) for s in members], lifted).source
@@ -366,10 +366,10 @@ _SWEEPS: Dict[str, _Sweep] = {
                      ("max_q_eigenvalue",) + tuple(f"max_g{j}_eigenvalue" for j in range(1, 5)),
                      [[1, 1]], 100, 1, 1e-8),
     "evolution-identity": _Sweep("complex", ("residual",),
-                                 lambda members, pts, k, l: FlowBlock(members, pts).evolution_residual,
+                                 lambda members, pts: FlowBlock(members, pts).evolution_residual,
                                  ("max_evolution_residual",), _SHAPES_COMPLEX, 100, 1, 1e-8),
     "heat-identity": _Sweep("complex", ("residual",),
-                            lambda members, pts, k, l: FlowBlock(members, pts).heat_residual,
+                            lambda members, pts: FlowBlock(members, pts).heat_residual,
                             ("max_heat_residual",), _SHAPES_COMPLEX, 100, 1, 1e-10),
     "real-complexify": _Sweep("real", ("entry_gap",), _real_complexify_values,
                               ("max_entry_gap",), _SHAPES_ALL, 50, 2, 1e-10),
@@ -391,7 +391,7 @@ def _sweep_block_rows(payload: Tuple) -> List[Tuple]:
     draws = range(first, first + count)
     members = [draw_member(es, draw) for draw in draws]
     pts = np.stack([sample_points(es, draw, n_points) for draw in draws])
-    values = sweep.values(members, pts, k, l)
+    values = sweep.values(members, pts)
     ids = [(draw, k, l, i) for draw in draws for i in range(n_points)]
     return [row + tuple(v) for row, v in zip(ids, values.reshape(len(ids), -1).tolist())]
 

@@ -39,7 +39,7 @@ from .errors import (
     IllConditioned,
     TmaError,
 )
-from .jets import ExpressionSpec, evaluate_jet, map_leaves, wirtinger_from_real
+from .jets import ExpressionSpec, evaluate_jet, substitute, wirtinger_from_real
 from .solver import (
     BoxGrid,
     FlowField,
@@ -426,8 +426,8 @@ def oscillation_csv_rows(reports: Sequence[LadderReport]) -> List[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _rescale_node(node: dict, mu: float) -> dict:
-    """The expression tree of ``mu^-2 * node(mu x)``, folded where exact.
+def _rescale_node(node: dict, mu: float, n: int) -> dict:
+    """The expression tree of ``mu^-2 * node(mu x)`` over n coordinates, folded where exact.
 
     Quadratic nodes absorb the rescaling exactly (matrix unchanged, linear
     over mu, constant over mu^2); sums distribute; atoms and products keep an
@@ -442,34 +442,14 @@ def _rescale_node(node: dict, mu: float) -> dict:
             "constant": node["constant"] / (mu * mu),
         }
     if kind == "sum":
-        return {"kind": "sum", "terms": [_rescale_node(t, mu) for t in node["terms"]]}
+        return {"kind": "sum", "terms": [_rescale_node(t, mu, n) for t in node["terms"]]}
     if kind == "scale":
         return {
             "kind": "scale",
             "coefficient": node["coefficient"],
-            "term": _rescale_node(node["term"], mu),
+            "term": _rescale_node(node["term"], mu, n),
         }
-    stretched = map_leaves(
-        node,
-        quad=lambda leaf: _stretch_quad(leaf, mu),
-        atom=lambda leaf: _stretch_atom(leaf, mu),
-    )
-    return {"kind": "scale", "coefficient": mu**-2, "term": stretched}
-
-
-def _stretch_quad(node: dict, mu: float) -> dict:
-    """The quad leaf of ``node(mu x)``."""
-    return {
-        "kind": "quad",
-        "matrix": [[mu * mu * v for v in row] for row in node["matrix"]],
-        "linear": [mu * v for v in node["linear"]],
-        "constant": node["constant"],
-    }
-
-
-def _stretch_atom(node: dict, mu: float) -> dict:
-    """The atom leaf of ``node(mu x)``."""
-    return {**node, "affine": [mu * v for v in node["affine"]]}
+    return {"kind": "scale", "coefficient": mu**-2, "term": substitute(node, [mu] * n)}
 
 
 def parabolic_rescale(spec: ExpressionSpec, mu: float) -> ExpressionSpec:
@@ -485,7 +465,7 @@ def parabolic_rescale(spec: ExpressionSpec, mu: float) -> ExpressionSpec:
         return spec
     hw = spec.domain_halfwidth
     return ExpressionSpec(
-        expr=_rescale_node(spec.expr, mu),
+        expr=_rescale_node(spec.expr, mu, spec.nvars),
         k=spec.k,
         l=spec.l,
         flavor=spec.flavor,
@@ -531,13 +511,12 @@ def parabolic_rescale_field(field: FlowField, mu: float) -> FlowField:
     )
 
 
-def third_derivative_norm(spec: ExpressionSpec, point: Optional[Sequence[float]] = None,
-                          time: float = 0.0) -> float:
+def third_derivative_norm(spec: ExpressionSpec, point: Optional[Sequence[float]] = None) -> float:
     """Frobenius norm of the full symmetric third-derivative tensor at a point."""
     n = spec.nvars
     if point is None:
         point = (0.0,) * n
-    jet = evaluate_jet(spec, point, time, order=3)
+    jet = evaluate_jet(spec, point, order=3)
     total = 0.0
     for combo in combinations_with_replacement(range(n), 3):
         beta = [0] * n
@@ -550,8 +529,8 @@ def third_derivative_norm(spec: ExpressionSpec, point: Optional[Sequence[float]]
     return math.sqrt(total)
 
 
-def _h_residual(spec: ExpressionSpec, point: Sequence[float], time: float) -> float:
-    jet = evaluate_jet(spec, point, time, order=2)
+def _h_residual(spec: ExpressionSpec, point: Sequence[float]) -> float:
+    jet = evaluate_jet(spec, point, order=2)
     if spec.flavor == "complex":
         return eval_H(wirtinger_from_real(jet))
     return eval_H(jet)
@@ -579,14 +558,14 @@ def rescale_report(
     spec: ExpressionSpec,
     mu: float,
     point: Optional[Sequence[float]] = None,
-    time: float = 0.0,
 ) -> RescaleReport:
     """Measure the third-derivative scaling and residual preservation at a point.
 
-    The rescaled description is evaluated at ``(point, time)`` and the base
-    one at the pulled-back point ``(mu * point, mu^2 * time)``; the pullback
-    must stay inside the base description's valid domain, else
-    :class:`DomainExceeded`.
+    The rescaled description is evaluated at ``point`` and the base one at the
+    pulled-back point ``mu * point``; the pullback must stay inside the base
+    description's valid domain, else :class:`DomainExceeded`.  Neither
+    measurement depends on the time: a description's time dependence is its
+    linear drift, which the rescaling preserves.
     """
     n = spec.nvars
     if point is None:
@@ -598,15 +577,15 @@ def rescale_report(
             f"(halfwidth {spec.domain_halfwidth})"
         )
     scaled = parabolic_rescale(spec, mu)
-    base_norm = third_derivative_norm(spec, pulled, mu * mu * time)
-    scaled_norm = third_derivative_norm(scaled, point, time)
+    base_norm = third_derivative_norm(spec, pulled)
+    scaled_norm = third_derivative_norm(scaled, point)
     return RescaleReport(
         mu=mu,
         base_norm=base_norm,
         scaled_norm=scaled_norm,
         ratio=scaled_norm / base_norm if base_norm else math.nan,
-        base_residual=_h_residual(spec, pulled, mu * mu * time),
-        scaled_residual=_h_residual(scaled, point, time),
+        base_residual=_h_residual(spec, pulled),
+        scaled_residual=_h_residual(scaled, point),
     )
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -59,9 +59,9 @@ from .jets import (
     _hessian_columns,
     _leibniz_table,
     _wirtinger_positions,
-    map_leaves,
     multi_indices,
     stacked_jets,
+    substitute,
     unit_index,
     wirtinger_stack,
 )
@@ -742,16 +742,6 @@ def real_evolution_lhs(spec: ExpressionSpec, point) -> np.ndarray:
     return _point_block(spec, point, "real").lhs[0]
 
 
-def _pad_square(matrix: List[List[float]]) -> List[List[float]]:
-    n = len(matrix)
-    out = []
-    for row in matrix:
-        out.append([float(v) for v in row] + [0.0] * n)
-    for _ in range(n):
-        out.append([0.0] * (2 * n))
-    return out
-
-
 def complexify_real(spec: ExpressionSpec) -> ExpressionSpec:
     """Lift a real test function to a complex one constant in the imaginary parts.
 
@@ -761,22 +751,8 @@ def complexify_real(spec: ExpressionSpec) -> ExpressionSpec:
     """
     if spec.flavor != "real":
         raise DimensionMismatch("complexify_real expects a real-flavored spec")
-    n = spec.nvars
-
-    def quad(node: dict) -> dict:
-        return {
-            "kind": "quad",
-            "matrix": _pad_square(node["matrix"]),
-            "linear": [float(v) for v in node["linear"]] + [0.0] * n,
-            "constant": node["constant"],
-        }
-
-    def atom(node: dict) -> dict:
-        return {**node, "affine": [float(v) for v in node["affine"]] + [0.0] * n}
-
-    expr = map_leaves(spec.expr, quad=quad, atom=atom)
     return ExpressionSpec(
-        expr=expr,
+        expr=substitute(spec.expr, [1.0] * spec.nvars, spec.nvars),
         k=spec.k,
         l=spec.l,
         flavor="complex",

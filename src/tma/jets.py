@@ -15,8 +15,9 @@ a whole ``(m, n)`` point array at once (:func:`evaluate_hessians`, an
 stack of ``u_{z_a zbar_b}``), the jets of a block of specs sharing one tree
 layout, each at its own points (:func:`stacked_jets`, with the leaf
 parameters carried per row) and grid values
-(:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`map_leaves` is
-the one rewriter of trees: it rebuilds a tree with every leaf mapped.
+(:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`substitute` is
+the one rewriter of trees: it changes a tree's coordinates by ``x -> scale * x``,
+optionally adding coordinates the tree does not depend on.
 
 Complex-flavored specs live on real coordinates ``[Re z_1..Re z_m, Im z_1..Im
 z_m]`` where the m = k + l complex variables are ``(z_1..z_k, w_1..w_l)``.
@@ -157,7 +158,7 @@ def _validate_node(node, nvars: int, path: str) -> None:
             raise _err(path + ".exponent", "only pow atoms carry an exponent")
 
 
-def _infer_nvars(node, path: str = "expr") -> int | None:
+def _infer_nvars(node) -> int | None:
     """First dimension hint found in the tree (length of a quad matrix or atom affine)."""
     kind = node.get("kind") if isinstance(node, dict) else None
     if kind == "quad" and isinstance(node.get("matrix"), list):
@@ -166,16 +167,16 @@ def _infer_nvars(node, path: str = "expr") -> int | None:
         return len(node["affine"])
     if kind == "sum":
         for t in node.get("terms") or []:
-            n = _infer_nvars(t, path)
+            n = _infer_nvars(t)
             if n is not None:
                 return n
     if kind == "product":
         for t in node.get("factors") or []:
-            n = _infer_nvars(t, path)
+            n = _infer_nvars(t)
             if n is not None:
                 return n
     if kind == "scale" and isinstance(node.get("term"), dict):
-        return _infer_nvars(node["term"], path)
+        return _infer_nvars(node["term"])
     return None
 
 
@@ -437,25 +438,33 @@ def _stack_tree(trees) -> dict:
     }
 
 
-def map_leaves(node: dict, *, quad, atom) -> dict:
-    """A copy of the tree ``node`` with every leaf rewritten.
+def substitute(node: dict, scale, extra: int = 0) -> dict:
+    """The tree of ``x -> node(scale * x)`` over ``len(scale) + extra`` coordinates.
 
-    Sum, product and scale nodes are rebuilt around their rewritten children;
-    each quad leaf is replaced by ``quad(leaf)`` and each atom leaf by
-    ``atom(leaf)``.
+    The one coordinate change of trees: old coordinate ``i`` becomes
+    ``scale[i]`` times new coordinate ``i``, so a quad entry ``m[i][j]``
+    becomes ``scale[i] * scale[j] * m[i][j]`` and a linear or affine entry
+    ``v[i]`` becomes ``scale[i] * v[i]``; the ``extra`` trailing coordinates
+    get zeros, so the tree does not depend on them.  Sum, product and scale
+    nodes are rebuilt around their rewritten children.
     """
     kind = node["kind"]
     if kind == "sum":
-        return {"kind": "sum", "terms": [map_leaves(t, quad=quad, atom=atom) for t in node["terms"]]}
+        return {"kind": "sum", "terms": [substitute(t, scale, extra) for t in node["terms"]]}
     if kind == "product":
-        return {"kind": "product", "factors": [map_leaves(t, quad=quad, atom=atom) for t in node["factors"]]}
+        return {"kind": "product", "factors": [substitute(t, scale, extra) for t in node["factors"]]}
     if kind == "scale":
+        return {"kind": "scale", "coefficient": node["coefficient"], "term": substitute(node["term"], scale, extra)}
+    pad = [0.0] * extra
+    if kind == "quad":
+        rows = [[si * sj * v for sj, v in zip(scale, row)] + pad for si, row in zip(scale, node["matrix"])]
         return {
-            "kind": "scale",
-            "coefficient": node["coefficient"],
-            "term": map_leaves(node["term"], quad=quad, atom=atom),
+            "kind": "quad",
+            "matrix": rows + [[0.0] * (len(scale) + extra) for _ in range(extra)],
+            "linear": [s * v for s, v in zip(scale, node["linear"])] + pad,
+            "constant": node["constant"],
         }
-    return quad(node) if kind == "quad" else atom(node)
+    return {**node, "affine": [s * v for s, v in zip(scale, node["affine"])] + pad}
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +474,16 @@ def map_leaves(node: dict, *, quad, atom) -> dict:
 
 @dataclass
 class SpaceTimeJet:
-    """Truncated derivative table of u at one space-time point.
+    """Truncated derivative table of u at one point, with its time derivative.
 
     ``table`` is the jet array of the engine at the point: column ``c`` holds
-    the spatial partial ``multi_indices(nvars, order)[c]``, and column 0, the
-    value, includes the drift term ``drift * time``.  ``drift`` is du/dt, the
-    spec's drift (a spec's time dependence is linear), and 0.0 for a spec
-    without one.  Partials absent from a table, or above its order, read
-    zero.
+    the spatial partial ``multi_indices(nvars, order)[c]``, so column 0 is the
+    value of the spatial tree.  ``drift`` is du/dt, the spec's drift, and 0.0
+    for a spec without one.  A spec's time dependence is its linear drift
+    alone, so no partial depends on the time and the jet holds none.  Partials
+    absent from a table, or above its order, read zero.
     """
 
-    point: Tuple[float, ...]
-    time: float
     nvars: int
     order: int
     k: int
@@ -515,7 +522,7 @@ def _require_order(order: int) -> None:
         raise TmaError(f"jet order must be >= 0, got {order}")
 
 
-def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4) -> SpaceTimeJet:
+def evaluate_jet(spec: ExpressionSpec, point, order: int = 4) -> SpaceTimeJet:
     """Exact spatial derivative table of ``spec`` at ``point``, plus its time drift.
 
     Raises
@@ -530,21 +537,14 @@ def evaluate_jet(spec: ExpressionSpec, point, time: float = 0.0, order: int = 4)
         raise DimensionMismatch(f"point has {len(point)} coordinates, spec has {spec.nvars}")
     if not spec.in_domain(point):
         raise DomainViolation(f"point {point} outside declared box of halfwidth {spec.domain_halfwidth}")
-    table = _node_jet(spec.expr, point, order)
-    drift = 0.0
-    if spec.time_drift != 0.0:
-        drift = spec.time_drift
-        table[0] += drift * time
     return SpaceTimeJet(
-        point=point,
-        time=time,
         nvars=spec.nvars,
         order=order,
         k=spec.k,
         l=spec.l,
         flavor=spec.flavor,
-        table=table,
-        drift=drift,
+        table=_node_jet(spec.expr, point, order),
+        drift=spec.time_drift or 0.0,  # a drift of -0.0 reads 0.0
     )
 
 
@@ -565,7 +565,7 @@ def stacked_jets(members, points, order: int = 4) -> np.ndarray:
     ``points`` is ``(B, p, nvars)`` and spec ``r`` is evaluated at
     ``points[r]``.  Returns ``(B, p, P)`` jet arrays over ``multi_indices(nvars,
     order)``; each row is bit-identical to the table of ``evaluate_jet`` at
-    that point (time 0, so without an explicit drift).
+    that point.
 
     Raises
     ------

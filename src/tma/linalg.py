@@ -111,11 +111,6 @@ def inverse_and_logdet(a):
     return inv, (float(logdet) if vals.ndim == 1 else logdet)
 
 
-def logdet_pd(a) -> float:
-    """Log-determinant only; same guards as :func:`inverse_and_logdet`."""
-    return inverse_and_logdet(a)[1]
-
-
 def transformed_hessian(h, k: int):
     """Transformed Hessian ``W`` of a Hessian stack ``(..., n, n)``, and ``C^{-1}``.
 

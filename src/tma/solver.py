@@ -336,8 +336,10 @@ def flow_from_values(
             f"values have shape {values.shape}, grid has {grid.shape}"
         )
     _grid_flavor(grid)  # a grid whose dimension fixes no flavor raises here
-    if not (dt >= 0.0):
-        raise TmaError(f"timestep must be nonnegative, got {dt}")
+    if not (0.0 <= dt < math.inf):
+        raise TmaError(f"timestep must be nonnegative and finite, got {dt}")
+    if not math.isfinite(time):
+        raise TmaError(f"start time must be finite, got {time}")
     if isinstance(policy, PeriodicBase):
         if not grid.periodic:
             raise TmaError("a periodic-base policy requires a periodic grid (frame == 0)")
@@ -527,12 +529,12 @@ def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str) -> Tuple
     """Check both blocks exceed ``CLASS_MARGIN``; return (lam, Lam) measured."""
     cmin, cmax = float(conv.min()), float(conv.max())
     kmin, kmax = float(conc.min()), float(conc.max())
-    if cmin <= CLASS_MARGIN:
+    if not (cmin > CLASS_MARGIN):  # NaN fails the test too
         raise ClassExit(
             f"{where}: convex block lost definiteness "
             f"(min second derivative {cmin:.3e} <= margin {CLASS_MARGIN:.0e})"
         )
-    if kmin <= CLASS_MARGIN:
+    if not (kmin > CLASS_MARGIN):
         raise ClassExit(
             f"{where}: concave block lost definiteness "
             f"(min negated second derivative {kmin:.3e} <= margin {CLASS_MARGIN:.0e})"
@@ -1053,8 +1055,8 @@ def monitor_class(
 
     For the supported flavors both Hessian blocks are one-dimensional, so the
     eigenvalue bounds are the extrema of the discrete block fields over the
-    interior.  A slice violates the window when any of the four bounds falls
-    outside ``[lower - 1e-9, upper + 1e-9]``.
+    interior.  A slice violates the window unless all four bounds lie inside
+    ``[lower - 1e-9, upper + 1e-9]``; a NaN bound lies nowhere.
     """
     n = len(f.slices)
     cmin = np.empty(n)
@@ -1066,11 +1068,9 @@ def monitor_class(
         conv, conc = _Stencil(f).load(u).blocks()
         cmin[i], cmax[i] = conv.min(), conv.max()
         kmin[i], kmax[i] = conc.min(), conc.max()
-        bad = (
-            min(cmin[i], kmin[i]) < lower - 1e-9
-            or max(cmax[i], kmax[i]) > upper + 1e-9
-        )
-        if bad and first is None:
+        bounds = (cmin[i], cmax[i], kmin[i], kmax[i])
+        inside = all(lower - 1e-9 <= b <= upper + 1e-9 for b in bounds)  # False for NaN
+        if not inside and first is None:
             first = i
     return ClassSeries(np.asarray(f.times, dtype=float), cmin, cmax, kmin, kmax, first)
 

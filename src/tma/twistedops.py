@@ -29,39 +29,21 @@ identity, so we fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import TmaError
 from .jets import SpaceTimeJet, WirtingerTable
-from .linalg import as_hermitian, logdet_pd, transformed_hessian
+from .linalg import as_hermitian, inverse_and_logdet, transformed_hessian
 
 __all__ = [
-    "OperatorValue",
-    "operator_value",
     "eval_F",
     "eval_H",
     "complex_W",
 ]
 
 JetOrTable = Union[SpaceTimeJet, WirtingerTable]
-
-
-@dataclass(frozen=True)
-class OperatorValue:
-    """Operator evaluation at one point, with its block log-determinants.
-
-    ``f_value`` is exactly ``logdet_convex - logdet_concave`` as assembled;
-    ``h_residual`` is ``du/dt - f_value`` and is None when the input's drift
-    is 0.0 (pure elliptic evaluation).
-    """
-
-    f_value: float
-    h_residual: Optional[float]
-    logdet_convex: float
-    logdet_concave: float
 
 
 def _blocks(obj: JetOrTable):
@@ -73,19 +55,10 @@ def _blocks(obj: JetOrTable):
     return a, -c
 
 
-def operator_value(obj: JetOrTable) -> OperatorValue:
-    """Package F, the parabolic residual, and both block log-determinants."""
-    top, bottom = _blocks(obj)
-    ld_top = logdet_pd(top)
-    ld_bottom = logdet_pd(bottom)
-    f = ld_top - ld_bottom
-    h = obj.drift - f if obj.drift != 0.0 else None
-    return OperatorValue(f_value=f, h_residual=h, logdet_convex=ld_top, logdet_concave=ld_bottom)
-
-
 def eval_F(obj: JetOrTable) -> float:
     """Twisted operator value: log det of the convex block minus log det of the negated concave one."""
-    return operator_value(obj).f_value
+    top, bottom = _blocks(obj)
+    return inverse_and_logdet(top)[1] - inverse_and_logdet(bottom)[1]
 
 
 def eval_H(obj: JetOrTable) -> float:

@@ -9,7 +9,16 @@ The sweep pool of ``tma.cli`` lives for the process, and its workers keep the
 module state they were forked with.  A test that patches ``cli`` and starts a
 pool asks for ``fresh_sweep_pool``, so that it gets workers forked under its
 patch and leaves none of them to later tests.
+
+``pyproject.toml`` turns every ``DeprecationWarning`` into an error.  While a
+report is made, though, they are ignored: when a property test fails,
+hypothesis's report hook imports ``libcst`` to suggest a patch, and that
+import warns.  As an error, the warning would stop the whole session with an
+``INTERNALERROR``, so the failure would go unreported and later tests unrun.
+A ``DeprecationWarning`` inside a test still fails it.
 """
+
+import warnings
 
 import pytest
 
@@ -20,6 +29,14 @@ except ImportError:  # the property tests skip themselves without hypothesis
 else:
     settings.register_profile("tma", derandomize=True, deadline=None)
     settings.load_profile("tma")
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport():
+    """Make the report of each test phase with ``DeprecationWarning`` ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        yield
 
 
 @pytest.fixture

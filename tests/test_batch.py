@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tma import cli
-from tma.errors import DimensionMismatch, DomainViolation, ParseError, TmaError
+from tma.errors import ClassExit, DimensionMismatch, DomainViolation, ParseError, TmaError
 from tma.evolution import (
     FlowBlock,
     assemble_Q,
@@ -44,7 +44,16 @@ from tma.jets import (
 from tma.legendre import det_transform_residual, partial_legendre, real_W
 from tma.linalg import inverse_and_logdet
 from tma.estimates import flow_quantities
-from tma.solver import BoxGrid, flow_from_spec, hessian_error, reference_flow_spec, time_order_estimate
+from tma.solver import (
+    BoxGrid,
+    flow_from_spec,
+    flow_from_values,
+    hessian_error,
+    monitor_class,
+    reference_flow_spec,
+    run_flow,
+    time_order_estimate,
+)
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (0, 1), (0, 2)]
 
@@ -95,6 +104,18 @@ def _flow9(dt=1e-4):
     return flow_from_spec(reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9)), dt)
 
 
+def _nan_flow9():
+    """``_flow9`` with a NaN interior: a slice no class check may pass."""
+    f = _flow9()
+    f.slices[0][f.grid.interior] = np.nan
+    return f
+
+
+def _flow9_at(time):
+    f = _flow9()
+    return flow_from_values(f.slices[0], f.grid, f.dt, f.policy, time=time)
+
+
 # Empty inputs give empty results; other degenerate inputs raise a package
 # error.  The k = l = 0 case only builds the spec: a draw from it used to
 # loop forever, so a regression must fail here rather than hang.
@@ -137,6 +158,12 @@ _DEGENERATE_INPUTS = {
         lambda: flow_quantities(_flow9(), center=(0.0, 0.0, 0.0), radius=0.5), DimensionMismatch),
     "flow_quantities_center_only": (lambda: flow_quantities(_flow9(), center=(0.0, 0.0)), TmaError),
     "flow_quantities_radius_only": (lambda: flow_quantities(_flow9(), radius=0.5), TmaError),
+    "run_flow_nan_slice": (lambda: run_flow(_nan_flow9(), 1), ClassExit),
+    "run_flow_semi_implicit_nan_slice": (lambda: run_flow(_nan_flow9(), 1, scheme="semi-implicit"), ClassExit),
+    "flow_quantities_nan_slice": (lambda: flow_quantities(_nan_flow9()), ClassExit),
+    "flow_from_values_inf_dt": (lambda: _flow9(float("inf")), TmaError),
+    "flow_from_values_nan_time": (lambda: _flow9_at(float("nan")), TmaError),
+    "flow_from_values_inf_time": (lambda: _flow9_at(float("inf")), TmaError),
 }
 
 
@@ -150,6 +177,12 @@ def test_empty_inputs_give_empty_results_or_dimension_mismatch(name):
         assert call() == expected
     else:
         assert call().shape == expected
+
+
+def test_monitor_class_flags_a_nan_slice():
+    series = monitor_class(_nan_flow9(), 0.5, 4.0)
+    assert series.first_violation == 0
+    assert monitor_class(_flow9(), 0.5, 4.0).first_violation is None
 
 
 @given(st.integers(1, 4), counts, seeds, st.booleans())
@@ -353,9 +386,7 @@ def test_wirtinger_conversion_equals_term_by_term_loop(m, order, seed):
     rng = np.random.default_rng(seed)
     betas = multi_indices(2 * m, order)
     values = rng.normal(size=len(betas)) * (rng.random(len(betas)) < 0.8)  # some exact zeros
-    jet = SpaceTimeJet(
-        point=(0.0,) * 2 * m, time=0.0, nvars=2 * m, order=order, k=m, l=0, flavor="complex", table=values
-    )
+    jet = SpaceTimeJet(nvars=2 * m, order=order, k=m, l=0, flavor="complex", table=values)
     got = wirtinger_from_real(jet).entries
     want = _loop_wirtinger_entries(dict(zip(betas, values.tolist())), m, order)
     assert list(wirtinger_keys(m, order)) == list(want)

@@ -329,6 +329,23 @@ def cubic_spec(eps=0.01, drift=0.25):
     return ExpressionSpec(expr=expr, k=1, l=1, flavor="real", time_drift=drift)
 
 
+def quad_times_atom_spec():
+    """(x^2/2 + 0.3 xy - y^2/2 + 0.2 x - 0.1 y + 0.5) * exp(0.4 x - 0.7 y + 0.1): a quad inside a product."""
+    expr = {
+        "kind": "product",
+        "factors": [
+            {
+                "kind": "quad",
+                "matrix": [[1.0, 0.3], [0.3, -1.0]],
+                "linear": [0.2, -0.1],
+                "constant": 0.5,
+            },
+            {"kind": "atom", "fn": "exp", "affine": [0.4, -0.7], "const": 0.1},
+        ],
+    }
+    return ExpressionSpec(expr=expr, k=1, l=1, flavor="real")
+
+
 class TestRescaleSpec:
     def test_unit_factor_is_identity(self):
         spec = cubic_spec()
@@ -353,6 +370,18 @@ class TestRescaleSpec:
             big = tuple(mu * c for c in pt)
             assert scaled.value(pt, t) == pytest.approx(
                 spec.value(big, mu * mu * t) / mu**2, rel=1e-14, abs=1e-14
+            )
+
+    def test_product_of_quad_and_atom_follows_the_scaling_rule(self):
+        # a product is not folded: its quad factor is stretched along with the atom
+        spec = quad_times_atom_spec()
+        mu = 1.7
+        scaled = parabolic_rescale(spec, mu)
+        for pt in [(0.2, -0.3), (0.5, 0.1), (-0.4, -0.6)]:
+            big = tuple(mu * c for c in pt)
+            assert scaled.value(pt) == pytest.approx(spec.value(big) / mu**2, rel=1e-14, abs=1e-14)
+            np.testing.assert_allclose(
+                evaluate_jet(scaled, pt).hessian(), evaluate_jet(spec, big).hessian(), rtol=1e-13, atol=1e-13
             )
 
     def test_hessian_is_invariant_and_drift_preserved(self):
@@ -395,12 +424,12 @@ class TestRescaleSpec:
         )
 
     def test_report_scales_third_derivatives_by_mu(self):
-        rep = rescale_report(cubic_spec(), 2.0, point=(0.1, -0.05), time=0.04)
+        rep = rescale_report(cubic_spec(), 2.0, point=(0.1, -0.05))
         assert rep.ratio == pytest.approx(2.0, abs=1e-12)
         assert rep.scaled_norm == pytest.approx(2.0 * rep.base_norm, rel=1e-12)
 
     def test_report_preserves_flow_residual(self):
-        rep = rescale_report(cubic_spec(), 2.0, point=(0.1, -0.05), time=0.04)
+        rep = rescale_report(cubic_spec(), 2.0, point=(0.1, -0.05))
         assert rep.scaled_residual == pytest.approx(rep.base_residual, abs=1e-12)
         # the drift is 0.25 and F is small but nonzero: the residual is real
         assert abs(rep.base_residual) > 1e-3

@@ -370,6 +370,23 @@ def test_complexify_preserves_values_and_ignores_imaginary_parts():
     assert v.value(xc) == u.value(x)
 
 
+def test_complexified_product_of_quad_and_atom_ignores_imaginary_parts():
+    expr = {
+        "kind": "product",
+        "factors": [
+            {"kind": "quad", "matrix": [[1.0, 0.3], [0.3, -1.0]], "linear": [0.2, -0.1], "constant": 0.5},
+            {"kind": "atom", "fn": "exp", "affine": [0.4, -0.7], "const": 0.1},
+        ],
+    }
+    u = ExpressionSpec(expr=expr, k=1, l=1, flavor="real")
+    v = complexify_real(u)
+    for x, y in [((0.2, -0.3), (0.0, 0.0)), ((0.5, 0.1), (0.37, -0.61)), ((-0.4, -0.6), (-1.2, 0.8))]:
+        assert v.value(x + y) == u.value(x)
+        h = evaluate_jet(v, x + y, order=2).hessian()
+        assert np.array_equal(h[:2, :2], evaluate_jet(u, x, order=2).hessian())
+        assert not h[2:].any() and not h[:, 2:].any()
+
+
 def test_complexified_second_derivatives_are_quarter_hessian():
     u, x = real_member()
     hess = evaluate_jet(u, x, order=2).hessian()

@@ -10,6 +10,7 @@ from tma.jets import (
     evaluate_hessians,
     evaluate_jet,
     multi_indices,
+    substitute,
     unit_index,
     wirtinger_from_real,
     wirtinger_hessians,
@@ -166,9 +167,40 @@ def test_evaluate_hessians_guards():
 
 def test_time_drift_enters_value_and_dt():
     spec = quad_spec([[1.0]], k=1, l=0, time_drift=3.5)
-    jet = evaluate_jet(spec, [1.0], time=2.0)
-    assert jet.d((0,)) == pytest.approx(0.5 + 7.0)
+    assert spec.value([1.0], 2.0) == pytest.approx(0.5 + 7.0)
+    jet = evaluate_jet(spec, [1.0])
+    assert jet.d((0,)) == pytest.approx(0.5)  # the jet's partials are spatial
     assert jet.drift == 3.5
+
+
+def test_substitute_changes_coordinates_and_pads():
+    # u = (x^2/2 + 0.3 xy - y^2/2 + 0.2 x - 0.1 y + 0.5) * exp(0.4 x - 0.7 y + 0.1) + 2 sin(x + y)
+    u = ExpressionSpec(
+        expr={
+            "kind": "sum",
+            "terms": [
+                {
+                    "kind": "product",
+                    "factors": [
+                        {"kind": "quad", "matrix": [[1.0, 0.3], [0.3, -1.0]], "linear": [0.2, -0.1], "constant": 0.5},
+                        {"kind": "atom", "fn": "exp", "affine": [0.4, -0.7], "const": 0.1},
+                    ],
+                },
+                {
+                    "kind": "scale",
+                    "coefficient": 2.0,
+                    "term": {"kind": "atom", "fn": "sin", "affine": [1.0, 1.0], "const": 0.0},
+                },
+            ],
+        },
+        k=1,
+        l=1,
+    )
+    scale = [1.5, -0.5]
+    v = ExpressionSpec(expr=substitute(u.expr, scale, 1), k=2, l=1)
+    for x in [(0.2, -0.3, 0.0), (0.5, 0.1, 0.7), (-0.4, -0.6, -2.0)]:
+        assert v.value(x) == pytest.approx(u.value([scale[0] * x[0], scale[1] * x[1]]), rel=1e-14, abs=1e-14)
+    assert substitute(u.expr, [1.0, 1.0]) == u.expr
 
 
 def test_partials_above_the_order_read_zero():

@@ -7,13 +7,8 @@ from tma.errors import NotPositiveDefinite, TmaError
 from tma.funclass import EnsembleSpec, draw_member, sample_points
 from tma.jets import ExpressionSpec, evaluate_jet, wirtinger_from_real, wirtinger_keys
 from tma.legendre import partial_legendre
-from tma.twistedops import (
-    OperatorValue,
-    complex_W,
-    eval_F,
-    eval_H,
-    operator_value,
-)
+from tma.linalg import as_hermitian, inverse_and_logdet
+from tma.twistedops import complex_W, eval_F, eval_H
 
 
 def real_quad(a, b, cross=0.0, drift=0.0):
@@ -43,8 +38,8 @@ def complex_quad(a=1.0, b=1.0, eps=0.0, drift=0.0):
     )
 
 
-def ctable(spec, point=(0.0, 0.0, 0.0, 0.0), time=0.0):
-    return wirtinger_from_real(evaluate_jet(spec, point, time, order=2))
+def ctable(spec, point=(0.0, 0.0, 0.0, 0.0)):
+    return wirtinger_from_real(evaluate_jet(spec, point, order=2))
 
 
 # ------------------------------------------------------------------ F, real
@@ -79,9 +74,18 @@ def test_empty_block_has_zero_logdet(flavor, k, l):
     es = EnsembleSpec(k=k, l=l, flavor=flavor, eps=0.1, seed=3)
     spec = draw_member(es, 0)
     jet = evaluate_jet(spec, sample_points(es, 0, 1)[0], order=2)
-    ov = operator_value(wirtinger_from_real(jet) if flavor == "complex" else jet)
-    assert (ov.logdet_convex if k == 0 else ov.logdet_concave) == 0.0
-    assert ov.f_value == ov.logdet_convex - ov.logdet_concave
+    if flavor == "complex":
+        obj = wirtinger_from_real(jet)
+        z, _, v = obj.second_blocks()
+        top, bottom = as_hermitian(z), as_hermitian(-v)
+    else:
+        obj = jet
+        a, _, c = jet.hessian_blocks()
+        top, bottom = a, -c
+    _, ld_top = inverse_and_logdet(top)
+    _, ld_bottom = inverse_and_logdet(bottom)
+    assert (ld_top if k == 0 else ld_bottom) == 0.0
+    assert eval_F(obj) == ld_top - ld_bottom
 
 
 # --------------------------------------------------------------- F, complex
@@ -111,7 +115,7 @@ def test_f_complex_wrong_sign_raises():
 # ----------------------------------------------------------------------- H
 def test_h_exact_flow_solution():
     a, b = 2.0, 0.5
-    jet = evaluate_jet(real_quad(a, b, drift=math.log(a / b)), [0.1, 0.4], time=3.7, order=2)
+    jet = evaluate_jet(real_quad(a, b, drift=math.log(a / b)), [0.1, 0.4], order=2)
     assert eval_H(jet) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -128,15 +132,6 @@ def test_h_injected_unit_drift():
 def test_h_complex_flavor():
     table = ctable(complex_quad(a=2.0, drift=math.log(2.0)))
     assert eval_H(table) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_operator_value_packaging():
-    ov = operator_value(evaluate_jet(real_quad(math.e, 1.0), [0.0, 0.0], order=2))
-    assert isinstance(ov, OperatorValue)
-    assert ov.h_residual is None
-    assert ov.f_value == ov.logdet_convex - ov.logdet_concave
-    ov2 = operator_value(evaluate_jet(real_quad(1.0, 1.0, drift=2.0), [0.0, 0.0], order=2))
-    assert ov2.h_residual == pytest.approx(2.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------- complex W
