@@ -41,6 +41,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +59,7 @@ from .estimates import (
 from .evolution import FlowBlock, complexification_scaling, complexify_real
 from .funclass import EnsembleSpec, draw_member, sample_points
 from .jets import ExpressionSpec
-from .legendre import det_transform_residual, real_W
+from .legendre import LegendreBlock
 from .solver import (
     BoxGrid,
     evaluate_on_grid,
@@ -333,11 +334,6 @@ class _Sweep:
     tolerance: float
 
 
-def _per_draw(measure: Callable) -> Callable:
-    """The values of ``measure(member, points)``, called once per draw: the Legendre suites' pass."""
-    return lambda members, pts: np.concatenate([measure(s, x) for s, x in zip(members, pts)])
-
-
 def _q_sign_values(members, pts):
     block = FlowBlock(members, pts)
     return np.column_stack([block.q_spectrum_max, block.grouping_spectrum_max])
@@ -355,12 +351,13 @@ def _real_complexify_values(members, pts):
 _SHAPES_ALL = [[1, 1], [2, 1], [1, 2], [2, 2]]
 _SHAPES_COMPLEX = [[1, 1], [2, 1], [1, 2]]
 
-# The one place a sweep suite is defined.  The flow suites take a whole block
-# in one stacked pass; the Legendre suites take one draw's points per call.
+# The one place a sweep suite is defined.  Every suite takes a whole block of
+# draws in one stacked pass: the Legendre suites as a LegendreBlock, the flow
+# suites as a FlowBlock.
 _SWEEPS: Dict[str, _Sweep] = {
-    "det-law": _Sweep("real", ("residual",), _per_draw(det_transform_residual),
+    "det-law": _Sweep("real", ("residual",), lambda members, pts: LegendreBlock(members, pts).det_residual,
                       ("max_det_residual",), _SHAPES_ALL, 100, 20, 1e-10),
-    "w-psd": _Sweep("real", ("lambda_min",), _per_draw(lambda s, x: np.linalg.eigvalsh(real_W(s, x))[:, 0]),
+    "w-psd": _Sweep("real", ("lambda_min",), lambda members, pts: LegendreBlock(members, pts).w_spectrum_min,
                     ("min_w_eigenvalue",), _SHAPES_ALL, 100, 20, 1e-10),
     "q-sign": _Sweep("complex", ("q_lambda_max", "g1", "g2", "g3", "g4"), _q_sign_values,
                      ("max_q_eigenvalue",) + tuple(f"max_g{j}_eigenvalue" for j in range(1, 5)),
@@ -376,10 +373,12 @@ _SWEEPS: Dict[str, _Sweep] = {
 }
 
 
-# Draws per block.  Serial per-draw cost of the flow suites (mean of the four,
-# ms, 2-core x86 machine) against the block size: 1: 4.3, 2: 2.4, 4: 1.5,
-# 8: 0.92, 12: 0.76, 16: 0.68, 24: 0.59, 48: 0.49.  Past 16 the saving is
-# small, while fewer and larger blocks spread worse over a worker pool.
+# Draws per block.  Serial per-draw cost (ms, 2-core x86 machine) against the
+# block size, for the flow suites (mean of the four): 1: 4.3, 2: 2.4, 4: 1.5,
+# 8: 0.92, 12: 0.76, 16: 0.68, 24: 0.59, 48: 0.49; for the Legendre suites
+# (mean of both over four shapes, 20 points a draw): 1: 0.33, 4: 0.21,
+# 8: 0.17, 16: 0.14, 24: 0.14, 48: 0.13.  Past 16 the saving is small, while
+# fewer and larger blocks spread worse over a worker pool.
 _BLOCK = 16
 
 
@@ -662,10 +661,25 @@ def _csv_cell(v) -> str:
     return format(float(v), ".17g")
 
 
+# The %-conversion that writes a cell of exactly this type as _csv_cell does:
+# "%.17g" and format(v, ".17g") are one routine.
+_CELL_FORMATS = {int: "%d", float: "%.17g", str: "%s"}
+
+
+@lru_cache(maxsize=None)
+def _row_format(types: Tuple[type, ...]) -> Optional[str]:
+    """One ``%``-format for a row of cells of these exact types, or None if a cell needs :func:`_csv_cell`."""
+    if not all(t in _CELL_FORMATS for t in types):
+        return None
+    return ",".join(_CELL_FORMATS[t] for t in types)
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
+        row = tuple(row)
+        fmt = _row_format(tuple(map(type, row)))
+        lines.append(fmt % row if fmt is not None else ",".join(_csv_cell(c) for c in row))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

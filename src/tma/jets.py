@@ -14,7 +14,7 @@ a whole ``(m, n)`` point array at once (:func:`evaluate_hessians`, an
 ``(m, n, n)`` stack; :func:`wirtinger_hessians`, the ``(m, k + l, k + l)``
 stack of ``u_{z_a zbar_b}``), the jets of a block of specs sharing one tree
 layout, each at its own points (:func:`stacked_jets`, with the leaf
-parameters carried per row) and grid values
+parameters carried per member) and grid values
 (:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`substitute` is
 the one rewriter of trees: it changes a tree's coordinates by ``x -> scale * x``,
 optionally adding coordinates the tree does not depend on.
@@ -81,11 +81,19 @@ def _err(path: str, msg: str) -> ParseError:
 def _check_number(x, path):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise _err(path, f"expected a number, got {type(x).__name__}")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise _err(path, f"expected a finite number, got {x!r}")
+    return value
 
 
 def _check_numbers(values, path):
-    if all(type(v) is float for v in values):  # the common case, settled in one pass
+    # the common case, settled in one pass and one sum: a NaN or an infinity
+    # makes the sum non-finite, and so does an overflow, which the loop clears
+    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
         return
     for j, v in enumerate(values):
         _check_number(v, f"{path}[{j}]")
@@ -343,7 +351,10 @@ def _node_jet(node: dict, coords, order: int) -> np.ndarray:
         return out
     if kind == "scale":
         out = _node_jet(node["term"], coords, order)
-        out *= np.asarray(node["coefficient"])[..., None]
+        coefficient = node["coefficient"]
+        if isinstance(coefficient, np.ndarray):  # a stacked leaf: one coefficient per member
+            coefficient = _spread(coefficient, len(out))
+        out *= np.asarray(coefficient)[..., None]
         return out
     n = len(coords)
     col, degree, power_index = _columns(n, order)
@@ -373,42 +384,53 @@ def _node_jet(node: dict, coords, order: int) -> np.ndarray:
                     out[..., col[unit_index(n, i, j)]] = m[i][j]
         return out
     # atom of an affine argument: d^beta f(a.x + c) = f^(|beta|)(a.x + c) a^beta
-    aff = np.asarray(node["affine"], dtype=float)  # (n,), or (N, n) for a stacked leaf
+    aff = np.asarray(node["affine"], dtype=float)  # (n,), or (B, n) for a stacked leaf of B members
+    stacked = aff.ndim > 1
     arg = np.empty(shape)
-    arg[...] = node["const"]
-    for i in (aff.any(axis=0) if aff.ndim > 1 else aff).nonzero()[0]:
-        arg += aff[..., i] * coords[i]
+    arg[...] = _spread(node["const"], len(arg)) if stacked else node["const"]
+    for i in (aff.any(axis=0) if stacked else aff).nonzero()[0]:
+        arg += (_spread(aff[:, i], len(arg)) if stacked else aff[i]) * coords[i]
     derivs = _atom_derivatives(node, arg, order)
     if order == 0:  # the value alone; spares grid-sized copies
         return derivs[0][..., None]
     out = np.stack(derivs, axis=-1)[..., degree]
-    powers = aff[..., None] ** np.arange(order + 1.0)  # a_i^j, once per row
-    out *= powers.reshape(aff.shape[:-1] + (-1,))[..., power_index].prod(axis=-1)
+    powers = aff[..., None] ** np.arange(order + 1.0)  # a_i^j, once per member
+    factors = powers.reshape(aff.shape[:-1] + (-1,))[..., power_index].prod(axis=-1)
+    out *= _spread(factors, len(out)) if stacked else factors
     return out
 
 
+def _spread(values, rows: int) -> np.ndarray:
+    """A stacked leaf's per-member ``values`` ``(B, ...)`` on ``rows`` coordinate rows, ``rows / B`` per member."""
+    return np.repeat(values, rows // len(values), axis=0)
+
+
 def _atom_derivatives(node: dict, arg: np.ndarray, order: int):
-    """``[f(arg), ..., f^(order)(arg)]`` of an atom leaf; a stacked leaf picks ``f`` per row."""
+    """``[f(arg), ..., f^(order)(arg)]`` of an atom leaf; a stacked leaf picks ``f`` per member."""
     fn = node["fn"]
     if isinstance(fn, str):
         return atom_derivatives(fn, arg, order, node.get("exponent"))
     out = [np.empty_like(arg) for _ in range(order + 1)]
-    per_row = list(zip(fn, node["exponent"]))
-    for key in dict.fromkeys(per_row):
-        rows = np.array([pair == key for pair in per_row])
+    per_member = list(zip(fn, node["exponent"]))
+    for key in dict.fromkeys(per_member):
+        rows = _spread(np.array([pair == key for pair in per_member]), len(arg))
         for dst, src in zip(out, atom_derivatives(key[0], arg[rows], order, key[1])):
             dst[rows] = src
     return out
 
 
 def _stack_tree(trees) -> dict:
-    """One tree carrying the leaf parameters of the N trees in ``trees``, one row each.
+    """One tree carrying the leaf parameters of the B trees in ``trees``, one row each.
 
     The trees must share one layout: the same kinds and lengths everywhere and
     the same quad leaves.  A subtree common to all of them is kept as it is.
     Elsewhere a scale holds its coefficient and an atom its ``const`` as
-    ``(N,)`` arrays, matching ``(N,)`` coordinate arrays; an atom's ``affine``
-    becomes ``(N, n)`` and its ``fn`` and ``exponent`` per-row tuples.
+    ``(B,)`` arrays, an atom's ``affine`` becomes ``(B, n)`` and its ``fn`` and
+    ``exponent`` per-member tuples.  The engine evaluates such a tree on ``B
+    p`` coordinate rows, member-major: it spreads each member's parameters
+    over its p rows only where they meet the coordinates, so what depends on
+    the parameters alone (an atom's powers ``a_i^j``) is computed once per
+    member.
     """
     first = trees[0]
     if all(t == first for t in trees[1:]):
@@ -598,7 +620,7 @@ def stacked_jets(members, points, order: int = 4) -> np.ndarray:
     # one row per (spec, point), on contiguous 1-D coordinate arrays: strided
     # or 2-D ones would slow every elementwise step of the engine
     b, p, n = points.shape
-    tree = first.expr if b == 1 else _stack_tree([s.expr for s in members for _ in range(p)])
+    tree = first.expr if b == 1 else _stack_tree([s.expr for s in members])
     coords = np.ascontiguousarray(points.reshape(b * p, n).T)
     return _node_jet(tree, tuple(coords), order).reshape(b, p, len(multi_indices(n, order)))
 

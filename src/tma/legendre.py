@@ -23,21 +23,25 @@ conjugating W^{-1} with T.  Differentiating w numerically would compound the
 inversion error for no benefit, so we never do that.
 
 W comes from :func:`tma.linalg.transformed_hessian`, the assembly shared with
-the complex flavor, for a whole stack ``(m, n, n)`` of Hessians at once, so
-:func:`real_W` and :func:`det_transform_residual` take either one source
-point or an ``(m, n)`` array of them, from one jet-engine call.  Each matrix
-of a stack is bit-identical to the one assembled for its point alone.  T is
-built only where it is returned.
+the complex flavor, for a whole stack of Hessians at once.  A
+:class:`LegendreBlock` holds W and the determinant-law residual of a block
+of members, each at its own points, from one jet-engine call;
+:func:`real_W` and :func:`det_transform_residual` are blocks of one member,
+at one source point or an ``(m, n)`` array of them.  Each matrix of a stack
+is bit-identical to the one assembled for its point alone.  T is built only
+where it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainExceeded, NoConvergence
-from .jets import ExpressionSpec, evaluate_hessians, evaluate_jet
+from .jets import ExpressionSpec, _hessian_columns, evaluate_hessians, evaluate_jet, stacked_jets
 from .linalg import inverse_and_logdet, transformed_hessian
 
 _GRAD_TOL = 1e-12
@@ -45,6 +49,7 @@ _MAX_NEWTON = 100
 _MAX_HALVINGS = 50
 
 __all__ = [
+    "LegendreBlock",
     "PartialLegendreResult",
     "partial_legendre",
     "det_transform_residual",
@@ -142,11 +147,46 @@ def _jacobian(h: np.ndarray, k: int, cinv: np.ndarray) -> np.ndarray:
     return np.concatenate([upper, lower], axis=-2)
 
 
-def _source_hessians(spec: ExpressionSpec, point):
-    """Hessian stack at one point ``(n,)`` or at the rows of ``(m, n)``, and whether it was one point."""
-    _require_transformable(spec)
+class LegendreBlock:
+    """W and the determinant law of a block of members, each at its own points, from one stacked pass.
+
+    ``members`` are real-flavored with ``l >= 1`` and share one shape and
+    tree layout (the draws of one ensemble shape do); ``points`` is ``(B, p,
+    n)``.  One order-2 jet-engine call gives the Hessians of all ``N = B p``
+    rows; row ``r p + i`` of every array below is member ``r`` at
+    ``points[r, i]``.  :func:`real_W` and :func:`det_transform_residual` are
+    blocks of one member, and every row of a block is bit-identical to them.
+    Raises :class:`DimensionMismatch` for a complex member or ``l = 0``.
+    """
+
+    def __init__(self, members: Sequence[ExpressionSpec], points):
+        for spec in members:
+            _require_transformable(spec)
+        jets = stacked_jets(members, points, order=2)
+        self.k = members[0].k
+        self.hessians = jets.reshape(-1, jets.shape[-1])[:, _hessian_columns(members[0].nvars, 2)]
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """``(N, n, n)``: the transformed Hessian of each row."""
+        return transformed_hessian(self.hessians, self.k)[0]
+
+    @cached_property
+    def det_residual(self) -> np.ndarray:
+        """``(N,)``: ``|det W - det u_xx / det(-u_yy)|`` of each row."""
+        h, k = self.hessians, self.k
+        return np.abs(np.linalg.det(self.W) - np.linalg.det(h[:, :k, :k]) / np.linalg.det(-h[:, k:, k:]))
+
+    @cached_property
+    def w_spectrum_min(self) -> np.ndarray:
+        """``(N,)``: the smallest eigenvalue of each W."""
+        return np.linalg.eigvalsh(self.W)[:, 0]
+
+
+def _one_member(spec: ExpressionSpec, point):
+    """The block of ``spec`` at one point ``(n,)`` or at the rows of ``(m, n)``, and whether it was one point."""
     pts = np.asarray(point, dtype=float)
-    return evaluate_hessians(spec, np.atleast_2d(pts)), pts.ndim < 2
+    return LegendreBlock([spec], np.atleast_2d(pts)[None]), pts.ndim < 2
 
 
 def real_W(spec: ExpressionSpec, point) -> np.ndarray:
@@ -161,9 +201,8 @@ def real_W(spec: ExpressionSpec, point) -> np.ndarray:
     ``(m, n)`` array of them, giving the ``(m, n, n)`` stack.  W does not
     depend on the time: a spec's only time dependence is its linear drift.
     """
-    h, single = _source_hessians(spec, point)
-    w, _ = transformed_hessian(h, spec.k)
-    return w[0] if single else w
+    block, single = _one_member(spec, point)
+    return block.W[0] if single else block.W
 
 
 def partial_legendre(spec: ExpressionSpec, x, z) -> PartialLegendreResult:
@@ -192,11 +231,8 @@ def det_transform_residual(spec: ExpressionSpec, point):
     well-conditioned Hessian blocks.  A float for one point ``(n,)``; an
     ``(m,)`` array for an ``(m, n)`` array of points.
     """
-    h, single = _source_hessians(spec, point)
-    w, _ = transformed_hessian(h, spec.k)
-    k = spec.k
-    res = np.abs(np.linalg.det(w) - np.linalg.det(h[..., :k, :k]) / np.linalg.det(-h[..., k:, k:]))
-    return float(res[0]) if single else res
+    block, single = _one_member(spec, point)
+    return float(block.det_residual[0]) if single else block.det_residual
 
 
 def transformed_operator_L(spec: ExpressionSpec, point, *, long_form: bool = False):

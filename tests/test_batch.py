@@ -1,10 +1,10 @@
 """Batched evaluation equals evaluation one item at a time, bit for bit.
 
-The Legendre sweeps and class membership evaluate every point of a draw or a
-cloud in one call, and the flow sweeps evaluate a block of draws in one
-stacked pass; these properties check each stacked result against the same
-quantity computed for its item alone, over random draws, point counts, block
-sizes and block shapes, including the one-block shapes.
+Class membership evaluates every point of a cloud in one call, the sweeps
+evaluate a block of draws in one stacked pass, and the CSV writer formats a
+row with one format string; these properties check each batched result
+against the same quantity computed for its item alone, over random draws,
+point counts, block sizes and block shapes, including the one-block shapes.
 """
 
 import numpy as np
@@ -263,14 +263,14 @@ def _with_domain_atom(member, fn, const):
     seeds,
     draws,
     block_sizes,
-    st.integers(1, 3),
+    st.sampled_from([0, 1, 2, 3, 20]),
     st.sampled_from([0, 2, 4]),
     st.none() | st.lists(st.tuples(st.sampled_from(["log", "pow"]), st.floats(-0.6, 2.0)), min_size=1),
 )
 def test_stacked_jets_equal_per_member_jets(shape, flavor, seed, first, size, p, order, domain_atoms):
     es = EnsembleSpec(k=shape[0], l=shape[1], flavor=flavor, seed=seed)
     members = [draw_member(es, first + r) for r in range(size)]
-    if domain_atoms is not None:  # per-row fn, exponent and const, some rows outside the domain
+    if domain_atoms is not None:  # per-member fn, exponent and const, some rows outside the domain
         members = [_with_domain_atom(s, *domain_atoms[r % len(domain_atoms)]) for r, s in enumerate(members)]
     pts = np.stack([sample_points(es, first + r, p) for r in range(size)])
     try:
@@ -280,7 +280,8 @@ def test_stacked_jets_equal_per_member_jets(shape, flavor, seed, first, size, p,
             stacked_jets(members, pts, order)
         return
     stacked = stacked_jets(members, pts, order)
-    assert np.array_equal(stacked, np.array([[jet.table for jet in row] for row in jets]))
+    want = np.array([[jet.table for jet in row] for row in jets]).reshape(size, p, len(multi_indices(es.nvars, order)))
+    assert stacked.shape == want.shape and np.array_equal(stacked, want)
     if order < 2:
         return
     # each per-point jet is a row of the stacked arrays, its Hessian and Wirtinger table too
@@ -310,7 +311,11 @@ def _per_point_rows(suite, k, l, seed, first, size, p):
         member = draw_member(es, draw)
         for i, x in enumerate(sample_points(es, draw, p)):
             point = tuple(float(c) for c in x)
-            if suite == "q-sign":
+            if suite == "det-law":
+                values = (det_transform_residual(member, point),)
+            elif suite == "w-psd":
+                values = (float(np.linalg.eigvalsh(real_W(member, point))[0]),)
+            elif suite == "q-sign":
                 rep = flow_report(member, point)
                 values = (rep.q_spectrum_max,) + tuple(v for _, v in rep.grouping_spectrum_max)
             elif suite == "evolution-identity":
@@ -339,6 +344,43 @@ def test_flow_block_rows_equal_per_point_calls(suite, shape, seed, first, size, 
     k, l = shape
     block = cli._sweep_block_rows((suite, k, l, 1.0, 1.0, 0.1, seed, first, size, p))
     assert block == _per_point_rows(suite, k, l, seed, first, size, p)
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(["det-law", "w-psd"]),
+    st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
+    seeds,
+    draws,
+    block_sizes,
+    st.sampled_from([1, 2, 3, 20, 21]),
+)
+def test_legendre_block_rows_equal_per_point_calls(suite, shape, seed, first, size, p):
+    # every row of a Legendre block against one public call per point
+    k, l = shape
+    block = cli._sweep_block_rows((suite, k, l, 1.0, 1.0, 0.1, seed, first, size, p))
+    assert block == _per_point_rows(suite, k, l, seed, first, size, p)
+
+
+_CELLS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.text(alphabet="abc%-_.0123456789", max_size=8),
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(_CELLS, max_size=6).map(tuple), max_size=12))
+def test_csv_writer_equals_cell_by_cell_formatting(tmp_path_factory, rows):
+    # one %-format per row type signature, against _csv_cell on every cell
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    cli._write_csv(str(path), ("a", "b"), rows)
+    want = "\n".join(["a,b"] + [",".join(cli._csv_cell(c) for c in row) for row in rows]) + "\n"
+    assert path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,8 @@ class TestRunOutputs:
             ("evolution-identity", [[1, 2], [1, 1]]),
             ("heat-identity", [[2, 1], [1, 2]]),
             ("real-complexify", [[1, 1], [2, 2]]),
+            ("det-law", [[1, 1], [2, 2]]),
+            ("w-psd", [[2, 1], [1, 2]]),
         ],
     )
     def test_flow_suite_csv_bytes_identical_across_worker_counts(self, tmp_path, suite, shapes):
@@ -777,6 +779,13 @@ class TestCommandLine:
         path = write_json(tmp_path, "fn.json", body)
         assert main(["spec", "--check", path]) == 2
         assert "tan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_spec_check_rejects_a_non_finite_number(self, tmp_path, capsys, bad):
+        path = tmp_path / "fn.json"
+        path.write_text('{"kind": "quad", "matrix": [[%s]], "linear": [0.0], "constant": 0.0}' % bad)
+        assert main(["spec", "--check", str(path)]) == 2
+        assert "expr.matrix[0][0]: expected a finite number" in capsys.readouterr().err
 
     def test_workers_flag_must_be_positive(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cfg.json", {"suite": "det-law", "seed": 1})

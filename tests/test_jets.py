@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -484,6 +485,44 @@ def test_unknown_atom_and_parse_errors():
         ExpressionSpec.from_dict(
             json.loads('{"kind": "quad", "matrix": [[0.0, 1.0], [2.0, 0.0]], "linear": [0.0, 0.0], "constant": 0.0}')
         )
+
+
+def _finite_spec_body():
+    return {
+        "kind": "sum",
+        "terms": [
+            {"kind": "quad", "matrix": [[1.0, 0.0], [0.0, -1.0]], "linear": [0.0, 0.0], "constant": 0.0},
+            {
+                "kind": "scale",
+                "coefficient": 0.1,
+                "term": {"kind": "atom", "fn": "sin", "affine": [1.0, 2.0], "const": 0.7},
+            },
+        ],
+        "dims": [1, 1],
+        "time_drift": 0.5,
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize(
+    "keys, path",
+    [
+        (("terms", 0, "matrix", 1, 1), "expr.terms[0].matrix[1][1]"),
+        (("terms", 1, "term", "affine", 0), "expr.terms[1].term.affine[0]"),
+        (("terms", 1, "coefficient"), "expr.terms[1].coefficient"),
+        (("time_drift",), "time_drift"),
+    ],
+    ids=["matrix", "affine", "coefficient", "time_drift"],
+)
+def test_non_finite_numbers_are_parse_errors_naming_their_path(keys, path, bad):
+    body = _finite_spec_body()
+    ExpressionSpec.from_dict(body)  # valid until one number is replaced
+    parent = body
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = bad
+    with pytest.raises(ParseError, match=f"at {re.escape(path)}: expected a finite number"):
+        ExpressionSpec.from_dict(body)
 
 
 def test_default_dims_are_real_convex():
