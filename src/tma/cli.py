@@ -680,8 +680,24 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Tuple]) -> None:
         row = tuple(row)
         fmt = _row_format(tuple(map(type, row)))
         lines.append(fmt % row if fmt is not None else ",".join(_csv_cell(c) for c in row))
+    _write_new(path, "\n".join(lines) + "\n")
+
+
+def _write_new(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file, unlinking any file already there.
+
+    Truncating a file and writing it again makes ext4 (delayed allocation,
+    ``auto_da_alloc``) start its writeback at close, and the next rewrite
+    then waits for that writeback: a sweep rerun into one output directory
+    would wait on the disk every run.  A new file has no writeback in
+    flight.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 @dataclass
@@ -756,8 +772,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     }
     if error is not None:
         manifest["error"] = error
-    with open(manifest_path, "w", newline="") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_new(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     return ExperimentResult(
         suite=cfg.suite,

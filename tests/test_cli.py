@@ -527,6 +527,27 @@ def test_csv_header_and_assertion_list(tmp_path, suite):
     assert [(a["name"], a["relation"], a["bound"]) for a in manifest["assertions"]] == assertions
 
 
+def test_rerun_replaces_its_outputs_rather_than_rewriting_them(tmp_path):
+    # A rerun into one directory writes new files: a hard link to the first
+    # run's CSV and manifest keeps their bytes, and the rerun's files hold
+    # exactly what a run into an empty directory writes.
+    def run(draws, out):
+        body = {"suite": "det-law", "seed": 3, "draws": draws, "points": 2, "out": str(out)}
+        return run_experiment(ExperimentConfig.from_dict(body))
+
+    first = run(8, tmp_path / "shared")
+    kept = {}
+    for path in (first.csv_path, first.manifest_path):
+        kept[path] = pathlib.Path(path).read_bytes()
+        os.link(path, path + ".kept")
+    second = run(4, tmp_path / "shared")
+    fresh = run(4, tmp_path / "fresh")
+    for path, data in kept.items():
+        assert pathlib.Path(path + ".kept").read_bytes() == data
+    assert pathlib.Path(second.csv_path).read_bytes() == pathlib.Path(fresh.csv_path).read_bytes()
+    assert json.loads(pathlib.Path(second.manifest_path).read_text())["rows"] == 4 * 2
+
+
 # ---------------------------------------------------------------------------
 # the sweep table
 # ---------------------------------------------------------------------------
