@@ -245,7 +245,8 @@ def flow_quantities(
     stencil = _Stencil(field)
     values: Dict[str, np.ndarray] = {}
     for j, u in enumerate(field.slices):
-        conv, conc = stencil.load(u).blocks()
+        # the stage layout indexes interior nodes as the interior does, so ``inner`` crops it too
+        conv, conc = stencil.load(u).stage_blocks()
         _require_membership(conv, conc, "time-speed evaluation")
         # contiguous, as in the uncropped call: a SIMD log may take another path on strided input
         conv, conc = np.ascontiguousarray(conv[inner]), np.ascontiguousarray(conc[inner])

@@ -418,12 +418,31 @@ def _wrap(g: np.ndarray) -> None:
 class _Stencil:
     """Centered second differences of one flow's slices and their slots, on buffers kept between calls.
 
-    :meth:`load` makes a slice the one to difference; on a periodic grid it
-    writes ``u - base`` and its wrap into a ghosted buffer, on a framed grid
-    it reads the slice itself, frame included.  :meth:`differences` writes
-    each result into a buffer kept per pair and region shape, so the arrays
-    it returns are overwritten by the next call for the same pair and shape.
-    :meth:`blocks` and :meth:`mixed` combine them into the flavor's slots.
+    :meth:`load` makes a stored slice the one to difference; on a periodic
+    grid it writes ``u - base`` and its wrap into a ghosted buffer, on a
+    framed grid it reads the slice itself, frame included.
+    :meth:`differences` writes each result into a buffer kept per pair and
+    region shape, so the arrays it returns are overwritten by the next call
+    for the same pair and shape.  :meth:`blocks` and :meth:`mixed` combine
+    them into the flavor's slots.
+
+    RK4 stages work in the *stage layout*.  On a framed grid a stage slice
+    is grid-shaped, frame included, and a stage array (block field, stage
+    speed) holds its interior, read through strided views.  On a periodic
+    grid both are in the *padded* layout ``(n0, n1+2, ..., n_last+2)``: the
+    ghost buffer's rows with their ghost ends.  :attr:`window` is the run of
+    the ghost buffer in that layout, so a stage slice advanced into it needs
+    no copy, and each difference over the whole interior reads flat runs at
+    offsets of the ghost buffer's strides (``+-1`` along the last axis,
+    ``+-(n_last+2)`` along the one before) from one contiguous window.
+    Entries past an axis' last node are junk: :meth:`stage_blocks`
+    overwrites those of the block fields with copies of real values, so a
+    min, a max or a log over a whole stage array sees node values only.
+    ``stage`` indexes a stage slice's stage-array part, ``inner`` crops a
+    stage array to the interior, and :meth:`pad` and :meth:`crop` convert
+    slices between the stored and the stage layouts.  Framed grids keep
+    strided views: only periodic grids have a ghost buffer, and flat runs
+    measured slower on framed 4-D grids.
     """
 
     def __init__(self, f: FlowField):
@@ -431,21 +450,59 @@ class _Stencil:
         self.h = f.grid.spacing
         self.shape = f.grid.interior_shape
         self.coeffs = f.policy.coeffs if isinstance(f.policy, PeriodicBase) else None
-        if self.coeffs is not None:
-            self.base = f._base_vals
-            self.ghosted = np.empty(tuple(n + 2 for n in f.grid.shape))
-            self.offset = 1
-        else:
-            self.offset = f.grid.frame
         self.buffers: Dict[tuple, np.ndarray] = {}
+        whole = (slice(None),) * len(self.shape)
+        if self.coeffs is None:
+            self.offset = f.grid.frame
+            self.window = None
+            self.stage, self.inner = f.grid.interior, whole
+            return
+        self.offset = 1
+        ghost = tuple(n + 2 for n in self.shape)
+        padded = (self.shape[0],) + ghost[1:]
+        # flat strides of the ghost buffer, which are the padded layout's too
+        self.strides = [math.prod(ghost[a + 1:]) for a in range(len(ghost))]
+        self.start = sum(self.strides)  # the first interior node
+        # a flat run reads at most strides[0] + strides[1] past the window, so at most
+        # start + strides[1] - strides[0] past the ghost buffer: a zero tail of start covers it
+        size = math.prod(ghost)
+        self.flat = np.zeros(size + self.start)
+        self.ghosted = self.flat[:size].reshape(ghost)
+        self.window = self.flat[self.start:self.start + math.prod(padded)].reshape(padded)
+        self.stage, self.inner = whole, (slice(None),) + tuple(slice(0, n) for n in self.shape[1:])
+        self.base = self.pad(f._base_vals)
+        self.runs: Dict[tuple, np.ndarray] = {}  # flat runs of the ghost buffer, by move
+        # per axis after the first: its junk entries, and the last node whose value they take
+        self.junk = [((slice(None),) * a + (slice(n, None),), (slice(None),) * a + (slice(n - 1, n),))
+                     for a, n in enumerate(self.shape) if a > 0]
 
-    def load(self, u: np.ndarray) -> "_Stencil":
-        if self.coeffs is not None:
-            np.subtract(u, self.base, out=self.ghosted[(slice(1, -1),) * u.ndim])
+    def pad(self, u: np.ndarray) -> np.ndarray:
+        """The stored slice ``u`` in the stage layout: on a periodic grid a padded copy, junk zero."""
+        if self.window is None:
+            return u
+        out = np.zeros(self.window.shape)
+        out[self.inner] = u
+        return out
+
+    def crop(self, u: np.ndarray) -> np.ndarray:
+        """The stage slice ``u`` as a stored slice: on a periodic grid a contiguous copy of its nodes."""
+        return u if self.window is None else np.ascontiguousarray(u[self.inner])
+
+    def _load(self, u: np.ndarray, index: Tuple[slice, ...]) -> "_Stencil":
+        if self.window is not None:
+            np.subtract(u, self.base[index], out=self.window[index])
             _wrap(self.ghosted)
         else:
             self.ghosted = u
         return self
+
+    def load(self, u: np.ndarray) -> "_Stencil":
+        """Make the stored slice ``u`` the one to difference."""
+        return self._load(u, self.inner)
+
+    def load_stage(self, u: np.ndarray) -> "_Stencil":
+        """Make the stage slice ``u`` the one to difference; it may be :attr:`window` itself."""
+        return self._load(u, self.stage)
 
     def _buffer(self, key, shape: Tuple[int, ...]) -> np.ndarray:
         if (key, shape) not in self.buffers:
@@ -466,18 +523,33 @@ class _Stencil:
         ``(((u++ - u+-) - u-+) + u--)/(4 h_a h_b)``; on a periodic grid the
         base coefficient is added back on the diagonal.  ``2u`` is computed
         once per call.
+
+        Without a region on a periodic grid, every operand is one flat run
+        of the ghost buffer and the results are in the padded stage layout
+        (see the class docstring); otherwise each operand is a strided view
+        and the results are region-shaped.
         """
         h = self.h
-        region = region or tuple(slice(0, m) for m in self.shape)
-        shape = tuple(r.stop - r.start for r in region)
-        centre = [slice(self.offset + r.start, self.offset + r.stop) for r in region]
+        if region is None and self.window is not None:
+            shape = self.window.shape
 
-        def at(*moves: Tuple[int, int]) -> np.ndarray:
-            """The region's view moved ``step`` nodes along ``axis`` for each ``(axis, step)``."""
-            index = list(centre)
-            for axis, step in moves:
-                index[axis] = slice(centre[axis].start + step, centre[axis].stop + step)
-            return self.ghosted[tuple(index)]
+            def at(*moves: Tuple[int, int]) -> np.ndarray:
+                """The window's run moved ``step`` nodes along ``axis`` for each ``(axis, step)``."""
+                if moves not in self.runs:
+                    start = self.start + sum(step * self.strides[axis] for axis, step in moves)
+                    self.runs[moves] = self.flat[start:start + self.window.size].reshape(shape)
+                return self.runs[moves]
+        else:
+            region = region or tuple(slice(0, m) for m in self.shape)
+            shape = tuple(r.stop - r.start for r in region)
+            centre = [slice(self.offset + r.start, self.offset + r.stop) for r in region]
+
+            def at(*moves: Tuple[int, int]) -> np.ndarray:
+                """The region's view moved ``step`` nodes along ``axis`` for each ``(axis, step)``."""
+                index = list(centre)
+                for axis, step in moves:
+                    index[axis] = slice(centre[axis].start + step, centre[axis].stop + step)
+                return self.ghosted[tuple(index)]
 
         twice = None
         out = {}
@@ -499,19 +571,34 @@ class _Stencil:
             out[a, b] = d
         return out
 
-    def blocks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Scalar convex-block and (negated) concave-block fields of the loaded slice.
+    def stage_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Scalar convex-block and (negated) concave-block fields of the loaded slice, in the stage layout.
 
         They are computed in place in the buffers of the diagonal
         differences, which the next diagonal :meth:`differences` overwrites.
-        Both fields are positive wherever the slice is in class.
+        Both fields are positive wherever the slice is in class.  On a
+        periodic grid their junk entries hold copies of real ones.
         """
         d2 = self.differences()
         if self.flavor == "real":
-            return d2[0, 0], np.negative(d2[1, 1], out=d2[1, 1])
-        conv = np.add(d2[0, 0], d2[2, 2], out=d2[0, 0])
-        conc = np.add(d2[1, 1], d2[3, 3], out=d2[1, 1])
-        return np.multiply(conv, 0.25, out=conv), np.multiply(conc, -0.25, out=conc)
+            conv, conc = d2[0, 0], np.negative(d2[1, 1], out=d2[1, 1])
+        else:
+            conv = np.add(d2[0, 0], d2[2, 2], out=d2[0, 0])
+            conc = np.add(d2[1, 1], d2[3, 3], out=d2[1, 1])
+            conv, conc = np.multiply(conv, 0.25, out=conv), np.multiply(conc, -0.25, out=conc)
+        if self.window is not None:
+            for block in (conv, conc):
+                for junk, last in self.junk:
+                    block[junk] = block[last]
+        return conv, conc
+
+    def blocks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The block fields of :meth:`stage_blocks`, interior-shaped and contiguous.
+
+        On a framed grid they are the stage blocks themselves; on a periodic
+        grid, contiguous crops of them.
+        """
+        return tuple(np.ascontiguousarray(block[self.inner]) for block in self.stage_blocks())
 
     def mixed(self, region: Optional[Tuple[slice, ...]] = None) -> Tuple[np.ndarray, ...]:
         """The mixed slot derivative ``M = u_{z wbar}`` of the loaded slice on ``region``.
@@ -520,15 +607,16 @@ class _Stencil:
         also the imaginary part.
         """
         d2 = self.differences(_MIXED_PAIRS[self.flavor], region)
+        if region is None:
+            d2 = {pair: d[self.inner] for pair, d in d2.items()}
         if self.flavor == "real":
             return (d2[0, 1],)
         return (0.25 * (d2[0, 1] + d2[2, 3]), 0.25 * (d2[0, 3] - d2[1, 2]))
 
 
-def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str) -> Tuple[float, float]:
-    """Check both blocks exceed ``CLASS_MARGIN``; return (lam, Lam) measured."""
-    cmin, cmax = float(conv.min()), float(conv.max())
-    kmin, kmax = float(conc.min()), float(conc.max())
+def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str) -> float:
+    """Check both blocks exceed ``CLASS_MARGIN``; return their least value, ``lam``."""
+    cmin, kmin = float(conv.min()), float(conc.min())
     if not (cmin > CLASS_MARGIN):  # NaN fails the test too
         raise ClassExit(
             f"{where}: convex block lost definiteness "
@@ -539,7 +627,7 @@ def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str) -> Tuple
             f"{where}: concave block lost definiteness "
             f"(min negated second derivative {kmin:.3e} <= margin {CLASS_MARGIN:.0e})"
         )
-    return min(cmin, kmin), max(cmax, kmax)
+    return min(cmin, kmin)
 
 
 def _flow_value(conv: np.ndarray, conc: np.ndarray, where: str) -> np.ndarray:
@@ -569,10 +657,11 @@ def discrete_hessian(f: FlowField) -> np.ndarray:
     d = f.grid.dim
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
     out = np.full(f.grid.shape + (d, d), np.nan)
-    inner = out[f.grid.interior]
-    for (a, b), v in _Stencil(f).load(f.slices[-1]).differences(pairs).items():
-        inner[..., a, b] = v
-        inner[..., b, a] = v
+    nodes = out[f.grid.interior]
+    stencil = _Stencil(f).load(f.slices[-1])
+    for (a, b), v in stencil.differences(pairs).items():
+        nodes[..., a, b] = v[stencil.inner]
+        nodes[..., b, a] = v[stencil.inner]
     return out
 
 
@@ -586,29 +675,33 @@ def _cfl_bound(f: FlowField, lam: float, Lam: float) -> float:
     return CFL_CONSTANT * h_min * h_min * lam / Lam
 
 
-def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
-    """One classical RK4 step from ``u`` at time ``t``; returns the new slice and the CFL bound.
+def _rk4_step(f: FlowField, stencil: _Stencil, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
+    """One classical RK4 step from the stage slice ``u`` at time ``t``; returns the new one and the CFL bound.
 
-    The stages share one :class:`_Stencil` and a few interior-shaped
-    buffers: each stage speed ``F`` is taken in place in the stencil's block
-    fields, ``k1 + 2 k2 + 2 k3 + k4`` is summed stage by stage in that order,
-    stages 2 and 3 share one slice buffer (one frame time), and stage 4's
-    slice becomes the new slice (the frame time of both is ``t + dt``).
+    Slices and stage arrays are in ``stencil``'s stage layout, and the
+    stage arrays are stencil buffers.  Each stage speed ``F`` is taken in
+    place in the stencil's block fields, and
+    ``k1 + 2 k2 + 2 k3 + k4`` is summed stage by stage in that order.  On a
+    framed grid stages 2 and 3 share one slice buffer (one frame time), and
+    stage 4's slice becomes the new slice (the frame time of both is
+    ``t + dt``).  On a periodic grid each stage slice is written straight
+    into the ghost window, and all arithmetic runs over whole contiguous
+    padded arrays: the junk entries of the block fields are copies of real
+    ones, so those of ``k`` and ``total`` are too, and no min, max or log
+    reads a value that is not a node's.
     """
     dt = f.dt
-    ii = f.grid.interior
-    stencil = _Stencil(f)
+    ii = stencil.stage
 
-    def speed(slice_: np.ndarray, where: str, out: np.ndarray) -> Tuple[float, float]:
-        conv, conc = stencil.load(slice_).blocks()
-        bounds = _require_membership(conv, conc, where)
+    def speed(slice_: np.ndarray, where: str, out: np.ndarray) -> None:
+        conv, conc = stencil.load_stage(slice_).stage_blocks()
+        _require_membership(conv, conc, where)
         np.subtract(np.log(conv, out=conv), np.log(conc, out=conc), out=out)
-        return bounds
 
-    total = np.empty(f.grid.interior_shape)  # k1 + 2 k2 + 2 k3 + k4
-    k = np.empty_like(total)
-    scaled = np.empty_like(total)
-    lam, Lam = speed(u, "explicit step", total)
+    # stage 1 also measures the stability bound, before its logs
+    conv, conc = stencil.load_stage(u).stage_blocks()
+    lam = _require_membership(conv, conc, "explicit step")
+    Lam = max(float(conv.max()), float(conc.max()))
     bound = _cfl_bound(f, lam, Lam)
     if dt > bound * (1.0 + 1e-12):
         raise CFLViolation(
@@ -616,6 +709,8 @@ def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]
             f"{bound:.6e} = c*h^2*lam/Lam with c = {CFL_CONSTANT}, "
             f"measured lam = {lam:.6e}, Lam = {Lam:.6e}"
         )
+    total, k, scaled = (stencil._buffer(key, conv.shape) for key in ("total", "k", "scaled"))
+    np.subtract(np.log(conv, out=conv), np.log(conc, out=conc), out=total)  # k1 + 2 k2 + 2 k3 + k4
 
     def advance(into: np.ndarray, scale: float, kval: np.ndarray) -> np.ndarray:
         np.add(u[ii], np.multiply(kval, scale, out=scaled), out=into[ii])
@@ -624,15 +719,19 @@ def _rk4_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]
     def accumulate(kval: np.ndarray, weight: float) -> None:
         np.add(total, np.multiply(kval, weight, out=scaled), out=total)
 
-    half = _apply_frame(f, np.empty_like(u), t + 0.5 * dt)
-    unew = _apply_frame(f, np.empty_like(u), t + dt)
+    if stencil.window is None:
+        half = _apply_frame(f, np.empty_like(u), t + 0.5 * dt)
+        stage4 = unew = _apply_frame(f, np.empty_like(u), t + dt)
+    else:
+        half = stage4 = stencil.window
+        unew = np.empty_like(u)
     speed(advance(half, 0.5 * dt, total), "explicit stage 2", k)
     advance(half, 0.5 * dt, k)
     accumulate(k, 2.0)
     speed(half, "explicit stage 3", k)
-    advance(unew, dt, k)
+    advance(stage4, dt, k)
     accumulate(k, 2.0)
-    speed(unew, "explicit stage 4", k)
+    speed(stage4, "explicit stage 4", k)
     np.add(total, k, out=total)
     advance(unew, dt / 6.0, total)
     return unew, bound
@@ -863,7 +962,8 @@ def _gmres(
 _SEMI_RTOL = 1e-13
 
 
-def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
+def _semi_implicit_step(f: FlowField, stencil: _Stencil, u: np.ndarray,
+                        t: float) -> Tuple[np.ndarray, float]:
     """One lagged-coefficient semi-implicit step: ``(I - dt*L_n) du = dt*F_n``.
 
     The frame increment over the step is known exactly for a frozen frame
@@ -882,7 +982,7 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
     :class:`NoConvergence` rather than returning an unconverged increment.
     """
     dt = f.dt
-    conv, conc = _Stencil(f).load(u).blocks()
+    conv, conc = stencil.load_stage(u).blocks()
     rhs = dt * _flow_value(conv, conc, "semi-implicit step").ravel()
     gammas = _linearized_gammas(f, conv, conc)
     system = _Operator(f.grid, gammas, dt)
@@ -893,7 +993,8 @@ def _semi_implicit_step(f: FlowField, u: np.ndarray, t: float) -> Tuple[np.ndarr
     delta = _gmres(system, _FastPoisson(f.grid, gammas, dt), rhs, _SEMI_RTOL, 0.0,
                    f"semi-implicit step at t={t:.6g}")
     unew = u.copy()
-    unew[f.grid.interior] += delta.reshape(f.grid.interior_shape)
+    nodes = unew[stencil.stage][stencil.inner]  # a view of the stage slice's interior
+    nodes += delta.reshape(f.grid.interior_shape)
     _apply_frame(f, unew, t + dt)
     return unew, math.inf
 
@@ -913,7 +1014,9 @@ def run_flow(
     membership (with margin) and the measured stability bound before moving;
     the semi-implicit scheme checks membership only.  The last slice is
     membership-checked after the run so a field that has just left the class
-    cannot be returned silently.
+    cannot be returned silently.  One :class:`_Stencil` serves the whole
+    run; the steppers work in its stage layout, and a slice is cropped to
+    the stored layout only where it is stored.
     """
     if steps < 1:
         raise TmaError(f"need at least one step, got {steps}")
@@ -924,20 +1027,21 @@ def run_flow(
     if f.dt <= 0.0:
         raise TmaError("stepping needs a positive timestep")
     stepper = _STEPPERS[scheme]
+    stencil = _Stencil(f)
     t0 = f.times[-1]
-    u = f.slices[-1]
+    u = stencil.pad(f.slices[-1])
     new_slices = list(f.slices)
     new_times = list(f.times)
     new_log = list(f.cfl_log)
     for n in range(1, steps + 1):
         t_prev = t0 + (n - 1) * f.dt
-        u, bound = stepper(f, u, t_prev)
+        u, bound = stepper(f, stencil, u, t_prev)
         if scheme == "rk4":
             new_log.append(bound)
         if n % snapshot_every == 0 or n == steps:
-            new_slices.append(u)
+            new_slices.append(stencil.crop(u))
             new_times.append(t0 + n * f.dt)
-    _require_membership(*_Stencil(f).load(u).blocks(), "post-step check")
+    _require_membership(*stencil.load_stage(u).stage_blocks(), "post-step check")
     return dataclasses.replace(f, slices=new_slices, times=new_times, cfl_log=new_log)
 
 
@@ -1064,8 +1168,9 @@ def monitor_class(
     kmin = np.empty(n)
     kmax = np.empty(n)
     first: Optional[int] = None
+    stencil = _Stencil(f)
     for i, u in enumerate(f.slices):
-        conv, conc = _Stencil(f).load(u).blocks()
+        conv, conc = stencil.load(u).blocks()
         cmin[i], cmax[i] = conv.min(), conv.max()
         kmin[i], kmax[i] = conc.min(), conc.max()
         bounds = (cmin[i], cmax[i], kmin[i], kmax[i])

@@ -182,6 +182,14 @@ def periodic2d():
     return flow_from_spec(spec, grid, 1e-4, policy=periodic_base_for(1.0, 1.0))
 
 
+def periodic2d_nonsquare():
+    """Unequal node counts per axis, so a row stride of ``n0 + 2`` would misplace neighbours."""
+    spec = perturbed_flow_spec(1.0, 1.0, 0.05, modes=((1.0, 2.0), (2.0, -1.0)),
+                               weights=(1.0, 0.5))
+    grid = BoxGrid((0.0, 0.0), (2 * math.pi, 2 * math.pi), (24, 17), frame=0)
+    return flow_from_spec(spec, grid, 1e-4, policy=periodic_base_for(1.0, 1.0))
+
+
 def framed2d():
     spec = perturbed_flow_spec(1.0, 1.0, 0.1, modes=((1.0, 1.0), (2.0, -1.0)),
                                weights=(1.0, 0.5))
@@ -204,8 +212,9 @@ def periodic4d():
     return flow_from_spec(spec, grid, 1e-3, policy=periodic_base_for(2.0, 1.0, "complex11"))
 
 
-FIELDS = pytest.mark.parametrize("make", [periodic2d, framed2d, framed4d, periodic4d],
-                                 ids=["periodic2d", "framed2d", "framed4d", "periodic4d"])
+FIELDS = pytest.mark.parametrize(
+    "make", [periodic2d, periodic2d_nonsquare, framed2d, framed4d, periodic4d],
+    ids=["periodic2d", "periodic2d-24x17", "framed2d", "framed4d", "periodic4d"])
 
 
 def identical(a, b):
@@ -362,3 +371,37 @@ class TestClassExitOutsideCrop:
         with pytest.raises(ClassExit) as info:
             call(f, spec)
         assert str(info.value) == f"{where}: {_CONVEX_LOST}"
+
+
+#: the refusal of the seam-dented periodic field below, as the parent commit worded it
+_CONVEX_LOST_AT_SEAM = ("convex block lost definiteness "
+                        "(min second derivative -4.590e-01 <= margin 1e-10)")
+
+
+class TestPeriodicClassExitAtSeam:
+    """A periodic field dented in its last column, beside the padded layout's junk entries."""
+
+    @pytest.fixture
+    def dented(self):
+        grid = BoxGrid((0.0, 0.0), (2 * math.pi, 2 * math.pi), (24, 17), frame=0)
+        policy = periodic_base_for(1.0, 1.0)
+        u = policy.values_on(grid)
+        u[5, -1] += 0.05
+        return flow_from_values(u, grid, 1e-4, policy)
+
+    def test_crop_excludes_the_dent(self, dented):
+        q = flow_quantities(run_flow(periodic2d_nonsquare(), 1), center=(4.0, 2.5), radius=0.6)
+        x, y = dented.grid.axes()
+        assert q.axes[0][0] > x[5] and q.axes[1][-1] < y[-2]
+
+    @pytest.mark.parametrize("where, call", [
+        ("explicit step", lambda f: run_flow(f, 1)),
+        ("semi-implicit step", lambda f: run_flow(f, 1, scheme="semi-implicit")),
+        ("time-speed evaluation", discrete_time_speed),
+        ("time-speed evaluation",
+         lambda f: flow_quantities(f, center=(4.0, 2.5), radius=0.6)),
+    ], ids=["rk4", "semi-implicit", "discrete_time_speed", "flow_quantities"])
+    def test_refused_with_unchanged_message(self, dented, where, call):
+        with pytest.raises(ClassExit) as info:
+            call(dented)
+        assert str(info.value) == f"{where}: {_CONVEX_LOST_AT_SEAM}"
