@@ -21,7 +21,6 @@ time ``s - 4 R^2``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -44,10 +43,8 @@ from .solver import (
     BoxGrid,
     FlowField,
     FrozenFrame,
-    PeriodicBase,
     _Stencil,
     _require_membership,
-    flow_from_values,
 )
 from .twistedops import eval_H
 
@@ -485,31 +482,19 @@ def parabolic_rescale_field(field: FlowField, mu: float) -> FlowField:
     """
     if not (mu > 0.0):
         raise TmaError(f"rescaling factor must be positive, got {mu}")
-    grid = field.grid
+    grid, scale = field.grid, mu * mu
     new_grid = BoxGrid(
         tuple(v / mu for v in grid.lo),
         tuple(v / mu for v in grid.hi),
         grid.shape,
         grid.frame,
     )
-    if isinstance(field.policy, PeriodicBase):
-        # second derivatives scale by mu^2 * mu^-2 ... the base curvatures are
-        # invariant under the parabolic rescaling, like any pure quadratic
-        policy = field.policy
-    else:
-        policy = FrozenFrame(parabolic_rescale(field.policy.spec, mu))
-    out = flow_from_values(
-        field.slices[0] / (mu * mu),
-        new_grid,
-        field.dt / (mu * mu),
-        policy,
-        time=field.times[0] / (mu * mu),
-    )
-    return dataclasses.replace(
-        out,
-        slices=[u / (mu * mu) for u in field.slices],
-        times=[t / (mu * mu) for t in field.times],
-    )
+    # a periodic base's curvatures are invariant under the rescaling, like any pure quadratic
+    policy = field.policy
+    if isinstance(policy, FrozenFrame):
+        policy = FrozenFrame(parabolic_rescale(policy.spec, mu))
+    return FlowField(new_grid, policy, field.dt / scale, [u / scale for u in field.slices],
+                     [t / scale for t in field.times])
 
 
 def third_derivative_norm(spec: ExpressionSpec, point: Optional[Sequence[float]] = None) -> float:

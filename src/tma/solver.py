@@ -157,8 +157,8 @@ class BoxGrid:
         if self.frame < 0:
             raise TmaError(f"frame width must be >= 0, got {self.frame}")
         for a, (lo, hi, n) in enumerate(zip(self.lo, self.hi, self.shape)):
-            if not (hi > lo):
-                raise TmaError(f"axis {a}: hi must exceed lo, got [{lo}, {hi}]")
+            if not (-math.inf < lo < hi < math.inf):
+                raise TmaError(f"axis {a}: need finite lo < hi, got [{lo}, {hi}]")
             least = 3 if self.frame == 0 else 2 * self.frame + 3
             if n < least:
                 raise TmaError(
@@ -261,9 +261,20 @@ def evaluate_on_grid(spec: ExpressionSpec, grid: BoxGrid, time: float = 0.0) -> 
 
 @dataclass(frozen=True)
 class FrozenFrame:
-    """Boundary policy: the frame carries exact values of ``spec`` at each time."""
+    """Boundary policy: the frame carries exact values of ``spec`` at each time.
+
+    :meth:`frame_on` evaluates them once per grid, on first use, at time 0.
+    """
 
     spec: ExpressionSpec
+    _frames: Dict[BoxGrid, tuple] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def frame_on(self, grid: BoxGrid) -> Tuple[np.ndarray, np.ndarray]:
+        """``grid``'s frame mask and the values of ``spec`` there at time 0."""
+        if grid not in self._frames:
+            mask = grid.frame_mask()
+            self._frames[grid] = mask, evaluate_on_grid(self.spec, grid)[mask]
+        return self._frames[grid]
 
 
 @dataclass(frozen=True)
@@ -280,15 +291,20 @@ class PeriodicBase:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not all(map(math.isfinite, self.coeffs)):
+            raise TmaError(f"base coefficients must be finite, got {self.coeffs}")
+
+    def _require_axes(self, grid: BoxGrid) -> None:
+        """Raise :class:`DimensionMismatch` unless ``grid`` has one axis per coefficient."""
+        if len(self.coeffs) != grid.dim:
+            raise DimensionMismatch(f"base has {len(self.coeffs)} axis coefficients, grid has {grid.dim} axes")
 
     def values_on(self, grid: BoxGrid) -> np.ndarray:
-        if len(self.coeffs) != grid.dim:
-            raise DimensionMismatch(
-                f"base has {len(self.coeffs)} axis coefficients, grid has {grid.dim} axes"
-            )
+        """The base on every node of ``grid``."""
+        self._require_axes(grid)
         out = np.zeros(grid.shape)
-        for c, x in zip(self.coeffs, grid.mesh()):
-            out += 0.5 * c * x * x
+        for a, (c, x) in enumerate(zip(self.coeffs, grid.axes())):
+            out += (0.5 * c * x * x).reshape((-1,) + (1,) * (grid.dim - 1 - a))
         return out
 
 
@@ -303,6 +319,10 @@ class FlowField:
     ``cfl_log`` records the measured explicit-stability bound at each step
     taken with the explicit scheme.  Instances are treated as immutable:
     stepping operations return a new ``FlowField``.
+
+    Built directly, by a factory or by ``dataclasses.replace``, a field is
+    checked by ``__post_init__``; the boundary data come from its policy.
+    Unlike :func:`flow_from_values`, direct construction writes no frame.
     """
 
     grid: BoxGrid
@@ -311,10 +331,32 @@ class FlowField:
     slices: List[np.ndarray]
     times: List[float]
     cfl_log: List[float] = dc_field(default_factory=list)
-    # cached boundary data, filled by the factories
-    _frame_vals: Optional[np.ndarray] = dc_field(default=None, repr=False)
-    _frame_mask: Optional[np.ndarray] = dc_field(default=None, repr=False)
-    _base_vals: Optional[np.ndarray] = dc_field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.slices = [np.asarray(u, dtype=float) for u in self.slices]
+        self.times = [float(t) for t in self.times]
+        if len(self.slices) != len(self.times) or not self.slices:
+            raise DimensionMismatch(f"a flow field needs one time per slice and at least one slice, "
+                                    f"got {len(self.slices)} slices and {len(self.times)} times")
+        for u in self.slices:
+            if u.shape != self.grid.shape:
+                raise DimensionMismatch(f"values have shape {u.shape}, grid has {self.grid.shape}")
+        _grid_flavor(self.grid)  # a grid whose dimension fixes no flavor raises here
+        if not (0.0 <= self.dt < math.inf):
+            raise TmaError(f"timestep must be nonnegative and finite, got {self.dt}")
+        self.dt = float(self.dt)
+        for i, t in enumerate(self.times):
+            if not math.isfinite(t):
+                raise TmaError(f"{'start time' if i == 0 else f'time {i}'} must be finite, got {t}")
+        if isinstance(self.policy, PeriodicBase):
+            if not self.grid.periodic:
+                raise TmaError("a periodic-base policy requires a periodic grid (frame == 0)")
+            self.policy._require_axes(self.grid)
+        elif isinstance(self.policy, FrozenFrame):
+            if self.grid.periodic:
+                raise TmaError("a frozen-frame policy requires a framed grid (frame >= 1)")
+        else:
+            raise TmaError(f"unknown boundary policy {type(self.policy).__name__}")
 
     @property
     def flavor(self) -> str:
@@ -329,32 +371,9 @@ def flow_from_values(
     policy: BoundaryPolicy,
     time: float = 0.0,
 ) -> FlowField:
-    """Wrap explicit nodal values as a single-slice flow field."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise DimensionMismatch(
-            f"values have shape {values.shape}, grid has {grid.shape}"
-        )
-    _grid_flavor(grid)  # a grid whose dimension fixes no flavor raises here
-    if not (0.0 <= dt < math.inf):
-        raise TmaError(f"timestep must be nonnegative and finite, got {dt}")
-    if not math.isfinite(time):
-        raise TmaError(f"start time must be finite, got {time}")
-    if isinstance(policy, PeriodicBase):
-        if not grid.periodic:
-            raise TmaError("a periodic-base policy requires a periodic grid (frame == 0)")
-        base = policy.values_on(grid)
-        f = FlowField(grid, policy, float(dt), [values.copy()], [float(time)], _base_vals=base)
-    elif isinstance(policy, FrozenFrame):
-        if grid.periodic:
-            raise TmaError("a frozen-frame policy requires a framed grid (frame >= 1)")
-        mask = grid.frame_mask()
-        frame_at_zero = evaluate_on_grid(policy.spec, grid, time=0.0)[mask]
-        f = FlowField(grid, policy, float(dt), [values.copy()], [float(time)],
-                      _frame_vals=frame_at_zero, _frame_mask=mask)
-        _apply_frame(f, f.slices[0], float(time))
-    else:
-        raise TmaError(f"unknown boundary policy {type(policy).__name__}")
+    """Wrap a copy of explicit nodal values as a single-slice flow field, its frame set for ``time``."""
+    f = FlowField(grid, policy, dt, [np.array(values, dtype=float)], [time])
+    _apply_frame(f, f.slices[0], f.times[0])
     return f
 
 
@@ -395,7 +414,8 @@ def _require_one_slot_each(spec: ExpressionSpec, grid: BoxGrid) -> None:
 def _apply_frame(f: FlowField, u: np.ndarray, t: float) -> np.ndarray:
     """Refresh the boundary frame of ``u`` in place for time ``t``; return ``u``."""
     if isinstance(f.policy, FrozenFrame):
-        u[f._frame_mask] = f._frame_vals + f.policy.spec.time_drift * t
+        mask, frame = f.policy.frame_on(f.grid)
+        u[mask] = frame + f.policy.spec.time_drift * t
     return u
 
 
@@ -470,7 +490,7 @@ class _Stencil:
         self.ghosted = self.flat[:size].reshape(ghost)
         self.window = self.flat[self.start:self.start + math.prod(padded)].reshape(padded)
         self.stage, self.inner = whole, (slice(None),) + tuple(slice(0, n) for n in self.shape[1:])
-        self.base = self.pad(f._base_vals)
+        self.base = self.pad(f.policy.values_on(f.grid))
         self.runs: Dict[tuple, np.ndarray] = {}  # flat runs of the ghost buffer, by move
         # per axis after the first: its junk entries, and the last node whose value they take
         self.junk = [((slice(None),) * a + (slice(n, None),), (slice(None),) * a + (slice(n - 1, n),))
@@ -1223,13 +1243,7 @@ def time_order_estimate(
     ii = f.grid.interior
     finals = []
     for level in range(3):
-        fl = dataclasses.replace(
-            f,
-            dt=f.dt / 2**level,
-            slices=[f.slices[-1]],
-            times=[f.times[-1]],
-            cfl_log=[],
-        )
+        fl = FlowField(f.grid, f.policy, f.dt / 2**level, [f.slices[-1]], [f.times[-1]])
         fl = run_flow(fl, n0 * 2**level, scheme=scheme, snapshot_every=n0 * 2**level)
         finals.append(fl.slices[-1][ii])
     d1 = float(np.abs(finals[0] - finals[1]).max())

@@ -3,6 +3,7 @@
 import ast
 import builtins
 import contextlib
+import dataclasses
 import decimal
 import importlib
 import io
@@ -67,6 +68,17 @@ def _names_in(tree: ast.AST) -> set:
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+def test_no_dataclass_has_an_underscore_init_field():
+    # a field the constructor takes but no caller should set is state that only
+    # some construction paths fill and check; derived data belongs to a non-init field
+    modules = [importlib.import_module(f"tma.{info.name}") for info in pkgutil.iter_modules(tma.__path__)]
+    classes = [obj for mod in modules for obj in vars(mod).values()
+               if dataclasses.is_dataclass(obj) and isinstance(obj, type) and obj.__module__ == mod.__name__]
+    offenders = [f"{cls.__name__}.{fl.name}" for cls in classes for fl in dataclasses.fields(cls)
+                 if fl.init and fl.name.startswith("_")]
+    assert len(classes) > 10 and not offenders
 
 
 def test_every_library_name_has_a_caller():

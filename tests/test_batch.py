@@ -46,6 +46,7 @@ from tma.linalg import inverse_and_logdet
 from tma.estimates import flow_quantities
 from tma.solver import (
     BoxGrid,
+    PeriodicBase,
     flow_from_spec,
     flow_from_values,
     hessian_error,
@@ -164,6 +165,10 @@ _DEGENERATE_INPUTS = {
     "flow_from_values_inf_dt": (lambda: _flow9(float("inf")), TmaError),
     "flow_from_values_nan_time": (lambda: _flow9_at(float("nan")), TmaError),
     "flow_from_values_inf_time": (lambda: _flow9_at(float("inf")), TmaError),
+    "BoxGrid_inf_lo": (lambda: BoxGrid((-np.inf, -1.0), (1.0, 1.0), (9, 9)), TmaError),
+    "BoxGrid_nan_hi": (lambda: BoxGrid((-1.0, -1.0), (1.0, np.nan), (9, 9)), TmaError),
+    "PeriodicBase_nan_coefficient": (lambda: PeriodicBase((np.nan, -1.0)), TmaError),
+    "PeriodicBase_inf_coefficient": (lambda: PeriodicBase((1.0, -np.inf)), TmaError),
 }
 
 

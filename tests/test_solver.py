@@ -9,6 +9,7 @@ self-comparison on a fixed grid, where the semidiscrete system is the common
 reference and no exact solution is needed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from tma.errors import (
 from tma.jets import ExpressionSpec
 from tma.solver import (
     BoxGrid,
+    FlowField,
+    FrozenFrame,
     _FastPoisson,
     _linearized_gammas,
     _Operator,
@@ -322,6 +325,116 @@ class TestGuards:
                 wrap()
         else:
             assert wrap().flavor == flavor
+
+
+# ---------------------------------------------------------------------------
+# a flow field is its six public fields, checked on every construction
+# ---------------------------------------------------------------------------
+
+
+RIPPLE = perturbed_flow_spec(1.0, 1.0, 0.1, modes=((1.0, 1.0), (2.0, -1.0)), weights=(1.0, 0.5))
+FRAMED17 = BoxGrid((-1.0, -1.0), (1.0, 1.0), (17, 17), frame=2)
+PERIODIC16 = BoxGrid((0.0, 0.0), (2 * math.pi, 2 * math.pi), (16, 16), frame=0)
+
+
+def _assert_same_run(f, g):
+    assert f.times == g.times and f.cfl_log == g.cfl_log
+    assert all(np.array_equal(u, v) for u, v in zip(f.slices, g.slices, strict=True))
+
+
+class TestFlowFieldConstruction:
+    def test_fields_are_the_six_public_ones(self):
+        assert [fl.name for fl in dataclasses.fields(FlowField)] == [
+            "grid", "policy", "dt", "slices", "times", "cfl_log"]
+
+    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
+    @pytest.mark.parametrize("grid, policy", [
+        (FRAMED17, lambda: FrozenFrame(RIPPLE)),
+        (PERIODIC16, lambda: periodic_base_for(1.0, 1.0)),
+    ], ids=["framed17", "periodic16"])
+    def test_direct_construction_steps_like_the_factory(self, grid, policy, scheme):
+        values = evaluate_on_grid(RIPPLE, grid)
+        built = FlowField(grid, policy(), 4e-4, [values], [0.0])
+        wrapped = flow_from_values(values, grid, 4e-4, policy())
+        _assert_same_run(run_flow(built, 3, scheme=scheme), run_flow(wrapped, 3, scheme=scheme))
+
+    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
+    def test_replace_onto_a_refined_grid_steps_with_its_frame(self, scheme):
+        fine = FRAMED17.refined()
+        f = flow_from_spec(RIPPLE, FRAMED17, 1e-4)
+        moved = dataclasses.replace(f, grid=fine, slices=[evaluate_on_grid(RIPPLE, fine)])
+        _assert_same_run(run_flow(moved, 2, scheme=scheme),
+                         run_flow(flow_from_spec(RIPPLE, fine, 1e-4), 2, scheme=scheme))
+
+    def test_one_frozen_frame_writes_each_grids_own_frame(self):
+        policy = FrozenFrame(RIPPLE)
+        for grid in (FRAMED17, FRAMED17.refined(), FRAMED17):
+            f = flow_from_values(np.zeros(grid.shape), grid, 1e-4, policy)
+            mask = grid.frame_mask()
+            assert np.array_equal(f.slices[0][mask], evaluate_on_grid(RIPPLE, grid)[mask])
+            assert not f.slices[0][~mask].any()
+
+    def test_replace_runs_the_factory_checks(self):
+        f = flow_from_spec(RIPPLE, FRAMED17, 1e-4)
+        with pytest.raises(TmaError, match="timestep must be nonnegative and finite, got nan"):
+            dataclasses.replace(f, dt=math.nan)
+        with pytest.raises(TmaError, match="time 1 must be finite, got inf"):
+            dataclasses.replace(f, slices=f.slices * 2, times=[0.0, math.inf])
+        with pytest.raises(DimensionMismatch, match="values have shape"):
+            dataclasses.replace(f, grid=FRAMED17.refined())
+
+    @pytest.mark.parametrize("slices, times", [(2, [0.0]), (1, [0.0, 1e-4]), (0, [])],
+                             ids=["two_slices_one_time", "one_slice_two_times", "empty"])
+    def test_slices_and_times_must_pair_up(self, slices, times):
+        values = evaluate_on_grid(RIPPLE, FRAMED17)
+        with pytest.raises(DimensionMismatch, match=f"got {slices} slices and {len(times)} times"):
+            FlowField(FRAMED17, FrozenFrame(RIPPLE), 1e-4, [values] * slices, times)
+
+    # each call raises what flow_from_values raised before the checks moved into
+    # FlowField, with the same message; a call with two faults names the earlier check
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda v: flow_from_values(v[:3], FRAMED17, math.nan, FrozenFrame(RIPPLE)),
+         DimensionMismatch, r"values have shape \(3, 17\), grid has \(17, 17\)"),
+        (lambda v: flow_from_values(np.zeros((9,) * 3), BoxGrid((0.0,) * 3, (1.0,) * 3, (9,) * 3), math.inf,
+                                    FrozenFrame(RIPPLE)), DimensionMismatch, "no grid flavor"),
+        (lambda v: flow_from_values(v, FRAMED17, -1.0, PeriodicBase((1.0,))),
+         TmaError, "timestep must be nonnegative and finite, got -1.0"),
+        (lambda v: flow_from_values(v, FRAMED17, 1e-4, PeriodicBase((1.0,)), time=math.nan),
+         TmaError, "start time must be finite, got nan"),
+        (lambda v: flow_from_values(v, FRAMED17, 1e-4, PeriodicBase((1.0,))),
+         TmaError, r"a periodic-base policy requires a periodic grid \(frame == 0\)"),
+        (lambda v: flow_from_values(evaluate_on_grid(RIPPLE, PERIODIC16), PERIODIC16, 1e-4, PeriodicBase((1.0,))),
+         DimensionMismatch, "base has 1 axis coefficients, grid has 2 axes"),
+        (lambda v: flow_from_values(evaluate_on_grid(RIPPLE, PERIODIC16), PERIODIC16, 1e-4, FrozenFrame(RIPPLE)),
+         TmaError, r"a frozen-frame policy requires a framed grid \(frame >= 1\)"),
+        (lambda v: flow_from_values(v, FRAMED17, 1e-4, RIPPLE),
+         TmaError, "unknown boundary policy ExpressionSpec"),
+        (lambda v: flow_from_values(v, FRAMED17, 1e-4, FrozenFrame(reference_flow_spec(1.0, 1.0, "complex11"))),
+         DimensionMismatch, "description uses 4 coordinates but the grid has 2"),
+        (lambda v: flow_from_spec(reference_flow_spec(1.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9)), 1e-4,
+                                  PeriodicBase((1.0, -1.0))),
+         TmaError, r"a periodic-base policy requires a periodic grid \(frame == 0\)"),
+    ], ids=["shape", "flavor", "dt", "time", "periodic_base_on_framed", "base_axes", "frozen_frame_on_periodic",
+            "unknown_policy", "frame_dimension", "flow_from_spec"])
+    def test_factory_errors_keep_their_messages(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(evaluate_on_grid(RIPPLE, FRAMED17))
+
+    def test_the_frame_is_evaluated_once_per_field(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return evaluate_on_grid(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "evaluate_on_grid", counting)
+        grid = BoxGrid((-1.0,) * 4, (1.0,) * 4, (9,) * 4, frame=2)
+        f = flow_from_spec(reference_flow_spec(math.e, 1.0, "complex11"), grid, 1e-3)
+        assert len(calls) == 2  # the initial values and the frame
+        for _ in range(8):
+            f = step_parabolic(f)
+        f = step_parabolic(f, scheme="semi-implicit")
+        assert len(calls) == 2 and len(f.slices) == 10
 
 
 # ---------------------------------------------------------------------------

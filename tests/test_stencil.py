@@ -61,7 +61,7 @@ def _mixed_diff(u, ax1, ax2, h1, h2):
 
 def _ref_blocks(f, u):
     if isinstance(f.policy, PeriodicBase):
-        p = u - f._base_vals
+        p = u - f.policy.values_on(f.grid)
         d2 = [_second_diff(p, a, h) + c
               for a, (h, c) in enumerate(zip(f.grid.spacing, f.policy.coeffs))]
     else:
@@ -76,7 +76,7 @@ def _flow_value_from_blocks(f, conv, conc):
         return np.log(conv) - np.log(conc)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.log(np.abs(conv)) - np.log(np.abs(conc))
-    out[f._frame_mask] = np.nan
+    out[f.grid.frame_mask()] = np.nan
     ii = f.grid.interior
     out[ii] = np.log(conv[ii]) - np.log(conc[ii])
     return out
@@ -89,7 +89,7 @@ def _ref_speed(f, u):
 def _ref_hessian(f, u):
     d, h = f.grid.dim, f.grid.spacing
     if isinstance(f.policy, PeriodicBase):
-        p, base = u - f._base_vals, np.diag(f.policy.coeffs)
+        p, base = u - f.policy.values_on(f.grid), np.diag(f.policy.coeffs)
     else:
         p, base = u, np.zeros((d, d))
     out = np.empty(f.grid.shape + (d, d))
