@@ -109,6 +109,8 @@ def _v_nodes(key: str, v) -> int:
 def _v_float(key: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigInvalid(f"{key}: expected a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, +-Infinity (JSON reads them as floats), integers past the float range
+        raise ConfigInvalid(f"{key}: must be finite, got {v}")
     return float(v)
 
 
@@ -143,14 +145,9 @@ def _v_shapes(key: str, v) -> List[List[int]]:
 
 
 def _v_pair(key: str, v) -> List[float]:
-    ok = (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(not isinstance(c, bool) and isinstance(c, (int, float)) for c in v)
-    )
-    if not ok:
+    if not isinstance(v, list) or len(v) != 2:
         raise ConfigInvalid(f"{key}: expected a pair of numbers, got {v!r}")
-    return [float(v[0]), float(v[1])]
+    return [_v_float(f"{key}[{i}]", c) for i, c in enumerate(v)]
 
 
 def _v_modes(key: str, v) -> List[List[float]]:
@@ -162,11 +159,7 @@ def _v_modes(key: str, v) -> List[List[float]]:
 def _v_ladder(key: str, v) -> List[float]:
     if not isinstance(v, list) or len(v) < 3:
         raise ConfigInvalid(f"{key}: expected a list of at least 3 radii, got {v!r}")
-    vals = []
-    for i, c in enumerate(v):
-        if isinstance(c, bool) or not isinstance(c, (int, float)) or not c > 0:
-            raise ConfigInvalid(f"{key}[{i}]: expected a positive number, got {c!r}")
-        vals.append(float(c))
+    vals = [_v_pos(f"{key}[{i}]", c) for i, c in enumerate(v)]
     if any(nxt >= cur for cur, nxt in zip(vals, vals[1:])):
         raise ConfigInvalid(f"{key}: radii must be strictly decreasing, got {vals}")
     return vals
@@ -653,33 +646,26 @@ SUITES: Dict[str, SuiteDef] = {
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
-# The %-conversion that writes a cell of exactly this type as _csv_cell does:
-# "%.17g" and format(v, ".17g") are one routine.
-_CELL_FORMATS = {int: "%d", float: "%.17g", str: "%s"}
+def _cell_format(t: type) -> str:
+    """A CSV cell's ``%``-conversion: a string as is, an integer (not a bool) in decimal, else a float to 17 digits."""
+    if issubclass(t, str):
+        return "%s"
+    if issubclass(t, (int, np.integer)) and not issubclass(t, bool):
+        return "%d"
+    return "%.17g"
 
 
 @lru_cache(maxsize=None)
-def _row_format(types: Tuple[type, ...]) -> Optional[str]:
-    """One ``%``-format for a row of cells of these exact types, or None if a cell needs :func:`_csv_cell`."""
-    if not all(t in _CELL_FORMATS for t in types):
-        return None
-    return ",".join(_CELL_FORMATS[t] for t in types)
+def _row_format(types: Tuple[type, ...]) -> str:
+    """One ``%``-format for a row of cells of these types."""
+    return ",".join(map(_cell_format, types))
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
         row = tuple(row)
-        fmt = _row_format(tuple(map(type, row)))
-        lines.append(fmt % row if fmt is not None else ",".join(_csv_cell(c) for c in row))
+        lines.append(_row_format(tuple(map(type, row))) % row)
     _write_new(path, "\n".join(lines) + "\n")
 
 

@@ -242,11 +242,10 @@ def flow_quantities(
     stencil = _Stencil(field)
     values: Dict[str, np.ndarray] = {}
     for j, u in enumerate(field.slices):
-        # the stage layout indexes interior nodes as the interior does, so ``inner`` crops it too
-        conv, conc = stencil.load(u).stage_blocks()
+        conv, conc = stencil.load(u).blocks()
         _require_membership(conv, conc, "time-speed evaluation")
         # contiguous, as in the uncropped call: a SIMD log may take another path on strided input
-        conv, conc = np.ascontiguousarray(conv[inner]), np.ascontiguousarray(conc[inner])
+        conv, conc = stencil.crop(conv, inner), stencil.crop(conc, inner)
         m = stencil.mixed(inner)
         channels = {"time_speed": np.log(conv) - np.log(conc),
                     **_directional_values(conv, conc, m)}
@@ -337,8 +336,8 @@ def holder_exponent_fit(rhos: Sequence[float], oscillations: Sequence[float]) ->
         raise DegenerateLadder(
             f"need at least 3 ladder points for a fit, got {len(rhos)}"
         )
-    if (rhos <= 0).any():
-        raise DegenerateLadder("ladder radii must be positive")
+    if not ((rhos > 0) & (rhos < math.inf)).all():  # NaN fails both tests
+        raise DegenerateLadder(f"ladder radii must be positive and finite, got {rhos.tolist()}")
     if (oscs <= 0).any():
         return FitReport(alpha=math.inf, residual=0.0, degenerate=True)
     coeffs, residuals, *_ = np.polyfit(np.log(rhos), np.log(oscs), 1, full=True)
@@ -588,7 +587,7 @@ def discrete_w_entries(field: FlowField) -> Dict[str, np.ndarray]:
     real and imaginary parts).
     """
     stencil = _Stencil(field).load(field.slices[-1])
-    w00, w01, w11 = _w_scalar_parts(*stencil.blocks(), stencil.mixed())
+    w00, w01, w11 = _w_scalar_parts(*map(stencil.crop, stencil.blocks()), stencil.mixed())
     names = ("w01",) if len(w01) == 1 else ("w01_re", "w01_im")
     return {"w00": w00, **dict(zip(names, w01)), "w11": w11}
 

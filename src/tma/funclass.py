@@ -14,6 +14,7 @@ identity claims become sweep-testable without rejection sampling.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -134,11 +135,11 @@ class EnsembleSpec:
     (complex flavor) plus ``n_atoms >= 0`` trig atoms whose Hessian sup-norms
     sum to ``eps >= 0``, over integers ``k >= 0`` convex and ``l >= 0`` concave
     variables with ``k + l >= 1``; the ``flavor`` is ``"real"`` or
-    ``"complex"``, ``a``, ``b`` and ``domain_halfwidth`` are positive and the
-    ``seed`` a nonnegative integer (else :class:`ParseError` for any of
-    them).  Every draw passes membership with ``lam = min(a,b)/2`` and
-    ``Lam = 2 max(a,b)``, which needs ``eps <= min(a,b)/2`` (else
-    :class:`AmplitudeTooLarge`).
+    ``"complex"``, ``a``, ``b`` and ``domain_halfwidth`` are positive and
+    finite and the ``seed`` a nonnegative integer (else :class:`ParseError`
+    for any of them).  Every draw passes membership with
+    ``lam = min(a,b)/2`` and ``Lam = 2 max(a,b)``, which needs
+    ``eps <= min(a,b)/2`` (else :class:`AmplitudeTooLarge`).
     """
 
     k: int
@@ -163,8 +164,8 @@ class EnsembleSpec:
             raise ParseError(f"ensemble.flavor: expected real|complex, got {self.flavor!r}")
         for name in ("a", "b", "domain_halfwidth"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
-                raise ParseError(f"ensemble.{name}: expected a positive number, got {value!r}")
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise ParseError(f"ensemble.{name}: expected a positive finite number, got {value!r}")
         if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 0:
             raise ParseError(f"ensemble.n_atoms: expected an unsigned integer, got {self.n_atoms!r}")
         if not (isinstance(self.eps, numbers.Real) and self.eps >= 0):

@@ -311,14 +311,14 @@ class PeriodicBase:
 BoundaryPolicy = Union[FrozenFrame, PeriodicBase]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowField:
     """A grid, a boundary policy, and the time slices of a run.
 
     ``slices[i]`` holds the nodal values at ``times[i]``; stepping appends.
     ``cfl_log`` records the measured explicit-stability bound at each step
-    taken with the explicit scheme.  Instances are treated as immutable:
-    stepping operations return a new ``FlowField``.
+    taken with the explicit scheme.  Instances are frozen: stepping
+    operations return a new ``FlowField``.
 
     Built directly, by a factory or by ``dataclasses.replace``, a field is
     checked by ``__post_init__``; the boundary data come from its policy.
@@ -333,8 +333,8 @@ class FlowField:
     cfl_log: List[float] = dc_field(default_factory=list)
 
     def __post_init__(self):
-        self.slices = [np.asarray(u, dtype=float) for u in self.slices]
-        self.times = [float(t) for t in self.times]
+        object.__setattr__(self, "slices", [np.asarray(u, dtype=float) for u in self.slices])
+        object.__setattr__(self, "times", [float(t) for t in self.times])
         if len(self.slices) != len(self.times) or not self.slices:
             raise DimensionMismatch(f"a flow field needs one time per slice and at least one slice, "
                                     f"got {len(self.slices)} slices and {len(self.times)} times")
@@ -344,7 +344,7 @@ class FlowField:
         _grid_flavor(self.grid)  # a grid whose dimension fixes no flavor raises here
         if not (0.0 <= self.dt < math.inf):
             raise TmaError(f"timestep must be nonnegative and finite, got {self.dt}")
-        self.dt = float(self.dt)
+        object.__setattr__(self, "dt", float(self.dt))
         for i, t in enumerate(self.times):
             if not math.isfinite(t):
                 raise TmaError(f"{'start time' if i == 0 else f'time {i}'} must be finite, got {t}")
@@ -386,8 +386,9 @@ def flow_from_spec(
     """Initialize a flow field by evaluating ``spec`` on the grid at time 0.
 
     On a framed grid the policy defaults to a frozen frame carrying the same
-    description (so the initial slice and the boundary agree); on a periodic
-    grid an explicit :class:`PeriodicBase` must be supplied.
+    description (so the initial slice and the boundary agree), whose frame
+    is read from that one evaluation; on a periodic grid an explicit
+    :class:`PeriodicBase` must be supplied.
     """
     if policy is None:
         if grid.periodic:
@@ -398,6 +399,9 @@ def flow_from_spec(
         policy = FrozenFrame(spec)
     values = evaluate_on_grid(spec, grid)
     _require_one_slot_each(spec, grid)
+    if isinstance(policy, FrozenFrame) and policy.spec is spec and grid not in policy._frames:
+        mask = grid.frame_mask()
+        policy._frames[grid] = mask, values[mask]
     return flow_from_values(values, grid, dt, policy)
 
 
@@ -438,31 +442,30 @@ def _wrap(g: np.ndarray) -> None:
 class _Stencil:
     """Centered second differences of one flow's slices and their slots, on buffers kept between calls.
 
-    :meth:`load` makes a stored slice the one to difference; on a periodic
-    grid it writes ``u - base`` and its wrap into a ghosted buffer, on a
-    framed grid it reads the slice itself, frame included.
-    :meth:`differences` writes each result into a buffer kept per pair and
-    region shape, so the arrays it returns are overwritten by the next call
-    for the same pair and shape.  :meth:`blocks` and :meth:`mixed` combine
-    them into the flavor's slots.
+    :meth:`load` makes a slice the one to difference: a *stored* slice (as
+    a :class:`FlowField` keeps it) or a *stage* slice (as the RK4 stages
+    run it), told apart by shape.  :meth:`blocks` gives the loaded slice's
+    convex and negated concave block fields as *stage arrays*, and
+    :meth:`crop` gives a contiguous copy of the stored part of a stage
+    slice or stage array.  :meth:`differences` writes into buffers kept per
+    pair and region shape, so what it, :meth:`blocks` and :meth:`mixed`
+    return is overwritten by the next call for the same pair and shape.
 
-    RK4 stages work in the *stage layout*.  On a framed grid a stage slice
-    is grid-shaped, frame included, and a stage array (block field, stage
-    speed) holds its interior, read through strided views.  On a periodic
-    grid both are in the *padded* layout ``(n0, n1+2, ..., n_last+2)``: the
-    ghost buffer's rows with their ghost ends.  :attr:`window` is the run of
-    the ghost buffer in that layout, so a stage slice advanced into it needs
-    no copy, and each difference over the whole interior reads flat runs at
-    offsets of the ghost buffer's strides (``+-1`` along the last axis,
-    ``+-(n_last+2)`` along the one before) from one contiguous window.
-    Entries past an axis' last node are junk: :meth:`stage_blocks`
+    On a framed grid a stage slice is a stored one, grid-shaped and read in
+    place, and a stage array holds the interior, read through strided
+    views.  On a periodic grid stage slices and stage arrays are in the
+    *padded* layout ``(n0, n1+2, ..., n_last+2)``: the ghost buffer's rows
+    with their ghost ends, where :meth:`load` writes ``u - base`` and its
+    wrap.  :attr:`window` is the ghost buffer's run in that layout, so a
+    stage slice advanced into it needs no copy, and each difference over
+    the whole interior reads flat runs at offsets of the ghost buffer's
+    strides (``+-1`` along the last axis, ``+-(n_last+2)`` along the one
+    before).  Entries past an axis' last node are junk: :meth:`blocks`
     overwrites those of the block fields with copies of real values, so a
     min, a max or a log over a whole stage array sees node values only.
-    ``stage`` indexes a stage slice's stage-array part, ``inner`` crops a
-    stage array to the interior, and :meth:`pad` and :meth:`crop` convert
-    slices between the stored and the stage layouts.  Framed grids keep
-    strided views: only periodic grids have a ghost buffer, and flat runs
-    measured slower on framed 4-D grids.
+    ``stage`` indexes a stage slice's stage-array part, ``inner`` a stage
+    array's interior, and :meth:`pad` makes a stage slice of a stored one.
+    Framed grids keep strided views: flat runs measured slower there in 4-D.
     """
 
     def __init__(self, f: FlowField):
@@ -497,32 +500,30 @@ class _Stencil:
                      for a, n in enumerate(self.shape) if a > 0]
 
     def pad(self, u: np.ndarray) -> np.ndarray:
-        """The stored slice ``u`` in the stage layout: on a periodic grid a padded copy, junk zero."""
+        """The stored slice ``u`` as a stage slice: on a periodic grid a padded copy, junk zero."""
         if self.window is None:
             return u
         out = np.zeros(self.window.shape)
         out[self.inner] = u
         return out
 
-    def crop(self, u: np.ndarray) -> np.ndarray:
-        """The stage slice ``u`` as a stored slice: on a periodic grid a contiguous copy of its nodes."""
-        return u if self.window is None else np.ascontiguousarray(u[self.inner])
+    def crop(self, a: np.ndarray, region: Optional[Tuple[slice, ...]] = None) -> np.ndarray:
+        """A contiguous copy of the stored part of ``a``, a stage slice or a stage array.
 
-    def _load(self, u: np.ndarray, index: Tuple[slice, ...]) -> "_Stencil":
-        if self.window is not None:
-            np.subtract(u, self.base[index], out=self.window[index])
-            _wrap(self.ghosted)
-        else:
-            self.ghosted = u
-        return self
+        That is the stored slice of a stage slice, or the interior of a stage
+        array, or its sub-box ``region`` (slices in interior coordinates).
+        """
+        return a[self.inner if region is None else region].copy()
 
     def load(self, u: np.ndarray) -> "_Stencil":
-        """Make the stored slice ``u`` the one to difference."""
-        return self._load(u, self.inner)
-
-    def load_stage(self, u: np.ndarray) -> "_Stencil":
-        """Make the stage slice ``u`` the one to difference; it may be :attr:`window` itself."""
-        return self._load(u, self.stage)
+        """Make ``u`` the one to difference: a stored or a stage slice, which may be :attr:`window` itself."""
+        if self.window is None:
+            self.ghosted = u
+        else:
+            index = self.stage if u.shape == self.window.shape else self.inner
+            np.subtract(u, self.base[index], out=self.window[index])
+            _wrap(self.ghosted)
+        return self
 
     def _buffer(self, key, shape: Tuple[int, ...]) -> np.ndarray:
         if (key, shape) not in self.buffers:
@@ -591,7 +592,7 @@ class _Stencil:
             out[a, b] = d
         return out
 
-    def stage_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
+    def blocks(self) -> Tuple[np.ndarray, np.ndarray]:
         """Scalar convex-block and (negated) concave-block fields of the loaded slice, in the stage layout.
 
         They are computed in place in the buffers of the diagonal
@@ -611,14 +612,6 @@ class _Stencil:
                 for junk, last in self.junk:
                     block[junk] = block[last]
         return conv, conc
-
-    def blocks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The block fields of :meth:`stage_blocks`, interior-shaped and contiguous.
-
-        On a framed grid they are the stage blocks themselves; on a periodic
-        grid, contiguous crops of them.
-        """
-        return tuple(np.ascontiguousarray(block[self.inner]) for block in self.stage_blocks())
 
     def mixed(self, region: Optional[Tuple[slice, ...]] = None) -> Tuple[np.ndarray, ...]:
         """The mixed slot derivative ``M = u_{z wbar}`` of the loaded slice on ``region``.
@@ -662,9 +655,9 @@ def discrete_time_speed(f: FlowField, index: int = -1) -> np.ndarray:
     This equals the time speed ``du/dt`` the flow would impose on that slice;
     frame entries are NaN on framed grids.
     """
+    stencil = _Stencil(f).load(f.slices[index])
     out = np.full(f.grid.shape, np.nan)
-    out[f.grid.interior] = _flow_value(*_Stencil(f).load(f.slices[index]).blocks(),
-                                       "time-speed evaluation")
+    out[f.grid.interior] = _flow_value(*map(stencil.crop, stencil.blocks()), "time-speed evaluation")
     return out
 
 
@@ -714,12 +707,12 @@ def _rk4_step(f: FlowField, stencil: _Stencil, u: np.ndarray, t: float) -> Tuple
     ii = stencil.stage
 
     def speed(slice_: np.ndarray, where: str, out: np.ndarray) -> None:
-        conv, conc = stencil.load_stage(slice_).stage_blocks()
+        conv, conc = stencil.load(slice_).blocks()
         _require_membership(conv, conc, where)
         np.subtract(np.log(conv, out=conv), np.log(conc, out=conc), out=out)
 
     # stage 1 also measures the stability bound, before its logs
-    conv, conc = stencil.load_stage(u).stage_blocks()
+    conv, conc = stencil.load(u).blocks()
     lam = _require_membership(conv, conc, "explicit step")
     Lam = max(float(conv.max()), float(conc.max()))
     bound = _cfl_bound(f, lam, Lam)
@@ -1002,7 +995,7 @@ def _semi_implicit_step(f: FlowField, stencil: _Stencil, u: np.ndarray,
     :class:`NoConvergence` rather than returning an unconverged increment.
     """
     dt = f.dt
-    conv, conc = stencil.load_stage(u).blocks()
+    conv, conc = map(stencil.crop, stencil.load(u).blocks())
     rhs = dt * _flow_value(conv, conc, "semi-implicit step").ravel()
     gammas = _linearized_gammas(f, conv, conc)
     system = _Operator(f.grid, gammas, dt)
@@ -1061,7 +1054,7 @@ def run_flow(
         if n % snapshot_every == 0 or n == steps:
             new_slices.append(stencil.crop(u))
             new_times.append(t0 + n * f.dt)
-    _require_membership(*stencil.load_stage(u).stage_blocks(), "post-step check")
+    _require_membership(*stencil.load(u).blocks(), "post-step check")
     return dataclasses.replace(f, slices=new_slices, times=new_times, cfl_log=new_log)
 
 
@@ -1107,11 +1100,12 @@ def solve_elliptic(
     f = flow_from_values(guess, grid, 0.0, FrozenFrame(boundary))
     u = f.slices[0]
     ii = grid.interior
+    stencil = _Stencil(f)
 
     def residual_of(candidate: np.ndarray,
                     where: str) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        # a fresh stencil per evaluation: the accepted iterate's blocks outlive the trials
-        conv, conc = _Stencil(f).load(candidate).blocks()
+        # copies: the accepted iterate's blocks outlive the trials
+        conv, conc = map(stencil.crop, stencil.load(candidate).blocks())
         r = _flow_value(conv, conc, where)
         return float(np.abs(r).max()), r, conv, conc
 
@@ -1190,7 +1184,7 @@ def monitor_class(
     first: Optional[int] = None
     stencil = _Stencil(f)
     for i, u in enumerate(f.slices):
-        conv, conc = stencil.load(u).blocks()
+        conv, conc = stencil.load(u).blocks()  # stage layout: its junk entries copy real ones
         cmin[i], cmax[i] = conv.min(), conv.max()
         kmin[i], kmax[i] = conc.min(), conc.max()
         bounds = (cmin[i], cmax[i], kmin[i], kmax[i])

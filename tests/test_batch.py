@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tma import cli
-from tma.errors import ClassExit, DimensionMismatch, DomainViolation, ParseError, TmaError
+from tma.errors import ClassExit, DegenerateLadder, DimensionMismatch, DomainViolation, ParseError, TmaError
 from tma.evolution import (
     FlowBlock,
     assemble_Q,
@@ -43,7 +43,7 @@ from tma.jets import (
 )
 from tma.legendre import det_transform_residual, partial_legendre, real_W
 from tma.linalg import inverse_and_logdet
-from tma.estimates import flow_quantities
+from tma.estimates import flow_quantities, holder_exponent_fit
 from tma.solver import (
     BoxGrid,
     PeriodicBase,
@@ -141,6 +141,9 @@ _DEGENERATE_INPUTS = {
     "EnsembleSpec_negative_a": (lambda: EnsembleSpec(k=1, l=1, a=-1.0), ParseError),
     "EnsembleSpec_zero_b": (lambda: EnsembleSpec(k=1, l=1, b=0.0), ParseError),
     "EnsembleSpec_negative_halfwidth": (lambda: EnsembleSpec(k=1, l=1, domain_halfwidth=-1.0), ParseError),
+    "EnsembleSpec_inf_halfwidth": (lambda: EnsembleSpec(k=1, l=1, domain_halfwidth=np.inf), ParseError),
+    "EnsembleSpec_inf_a": (lambda: EnsembleSpec(k=1, l=1, a=np.inf), ParseError),
+    "EnsembleSpec_inf_b": (lambda: EnsembleSpec(k=1, l=1, b=np.inf), ParseError),
     "EnsembleSpec_negative_n_atoms": (lambda: EnsembleSpec(k=1, l=1, n_atoms=-2), ParseError),
     "EnsembleSpec_fractional_n_atoms": (lambda: EnsembleSpec(k=1, l=1, n_atoms=1.5), ParseError),
     "EnsembleSpec_negative_eps": (lambda: EnsembleSpec(k=1, l=1, eps=-3.0), ParseError),
@@ -169,6 +172,10 @@ _DEGENERATE_INPUTS = {
     "BoxGrid_nan_hi": (lambda: BoxGrid((-1.0, -1.0), (1.0, np.nan), (9, 9)), TmaError),
     "PeriodicBase_nan_coefficient": (lambda: PeriodicBase((np.nan, -1.0)), TmaError),
     "PeriodicBase_inf_coefficient": (lambda: PeriodicBase((1.0, -np.inf)), TmaError),
+    "holder_exponent_fit_nan_radius": (lambda: holder_exponent_fit([1.0, 0.5, np.nan], [1.0, 0.5, 0.25]),
+                                       DegenerateLadder),
+    "holder_exponent_fit_inf_radius": (lambda: holder_exponent_fit([np.inf, 0.5, 0.25], [1.0, 0.5, 0.25]),
+                                       DegenerateLadder),
 }
 
 
@@ -381,10 +388,18 @@ _CELLS = st.one_of(
 @settings(max_examples=60)
 @given(st.lists(st.lists(_CELLS, max_size=6).map(tuple), max_size=12))
 def test_csv_writer_equals_cell_by_cell_formatting(tmp_path_factory, rows):
-    # one %-format per row type signature, against _csv_cell on every cell
+    # one %-format per row type signature, against the documented rule on every cell:
+    # a string as it is, an integer (not a bool) in decimal, anything else as float(v) to 17 digits
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+            return str(int(v))
+        return format(float(v), ".17g")
+
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     cli._write_csv(str(path), ("a", "b"), rows)
-    want = "\n".join(["a,b"] + [",".join(cli._csv_cell(c) for c in row) for row in rows]) + "\n"
+    want = "\n".join(["a,b"] + [",".join(map(cell, row)) for row in rows]) + "\n"
     assert path.read_bytes() == want.encode()
 
 

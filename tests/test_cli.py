@@ -11,6 +11,7 @@ Oracle strategy:
 
 import gc
 import json
+import math
 import os
 import pathlib
 import re
@@ -781,6 +782,27 @@ class TestCommandLine:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert "eps" in capsys.readouterr().err
+        assert not out.exists()
+
+    # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads back as floats, and
+    # integers of any size; NaN guess_eps used to run and pass with the perturbation dropped
+    @pytest.mark.parametrize("body, key", [
+        ({"suite": "det-law", "seed": 1, "a": math.inf}, "a"),
+        ({"suite": "oscillation-decay", "amplitude": math.nan}, "amplitude"),
+        ({"suite": "rigidity", "guess_eps": math.nan}, "guess_eps"),
+        ({"suite": "rigidity", "mode": [2.0, -math.inf]}, "mode[1]"),
+        ({"suite": "oscillation-decay", "modes": [[1.0, 1.0], [math.nan, 1.0]]}, "modes[1][0]"),
+        ({"suite": "flow-convergence", "time_order_min": -math.inf}, "time_order_min"),
+        ({"suite": "rigidity", "det_tol": 10**400}, "det_tol"),
+    ], ids=["sweep_inf_a", "nan_amplitude", "nan_guess_eps", "inf_mode", "nan_modes_entry", "inf_order_bound",
+            "integer_past_float_range"])
+    def test_non_finite_numbers_exit_two_and_write_nothing(self, tmp_path, capsys, body, key):
+        cfg = write_json(tmp_path, "cfg.json", body)
+        assert main(["validate", "--config", cfg]) == 2
+        assert f"{key}: must be finite" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{key}: must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_validate_does_not_accept_missing_seed(self, tmp_path):

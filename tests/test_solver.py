@@ -383,6 +383,14 @@ class TestFlowFieldConstruction:
         with pytest.raises(DimensionMismatch, match="values have shape"):
             dataclasses.replace(f, grid=FRAMED17.refined())
 
+    def test_fields_cannot_be_assigned(self):
+        # an assignment would skip __post_init__'s checks
+        f = flow_from_spec(RIPPLE, FRAMED17, 1e-4)
+        for name, value in (("dt", math.nan), ("times", []), ("slices", [])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, value)
+        assert f.dt == 1e-4 and f.times == [0.0] and len(f.slices) == 1
+
     @pytest.mark.parametrize("slices, times", [(2, [0.0]), (1, [0.0, 1e-4]), (0, [])],
                              ids=["two_slices_one_time", "one_slice_two_times", "empty"])
     def test_slices_and_times_must_pair_up(self, slices, times):
@@ -430,11 +438,11 @@ class TestFlowFieldConstruction:
         monkeypatch.setattr(solver, "evaluate_on_grid", counting)
         grid = BoxGrid((-1.0,) * 4, (1.0,) * 4, (9,) * 4, frame=2)
         f = flow_from_spec(reference_flow_spec(math.e, 1.0, "complex11"), grid, 1e-3)
-        assert len(calls) == 2  # the initial values and the frame
+        assert len(calls) == 1  # one evaluation gives the initial values and the frame
         for _ in range(8):
             f = step_parabolic(f)
         f = step_parabolic(f, scheme="semi-implicit")
-        assert len(calls) == 2 and len(f.slices) == 10
+        assert len(calls) == 1 and len(f.slices) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from tma.solver import (
     evaluate_on_grid,
     flow_from_spec,
     flow_from_values,
+    monitor_class,
     periodic_base_for,
     perturbed_flow_spec,
     reference_flow_spec,
@@ -259,7 +260,8 @@ class TestMatchesRollReference:
         # matrix, on seeded random vectors; the frame coupling against the
         # dropped leg weights
         f = make()
-        gammas = _linearized_gammas(f, *_Stencil(f).load(f.slices[-1]).blocks())
+        stencil = _Stencil(f).load(f.slices[-1])
+        gammas = _linearized_gammas(f, *map(stencil.crop, stencil.blocks()))
         ref_mat, _, ref_legs = _ref_operator(
             f, _linearized_gammas(f, *_ref_blocks(f, f.slices[-1])))
         ref_system = np.eye(len(ref_mat)) - f.dt * ref_mat
@@ -271,6 +273,29 @@ class TestMatchesRollReference:
         scale = max(ref_legs.max(), 1.0)
         assert np.abs(lop.frame_coupling() - ref_legs).max() <= 1e-12 * scale
         assert np.abs(system.frame_coupling() + f.dt * ref_legs).max() <= 1e-12 * f.dt * scale
+
+
+class TestOneLoaderOneBlockReader:
+    """``load`` reads a stored or a stage slice by its shape; ``blocks`` gives stage arrays, ``crop`` their nodes."""
+
+    @FIELDS
+    def test_stored_and_stage_slices_give_the_reference_blocks(self, make):
+        f = make()
+        u = f.slices[-1]
+        stencil = _Stencil(f)
+        stored = [stencil.crop(block) for block in stencil.load(u).blocks()]
+        staged = [stencil.crop(block) for block in stencil.load(stencil.pad(u)).blocks()]
+        assert all(same_bytes(a, b) for a, b in zip(stored, staged, strict=True))
+        reference = [block[f.grid.interior] for block in _ref_blocks(f, u)]
+        assert all(same_bytes(a, b) for a, b in zip(stored, reference, strict=True))
+
+    def test_monitor_class_extrema_skip_the_junk_entries(self):
+        f = run_flow(periodic2d_nonsquare(), 3)
+        series = monitor_class(f, 0.5, 2.0)
+        for i, u in enumerate(f.slices):
+            conv, conc = _ref_blocks(f, u)
+            got = (series.convex_min[i], series.convex_max[i], series.concave_min[i], series.concave_max[i])
+            assert got == (conv.min(), conv.max(), conc.min(), conc.max())
 
 
 # ---------------------------------------------------------------------------
