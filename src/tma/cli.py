@@ -239,11 +239,7 @@ class ExperimentConfig:
             if key == "suite":
                 continue
             if key == "seed":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigInvalid(f"seed: expected an integer, got {value!r}")
-                if value < 0:
-                    raise ConfigInvalid(f"seed: must be >= 0, got {value}")
-                seed = value
+                seed = _v_int("seed", value, 0)
             elif key == "out":
                 if not isinstance(value, str) or not value:
                     raise ConfigInvalid(f"out: expected a non-empty string, got {value!r}")
@@ -691,15 +687,12 @@ class ExperimentResult:
     """Everything one run produced: rows, assertions, file paths, verdict."""
 
     suite: str
-    header: Optional[Tuple[str, ...]]
     rows: List[Tuple]
     assertions: List[Dict[str, object]]
     passed: bool
     error: Optional[str]
     csv_path: Optional[str]
     manifest_path: str
-    wall_time_s: float
-    workers: int
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -762,15 +755,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     return ExperimentResult(
         suite=cfg.suite,
-        header=header,
         rows=rows,
         assertions=assertions,
         passed=passed,
         error=error,
         csv_path=wrote_csv,
         manifest_path=manifest_path,
-        wall_time_s=wall,
-        workers=workers,
     )
 
 

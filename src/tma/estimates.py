@@ -321,11 +321,14 @@ class FitReport:
     alpha: float
     residual: float
     degenerate: bool
-    intercept: float = math.nan
 
 
 def holder_exponent_fit(rhos: Sequence[float], oscillations: Sequence[float]) -> FitReport:
-    """Fit ``osc ~ C * rho^alpha`` on a ladder of at least three points."""
+    """Fit ``osc ~ C * rho^alpha`` on a ladder of at least three points.
+
+    Radii must be positive and finite and oscillations finite, or the ladder
+    raises :class:`DegenerateLadder`.
+    """
     rhos = np.asarray(rhos, dtype=float)
     oscs = np.asarray(oscillations, dtype=float)
     if rhos.shape != oscs.shape or rhos.ndim != 1:
@@ -338,16 +341,13 @@ def holder_exponent_fit(rhos: Sequence[float], oscillations: Sequence[float]) ->
         )
     if not ((rhos > 0) & (rhos < math.inf)).all():  # NaN fails both tests
         raise DegenerateLadder(f"ladder radii must be positive and finite, got {rhos.tolist()}")
+    if not np.isfinite(oscs).all():
+        raise DegenerateLadder(f"ladder oscillations must be finite, got {oscs.tolist()}")
     if (oscs <= 0).any():
         return FitReport(alpha=math.inf, residual=0.0, degenerate=True)
     coeffs, residuals, *_ = np.polyfit(np.log(rhos), np.log(oscs), 1, full=True)
     ssr = float(residuals[0]) if len(residuals) else 0.0
-    return FitReport(
-        alpha=float(coeffs[0]),
-        residual=math.sqrt(ssr / len(rhos)),
-        degenerate=False,
-        intercept=float(coeffs[1]),
-    )
+    return FitReport(alpha=float(coeffs[0]), residual=math.sqrt(ssr / len(rhos)), degenerate=False)
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,6 @@ class LadderReport:
     one for ``"total"``.
     """
 
-    cylinder: CylinderSpec
     rhos: Tuple[float, ...]
     per_quantity: Dict[str, Tuple[float, ...]]
     totals: Tuple[float, ...]
@@ -386,7 +385,6 @@ def oscillation_ladder(q: FieldQuantities, cyl: CylinderSpec) -> LadderReport:
     }
     fits["total"] = holder_exponent_fit(cyl.ladder, totals)
     return LadderReport(
-        cylinder=cyl,
         rhos=tuple(cyl.ladder),
         per_quantity={name: tuple(vals) for name, vals in per.items()},
         totals=tuple(totals),

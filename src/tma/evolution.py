@@ -18,10 +18,12 @@ two deliberately independent routes and never lets one stand in for the other:
 
 * **Route B (the transcription).**  :func:`assemble_Q` evaluates the 36
   explicit third-derivative contractions that the right-hand side expands
-  into, block by block, each tagged with a provenance label.  The four grouped
-  quadratic forms returned by :func:`q_sign_groupings` partition those terms
-  into sums that are individually Hermitian and negative semidefinite, which
-  is the whole reason the flow preserves the subsolution property.
+  into, each tagged with a provenance label and kept at the size of its block,
+  and adds each one once into that block of the source.  The four grouped
+  quadratic forms returned by :func:`q_sign_groupings` add the same
+  contractions up group by group, into sums that are individually Hermitian
+  and negative semidefinite, which is the whole reason the flow preserves the
+  subsolution property.
 
 :func:`evolution_residual` is the sup-norm gap between the two routes;
 :func:`heat_residual` plays the same game one level down, for the scalar
@@ -441,23 +443,17 @@ _BLOCK_SLICES = {
 }
 
 
-def _terms_from_context(ctx, k: int, l: int) -> Dict[str, np.ndarray]:
-    """Every labeled contraction of a stack, embedded at its block of the full ``(N, m, m)`` matrices."""
-    m = k + l
-    rows = ctx["rows"]
-    out: Dict[str, np.ndarray] = {}
-    for name, _group, block, sign, subs, keys in _TERMS:
-        full = np.zeros((rows, m, m), dtype=complex)
-        contrib = sign * _contract(subs, *(ctx[key] for key in keys))
-        full[(slice(None),) + _BLOCK_SLICES[block](k, l)] = contrib[..., :rows].transpose(2, 0, 1)
-        out[name] = full
-    return out
+def _terms_from_context(ctx) -> Dict[str, np.ndarray]:
+    """Every labeled contraction of a stack, signed, as einsum returns it: ``(r, c, N')`` for its block, rows last."""
+    return {
+        name: sign * _contract(subs, *(ctx[key] for key in keys)) for name, _group, _block, sign, subs, keys in _TERMS
+    }
 
 
 def _term_stack(table: WirtingerTable) -> Dict[str, np.ndarray]:
-    """Every labeled contraction of a table at one point, as a stack of one row."""
+    """Every labeled contraction of a table at one point, as a stack of one (doubled) row."""
     one_row = replace(table, entries=table.entries[None])
-    return _terms_from_context(_term_context(one_row), table.k, table.l)
+    return _terms_from_context(_term_context(one_row))
 
 
 def _finalize_hermitian(q: np.ndarray, what: str):
@@ -474,38 +470,26 @@ def _finalize_hermitian(q: np.ndarray, what: str):
     return (q + adj) / 2.0, defect
 
 
-def _source_from_terms(terms: Dict[str, np.ndarray]):
-    """Sum of the labeled contractions, made exactly Hermitian.
+def _summed(terms: Dict[str, np.ndarray], k: int, l: int, rows: int, group=None):
+    """The contractions of one grouping (of all of them for ``None``) added up, each at its block.
 
-    Returns the source matrices ``(N, m, m)``, the sup-norm of every
-    contraction ``(N, len(_TERMS))`` in ``_TERMS`` order, and the Hermitian
-    defects ``(N,)``.
+    Returns the first ``rows`` sums as ``(rows, m, m)`` matrices made exactly
+    Hermitian, and the Hermitian defect of each before.
     """
-    q = np.zeros(terms[_TERMS[0][0]].shape, dtype=complex)
-    for name, _group, _block, _sign, _subs, _keys in _TERMS:
-        q += terms[name]
-    norms = np.abs(np.stack([terms[name] for name, *_ in _TERMS], axis=1)).max(axis=(-2, -1))
-    q, defect = _finalize_hermitian(q, "source matrix")
-    return q, norms, defect
+    acc = np.zeros((k + l, k + l) + terms[_TERMS[0][0]].shape[-1:], dtype=complex)
+    for name, g, block, *_ in _TERMS:
+        if group in (None, g):
+            acc[_BLOCK_SLICES[block](k, l)] += terms[name]
+    q = np.ascontiguousarray(np.moveaxis(acc, -1, 0)[:rows])
+    return _finalize_hermitian(q, "source matrix" if group is None else f"grouping {group}")
 
 
-def _qtensor(q: np.ndarray, norms: np.ndarray, defect: np.ndarray, row: int) -> QTensor:
-    """One row of :func:`_source_from_terms` as a :class:`QTensor`, provenance from the nonzero norms."""
-    prov = tuple((name, nrm) for (name, *_), nrm in zip(_TERMS, norms[row].tolist()) if nrm > 0.0)
+def _qtensor(terms: Dict[str, np.ndarray], source, row: int) -> QTensor:
+    """One row of a :func:`_summed` source as a :class:`QTensor`, provenance from the nonzero sup-norms."""
+    q, defect = source
+    norms = ((name, float(np.max(np.abs(terms[name][..., row]), initial=0.0))) for name, *_ in _TERMS)
+    prov = tuple((name, nrm) for name, nrm in norms if nrm > 0.0)
     return QTensor(matrix=q[row], provenance=prov, hermitian_defect=float(defect[row]))
-
-
-def _groupings_from_terms(terms: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """The labeled contractions summed group by group, each made exactly Hermitian."""
-    out: Dict[str, np.ndarray] = {}
-    for gname in _GROUP_NAMES:
-        acc = np.zeros(terms[_TERMS[0][0]].shape, dtype=complex)
-        for name, group, _block, _sign, _subs, _keys in _TERMS:
-            if group == gname:
-                acc += terms[name]
-        acc, _ = _finalize_hermitian(acc, f"grouping {gname}")
-        out[gname] = acc
-    return out
 
 
 def assemble_Q(table: WirtingerTable) -> QTensor:
@@ -521,8 +505,8 @@ def assemble_Q(table: WirtingerTable) -> QTensor:
     point (both second-derivative blocks definite), or the inverse guards
     raise.
     """
-    q, norms, defect = _source_from_terms(_term_stack(table))
-    return _qtensor(q, norms, defect, 0)
+    terms = _term_stack(table)
+    return _qtensor(terms, _summed(terms, table.k, table.l, 1), 0)
 
 
 def q_sign_groupings(table: WirtingerTable) -> Dict[str, np.ndarray]:
@@ -533,8 +517,8 @@ def q_sign_groupings(table: WirtingerTable) -> Dict[str, np.ndarray]:
     sum equals :func:`assemble_Q` exactly (same contractions, same
     symmetrization).
     """
-    groups = _groupings_from_terms(_term_stack(table))
-    return {gname: acc[0] for gname, acc in groups.items()}
+    terms = _term_stack(table)
+    return {gname: _summed(terms, table.k, table.l, 1, gname)[0][0] for gname in _GROUP_NAMES}
 
 
 def subsolution_spectrum(table: WirtingerTable) -> float:
@@ -603,6 +587,11 @@ class FlowBlock:
     route A alone, :attr:`source` and the groupings route B alone.  Route A
     takes either flavor; everything else needs complex members.
 
+    Route B evaluates each contraction once, at the size of its block, and
+    every sum that reads it (the source, its grouping) adds it in at that
+    block.  The sup-norm of each contraction, the provenance of a
+    :class:`QTensor`, is taken only for the row that :meth:`report` asks for.
+
     The per-point functions (:func:`flow_report`, :func:`evolution_residual`,
     :func:`heat_residual`, :func:`evolution_lhs`, :func:`real_evolution_lhs`)
     are blocks of one row, and every row of a block is bit-identical to them:
@@ -630,11 +619,11 @@ class FlowBlock:
 
     @cached_property
     def _terms(self) -> Dict[str, np.ndarray]:
-        return _terms_from_context(self._context, self.k, self.l)
+        return _terms_from_context(self._context)
 
     @cached_property
     def _source(self):
-        return _source_from_terms(self._terms)
+        return _summed(self._terms, self.k, self.l, len(self.jets))
 
     @cached_property
     def lhs(self) -> np.ndarray:
@@ -654,8 +643,8 @@ class FlowBlock:
     @cached_property
     def grouping_spectrum_max(self) -> np.ndarray:
         """``(N, 4)``: the largest eigenvalue of each grouping, in the order g1..g4."""
-        groups = _groupings_from_terms(self._terms)
-        return np.max(np.linalg.eigvalsh(np.stack([groups[g] for g in _GROUP_NAMES], axis=1)), axis=-1)
+        groups = [_summed(self._terms, self.k, self.l, len(self.jets), g)[0] for g in _GROUP_NAMES]
+        return np.max(np.linalg.eigvalsh(np.stack(groups, axis=1)), axis=-1)
 
     @cached_property
     def evolution_residual(self) -> np.ndarray:
@@ -670,9 +659,8 @@ class FlowBlock:
 
     def report(self, row: int) -> FlowReport:
         """Every quantity of one row, as :func:`flow_report` returns it."""
-        q, norms, defect = self._source
         return FlowReport(
-            q=_qtensor(q, norms, defect, row),
+            q=_qtensor(self._terms, self._source, row),
             lhs=self.lhs[row],
             evolution_residual=float(self.evolution_residual[row]),
             heat_residual=float(self.heat_residual[row]),

@@ -267,8 +267,8 @@ class ExpressionSpec:
     # -- evaluation --------------------------------------------------------
 
     def value(self, point, time: float = 0.0) -> float:
-        coords = tuple(float(c) for c in point)
-        return float(_node_jet(self.expr, coords, 0)[0]) + self.time_drift * time
+        """``u(point, time)``, with the point checks of :func:`evaluate_jet`."""
+        return float(evaluate_jet(self, point, order=0).table[0]) + self.time_drift * time
 
     def in_domain(self, point) -> bool:
         hw = self.domain_halfwidth

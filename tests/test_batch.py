@@ -176,6 +176,12 @@ _DEGENERATE_INPUTS = {
                                        DegenerateLadder),
     "holder_exponent_fit_inf_radius": (lambda: holder_exponent_fit([np.inf, 0.5, 0.25], [1.0, 0.5, 0.25]),
                                        DegenerateLadder),
+    "holder_exponent_fit_nan_oscillation": (lambda: holder_exponent_fit([1.0, 0.5, 0.25], [1.0, np.nan, 0.25]),
+                                            DegenerateLadder),
+    "holder_exponent_fit_inf_oscillation": (lambda: holder_exponent_fit([1.0, 0.5, 0.25], [1.0, np.inf, 0.25]),
+                                            DegenerateLadder),
+    "holder_exponent_fit_minus_inf_oscillation": (
+        lambda: holder_exponent_fit([1.0, 0.5, 0.25], [1.0, 0.5, -np.inf]), DegenerateLadder),
 }
 
 
@@ -356,6 +362,23 @@ def test_flow_block_rows_equal_per_point_calls(suite, shape, seed, first, size, 
     k, l = shape
     block = cli._sweep_block_rows((suite, k, l, 1.0, 1.0, 0.1, seed, first, size, p))
     assert block == _per_point_rows(suite, k, l, seed, first, size, p)
+
+
+def test_flow_block_report_of_every_row_equals_flow_report():
+    # every field of every row's report, the provenance of the source included, against a block of one
+    es = EnsembleSpec(k=2, l=1, flavor="complex", eps=0.1, seed=19)
+    members = [draw_member(es, draw) for draw in range(16)]
+    pts = [sample_points(es, draw, 1) for draw in range(16)]
+    block = FlowBlock(members, pts)
+    for r, (member, xs) in enumerate(zip(members, pts)):
+        got, want = block.report(r), flow_report(member, tuple(float(c) for c in xs[0]))
+        assert got.q.matrix.tobytes() == want.q.matrix.tobytes(), r
+        assert got.q.provenance == want.q.provenance, r
+        assert got.q.hermitian_defect == want.q.hermitian_defect, r
+        assert got.lhs.tobytes() == want.lhs.tobytes(), r
+        assert (got.evolution_residual, got.heat_residual) == (want.evolution_residual, want.heat_residual), r
+        assert got.q_spectrum_max == want.q_spectrum_max, r
+        assert got.grouping_spectrum_max == want.grouping_spectrum_max, r
 
 
 @settings(max_examples=40)

@@ -166,7 +166,7 @@ def test_off_diagonal_blocks_are_adjoint_pairs():
     member = draw_member(es, 0)
     point = sample_points(es, 0, 1)[0]
     table = wirtinger_from_real(evaluate_jet(member, point, order=4))
-    terms = {name: t[0] for name, t in _term_stack(table).items()}
+    terms = {name: t[..., 0] for name, t in _term_stack(table).items()}
     for wz_name, zw_name in _ADJOINT_PAIRS.items():
         gap = np.max(np.abs(terms[wz_name] - terms[zw_name].conj().T))
         assert gap < 1e-14, (wz_name, zw_name)
@@ -320,8 +320,7 @@ ROUTE_B_NAMES = {
     "_contract",
     "_stacked_subscripts",
     "_rows_last",
-    "_source_from_terms",
-    "_groupings_from_terms",
+    "_summed",
     "_qtensor",
 }
 

@@ -174,6 +174,16 @@ def test_time_drift_enters_value_and_dt():
     assert jet.drift == 3.5
 
 
+def test_value_checks_the_point_as_evaluate_jet_does():
+    spec = quad_spec([[1.0, 0.0], [0.0, 1.0]], k=1, l=1, domain_halfwidth=1.0)
+    assert spec.value((1.0, 0.0)) == 0.5
+    with pytest.raises(DomainViolation, match="outside declared box"):
+        spec.value((5.0, 0.0))
+    for point in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(DimensionMismatch, match="coordinates"):
+            spec.value(point)
+
+
 def test_substitute_changes_coordinates_and_pads():
     # u = (x^2/2 + 0.3 xy - y^2/2 + 0.2 x - 0.1 y + 0.5) * exp(0.4 x - 0.7 y + 0.1) + 2 sin(x + y)
     u = ExpressionSpec(
