@@ -56,9 +56,9 @@ from .estimates import (
     oscillation_ladder,
     rigidity_probe,
 )
-from .evolution import FlowBlock, complexification_scaling, complexify_real
-from .funclass import EnsembleSpec, draw_member, sample_points
-from .jets import ExpressionSpec
+from .evolution import FlowBlock, complexification_scaling, complexify_block
+from .funclass import EnsembleSpec, draw_block
+from .jets import ExpressionSpec, SpecBlock
 from .legendre import LegendreBlock
 from .solver import (
     BoxGrid,
@@ -307,15 +307,15 @@ def _check(name: str, observed: float, relation: str, bound: float) -> Dict[str,
 class _Sweep:
     """One randomized sweep suite: its ensemble flavor, measured values, checks and defaults.
 
-    ``values(members, points)`` gives a block's values, one row of
-    ``columns`` per (draw, point) in draw-major order.  ``checks`` names one
+    ``values(block)`` gives the values of a drawn :class:`SpecBlock`, one
+    row of ``columns`` per (draw, point) in draw-major order.  ``checks`` names one
     assertion per column: it bounds the column's max by ``tolerance`` or, for
     a name starting ``min_``, its min from below by ``-tolerance``.
     """
 
     flavor: str
     columns: Tuple[str, ...]
-    values: Callable[[List[ExpressionSpec], np.ndarray], np.ndarray]
+    values: Callable[[SpecBlock], np.ndarray]
     checks: Tuple[str, ...]
     shapes: List[List[int]]
     draws: int
@@ -323,39 +323,38 @@ class _Sweep:
     tolerance: float
 
 
-def _q_sign_values(members, pts):
-    block = FlowBlock(members, pts)
-    return np.column_stack([block.q_spectrum_max, block.grouping_spectrum_max])
+def _q_sign_values(block):
+    flow = FlowBlock.of(block)
+    return np.column_stack([flow.q_spectrum_max, flow.grouping_spectrum_max])
 
 
-def _real_complexify_values(members, pts):
+def _real_complexify_values(block):
     """Real route A against route B of the complexified members."""
-    d = complexification_scaling(members[0].k, members[0].l)
-    lhs = d @ FlowBlock(members, pts).lhs @ d
-    lifted = np.concatenate([pts, np.zeros_like(pts)], axis=-1)
-    q = FlowBlock([complexify_real(s) for s in members], lifted).source
+    d = complexification_scaling(block.k, block.l)
+    lhs = d @ FlowBlock.of(block).lhs @ d
+    q = FlowBlock.of(complexify_block(block)).source
     return np.max(np.abs(lhs - q), axis=(-2, -1))
 
 
 _SHAPES_ALL = [[1, 1], [2, 1], [1, 2], [2, 2]]
 _SHAPES_COMPLEX = [[1, 1], [2, 1], [1, 2]]
 
-# The one place a sweep suite is defined.  Every suite takes a whole block of
-# draws in one stacked pass: the Legendre suites as a LegendreBlock, the flow
+# The one place a sweep suite is defined.  Every suite takes a whole drawn
+# block in one stacked pass: the Legendre suites as a LegendreBlock, the flow
 # suites as a FlowBlock.
 _SWEEPS: Dict[str, _Sweep] = {
-    "det-law": _Sweep("real", ("residual",), lambda members, pts: LegendreBlock(members, pts).det_residual,
+    "det-law": _Sweep("real", ("residual",), lambda block: LegendreBlock.of(block).det_residual,
                       ("max_det_residual",), _SHAPES_ALL, 100, 20, 1e-10),
-    "w-psd": _Sweep("real", ("lambda_min",), lambda members, pts: LegendreBlock(members, pts).w_spectrum_min,
+    "w-psd": _Sweep("real", ("lambda_min",), lambda block: LegendreBlock.of(block).w_spectrum_min,
                     ("min_w_eigenvalue",), _SHAPES_ALL, 100, 20, 1e-10),
     "q-sign": _Sweep("complex", ("q_lambda_max", "g1", "g2", "g3", "g4"), _q_sign_values,
                      ("max_q_eigenvalue",) + tuple(f"max_g{j}_eigenvalue" for j in range(1, 5)),
                      [[1, 1]], 100, 1, 1e-8),
     "evolution-identity": _Sweep("complex", ("residual",),
-                                 lambda members, pts: FlowBlock(members, pts).evolution_residual,
+                                 lambda block: FlowBlock.of(block).evolution_residual,
                                  ("max_evolution_residual",), _SHAPES_COMPLEX, 100, 1, 1e-8),
     "heat-identity": _Sweep("complex", ("residual",),
-                            lambda members, pts: FlowBlock(members, pts).heat_residual,
+                            lambda block: FlowBlock.of(block).heat_residual,
                             ("max_heat_residual",), _SHAPES_COMPLEX, 100, 1, 1e-10),
     "real-complexify": _Sweep("real", ("entry_gap",), _real_complexify_values,
                               ("max_entry_gap",), _SHAPES_ALL, 50, 2, 1e-10),
@@ -376,11 +375,8 @@ def _sweep_block_rows(payload: Tuple) -> List[Tuple]:
     suite, k, l, a, b, eps, seed, first, count, n_points = payload
     sweep = _SWEEPS[suite]
     es = EnsembleSpec(k=k, l=l, flavor=sweep.flavor, a=a, b=b, eps=eps, seed=seed)
-    draws = range(first, first + count)
-    members = [draw_member(es, draw) for draw in draws]
-    pts = np.stack([sample_points(es, draw, n_points) for draw in draws])
-    values = sweep.values(members, pts)
-    ids = [(draw, k, l, i) for draw in draws for i in range(n_points)]
+    values = sweep.values(draw_block(es, first, count, n_points))
+    ids = [(draw, k, l, i) for draw in range(first, first + count) for i in range(n_points)]
     return [row + tuple(v) for row, v in zip(ids, values.reshape(len(ids), -1).tolist())]
 
 

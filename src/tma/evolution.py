@@ -56,13 +56,13 @@ import numpy as np
 from .errors import DimensionMismatch, TmaError
 from .jets import (
     ExpressionSpec,
+    SpecBlock,
     WirtingerTable,
     _columns,
     _hessian_columns,
     _leibniz_table,
     _wirtinger_positions,
     multi_indices,
-    stacked_jets,
     substitute,
     unit_index,
     wirtinger_stack,
@@ -81,6 +81,7 @@ __all__ = [
     "heat_residual",
     "real_evolution_lhs",
     "complexify_real",
+    "complexify_block",
     "complexify_point",
     "complexification_scaling",
     "flow_report",
@@ -595,12 +596,22 @@ class FlowBlock:
     The per-point functions (:func:`flow_report`, :func:`evolution_residual`,
     :func:`heat_residual`, :func:`evolution_lhs`, :func:`real_evolution_lhs`)
     are blocks of one row, and every row of a block is bit-identical to them:
-    no number depends on how many rows share the pass.
+    no number depends on how many rows share the pass.  :meth:`of` makes the
+    block of a :class:`~tma.jets.SpecBlock`, such as a drawn one.
     """
 
     def __init__(self, members: Sequence[ExpressionSpec], points):
-        jets = stacked_jets(members, points, order=4)
-        self.k, self.l, self.flavor = members[0].k, members[0].l, members[0].flavor
+        self._evaluate(SpecBlock.of(members, points))
+
+    @classmethod
+    def of(cls, block: SpecBlock) -> "FlowBlock":
+        out = cls.__new__(cls)
+        out._evaluate(block)
+        return out
+
+    def _evaluate(self, block: SpecBlock) -> None:
+        jets = block.jets(4)
+        self.k, self.l, self.flavor = block.k, block.l, block.flavor
         self.jets = jets.reshape(-1, jets.shape[-1])
 
     @cached_property
@@ -737,16 +748,28 @@ def complexify_real(spec: ExpressionSpec) -> ExpressionSpec:
     over twice as many real coordinates, depending only on the first half.
     The convex/concave split and the declared box are preserved.
     """
+    _require_real(spec)
+    return ExpressionSpec._trusted(
+        substitute(spec.expr, [1.0] * spec.nvars, spec.nvars),
+        spec.k,
+        spec.l,
+        "complex",
+        spec.time_drift,
+        spec.domain_halfwidth,
+    )
+
+
+def complexify_block(block: SpecBlock) -> SpecBlock:
+    """:func:`complexify_real` of every member of a real block, at its points lifted by :func:`complexify_point`."""
+    _require_real(block)
+    n = block.nvars
+    lifted = np.concatenate([block.points, np.zeros_like(block.points)], axis=-1)
+    return SpecBlock(substitute(block.tree, [1.0] * n, n), block.k, block.l, "complex", block.halfwidth, lifted)
+
+
+def _require_real(spec) -> None:
     if spec.flavor != "real":
         raise DimensionMismatch("complexify_real expects a real-flavored spec")
-    return ExpressionSpec(
-        expr=substitute(spec.expr, [1.0] * spec.nvars, spec.nvars),
-        k=spec.k,
-        l=spec.l,
-        flavor="complex",
-        time_drift=spec.time_drift,
-        domain_halfwidth=spec.domain_halfwidth,
-    )
 
 
 def complexify_point(point) -> Tuple[float, ...]:

@@ -25,7 +25,7 @@ import numpy as np
 import numpy.random
 
 from .errors import AmplitudeTooLarge, DimensionMismatch, ParseError, TmaError
-from .jets import FLAVORS, ExpressionSpec, evaluate_hessians, wirtinger_hessians
+from .jets import FLAVORS, ExpressionSpec, SpecBlock, evaluate_hessians, wirtinger_hessians
 from .linalg import min_max_eigenvalues
 
 
@@ -203,29 +203,41 @@ def _draw_rng(es: EnsembleSpec, index: int, *stream: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(entropy=es.seed, spawn_key=(index, *stream)))
 
 
-def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
-    """The ``index``-th ensemble member: pure function of (seed, index).
+def _atom_draws(es: EnsembleSpec, index: int) -> List[Tuple[np.ndarray, str, float, float]]:
+    """``(affine, fn, phase, coefficient)`` of each trig atom of draw ``index``, from the draw's generator.
 
-    Splittable per draw so parallel and serial sweeps agree.
+    The one sequence of generator calls behind a member's atoms, made by
+    :func:`draw_member` and :func:`draw_block` alike.
     """
     n = es.nvars
     rng = _draw_rng(es, index)
-    terms = [
-        {
-            "kind": "quad",
-            "matrix": _base_quadratic_hessian(es).tolist(),
-            "linear": [0.0] * n,
-            "constant": 0.0,
-        }
-    ]
     per_atom = es.eps / max(es.n_atoms, 1)
+    atoms = []
     for _ in range(es.n_atoms):
         v = rng.uniform(-1.0, 1.0, n)
-        while float(v @ v) < 0.09:
+        while (norm2 := float(v @ v)) < 0.09:
             v = rng.uniform(-1.0, 1.0, n)
         fn = "sin" if rng.integers(2) == 0 else "cos"
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        coeff = per_atom / float(v @ v)  # atom Hessian sup-norm = coeff * |v|^2 = eps / n_atoms
+        # atom Hessian sup-norm = coefficient * |v|^2 = eps / n_atoms
+        atoms.append((v, fn, phase, per_atom / norm2))
+    return atoms
+
+
+def _base_quadratic(es: EnsembleSpec) -> dict:
+    n = es.nvars
+    return {"kind": "quad", "matrix": _base_quadratic_hessian(es).tolist(), "linear": [0.0] * n, "constant": 0.0}
+
+
+def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
+    """The ``index``-th ensemble member: pure function of (seed, index).
+
+    Splittable per draw so parallel and serial sweeps agree.  The tree is
+    built here from the validated ``es``, so it is not walked again: only a
+    caller's tree is validated (:class:`ExpressionSpec`).
+    """
+    terms = [_base_quadratic(es)]
+    for v, fn, phase, coeff in _atom_draws(es, index):
         terms.append(
             {
                 "kind": "scale",
@@ -233,7 +245,7 @@ def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
                 "term": {"kind": "atom", "fn": fn, "affine": v.tolist(), "const": phase},
             }
         )
-    return ExpressionSpec(expr={"kind": "sum", "terms": terms}, k=es.k, l=es.l, flavor=es.flavor)
+    return ExpressionSpec._trusted({"kind": "sum", "terms": terms}, es.k, es.l, es.flavor)
 
 
 def sample_points(es: EnsembleSpec, index: int, n_points: int) -> np.ndarray:
@@ -242,3 +254,39 @@ def sample_points(es: EnsembleSpec, index: int, n_points: int) -> np.ndarray:
         raise DimensionMismatch(f"need n_points >= 0, got {n_points}")
     rng = _draw_rng(es, index, 1)
     return rng.uniform(-es.domain_halfwidth, es.domain_halfwidth, (n_points, es.nvars))
+
+
+def draw_block(es: EnsembleSpec, first: int, count: int, n_points: int) -> SpecBlock:
+    """Draws ``first .. first + count - 1`` of ``es``, each at ``n_points`` points, as one stacked block.
+
+    Each draw makes the generator calls of :func:`draw_member` and
+    :func:`sample_points` on its own two generators, in their order, and its
+    numbers go straight into the stacked leaves: no tree per draw is built.
+    The block equals ``SpecBlock.of`` of those members at those points bit
+    for bit, so each draw stays a pure function of (seed, index).
+    """
+    if count < 1:
+        raise DimensionMismatch(f"a block of draws needs count >= 1, got {count}")
+    if n_points < 0:
+        raise DimensionMismatch(f"need n_points >= 0, got {n_points}")
+    n, hw = es.nvars, es.domain_halfwidth
+    affine = np.empty((es.n_atoms, count, n))
+    const = np.empty((es.n_atoms, count))
+    coeff = np.empty((es.n_atoms, count))
+    fns = [[""] * count for _ in range(es.n_atoms)]
+    points = np.empty((count, n_points, n))
+    for r, index in enumerate(range(first, first + count)):
+        for j, (v, fn, phase, c) in enumerate(_atom_draws(es, index)):
+            affine[j, r], fns[j][r], const[j, r], coeff[j, r] = v, fn, phase, c
+        points[r] = _draw_rng(es, index, 1).uniform(-hw, hw, (n_points, n))
+    exponent = (None,) * count
+    terms = [_base_quadratic(es)] + [
+        {
+            "kind": "scale",
+            "coefficient": coeff[j],
+            "term": {"kind": "atom", "fn": tuple(fns[j]), "affine": affine[j], "const": const[j], "exponent": exponent},
+        }
+        for j in range(es.n_atoms)
+    ]
+    # like draw_member's specs, the members declare no box; their points lie in the ensemble's
+    return SpecBlock({"kind": "sum", "terms": terms}, es.k, es.l, es.flavor, np.full(count, math.inf), points)

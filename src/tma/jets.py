@@ -13,8 +13,8 @@ spatial partial to total order 4 as a :class:`SpaceTimeJet`), the Hessians of
 a whole ``(m, n)`` point array at once (:func:`evaluate_hessians`, an
 ``(m, n, n)`` stack; :func:`wirtinger_hessians`, the ``(m, k + l, k + l)``
 stack of ``u_{z_a zbar_b}``), the jets of a block of specs sharing one tree
-layout, each at its own points (:func:`stacked_jets`, with the leaf
-parameters carried per member) and grid values
+layout, each at its own points (:class:`SpecBlock`, with the leaf parameters
+carried per member; :func:`stacked_jets` of a list of specs) and grid values
 (:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`substitute` is
 the one rewriter of trees: it changes a tree's coordinates by ``x -> scale * x``,
 optionally adding coordinates the tree does not depend on.
@@ -197,6 +197,13 @@ class ExpressionSpec:
     (``nvars = k + l``) or complex ones (``nvars = 2(k + l)`` real
     coordinates).  ``time_drift`` adds a linear-in-time term ``drift * t``,
     the only explicit time dependence a spec can carry.
+
+    A caller's tree is validated where it enters: at construction (and so
+    at :meth:`from_dict`, and at ``dataclasses.replace``), which walks the
+    whole tree and raises :class:`ParseError` or :class:`UnknownAtom` naming
+    the path of the first fault.  A tree that package code builds from
+    parts already validated (an ensemble draw, a complexified spec) enters
+    through :meth:`_trusted` instead and is not walked again.
     """
 
     expr: dict
@@ -216,6 +223,20 @@ class ExpressionSpec:
         if self.k < 0 or self.l < 0 or self.k + self.l == 0:
             raise ParseError(f"at dims: need k >= 0, l >= 0, k + l >= 1; got ({self.k}, {self.l})")
         _validate_node(self.expr, self.nvars, "expr")
+
+    @classmethod
+    def _trusted(cls, expr: dict, k: int, l: int, flavor: str = "real", time_drift: float = 0.0,
+                 domain_halfwidth: float = math.inf) -> "ExpressionSpec":
+        """The spec of a tree built by package code from validated parts, made without the checks.
+
+        Only for trees whose every number and kind the builder itself chose
+        from checked inputs; a tree holding a caller's numbers goes through
+        the constructor.
+        """
+        spec = cls.__new__(cls)
+        spec.__dict__.update(expr=expr, k=k, l=l, flavor=flavor, time_drift=time_drift,
+                             domain_halfwidth=domain_halfwidth)
+        return spec
 
     # -- serialization ---------------------------------------------------
 
@@ -468,7 +489,8 @@ def substitute(node: dict, scale, extra: int = 0) -> dict:
     becomes ``scale[i] * scale[j] * m[i][j]`` and a linear or affine entry
     ``v[i]`` becomes ``scale[i] * v[i]``; the ``extra`` trailing coordinates
     get zeros, so the tree does not depend on them.  Sum, product and scale
-    nodes are rebuilt around their rewritten children.
+    nodes are rebuilt around their rewritten children.  A stacked tree
+    (:class:`SpecBlock`) is rewritten the same way, row by row.
     """
     kind = node["kind"]
     if kind == "sum":
@@ -486,7 +508,10 @@ def substitute(node: dict, scale, extra: int = 0) -> dict:
             "linear": [s * v for s, v in zip(scale, node["linear"])] + pad,
             "constant": node["constant"],
         }
-    return {**node, "affine": [s * v for s, v in zip(scale, node["affine"])] + pad}
+    affine = node["affine"]
+    if isinstance(affine, np.ndarray):  # a stacked leaf: one row per member
+        return {**node, "affine": np.concatenate([affine * scale, np.zeros((len(affine), extra))], axis=1)}
+    return {**node, "affine": [s * v for s, v in zip(scale, affine)] + pad}
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +604,62 @@ def _hessian_columns(nvars: int, order: int) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True)
+class SpecBlock:
+    """B specs of one shape, flavor and tree layout, each at its own p points: one call of the jet engine.
+
+    ``tree`` is the members' one tree with their leaf parameters stacked as
+    :func:`_stack_tree` lays them out, ``halfwidth`` the ``(B,)`` declared
+    boxes and ``points`` the ``(B, p, nvars)`` evaluation points, member
+    ``r`` at ``points[r]``.  :meth:`of` stacks a list of specs;
+    :func:`tma.funclass.draw_block` draws ensemble members straight into
+    this form.  Either way :meth:`jets` is the one engine call.
+    """
+
+    tree: dict
+    k: int
+    l: int
+    flavor: str
+    halfwidth: np.ndarray
+    points: np.ndarray
+
+    @property
+    def nvars(self) -> int:
+        return self.points.shape[2]
+
+    @classmethod
+    def of(cls, members, points) -> "SpecBlock":
+        """The block of ``members``, spec ``r`` at ``points[r]``; raises :class:`DimensionMismatch` as ``stacked_jets``."""
+        if not members:
+            raise DimensionMismatch("a block of stacked specs needs at least one spec")
+        first = members[0]
+        if any((s.k, s.l, s.flavor) != (first.k, first.l, first.flavor) for s in members):
+            raise DimensionMismatch("stacked specs differ in shape or flavor")
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 3 or points.shape[0] != len(members) or points.shape[2] != first.nvars:
+            raise DimensionMismatch(
+                f"points of shape {points.shape} do not give {len(members)} specs {first.nvars} coordinates each"
+            )
+        halfwidth = np.array([s.domain_halfwidth for s in members])
+        return cls(_stack_tree([s.expr for s in members]), first.k, first.l, first.flavor, halfwidth, points)
+
+    def jets(self, order: int) -> np.ndarray:
+        """``(B, p, P)`` jet arrays over ``multi_indices(nvars, order)``; raises as :func:`stacked_jets`."""
+        _require_order(order)
+        points = self.points
+        outside = ~np.all(np.abs(points) <= self.halfwidth[:, None, None], axis=2)
+        if outside.any():
+            r, i = np.unravel_index(np.argmax(outside), outside.shape)
+            raise DomainViolation(
+                f"point {tuple(points[r, i].tolist())} outside declared box of halfwidth {self.halfwidth[r]}"
+            )
+        # one row per (spec, point), on contiguous 1-D coordinate arrays: strided
+        # or 2-D ones would slow every elementwise step of the engine
+        b, p, n = points.shape
+        coords = np.ascontiguousarray(points.reshape(b * p, n).T)
+        return _node_jet(self.tree, tuple(coords), order).reshape(b, p, len(multi_indices(n, order)))
+
+
 def stacked_jets(members, points, order: int = 4) -> np.ndarray:
     """Spatial jets of a block of specs, each at its own points, from one engine call.
 
@@ -587,7 +668,8 @@ def stacked_jets(members, points, order: int = 4) -> np.ndarray:
     ``points`` is ``(B, p, nvars)`` and spec ``r`` is evaluated at
     ``points[r]``.  Returns ``(B, p, P)`` jet arrays over ``multi_indices(nvars,
     order)``; each row is bit-identical to the table of ``evaluate_jet`` at
-    that point.
+    that point.  This is :meth:`SpecBlock.jets` of ``SpecBlock.of(members,
+    points)``.
 
     Raises
     ------
@@ -599,30 +681,7 @@ def stacked_jets(members, points, order: int = 4) -> np.ndarray:
         naming the first (spec, point) row that leaves its spec's box, or when
         an atom is evaluated outside its domain.
     """
-    _require_order(order)
-    if not members:
-        raise DimensionMismatch("a block of stacked specs needs at least one spec")
-    first = members[0]
-    if any((s.k, s.l, s.flavor) != (first.k, first.l, first.flavor) for s in members):
-        raise DimensionMismatch("stacked specs differ in shape or flavor")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 3 or points.shape[0] != len(members) or points.shape[2] != first.nvars:
-        raise DimensionMismatch(
-            f"points of shape {points.shape} do not give {len(members)} specs {first.nvars} coordinates each"
-        )
-    halfwidth = np.array([s.domain_halfwidth for s in members])
-    outside = ~np.all(np.abs(points) <= halfwidth[:, None, None], axis=2)
-    if outside.any():
-        r, i = np.unravel_index(np.argmax(outside), outside.shape)
-        raise DomainViolation(
-            f"point {tuple(points[r, i].tolist())} outside declared box of halfwidth {halfwidth[r]}"
-        )
-    # one row per (spec, point), on contiguous 1-D coordinate arrays: strided
-    # or 2-D ones would slow every elementwise step of the engine
-    b, p, n = points.shape
-    tree = first.expr if b == 1 else _stack_tree([s.expr for s in members])
-    coords = np.ascontiguousarray(points.reshape(b * p, n).T)
-    return _node_jet(tree, tuple(coords), order).reshape(b, p, len(multi_indices(n, order)))
+    return SpecBlock.of(members, points).jets(order)
 
 
 def _cloud_jet(spec: ExpressionSpec, points, order: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainExceeded, NoConvergence
-from .jets import ExpressionSpec, _hessian_columns, evaluate_hessians, evaluate_jet, stacked_jets
+from .jets import ExpressionSpec, SpecBlock, _hessian_columns, evaluate_hessians, evaluate_jet
 from .linalg import inverse_and_logdet, transformed_hessian
 
 _GRAD_TOL = 1e-12
@@ -86,7 +86,8 @@ class PartialLegendreResult:
     newton_iters: int
 
 
-def _require_transformable(spec: ExpressionSpec) -> None:
+def _require_transformable(spec) -> None:
+    """Raise unless ``spec`` (an :class:`ExpressionSpec` or a ``SpecBlock``) is real with ``l >= 1``."""
     if spec.flavor != "real":
         raise DimensionMismatch("the partial Legendre transform is defined for real-flavor functions only")
     if spec.l == 0:
@@ -156,15 +157,25 @@ class LegendreBlock:
     rows; row ``r p + i`` of every array below is member ``r`` at
     ``points[r, i]``.  :func:`real_W` and :func:`det_transform_residual` are
     blocks of one member, and every row of a block is bit-identical to them.
-    Raises :class:`DimensionMismatch` for a complex member or ``l = 0``.
+    :meth:`of` makes the block of a :class:`~tma.jets.SpecBlock`, such as a
+    drawn one.  Raises :class:`DimensionMismatch` for a complex member or
+    ``l = 0``.
     """
 
     def __init__(self, members: Sequence[ExpressionSpec], points):
-        for spec in members:
-            _require_transformable(spec)
-        jets = stacked_jets(members, points, order=2)
-        self.k = members[0].k
-        self.hessians = jets.reshape(-1, jets.shape[-1])[:, _hessian_columns(members[0].nvars, 2)]
+        self._evaluate(SpecBlock.of(members, points))
+
+    @classmethod
+    def of(cls, block: SpecBlock) -> "LegendreBlock":
+        out = cls.__new__(cls)
+        out._evaluate(block)
+        return out
+
+    def _evaluate(self, block: SpecBlock) -> None:
+        _require_transformable(block)
+        jets = block.jets(2)
+        self.k = block.k
+        self.hessians = jets.reshape(-1, jets.shape[-1])[:, _hessian_columns(block.nvars, 2)]
 
     @cached_property
     def W(self) -> np.ndarray:

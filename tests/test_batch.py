@@ -27,10 +27,12 @@ from tma.evolution import (
     heat_residual,
     real_evolution_lhs,
 )
-from tma.funclass import EnsembleSpec, class_membership, default_cloud, draw_member, sample_points
+from tma import jets
+from tma.funclass import EnsembleSpec, class_membership, default_cloud, draw_block, draw_member, sample_points
 from tma.jets import (
     ExpressionSpec,
     SpaceTimeJet,
+    SpecBlock,
     _wirtinger_expansion,
     evaluate_hessians,
     evaluate_jet,
@@ -318,6 +320,74 @@ def test_stacked_jets_equal_per_member_jets(shape, flavor, seed, first, size, p,
             z, mm, v = table.second_blocks()
             assert np.array_equal(z, blocks[i, :k, :k]) and np.array_equal(mm, blocks[i, :k, k:])
             assert np.array_equal(v, blocks[i, k:, k:])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_same_stacked_tree(got, want, rows):
+    """A drawn tree equals ``want``, the ``_stack_tree`` of its members, bit for bit.
+
+    For one member ``_stack_tree`` returns the member's own tree, whose atom
+    leaves are the one row of the drawn arrays and which has no exponent.
+    """
+    assert got["kind"] == want["kind"]
+    kind = got["kind"]
+    if kind == "sum":
+        assert len(got["terms"]) == len(want["terms"])
+        for g, w in zip(got["terms"], want["terms"]):
+            _assert_same_stacked_tree(g, w, rows)
+    elif kind == "scale":
+        assert np.shape(got["coefficient"]) == (rows,)
+        assert _bits(got["coefficient"]) == _bits(want["coefficient"])
+        _assert_same_stacked_tree(got["term"], want["term"], rows)
+    elif kind == "quad":  # common to every member, so kept as it is
+        assert got.keys() == want.keys() and got["constant"] == want["constant"]
+        assert _bits(got["matrix"]) == _bits(want["matrix"]) and _bits(got["linear"]) == _bits(want["linear"])
+    else:
+        assert got.keys() == want.keys() | {"exponent"}
+        assert got["fn"] == (want["fn"] if rows > 1 else (want["fn"],))
+        assert got["exponent"] == want.get("exponent", (None,))
+        assert np.shape(got["affine"]) == (rows, len(got["affine"][0])) and np.shape(got["const"]) == (rows,)
+        assert _bits(got["affine"]) == _bits(want["affine"]) and _bits(got["const"]) == _bits(want["const"])
+
+
+@given(
+    shapes,
+    st.sampled_from(["real", "complex"]),
+    seeds,
+    draws,
+    block_sizes,
+    st.integers(0, 3),
+    st.sampled_from([0, 1, 3]),
+)
+def test_drawn_block_equals_stacked_members(shape, flavor, seed, first, size, p, n_atoms):
+    es = EnsembleSpec(k=shape[0], l=shape[1], flavor=flavor, n_atoms=n_atoms, seed=seed)
+    members = [draw_member(es, first + r) for r in range(size)]
+    pts = np.stack([sample_points(es, first + r, p) for r in range(size)])
+    block, want = draw_block(es, first, size, p), SpecBlock.of(members, pts)
+    assert (block.k, block.l, block.flavor, block.nvars) == (want.k, want.l, want.flavor, want.nvars)
+    assert block.points.shape == pts.shape and _bits(block.points) == _bits(pts)
+    assert _bits(block.halfwidth) == _bits(want.halfwidth)
+    _assert_same_stacked_tree(block.tree, want.tree, size)
+    # and the engine reads both alike, a lone member's one-row leaves included
+    assert block.jets(2).tobytes() == stacked_jets(members, pts, 2).tobytes()
+
+
+def test_sweep_blocks_walk_no_tree(monkeypatch):
+    # the package builds every sweep block and every drawn or complexified
+    # member from a validated EnsembleSpec, so no tree is walked
+    calls = []
+    walk = jets._validate_node
+    monkeypatch.setattr(jets, "_validate_node", lambda *args: calls.append(args) or walk(*args))
+    for suite, sweep in cli._SWEEPS.items():
+        k, l = sweep.shapes[-1]
+        cli._sweep_block_rows((suite, k, l, 1.0, 1.0, 0.1, 3, 1, 3, 2))
+    complexify_real(draw_member(_ES21, 4))
+    assert calls == []
+    ExpressionSpec(expr=_REAL21.expr, k=2, l=1)  # a caller's tree still is
+    assert calls
 
 
 def _per_point_rows(suite, k, l, seed, first, size, p):

@@ -7,6 +7,7 @@ import pytest
 
 from tma.errors import DimensionMismatch, DomainViolation, ParseError, UnknownAtom
 from tma.jets import (
+    KINDS,
     ExpressionSpec,
     evaluate_hessians,
     evaluate_jet,
@@ -18,6 +19,7 @@ from tma.jets import (
     wirtinger_keys,
 )
 from tma.solver import BoxGrid, evaluate_on_grid
+from tma.taylor import ATOM_NAMES
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle (independent of the jet engine)
@@ -353,13 +355,12 @@ def test_jet_matches_symbolic_oracle(name):
     u = sympy_tree(sympy, expr, xs)
     at = {x: sympy.Float(v, 40) for x, v in zip(xs, point)}
     jet = evaluate_jet(spec, point, order=4)
-    want = {}
-    for beta in multi_indices(n, 4):
-        d = u
-        for x, b in zip(xs, beta):
-            if b:
-                d = sympy.diff(d, x, b)
-        want[beta] = float(d.evalf(30, subs=at))
+    derivs = {(0,) * n: u}
+    for beta in multi_indices(n, 4)[1:]:  # sorted, so each lower partial comes first
+        # differentiate the parent by the last coordinate of beta, in the order x0, x1, ...
+        i = max(i for i, b in enumerate(beta) if b)
+        derivs[beta] = sympy.diff(derivs[tuple(b - (j == i) for j, b in enumerate(beta))], xs[i])
+    want = {beta: float(d.evalf(30, subs=at)) for beta, d in derivs.items()}
     scale = max(abs(v) for v in want.values())
     for beta, v in want.items():
         assert jet.d(beta) == pytest.approx(v, rel=1e-12, abs=1e-12 * scale), beta
@@ -495,6 +496,88 @@ def test_unknown_atom_and_parse_errors():
         ExpressionSpec.from_dict(
             json.loads('{"kind": "quad", "matrix": [[0.0, 1.0], [2.0, 0.0]], "linear": [0.0, 0.0], "constant": 0.0}')
         )
+
+
+_Q2 = {"kind": "quad", "matrix": [[1.0, 0.0], [0.0, -1.0]], "linear": [0.0, 0.0], "constant": 0.0}
+_SIN2 = {"kind": "atom", "fn": "sin", "affine": [1.0, 2.0], "const": 0.7}
+
+# Every fault the tree walk reports, as the second term of a sum over two
+# coordinates whose first term fixes the dimension: the fault, its error and
+# its message.
+_TREE_FAULTS = {
+    "not-an-object": ([1.0], ParseError, "at expr.terms[1]: expected an object, got list"),
+    "unknown-kind": ({"kind": "cube"}, ParseError,
+                     "at expr.terms[1]: unknown kind 'cube'; expected one of " + str(KINDS)),
+    "extra-field": ({**_Q2, "scale": 2.0}, ParseError,
+                    "at expr.terms[1]: unexpected fields for kind 'quad': ['scale']"),
+    "empty-sum": ({"kind": "sum", "terms": []}, ParseError, "at expr.terms[1].terms: expected a non-empty list"),
+    "one-factor": ({"kind": "product", "factors": [_Q2]}, ParseError,
+                   "at expr.terms[1].factors: expected a list of at least two factors"),
+    "bad-factor": ({"kind": "product", "factors": [_Q2, "x"]}, ParseError,
+                   "at expr.terms[1].factors[1]: expected an object, got str"),
+    "text-coefficient": ({"kind": "scale", "coefficient": "2", "term": _Q2}, ParseError,
+                         "at expr.terms[1].coefficient: expected a number, got str"),
+    "bool-coefficient": ({"kind": "scale", "coefficient": True, "term": _Q2}, ParseError,
+                         "at expr.terms[1].coefficient: expected a number, got bool"),
+    "scaled-fault": ({"kind": "scale", "coefficient": 2.0, "term": {**_SIN2, "const": None}}, ParseError,
+                     "at expr.terms[1].term.const: expected a number, got NoneType"),
+    "matrix-rows": ({**_Q2, "matrix": [[1.0, 0.0]]}, ParseError, "at expr.terms[1].matrix: expected 2 rows"),
+    "matrix-row": ({**_Q2, "matrix": [[1.0, 0.0], [0.0]]}, ParseError,
+                   "at expr.terms[1].matrix[1]: expected 2 entries"),
+    "matrix-entry": ({**_Q2, "matrix": [[1.0, 0.0], [0.0, "x"]]}, ParseError,
+                     "at expr.terms[1].matrix[1][1]: expected a number, got str"),
+    "asymmetric": ({**_Q2, "matrix": [[1.0, 0.5], [0.0, -1.0]]}, ParseError,
+                   "at expr.terms[1].matrix: not symmetric at (1,0)"),
+    "linear-length": ({**_Q2, "linear": [0.0]}, ParseError, "at expr.terms[1].linear: expected 2 entries"),
+    "linear-entry": ({**_Q2, "linear": [0.0, None]}, ParseError,
+                     "at expr.terms[1].linear[1]: expected a number, got NoneType"),
+    "missing-constant": ({k: v for k, v in _Q2.items() if k != "constant"}, ParseError,
+                         "at expr.terms[1].constant: expected a number, got NoneType"),
+    "fn-not-text": ({**_SIN2, "fn": 3}, ParseError, "at expr.terms[1].fn: expected a string"),
+    "unknown-atom": ({**_SIN2, "fn": "tan"}, UnknownAtom,
+                     "at expr.terms[1].fn: unknown atom function 'tan'; supported: " + ", ".join(ATOM_NAMES)),
+    "affine-length": ({**_SIN2, "affine": [1.0]}, ParseError, "at expr.terms[1].affine: expected 2 entries"),
+    "affine-entry": ({**_SIN2, "affine": [1.0, "2"]}, ParseError,
+                     "at expr.terms[1].affine[1]: expected a number, got str"),
+    "infinite-const": ({**_SIN2, "const": math.inf}, ParseError,
+                       "at expr.terms[1].const: expected a finite number, got inf"),
+    "pow-without-exponent": ({**_SIN2, "fn": "pow"}, ParseError,
+                             "at expr.terms[1].exponent: expected a number, got NoneType"),
+    "exponent-off-pow": ({**_SIN2, "exponent": 2.0}, ParseError,
+                         "at expr.terms[1].exponent: only pow atoms carry an exponent"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_TREE_FAULTS))
+@pytest.mark.parametrize("entry", ["constructor", "from_dict"])
+def test_every_tree_fault_raises_with_its_message(entry, fault):
+    # a caller's tree is walked wherever it enters, so each fault keeps its error and message
+    bad, error, message = _TREE_FAULTS[fault]
+    expr = {"kind": "sum", "terms": [_Q2, bad]}
+    with pytest.raises(error) as info:
+        if entry == "constructor":
+            ExpressionSpec(expr=expr, k=1, l=1)
+        else:
+            ExpressionSpec.from_dict({**expr, "dims": [1, 1]})
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"k": 1, "l": 1, "flavor": "quaternion"}, "at flavor: expected one of ('real', 'complex'), got 'quaternion'"),
+        ({"k": -1, "l": 3}, "at dims: need k >= 0, l >= 0, k + l >= 1; got (-1, 3)"),
+    ],
+    ids=["flavor", "dims"],
+)
+def test_spec_field_faults_raise_with_their_message(fields, message):
+    with pytest.raises(ParseError) as info:
+        ExpressionSpec(expr=_Q2, **fields)
+    assert str(info.value) == message
+    body = {**_Q2, "dims": [fields["k"], fields["l"]], "flavor": fields.get("flavor", "real")}
+    with pytest.raises(ParseError) as info:
+        ExpressionSpec.from_dict(body)
+    assert str(info.value) == message
 
 
 def _finite_spec_body():
