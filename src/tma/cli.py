@@ -20,28 +20,35 @@ pure function of (suite, shape, seed, draw index): it does not depend on the
 block size or on which other draws share the pass.
 
 A sweep with more than one worker and more than one block runs on the
-process's worker pool.  The first such sweep starts it; it lives for the
-process and is reused by every later sweep with the same worker count, so its
-workers keep the gather caches their earlier blocks built.  Another worker
-count replaces it, and a pool whose worker died is dropped after the run it
-failed.
+process's worker pool: forked workers, each on its own pipe, and a parent
+loop that hands each free worker the waiting block with the most jet
+coefficients to evaluate (longest processing time first).  The parent runs
+no block and no thread.  The first such sweep starts the pool; it lives for
+the process and is reused by every later sweep with the same worker count, so
+its workers keep the gather caches their earlier blocks built.  Another
+worker count replaces it.  A block's exception fails its run only, once the
+blocks in flight are back; a pool whose worker died, or whose sweep was
+abandoned in flight, is dropped.  A process forked from the pool's owner
+starts its own pool, and the owner stops and joins its workers at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
+import multiprocessing
 import operator
 import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -308,12 +315,14 @@ class _Sweep:
     """One randomized sweep suite: its ensemble flavor, measured values, checks and defaults.
 
     ``values(block)`` gives the values of a drawn :class:`SpecBlock`, one
-    row of ``columns`` per (draw, point) in draw-major order.  ``checks`` names one
-    assertion per column: it bounds the column's max by ``tolerance`` or, for
-    a name starting ``min_``, its min from below by ``-tolerance``.
+    row of ``columns`` per (draw, point) in draw-major order, from jets of
+    ``order``.  ``checks`` names one assertion per column: it bounds the
+    column's max by ``tolerance`` or, for a name starting ``min_``, its min
+    from below by ``-tolerance``.
     """
 
     flavor: str
+    order: int
     columns: Tuple[str, ...]
     values: Callable[[SpecBlock], np.ndarray]
     checks: Tuple[str, ...]
@@ -343,20 +352,20 @@ _SHAPES_COMPLEX = [[1, 1], [2, 1], [1, 2]]
 # block in one stacked pass: the Legendre suites as a LegendreBlock, the flow
 # suites as a FlowBlock.
 _SWEEPS: Dict[str, _Sweep] = {
-    "det-law": _Sweep("real", ("residual",), lambda block: LegendreBlock.of(block).det_residual,
+    "det-law": _Sweep("real", 2, ("residual",), lambda block: LegendreBlock.of(block).det_residual,
                       ("max_det_residual",), _SHAPES_ALL, 100, 20, 1e-10),
-    "w-psd": _Sweep("real", ("lambda_min",), lambda block: LegendreBlock.of(block).w_spectrum_min,
+    "w-psd": _Sweep("real", 2, ("lambda_min",), lambda block: LegendreBlock.of(block).w_spectrum_min,
                     ("min_w_eigenvalue",), _SHAPES_ALL, 100, 20, 1e-10),
-    "q-sign": _Sweep("complex", ("q_lambda_max", "g1", "g2", "g3", "g4"), _q_sign_values,
+    "q-sign": _Sweep("complex", 4, ("q_lambda_max", "g1", "g2", "g3", "g4"), _q_sign_values,
                      ("max_q_eigenvalue",) + tuple(f"max_g{j}_eigenvalue" for j in range(1, 5)),
                      [[1, 1]], 100, 1, 1e-8),
-    "evolution-identity": _Sweep("complex", ("residual",),
+    "evolution-identity": _Sweep("complex", 4, ("residual",),
                                  lambda block: FlowBlock.of(block).evolution_residual,
                                  ("max_evolution_residual",), _SHAPES_COMPLEX, 100, 1, 1e-8),
-    "heat-identity": _Sweep("complex", ("residual",),
+    "heat-identity": _Sweep("complex", 4, ("residual",),
                             lambda block: FlowBlock.of(block).heat_residual,
                             ("max_heat_residual",), _SHAPES_COMPLEX, 100, 1, 1e-10),
-    "real-complexify": _Sweep("real", ("entry_gap",), _real_complexify_values,
+    "real-complexify": _Sweep("real", 4, ("entry_gap",), _real_complexify_values,
                               ("max_entry_gap",), _SHAPES_ALL, 50, 2, 1e-10),
 }
 
@@ -386,33 +395,161 @@ def _shape_draw_counts(total: int, n_shapes: int) -> List[int]:
     return [base + (1 if i < extra else 0) for i in range(n_shapes)]
 
 
-# The sweep pool of this process, as (worker count, executor), or None.
-_pool: Optional[Tuple[int, ProcessPoolExecutor]] = None
+def _block_cost(payload: Tuple) -> int:
+    """The jet coefficients a block evaluates: draws x points x the coefficients of one jet."""
+    suite, k, l, _, _, _, _, _, count, n_points = payload
+    sweep = _SWEEPS[suite]
+    nvars = EnsembleSpec(k=k, l=l, flavor=sweep.flavor).nvars
+    return count * max(n_points, 1) * math.comb(nvars + sweep.order, sweep.order)
 
 
-def _sweep_pool(workers: int) -> ProcessPoolExecutor:
+def _pool_worker(conn, inherited) -> None:
+    """A pool worker's loop: run each ``(fn, payload)`` it is sent and send back ``(ok, rows or exception)``.
+
+    ``None`` stops it, and so does a closed pipe.  It first closes the
+    parent-side pipe ends it inherited (its own among them), so a parent that
+    dies leaves it reading the end of its pipe, not waiting for ever.
+    """
+    for c in inherited:
+        c.close()
+    # a forked worker freezes the heap it inherited, so its collections
+    # never walk those objects or write to (and so copy) their pages
+    gc.freeze()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        fn, payload = task
+        try:
+            reply = (True, fn(payload))
+        except Exception as e:  # relayed to the parent, which raises it for the run
+            reply = (False, e)
+        conn.send(reply)
+
+
+class _SweepPool:
+    """Forked workers, each on its own duplex pipe, fed blocks heaviest first by one parent loop.
+
+    No thread runs in the parent: ``run`` sends the waiting block with the
+    largest :func:`_block_cost` to each free worker and waits on the pipes
+    and the workers' sentinels.  The pool belongs to the process that
+    started it; a process forked from that one never touches it.
+    """
+
+    def __init__(self, workers: int):
+        ctx = multiprocessing.get_context("fork")
+        self.owner = os.getpid()
+        self.conns: List[Connection] = []
+        self.procs = []
+        self.busy: Dict[Connection, int] = {}
+        self.broken = False
+        for _ in range(workers):
+            conn, child = ctx.Pipe()
+            self.conns.append(conn)
+            proc = ctx.Process(target=_pool_worker, args=(child, list(self.conns)))
+            proc.start()
+            child.close()
+            self.procs.append(proc)
+
+    @property
+    def idle(self) -> bool:
+        """Whether the pool can serve another sweep: no worker found dead and none holding a block."""
+        return not self.broken and not self.busy
+
+    def run(self, fn: Callable, payloads: Sequence[Tuple]) -> List:
+        """``[fn(p) for p in payloads]``, computed by the workers.
+
+        An exception a block raised is raised here once every block in flight
+        has come back, so the pool stays idle and usable.  A worker that died
+        raises ``BrokenProcessPool`` and leaves the pool broken.
+        """
+        # ascending, so pop() takes the heaviest block, and of equal costs the later payload
+        waiting = sorted(range(len(payloads)), key=lambda i: (_block_cost(payloads[i]), i))
+        results: List = [None] * len(payloads)
+        free = list(self.conns)
+        sentinels = [proc.sentinel for proc in self.procs]
+        failure: Optional[BaseException] = None
+        try:
+            while self.busy or (waiting and failure is None):
+                while free and waiting and failure is None:
+                    conn = free.pop()
+                    i = waiting.pop()
+                    conn.send((fn, payloads[i]))
+                    self.busy[conn] = i
+                ready = wait(list(self.busy) + sentinels)
+                if any(r in sentinels for r in ready):
+                    self.broken = True
+                    raise BrokenProcessPool("a worker of the sweep pool exited")
+                for conn in ready:
+                    ok, value = conn.recv()
+                    i = self.busy.pop(conn)
+                    free.append(conn)
+                    if ok:
+                        results[i] = value
+                    elif failure is None:
+                        failure = value
+        except (EOFError, OSError) as e:  # a pipe whose worker is gone
+            self.broken = True
+            raise BrokenProcessPool("a worker of the sweep pool died") from e
+        if failure is not None:
+            raise failure
+        return results
+
+    def close(self) -> None:
+        """Stop and join every worker: an idle one by a stop message, one still holding a block by a signal.
+
+        A closed pipe alone would not end a worker: any process forked from
+        this one while the pool lived (a later worker before it closes what
+        it inherited, a caller's ``os.fork``) holds a copy of the pipe's
+        parent end, so the worker would not see the end of its pipe.
+        """
+        for conn, proc in zip(self.conns, self.procs):
+            if conn in self.busy:
+                proc.terminate()
+            else:
+                try:
+                    conn.send(None)
+                except OSError:  # its worker is dead already
+                    pass
+        for conn, proc in zip(self.conns, self.procs):
+            proc.join()
+            conn.close()
+        self.busy.clear()
+
+
+# The sweep pool of this process, as (worker count, pool), or None.
+_pool: Optional[Tuple[int, _SweepPool]] = None
+
+
+def _sweep_pool(workers: int) -> _SweepPool:
     """The process's sweep pool with ``workers`` workers, started on first use.
 
-    A request for another worker count replaces the pool.  Nothing is
-    registered for exit: ``concurrent.futures`` joins a live pool's workers
-    when the interpreter exits.
+    A request for another worker count replaces the pool, and so does a
+    request from a process forked from the pool's owner: the child starts
+    its own and leaves the parent's workers and pipes alone.
     """
     global _pool
-    if _pool is not None and _pool[0] != workers:
+    if _pool is not None and (_pool[0] != workers or _pool[1].owner != os.getpid()):
         _shutdown_pool()
     if _pool is None:
-        # a forked worker freezes the heap it inherited, so its collections
-        # never walk those objects or write to (and so copy) their pages
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze))
+        _pool = (workers, _SweepPool(workers))
     return _pool[1]
 
 
 def _shutdown_pool() -> None:
-    """Shut the sweep pool down, if there is one; the next pooled sweep starts afresh."""
+    """Stop and join the sweep pool's workers, if this process owns a pool; the next pooled sweep starts afresh."""
     global _pool
-    if _pool is not None:
-        _pool[1].shutdown()
-        _pool = None
+    if _pool is not None and _pool[1].owner == os.getpid():
+        _pool[1].close()
+    _pool = None
+
+
+# Runs before multiprocessing's own exit hook, which would join the workers
+# without stopping them.
+atexit.register(_shutdown_pool)
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int):
@@ -431,13 +568,17 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
     else:
         # one pool per process: later sweeps with the same worker count reuse
         # it, and its workers keep the gather caches their earlier blocks built
+        pool = _sweep_pool(workers)
         try:
-            for chunk in _sweep_pool(workers).map(_sweep_block_rows, payloads, chunksize=1):
-                rows.extend(chunk)
-        except BrokenProcessPool:
-            # a worker died: this run fails, and the next one starts a fresh pool
-            _shutdown_pool()
+            chunks = pool.run(_sweep_block_rows, payloads)
+        except BaseException:
+            # a block's own error leaves the pool idle; a dead worker or a
+            # sweep abandoned in flight drops it, and the next run starts afresh
+            if not pool.idle:
+                _shutdown_pool()
             raise
+        for chunk in chunks:
+            rows.extend(chunk)
     sweep, tol = _SWEEPS[cfg.suite], p["tolerance"]
     assertions = []
     for j, name in enumerate(sweep.checks, start=4):

@@ -5,10 +5,13 @@ from each test's name instead of a random seed, so every run draws the same
 inputs, and no per-example deadline applies, since timings swing on a loaded
 machine.
 
-The sweep pool of ``tma.cli`` lives for the process, and its workers keep the
-module state they were forked with.  A test that patches ``cli`` and starts a
-pool asks for ``fresh_sweep_pool``, so that it gets workers forked under its
-patch and leaves none of them to later tests.
+The sweep pool of ``tma.cli`` lives for the process: forked workers on
+direct pipes, which keep the module state they were forked with.  Each block
+goes out with its function by reference, so a patched ``_sweep_block_rows``
+reaches any worker, but other patched state reaches only workers forked under
+the patch.  A test that patches ``cli`` and starts a pool asks for
+``fresh_sweep_pool``, so that it gets workers forked under its patch, and its
+workers are stopped and joined before the next test.
 
 ``pyproject.toml`` turns every ``DeprecationWarning`` into an error.  While a
 report is made, though, they are ignored: when a property test fails,
@@ -41,7 +44,7 @@ def pytest_runtest_makereport():
 
 @pytest.fixture
 def fresh_sweep_pool():
-    """Shut the process's sweep pool down before and after the test."""
+    """Stop and join the process's sweep pool before and after the test."""
     from tma import cli
 
     cli._shutdown_pool()

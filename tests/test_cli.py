@@ -12,6 +12,7 @@ Oracle strategy:
 import gc
 import json
 import math
+import multiprocessing.connection
 import os
 import pathlib
 import re
@@ -33,7 +34,7 @@ from tma.cli import (
     main,
     run_experiment,
 )
-from tma.errors import ConfigInvalid, ParseError, UnknownAtom
+from tma.errors import ClassExit, ConfigInvalid, ParseError, UnknownAtom
 from tma.funclass import EnsembleSpec, class_membership, default_cloud, draw_member
 from tma.solver import perturbed_flow_spec
 
@@ -51,6 +52,18 @@ def _pid_rows(payload):
     """
     time.sleep(0.05)
     return [(payload[7], payload[1], payload[2], 0, float(os.getpid()))]
+
+
+def _failing_rows(payload):
+    """Stands in for ``cli._sweep_block_rows``: a block of shape (2, 2) raises at once, any other takes a while.
+
+    The (2, 2) block is the heaviest, so it goes out first, and its error
+    comes back while the other worker still holds a block.
+    """
+    if payload[1:3] == (2, 2):
+        raise ClassExit(f"block at draw {payload[7]} left the class")
+    time.sleep(0.05)
+    return _payload_rows(payload)
 
 
 def _payload_rows(payload):
@@ -310,11 +323,11 @@ class TestRunOutputs:
 
     def test_one_block_sweep_starts_no_pool(self, tmp_path, monkeypatch, fresh_sweep_pool):
         # an earlier test may have left a 3-worker pool that would be handed
-        # back without a new executor, so asking for the pool at all fails
+        # back without a new one, so asking for the pool at all fails
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-block sweep started a worker pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_SweepPool", no_pool)
         monkeypatch.setattr(cli, "_sweep_pool", no_pool)
         cfg = ExperimentConfig.from_dict({"suite": "q-sign", "seed": 4, "draws": cli._BLOCK, "out": str(tmp_path)})
         r = run_experiment(cfg, workers=3)
@@ -642,9 +655,46 @@ class TestSweepPool:
             assert cli._pool[0] == workers
             pools.append(cli._pool[1])
         assert len({id(p) for p in pools}) == 3
+        # a replaced pool's workers were stopped by message and joined
         for replaced in pools[:2]:
-            with pytest.raises(RuntimeError, match="shutdown"):
-                replaced.submit(int)
+            assert [p.exitcode for p in replaced.procs] == [0] * len(replaced.procs)
+
+    def test_a_block_error_fails_one_run_and_the_same_workers_serve_the_next(
+        self, tmp_path, monkeypatch, fresh_sweep_pool
+    ):
+        monkeypatch.setattr(cli, "_sweep_block_rows", _failing_rows)
+        failed = self.run(tmp_path, "failed", 2)
+        assert not failed.passed and failed.error == "ClassExit: block at draw 0 left the class"
+        assert json.loads(pathlib.Path(failed.manifest_path).read_text())["error"] == failed.error
+        pool = cli._pool[1]
+        pids = [p.pid for p in pool.procs]
+        # another seed, so a reply left over from the failed run would show in the bytes
+        monkeypatch.setattr(cli, "_sweep_block_rows", _payload_rows)
+        blobs = []
+        for workers in (1, 2):
+            cfg = ExperimentConfig.from_dict({**self.BODY, "seed": 6, "out": str(tmp_path / f"w{workers}")})
+            r = run_experiment(cfg, workers=workers)
+            assert r.error is None
+            blobs.append(pathlib.Path(r.csv_path).read_bytes())
+        assert blobs[0] == blobs[1]
+        assert cli._pool[1] is pool and [p.pid for p in pool.procs] == pids
+
+    def test_a_sweep_abandoned_in_flight_drops_the_pool(self, tmp_path, monkeypatch, fresh_sweep_pool):
+        monkeypatch.setattr(cli, "_sweep_block_rows", _pid_rows)
+        pool = cli._sweep_pool(2)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        # the first wait comes once every worker holds a block
+        monkeypatch.setattr(cli, "wait", interrupted)
+        cfg = ExperimentConfig.from_dict({**self.BODY, "out": str(tmp_path / "abandoned")})
+        with pytest.raises(KeyboardInterrupt):
+            cli._run_sweep(cfg, 2)
+        assert cli._pool is None
+        assert not any(p.is_alive() for p in pool.procs)
+        monkeypatch.setattr(cli, "wait", multiprocessing.connection.wait)
+        assert self.run(tmp_path, "next", 2).error is None
 
     def test_killed_worker_fails_one_run_and_the_next_recovers(self, tmp_path, monkeypatch, fresh_sweep_pool):
         monkeypatch.setattr(cli, "_sweep_block_rows", _pid_rows)
@@ -652,34 +702,119 @@ class TestSweepPool:
         assert first.error is None
         victim = int(first.rows[0][4])
         os.kill(victim, signal.SIGKILL)
-        # the pool marks itself broken before it reaps its workers
-        deadline = time.monotonic() + 60.0
-        while True:
-            try:
-                os.kill(victim, 0)
-            except ProcessLookupError:
-                break
-            assert time.monotonic() < deadline, "the killed worker was never reaped"
-            time.sleep(0.01)
+        # the pool finds the death at its next run, whether or not the kill has landed by then
         broken = self.run(tmp_path, "broken", 2)
         assert not broken.passed and "BrokenProcessPool" in broken.error
         manifest = json.loads(pathlib.Path(broken.manifest_path).read_text())
         assert "BrokenProcessPool" in manifest["error"]
         assert cli._pool is None
+        with pytest.raises(ProcessLookupError):  # joined, so reaped
+            os.kill(victim, 0)
         recovered = self.run(tmp_path, "recovered", 2)
         assert recovered.error is None
         assert not {r[4] for r in recovered.rows} & {r[4] for r in first.rows}
 
+    def test_blocks_go_out_heaviest_first_and_rows_stay_in_block_order(self, tmp_path, monkeypatch, fresh_sweep_pool):
+        # shapes from large to small, each cut into two full blocks and a partial one
+        shapes = [[2, 2], [1, 2], [1, 1]]
+        body = {"suite": "det-law", "seed": 9, "shapes": shapes, "draws": 6 * cli._BLOCK + 5, "points": 2}
+        parent, sent = os.getpid(), []
+        send = multiprocessing.connection.Connection.send
+
+        def recording_send(conn, obj):
+            if os.getpid() == parent and obj is not None:
+                sent.append(obj[1])
+            send(conn, obj)
+
+        def cost(payload):  # the jet coefficients of the block: order-2 jets in k + l variables
+            _, k, l, _, _, _, _, _, count, points = payload
+            return count * max(points, 1) * math.comb(k + l + 2, 2)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", recording_send)
+        ids = [
+            (draw, k, l, i)
+            for (k, l), count in zip(shapes, cli._shape_draw_counts(body["draws"], len(shapes)))
+            for draw in range(count)
+            for i in range(2)
+        ]
+        blobs = set()
+        for workers in (1, 2, 3):
+            sent.clear()
+            r = run_experiment(ExperimentConfig.from_dict({**body, "out": str(tmp_path / f"w{workers}")}), workers=workers)
+            assert r.error is None
+            assert [row[:4] for row in r.rows] == ids
+            blobs.add(pathlib.Path(r.csv_path).read_bytes())
+            if workers > 1:
+                # heaviest first; of equal costs, the later block (shape index, then first draw)
+                assert len(sent) == 9
+                assert sent == sorted(sent, key=lambda p: (cost(p), p[6], p[7]), reverse=True)
+                assert [cost(p) for p in sent[:workers]] == sorted(map(cost, sent), reverse=True)[:workers]
+        assert len(blobs) == 1
+
+    def test_a_forked_child_starts_its_own_pool(self, tmp_path, fresh_sweep_pool):
+        body = {"suite": "det-law", "seed": 5, "draws": 40, "points": 2}
+
+        def run(name):
+            return run_experiment(ExperimentConfig.from_dict({**body, "out": str(tmp_path / name)}), workers=2)
+
+        first = run("parent")
+        assert first.error is None
+        expected = pathlib.Path(first.csv_path).read_bytes()
+        pool = cli._pool[1]
+        child = os.fork()
+        if child == 0:  # exits 0 only if its pooled sweep ends, on its own pool, with the parent's bytes
+            code = 1
+            try:
+                signal.alarm(20)  # SIGALRM's default action ends the child
+                r = run("child")
+                same = r.error is None and pathlib.Path(r.csv_path).read_bytes() == expected
+                own = cli._pool[1] is not pool and pool.owner != os.getpid()
+                cli._shutdown_pool()
+                code = 0 if same and own else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(child, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+                pytest.fail("the forked child's pooled sweep never finished")
+            time.sleep(0.02)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+        # the parent's pool is untouched and still serves it
+        again = run("again")
+        assert again.error is None and pathlib.Path(again.csv_path).read_bytes() == expected
+        assert cli._pool[1] is pool and all(p.is_alive() for p in pool.procs)
+
     def test_pooled_cli_run_exits(self, tmp_path):
         # the pool outlives the run; a pool that kept the interpreter from
-        # exiting would hit the timeout
+        # exiting would hit the timeout, and one whose workers outlived it
+        # would leave their PIDs in use
+        launcher = (
+            "import sys\n"
+            "from tma import cli\n"
+            "start = cli._SweepPool.__init__\n"
+            "def spy(pool, workers):\n"
+            "    start(pool, workers)\n"
+            "    print('workers', *(p.pid for p in pool.procs), file=sys.stderr, flush=True)\n"
+            "cli._SweepPool.__init__ = spy\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
         cfg = write_json(tmp_path, "cfg.json", {"suite": "q-sign", "seed": 2, "draws": 2 * cli._BLOCK + 1})
         res = subprocess.run(
-            [sys.executable, "-m", "tma", "run", "--config", cfg, "--out", str(tmp_path), "--workers", "2"],
+            [sys.executable, "-c", launcher, "run", "--config", cfg, "--out", str(tmp_path), "--workers", "2"],
             capture_output=True, text=True, env=checkout_env(), timeout=120,
         )
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "q-sign.csv").exists()
+        pids = [int(p) for line in res.stderr.splitlines() if line.startswith("workers ") for p in line.split()[1:]]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 # ---------------------------------------------------------------------------

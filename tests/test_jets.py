@@ -360,7 +360,8 @@ def test_jet_matches_symbolic_oracle(name):
         # differentiate the parent by the last coordinate of beta, in the order x0, x1, ...
         i = max(i for i, b in enumerate(beta) if b)
         derivs[beta] = sympy.diff(derivs[tuple(b - (j == i) for j, b in enumerate(beta))], xs[i])
-    want = {beta: float(d.evalf(30, subs=at)) for beta, d in derivs.items()}
+    # substituting first leaves evalf a number to round, not a tree to walk with subs
+    want = {beta: float(d.xreplace(at).evalf(30)) for beta, d in derivs.items()}
     scale = max(abs(v) for v in want.values())
     for beta, v in want.items():
         assert jet.d(beta) == pytest.approx(v, rel=1e-12, abs=1e-12 * scale), beta
@@ -446,7 +447,7 @@ def test_wirtinger_conversion_matches_symbolic_oracle():
     for beta in multi_indices(4, 4)[1:]:  # sorted, so each lower partial comes first
         i = next(i for i, b in enumerate(beta) if b)
         derivs[beta] = sympy.diff(derivs[tuple(b - (j == i) for j, b in enumerate(beta))], xs[i])
-    real = {beta: d.evalf(30, subs=at) for beta, d in derivs.items()}
+    real = {beta: d.xreplace(at).evalf(30) for beta, d in derivs.items()}
     big_x, big_y = sympy.symbols("X0:2"), sympy.symbols("Y0:2")
     want = {}
     for hol, anti in wirtinger_keys(2, 4):
