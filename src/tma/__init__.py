@@ -14,7 +14,7 @@ other public name is imported from its submodule (``tma.solver``,
 __version__ = "0.1.0"
 
 from . import errors
-from .funclass import EnsembleSpec, draw_member, sample_points
+from .funclass import EnsembleSpec, draw_block, draw_member, sample_points
 from .legendre import det_transform_residual
 from .evolution import FlowBlock, flow_report
 from .solver import BoxGrid, flow_from_spec, run_flow
@@ -23,6 +23,7 @@ from .estimates import CylinderSpec, flow_quantities, oscillation_ladder
 __all__ = [
     "errors",
     "EnsembleSpec",
+    "draw_block",
     "draw_member",
     "sample_points",
     "det_transform_residual",

@@ -29,7 +29,8 @@ its workers keep the gather caches their earlier blocks built.  Another
 worker count replaces it.  A block's exception fails its run only, once the
 blocks in flight are back; a pool whose worker died, or whose sweep was
 abandoned in flight, is dropped.  A process forked from the pool's owner
-starts its own pool, and the owner stops and joins its workers at exit.
+starts its own pool and leaves the owner's workers alone, at its exit too;
+the owner stops and joins its workers at exit.
 """
 
 from __future__ import annotations
@@ -333,15 +334,15 @@ class _Sweep:
 
 
 def _q_sign_values(block):
-    flow = FlowBlock.of(block)
+    flow = FlowBlock(block)
     return np.column_stack([flow.q_spectrum_max, flow.grouping_spectrum_max])
 
 
 def _real_complexify_values(block):
     """Real route A against route B of the complexified members."""
     d = complexification_scaling(block.k, block.l)
-    lhs = d @ FlowBlock.of(block).lhs @ d
-    q = FlowBlock.of(complexify_block(block)).source
+    lhs = d @ FlowBlock(block).lhs @ d
+    q = FlowBlock(complexify_block(block)).source
     return np.max(np.abs(lhs - q), axis=(-2, -1))
 
 
@@ -352,18 +353,18 @@ _SHAPES_COMPLEX = [[1, 1], [2, 1], [1, 2]]
 # block in one stacked pass: the Legendre suites as a LegendreBlock, the flow
 # suites as a FlowBlock.
 _SWEEPS: Dict[str, _Sweep] = {
-    "det-law": _Sweep("real", 2, ("residual",), lambda block: LegendreBlock.of(block).det_residual,
+    "det-law": _Sweep("real", 2, ("residual",), lambda block: LegendreBlock(block).det_residual,
                       ("max_det_residual",), _SHAPES_ALL, 100, 20, 1e-10),
-    "w-psd": _Sweep("real", 2, ("lambda_min",), lambda block: LegendreBlock.of(block).w_spectrum_min,
+    "w-psd": _Sweep("real", 2, ("lambda_min",), lambda block: LegendreBlock(block).w_spectrum_min,
                     ("min_w_eigenvalue",), _SHAPES_ALL, 100, 20, 1e-10),
     "q-sign": _Sweep("complex", 4, ("q_lambda_max", "g1", "g2", "g3", "g4"), _q_sign_values,
                      ("max_q_eigenvalue",) + tuple(f"max_g{j}_eigenvalue" for j in range(1, 5)),
                      [[1, 1]], 100, 1, 1e-8),
     "evolution-identity": _Sweep("complex", 4, ("residual",),
-                                 lambda block: FlowBlock.of(block).evolution_residual,
+                                 lambda block: FlowBlock(block).evolution_residual,
                                  ("max_evolution_residual",), _SHAPES_COMPLEX, 100, 1, 1e-8),
     "heat-identity": _Sweep("complex", 4, ("residual",),
-                            lambda block: FlowBlock.of(block).heat_residual,
+                            lambda block: FlowBlock(block).heat_residual,
                             ("max_heat_residual",), _SHAPES_COMPLEX, 100, 1, 1e-10),
     "real-complexify": _Sweep("real", 4, ("entry_gap",), _real_complexify_values,
                               ("max_entry_gap",), _SHAPES_ALL, 50, 2, 1e-10),
@@ -540,15 +541,22 @@ def _sweep_pool(workers: int) -> _SweepPool:
 
 
 def _shutdown_pool() -> None:
-    """Stop and join the sweep pool's workers, if this process owns a pool; the next pooled sweep starts afresh."""
+    """Stop and join the sweep pool's workers, if this process owns a pool; the next pooled sweep starts afresh.
+
+    A process forked from the owner only forgets the pool and the record of its workers
+    that it inherited, which multiprocessing's exit hook would try to join.
+    """
     global _pool
-    if _pool is not None and _pool[1].owner == os.getpid():
-        _pool[1].close()
+    if _pool is not None:
+        if _pool[1].owner == os.getpid():
+            _pool[1].close()
+        else:
+            multiprocessing.process._children.difference_update(_pool[1].procs)
     _pool = None
 
 
 # Runs before multiprocessing's own exit hook, which would join the workers
-# without stopping them.
+# without stopping them (in the owner) or fail to (in a forked child).
 atexit.register(_shutdown_pool)
 
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -578,12 +578,13 @@ class FlowReport:
 
 
 class FlowBlock:
-    """The flow quantities of a block of members, each at its own points, from one stacked pass.
+    """The flow quantities of a :class:`~tma.jets.SpecBlock`, from one stacked pass.
 
-    ``members`` share one shape, flavor and tree layout (the draws of one
-    ensemble shape do) and ``points`` is ``(B, p, nvars)``.  One jet-engine
-    call evaluates the order-4 jets of all ``N = B p`` rows; row ``r p + i`` of
-    every array below is member ``r`` at ``points[r, i]``.  A quantity is
+    The block is B members, each at its own p points: the draws of
+    :func:`~tma.funclass.draw_block`, or one spec (:meth:`SpecBlock.at
+    <tma.jets.SpecBlock.at>`).  One jet-engine call evaluates the order-4
+    jets of all ``N = B p`` rows; row ``r p + i`` of every array below is
+    member ``r`` at ``block.points[r, i]``.  A quantity is
     computed on first use and reads only the routes it needs: :attr:`lhs`
     route A alone, :attr:`source` and the groupings route B alone.  Route A
     takes either flavor; everything else needs complex members.
@@ -596,20 +597,10 @@ class FlowBlock:
     The per-point functions (:func:`flow_report`, :func:`evolution_residual`,
     :func:`heat_residual`, :func:`evolution_lhs`, :func:`real_evolution_lhs`)
     are blocks of one row, and every row of a block is bit-identical to them:
-    no number depends on how many rows share the pass.  :meth:`of` makes the
-    block of a :class:`~tma.jets.SpecBlock`, such as a drawn one.
+    no number depends on how many rows share the pass.
     """
 
-    def __init__(self, members: Sequence[ExpressionSpec], points):
-        self._evaluate(SpecBlock.of(members, points))
-
-    @classmethod
-    def of(cls, block: SpecBlock) -> "FlowBlock":
-        out = cls.__new__(cls)
-        out._evaluate(block)
-        return out
-
-    def _evaluate(self, block: SpecBlock) -> None:
+    def __init__(self, block: SpecBlock):
         jets = block.jets(4)
         self.k, self.l, self.flavor = block.k, block.l, block.flavor
         self.jets = jets.reshape(-1, jets.shape[-1])
@@ -691,7 +682,7 @@ def _point_block(spec: ExpressionSpec, point, flavor: str) -> FlowBlock:
         if flavor == "complex":
             raise DimensionMismatch(_NEEDS_COMPLEX)
         raise DimensionMismatch("real_evolution_lhs needs a real-flavored spec")
-    return FlowBlock([spec], [[tuple(point)]])
+    return FlowBlock(SpecBlock.at(spec, [tuple(point)]))
 
 
 def evolution_lhs(spec: ExpressionSpec, point) -> np.ndarray:

@@ -262,8 +262,8 @@ def draw_block(es: EnsembleSpec, first: int, count: int, n_points: int) -> SpecB
     Each draw makes the generator calls of :func:`draw_member` and
     :func:`sample_points` on its own two generators, in their order, and its
     numbers go straight into the stacked leaves: no tree per draw is built.
-    The block equals ``SpecBlock.of`` of those members at those points bit
-    for bit, so each draw stays a pure function of (seed, index).
+    So ``points[r]`` is ``sample_points(es, first + r, n_points)`` and row
+    ``r`` of the jets is ``draw_member(es, first + r)``'s there, bit for bit.
     """
     if count < 1:
         raise DimensionMismatch(f"a block of draws needs count >= 1, got {count}")
@@ -279,14 +279,13 @@ def draw_block(es: EnsembleSpec, first: int, count: int, n_points: int) -> SpecB
         for j, (v, fn, phase, c) in enumerate(_atom_draws(es, index)):
             affine[j, r], fns[j][r], const[j, r], coeff[j, r] = v, fn, phase, c
         points[r] = _draw_rng(es, index, 1).uniform(-hw, hw, (n_points, n))
-    exponent = (None,) * count
     terms = [_base_quadratic(es)] + [
         {
             "kind": "scale",
             "coefficient": coeff[j],
-            "term": {"kind": "atom", "fn": tuple(fns[j]), "affine": affine[j], "const": const[j], "exponent": exponent},
+            "term": {"kind": "atom", "fn": tuple(fns[j]), "affine": affine[j], "const": const[j]},
         }
         for j in range(es.n_atoms)
     ]
     # like draw_member's specs, the members declare no box; their points lie in the ensemble's
-    return SpecBlock({"kind": "sum", "terms": terms}, es.k, es.l, es.flavor, np.full(count, math.inf), points)
+    return SpecBlock({"kind": "sum", "terms": terms}, es.k, es.l, es.flavor, math.inf, points)

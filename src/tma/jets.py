@@ -12,9 +12,9 @@ Point values (:meth:`ExpressionSpec.value`), jets (:func:`evaluate_jet`, every
 spatial partial to total order 4 as a :class:`SpaceTimeJet`), the Hessians of
 a whole ``(m, n)`` point array at once (:func:`evaluate_hessians`, an
 ``(m, n, n)`` stack; :func:`wirtinger_hessians`, the ``(m, k + l, k + l)``
-stack of ``u_{z_a zbar_b}``), the jets of a block of specs sharing one tree
-layout, each at its own points (:class:`SpecBlock`, with the leaf parameters
-carried per member; :func:`stacked_jets` of a list of specs) and grid values
+stack of ``u_{z_a zbar_b}``), the jets of a :class:`SpecBlock` (a block of
+ensemble draws with their leaf parameters stacked, each at its own points,
+or one spec at a point array) and grid values
 (:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`substitute` is
 the one rewriter of trees: it changes a tree's coordinates by ``x -> scale * x``,
 optionally adding coordinates the tree does not depend on.
@@ -432,53 +432,11 @@ def _atom_derivatives(node: dict, arg: np.ndarray, order: int):
     if isinstance(fn, str):
         return atom_derivatives(fn, arg, order, node.get("exponent"))
     out = [np.empty_like(arg) for _ in range(order + 1)]
-    per_member = list(zip(fn, node["exponent"]))
-    for key in dict.fromkeys(per_member):
-        rows = _spread(np.array([pair == key for pair in per_member]), len(arg))
-        for dst, src in zip(out, atom_derivatives(key[0], arg[rows], order, key[1])):
+    for name in dict.fromkeys(fn):
+        rows = _spread(np.array([f == name for f in fn]), len(arg))
+        for dst, src in zip(out, atom_derivatives(name, arg[rows], order)):
             dst[rows] = src
     return out
-
-
-def _stack_tree(trees) -> dict:
-    """One tree carrying the leaf parameters of the B trees in ``trees``, one row each.
-
-    The trees must share one layout: the same kinds and lengths everywhere and
-    the same quad leaves.  A subtree common to all of them is kept as it is.
-    Elsewhere a scale holds its coefficient and an atom its ``const`` as
-    ``(B,)`` arrays, an atom's ``affine`` becomes ``(B, n)`` and its ``fn`` and
-    ``exponent`` per-member tuples.  The engine evaluates such a tree on ``B
-    p`` coordinate rows, member-major: it spreads each member's parameters
-    over its p rows only where they meet the coordinates, so what depends on
-    the parameters alone (an atom's powers ``a_i^j``) is computed once per
-    member.
-    """
-    first = trees[0]
-    if all(t == first for t in trees[1:]):
-        return first
-    kind = first["kind"]
-    if any(t["kind"] != kind for t in trees):
-        raise DimensionMismatch("stacked specs differ in their tree layout")
-    if kind in ("sum", "product"):
-        key = "terms" if kind == "sum" else "factors"
-        if any(len(t[key]) != len(first[key]) for t in trees):
-            raise DimensionMismatch("stacked specs differ in their tree layout")
-        return {"kind": kind, key: [_stack_tree(children) for children in zip(*(t[key] for t in trees))]}
-    if kind == "scale":
-        return {
-            "kind": "scale",
-            "coefficient": np.array([t["coefficient"] for t in trees], dtype=float),
-            "term": _stack_tree([t["term"] for t in trees]),
-        }
-    if kind == "quad":
-        raise DimensionMismatch("stacked specs differ in a quadratic leaf")
-    return {
-        "kind": "atom",
-        "fn": tuple(t["fn"] for t in trees),
-        "affine": np.array([t["affine"] for t in trees], dtype=float),
-        "const": np.array([t["const"] for t in trees], dtype=float),
-        "exponent": tuple(t.get("exponent") for t in trees),
-    }
 
 
 def substitute(node: dict, scale, extra: int = 0) -> dict:
@@ -606,21 +564,23 @@ def _hessian_columns(nvars: int, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpecBlock:
-    """B specs of one shape, flavor and tree layout, each at its own p points: one call of the jet engine.
+    """B members of one shape, flavor and box, each at its own p points: one call of the jet engine.
 
-    ``tree`` is the members' one tree with their leaf parameters stacked as
-    :func:`_stack_tree` lays them out, ``halfwidth`` the ``(B,)`` declared
-    boxes and ``points`` the ``(B, p, nvars)`` evaluation points, member
-    ``r`` at ``points[r]``.  :meth:`of` stacks a list of specs;
-    :func:`tma.funclass.draw_block` draws ensemble members straight into
-    this form.  Either way :meth:`jets` is the one engine call.
+    ``points`` is ``(B, p, nvars)``, member ``r`` at ``points[r]``.  A block
+    of ensemble draws (:func:`tma.funclass.draw_block`) carries the B draws'
+    numbers in the stacked leaves of one ``tree``: a scale's coefficient and
+    an atom's ``const`` are ``(B,)`` arrays, its ``affine`` ``(B, nvars)`` and
+    its ``fn`` a tuple of B names.  The engine spreads each member's numbers
+    over its p rows only where they meet the coordinates, so an atom's powers
+    ``a_i^j`` are computed once per member.  :meth:`at` makes the block of
+    one spec on its own tree.
     """
 
     tree: dict
     k: int
     l: int
     flavor: str
-    halfwidth: np.ndarray
+    halfwidth: float
     points: np.ndarray
 
     @property
@@ -628,65 +588,32 @@ class SpecBlock:
         return self.points.shape[2]
 
     @classmethod
-    def of(cls, members, points) -> "SpecBlock":
-        """The block of ``members``, spec ``r`` at ``points[r]``; raises :class:`DimensionMismatch` as ``stacked_jets``."""
-        if not members:
-            raise DimensionMismatch("a block of stacked specs needs at least one spec")
-        first = members[0]
-        if any((s.k, s.l, s.flavor) != (first.k, first.l, first.flavor) for s in members):
-            raise DimensionMismatch("stacked specs differ in shape or flavor")
+    def at(cls, spec: ExpressionSpec, points) -> "SpecBlock":
+        """``spec`` alone at the rows of an ``(m, nvars)`` point array; another shape raises :class:`DimensionMismatch`."""
         points = np.asarray(points, dtype=float)
-        if points.ndim != 3 or points.shape[0] != len(members) or points.shape[2] != first.nvars:
-            raise DimensionMismatch(
-                f"points of shape {points.shape} do not give {len(members)} specs {first.nvars} coordinates each"
-            )
-        halfwidth = np.array([s.domain_halfwidth for s in members])
-        return cls(_stack_tree([s.expr for s in members]), first.k, first.l, first.flavor, halfwidth, points)
+        if points.ndim != 2 or points.shape[1] != spec.nvars:
+            raise DimensionMismatch(f"points of shape {points.shape} are not rows of {spec.nvars} coordinates")
+        return cls(spec.expr, spec.k, spec.l, spec.flavor, spec.domain_halfwidth, points[None])
 
     def jets(self, order: int) -> np.ndarray:
-        """``(B, p, P)`` jet arrays over ``multi_indices(nvars, order)``; raises as :func:`stacked_jets`."""
+        """``(B, p, P)`` jet arrays over ``multi_indices(nvars, order)``, each row bit-identical to :func:`evaluate_jet`.
+
+        Raises :class:`TmaError` for a negative order, and :class:`DomainViolation` as :func:`evaluate_jet`
+        does, naming the first (member, point) row outside the box.
+        """
         _require_order(order)
         points = self.points
-        outside = ~np.all(np.abs(points) <= self.halfwidth[:, None, None], axis=2)
+        outside = ~np.all(np.abs(points) <= self.halfwidth, axis=2)
         if outside.any():
             r, i = np.unravel_index(np.argmax(outside), outside.shape)
             raise DomainViolation(
-                f"point {tuple(points[r, i].tolist())} outside declared box of halfwidth {self.halfwidth[r]}"
+                f"point {tuple(points[r, i].tolist())} outside declared box of halfwidth {self.halfwidth}"
             )
-        # one row per (spec, point), on contiguous 1-D coordinate arrays: strided
+        # one row per (member, point), on contiguous 1-D coordinate arrays: strided
         # or 2-D ones would slow every elementwise step of the engine
         b, p, n = points.shape
         coords = np.ascontiguousarray(points.reshape(b * p, n).T)
         return _node_jet(self.tree, tuple(coords), order).reshape(b, p, len(multi_indices(n, order)))
-
-
-def stacked_jets(members, points, order: int = 4) -> np.ndarray:
-    """Spatial jets of a block of specs, each at its own points, from one engine call.
-
-    ``members`` are B specs of one shape and flavor whose trees share one
-    layout (the draws of one ensemble do: a common quad plus scaled atoms);
-    ``points`` is ``(B, p, nvars)`` and spec ``r`` is evaluated at
-    ``points[r]``.  Returns ``(B, p, P)`` jet arrays over ``multi_indices(nvars,
-    order)``; each row is bit-identical to the table of ``evaluate_jet`` at
-    that point.  This is :meth:`SpecBlock.jets` of ``SpecBlock.of(members,
-    points)``.
-
-    Raises
-    ------
-    DimensionMismatch
-        when there are no specs, the specs differ in shape, flavor or tree
-        layout, or ``points`` does not hold p points of ``nvars`` coordinates
-        for each spec (p may be 0).
-    DomainViolation
-        naming the first (spec, point) row that leaves its spec's box, or when
-        an atom is evaluated outside its domain.
-    """
-    return SpecBlock.of(members, points).jets(order)
-
-
-def _cloud_jet(spec: ExpressionSpec, points, order: int) -> np.ndarray:
-    """Jet arrays ``(m, P)`` of ``spec`` at the rows of an ``(m, nvars)`` point array: a block of one spec."""
-    return stacked_jets([spec], np.asarray(points, dtype=float)[None], order)[0]
 
 
 def evaluate_hessians(spec: ExpressionSpec, points) -> np.ndarray:
@@ -703,7 +630,7 @@ def evaluate_hessians(spec: ExpressionSpec, points) -> np.ndarray:
         naming the first row that leaves the declared box, or when an atom is
         evaluated outside its domain.
     """
-    return _cloud_jet(spec, points, 2)[..., _hessian_columns(spec.nvars, 2)]
+    return SpecBlock.at(spec, points).jets(2)[0][..., _hessian_columns(spec.nvars, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +791,7 @@ def wirtinger_hessians(spec: ExpressionSpec, points) -> np.ndarray:
     if spec.flavor != "complex":
         raise DimensionMismatch("wirtinger_hessians applies to complex-flavored specs")
     m = spec.k + spec.l
-    entries = _wirtinger_entries(_cloud_jet(spec, points, 2), m, 2)
+    entries = _wirtinger_entries(SpecBlock.at(spec, points).jets(2)[0], m, 2)
     return entries[..., _wirtinger_hessian_positions(m, 2)]
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -149,29 +148,19 @@ def _jacobian(h: np.ndarray, k: int, cinv: np.ndarray) -> np.ndarray:
 
 
 class LegendreBlock:
-    """W and the determinant law of a block of members, each at its own points, from one stacked pass.
+    """W and the determinant law of a :class:`~tma.jets.SpecBlock`, from one stacked pass.
 
-    ``members`` are real-flavored with ``l >= 1`` and share one shape and
-    tree layout (the draws of one ensemble shape do); ``points`` is ``(B, p,
-    n)``.  One order-2 jet-engine call gives the Hessians of all ``N = B p``
-    rows; row ``r p + i`` of every array below is member ``r`` at
-    ``points[r, i]``.  :func:`real_W` and :func:`det_transform_residual` are
-    blocks of one member, and every row of a block is bit-identical to them.
-    :meth:`of` makes the block of a :class:`~tma.jets.SpecBlock`, such as a
-    drawn one.  Raises :class:`DimensionMismatch` for a complex member or
-    ``l = 0``.
+    The block is B real-flavored members with ``l >= 1``, each at its own p
+    points: the draws of :func:`~tma.funclass.draw_block`, or one spec
+    (:meth:`SpecBlock.at <tma.jets.SpecBlock.at>`).  One order-2 jet-engine
+    call gives the Hessians of all ``N = B p`` rows; row ``r p + i`` of every
+    array below is member ``r`` at ``block.points[r, i]``.  :func:`real_W`
+    and :func:`det_transform_residual` are blocks of one member, and every
+    row of a block is bit-identical to them.  Raises
+    :class:`DimensionMismatch` for a complex block or ``l = 0``.
     """
 
-    def __init__(self, members: Sequence[ExpressionSpec], points):
-        self._evaluate(SpecBlock.of(members, points))
-
-    @classmethod
-    def of(cls, block: SpecBlock) -> "LegendreBlock":
-        out = cls.__new__(cls)
-        out._evaluate(block)
-        return out
-
-    def _evaluate(self, block: SpecBlock) -> None:
+    def __init__(self, block: SpecBlock):
         _require_transformable(block)
         jets = block.jets(2)
         self.k = block.k
@@ -197,7 +186,7 @@ class LegendreBlock:
 def _one_member(spec: ExpressionSpec, point):
     """The block of ``spec`` at one point ``(n,)`` or at the rows of ``(m, n)``, and whether it was one point."""
     pts = np.asarray(point, dtype=float)
-    return LegendreBlock([spec], np.atleast_2d(pts)[None]), pts.ndim < 2
+    return LegendreBlock(SpecBlock.at(spec, np.atleast_2d(pts))), pts.ndim < 2
 
 
 def real_W(spec: ExpressionSpec, point) -> np.ndarray:

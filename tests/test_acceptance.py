@@ -35,7 +35,7 @@ from tma.evolution import (
     complexify_real,
     real_evolution_lhs,
 )
-from tma.funclass import EnsembleSpec, draw_member, sample_points
+from tma.funclass import EnsembleSpec, draw_block, draw_member, sample_points
 from tma.jets import evaluate_jet, wirtinger_from_real
 from tma.legendre import det_transform_residual, real_W
 from tma.solver import (
@@ -90,8 +90,8 @@ def real_sweep():
 def complex_sweep():
     """1000 complex draws, one point each, over three shapes: criteria 3-5.
 
-    The draws of each shape go through the flow identities as one block, in
-    one stacked pass.
+    The draws of each shape are drawn as one block and go through the flow
+    identities in one stacked pass.
     """
     start = time.perf_counter()
     worst = {
@@ -102,10 +102,7 @@ def complex_sweep():
     }
     for si, ((k, l), count) in enumerate(zip(COMPLEX_SHAPES, (334, 333, 333))):
         es = EnsembleSpec(k=k, l=l, flavor="complex", eps=0.1, seed=777 + si)
-        block = FlowBlock(
-            [draw_member(es, draw) for draw in range(count)],
-            np.stack([sample_points(es, draw, 1) for draw in range(count)]),
-        )
+        block = FlowBlock(draw_block(es, 0, count, 1))
         worst["q"] = max(worst["q"], float(block.q_spectrum_max.max()))
         for name, column in zip(("g1", "g2", "g3", "g4"), block.grouping_spectrum_max.T):
             worst[name] = max(worst[name], float(column.max()))

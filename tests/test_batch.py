@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tma import cli
-from tma.errors import ClassExit, DegenerateLadder, DimensionMismatch, DomainViolation, ParseError, TmaError
+from tma.errors import ClassExit, DegenerateLadder, DimensionMismatch, ParseError, TmaError
 from tma.evolution import (
     FlowBlock,
     assemble_Q,
@@ -37,7 +37,6 @@ from tma.jets import (
     evaluate_hessians,
     evaluate_jet,
     multi_indices,
-    stacked_jets,
     wirtinger_from_real,
     wirtinger_hessians,
     wirtinger_keys,
@@ -133,7 +132,6 @@ _DEGENERATE_INPUTS = {
         lambda: hessian_error(reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9)), samples=[]),
         0.0,
     ),
-    "FlowBlock": (lambda: FlowBlock([], np.zeros((0, 1, 4))), DimensionMismatch),
     "class_membership": (lambda: class_membership(_REAL21, np.zeros((0, 3)), 0.5, 2.0), DimensionMismatch),
     "EnsembleSpec_k0_l0": (lambda: EnsembleSpec(k=0, l=0, seed=5), ParseError),
     "EnsembleSpec_negative_k": (lambda: EnsembleSpec(k=-1, l=2), ParseError),
@@ -154,7 +152,10 @@ _DEGENERATE_INPUTS = {
     "sample_points_negative_count": (lambda: sample_points(_ES21, 0, -1), DimensionMismatch),
     "sample_points_no_points": (lambda: sample_points(_ES21, 0, 0), (0, 3)),
     "evaluate_jet_negative_order": (lambda: evaluate_jet(_REAL21, [0.0, 0.0, 0.0], order=-1), TmaError),
-    "stacked_jets_negative_order": (lambda: stacked_jets([_REAL21], np.zeros((1, 1, 3)), order=-1), TmaError),
+    "SpecBlock_at_one_point": (lambda: SpecBlock.at(_REAL21, np.zeros(3)), DimensionMismatch),
+    "SpecBlock_at_wrong_width": (lambda: SpecBlock.at(_REAL21, np.zeros((2, 4))), DimensionMismatch),
+    "draw_block_no_draws": (lambda: draw_block(_ES21, 0, 0, 1), DimensionMismatch),
+    "SpecBlock_jets_negative_order": (lambda: draw_block(_ES21, 0, 1, 1).jets(-1), TmaError),
     "default_cloud_dim0": (lambda: default_cloud(0), DimensionMismatch),
     "time_order_estimate_dt0": (lambda: time_order_estimate(_flow9(0.0), 1e-3), TmaError),
     "time_order_estimate_nan_time": (lambda: time_order_estimate(_flow9(), float("nan")), TmaError),
@@ -268,15 +269,6 @@ def test_class_membership_equals_per_point_reference(shape, flavor, seed, draw, 
 block_sizes = st.integers(1, 2 * cli._BLOCK + 1)
 
 
-def _with_domain_atom(member, fn, const):
-    """``member`` plus a small log or pow atom whose argument can leave its domain."""
-    atom = {"kind": "atom", "fn": fn, "affine": [0.5] + [0.0] * (member.nvars - 1), "const": const}
-    if fn == "pow":
-        atom["exponent"] = 1.5
-    expr = {"kind": "sum", "terms": [member.expr, {"kind": "scale", "coefficient": 0.01, "term": atom}]}
-    return ExpressionSpec(expr=expr, k=member.k, l=member.l, flavor=member.flavor)
-
-
 @given(
     shapes,
     st.sampled_from(["real", "complex"]),
@@ -285,23 +277,22 @@ def _with_domain_atom(member, fn, const):
     block_sizes,
     st.sampled_from([0, 1, 2, 3, 20]),
     st.sampled_from([0, 2, 4]),
-    st.none() | st.lists(st.tuples(st.sampled_from(["log", "pow"]), st.floats(-0.6, 2.0)), min_size=1),
+    st.sampled_from([0, 1, 3]),
 )
-def test_stacked_jets_equal_per_member_jets(shape, flavor, seed, first, size, p, order, domain_atoms):
-    es = EnsembleSpec(k=shape[0], l=shape[1], flavor=flavor, seed=seed)
+def test_drawn_block_rows_equal_per_draw_jets(shape, flavor, seed, first, size, p, order, n_atoms):
+    # the block's points are each draw's sample_points and its jet rows each member's evaluate_jet, bit for bit
+    es = EnsembleSpec(k=shape[0], l=shape[1], flavor=flavor, n_atoms=n_atoms, seed=seed)
+    block = draw_block(es, first, size, p)
     members = [draw_member(es, first + r) for r in range(size)]
-    if domain_atoms is not None:  # per-member fn, exponent and const, some rows outside the domain
-        members = [_with_domain_atom(s, *domain_atoms[r % len(domain_atoms)]) for r, s in enumerate(members)]
-    pts = np.stack([sample_points(es, first + r, p) for r in range(size)])
-    try:
-        jets = [[evaluate_jet(s, x, order=order) for x in xs] for s, xs in zip(members, pts)]
-    except DomainViolation:
-        with pytest.raises(DomainViolation):
-            stacked_jets(members, pts, order)
-        return
-    stacked = stacked_jets(members, pts, order)
-    want = np.array([[jet.table for jet in row] for row in jets]).reshape(size, p, len(multi_indices(es.nvars, order)))
-    assert stacked.shape == want.shape and np.array_equal(stacked, want)
+    pts = [sample_points(es, first + r, p) for r in range(size)]
+    assert (block.k, block.l, block.flavor, block.points.shape) == (*shape, flavor, (size, p, es.nvars))
+    assert all(block.points[r].tobytes() == xs.tobytes() for r, xs in enumerate(pts))
+    stacked = block.jets(order)
+    assert stacked.shape == (size, p, len(multi_indices(es.nvars, order)))
+    jets = [[evaluate_jet(s, x, order=order) for x in xs] for s, xs in zip(members, pts)]
+    for r, row in enumerate(jets):
+        for i, jet in enumerate(row):
+            assert stacked[r, i].tobytes() == jet.table.tobytes(), (r, i)
     if order < 2:
         return
     # each per-point jet is a row of the stacked arrays, its Hessian and Wirtinger table too
@@ -320,59 +311,6 @@ def test_stacked_jets_equal_per_member_jets(shape, flavor, seed, first, size, p,
             z, mm, v = table.second_blocks()
             assert np.array_equal(z, blocks[i, :k, :k]) and np.array_equal(mm, blocks[i, :k, k:])
             assert np.array_equal(v, blocks[i, k:, k:])
-
-
-def _bits(x) -> bytes:
-    return np.asarray(x, dtype=float).tobytes()
-
-
-def _assert_same_stacked_tree(got, want, rows):
-    """A drawn tree equals ``want``, the ``_stack_tree`` of its members, bit for bit.
-
-    For one member ``_stack_tree`` returns the member's own tree, whose atom
-    leaves are the one row of the drawn arrays and which has no exponent.
-    """
-    assert got["kind"] == want["kind"]
-    kind = got["kind"]
-    if kind == "sum":
-        assert len(got["terms"]) == len(want["terms"])
-        for g, w in zip(got["terms"], want["terms"]):
-            _assert_same_stacked_tree(g, w, rows)
-    elif kind == "scale":
-        assert np.shape(got["coefficient"]) == (rows,)
-        assert _bits(got["coefficient"]) == _bits(want["coefficient"])
-        _assert_same_stacked_tree(got["term"], want["term"], rows)
-    elif kind == "quad":  # common to every member, so kept as it is
-        assert got.keys() == want.keys() and got["constant"] == want["constant"]
-        assert _bits(got["matrix"]) == _bits(want["matrix"]) and _bits(got["linear"]) == _bits(want["linear"])
-    else:
-        assert got.keys() == want.keys() | {"exponent"}
-        assert got["fn"] == (want["fn"] if rows > 1 else (want["fn"],))
-        assert got["exponent"] == want.get("exponent", (None,))
-        assert np.shape(got["affine"]) == (rows, len(got["affine"][0])) and np.shape(got["const"]) == (rows,)
-        assert _bits(got["affine"]) == _bits(want["affine"]) and _bits(got["const"]) == _bits(want["const"])
-
-
-@given(
-    shapes,
-    st.sampled_from(["real", "complex"]),
-    seeds,
-    draws,
-    block_sizes,
-    st.integers(0, 3),
-    st.sampled_from([0, 1, 3]),
-)
-def test_drawn_block_equals_stacked_members(shape, flavor, seed, first, size, p, n_atoms):
-    es = EnsembleSpec(k=shape[0], l=shape[1], flavor=flavor, n_atoms=n_atoms, seed=seed)
-    members = [draw_member(es, first + r) for r in range(size)]
-    pts = np.stack([sample_points(es, first + r, p) for r in range(size)])
-    block, want = draw_block(es, first, size, p), SpecBlock.of(members, pts)
-    assert (block.k, block.l, block.flavor, block.nvars) == (want.k, want.l, want.flavor, want.nvars)
-    assert block.points.shape == pts.shape and _bits(block.points) == _bits(pts)
-    assert _bits(block.halfwidth) == _bits(want.halfwidth)
-    _assert_same_stacked_tree(block.tree, want.tree, size)
-    # and the engine reads both alike, a lone member's one-row leaves included
-    assert block.jets(2).tobytes() == stacked_jets(members, pts, 2).tobytes()
 
 
 def test_sweep_blocks_walk_no_tree(monkeypatch):
@@ -437,11 +375,10 @@ def test_flow_block_rows_equal_per_point_calls(suite, shape, seed, first, size, 
 def test_flow_block_report_of_every_row_equals_flow_report():
     # every field of every row's report, the provenance of the source included, against a block of one
     es = EnsembleSpec(k=2, l=1, flavor="complex", eps=0.1, seed=19)
-    members = [draw_member(es, draw) for draw in range(16)]
-    pts = [sample_points(es, draw, 1) for draw in range(16)]
-    block = FlowBlock(members, pts)
-    for r, (member, xs) in enumerate(zip(members, pts)):
-        got, want = block.report(r), flow_report(member, tuple(float(c) for c in xs[0]))
+    block = FlowBlock(draw_block(es, 0, 16, 1))
+    for r in range(16):
+        got = block.report(r)
+        want = flow_report(draw_member(es, r), tuple(float(c) for c in sample_points(es, r, 1)[0]))
         assert got.q.matrix.tobytes() == want.q.matrix.tobytes(), r
         assert got.q.provenance == want.q.provenance, r
         assert got.q.hermitian_defect == want.q.hermitian_defect, r

@@ -789,6 +789,38 @@ class TestSweepPool:
         assert again.error is None and pathlib.Path(again.csv_path).read_bytes() == expected
         assert cli._pool[1] is pool and all(p.is_alive() for p in pool.procs)
 
+    def test_a_forked_child_exits_quietly_and_leaves_the_parent_pool(self, tmp_path):
+        # a fresh interpreter, so that the child's sys.exit runs every exit
+        # hook: multiprocessing's would try to join the parent's workers
+        launcher = (
+            "import json, os, pathlib, sys\n"
+            "from tma import cli\n"
+            "from tma.cli import ExperimentConfig, run_experiment\n"
+            "out = pathlib.Path(sys.argv[1])\n"
+            "def run(name):\n"
+            "    body = {'suite': 'det-law', 'seed': 3, 'draws': 40, 'points': 2, 'out': str(out / name)}\n"
+            "    return pathlib.Path(run_experiment(ExperimentConfig.from_dict(body), workers=2).csv_path).read_bytes()\n"
+            "first = run('parent')\n"
+            "pool = cli._pool[1]\n"
+            "sys.stdout.flush()\n"
+            "sys.stderr.flush()\n"
+            "child = os.fork()\n"
+            "if child == 0:\n"
+            "    os.dup2(os.open(out / 'child.err', os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 2)\n"
+            "    sys.exit(0)\n"
+            "_, status = os.waitpid(child, 0)\n"
+            "alive = all(p.is_alive() for p in pool.procs)\n"
+            "same = run('again') == first and cli._pool[1] is pool\n"
+            "print(json.dumps({'status': os.waitstatus_to_exitcode(status), 'alive': alive, 'same': same}))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", launcher, str(tmp_path)],
+            capture_output=True, text=True, env=checkout_env(), timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "child.err").read_text() == ""
+        assert json.loads(res.stdout) == {"status": 0, "alive": True, "same": True}
+
     def test_pooled_cli_run_exits(self, tmp_path):
         # the pool outlives the run; a pool that kept the interpreter from
         # exiting would hit the timeout, and one whose workers outlived it
