@@ -740,14 +740,7 @@ def complexify_real(spec: ExpressionSpec) -> ExpressionSpec:
     The convex/concave split and the declared box are preserved.
     """
     _require_real(spec)
-    return ExpressionSpec._trusted(
-        substitute(spec.expr, [1.0] * spec.nvars, spec.nvars),
-        spec.k,
-        spec.l,
-        "complex",
-        spec.time_drift,
-        spec.domain_halfwidth,
-    )
+    return replace(spec, expr=substitute(spec.expr, [1.0] * spec.nvars, spec.nvars), flavor="complex")
 
 
 def complexify_block(block: SpecBlock) -> SpecBlock:

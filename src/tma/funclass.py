@@ -232,9 +232,7 @@ def _base_quadratic(es: EnsembleSpec) -> dict:
 def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
     """The ``index``-th ensemble member: pure function of (seed, index).
 
-    Splittable per draw so parallel and serial sweeps agree.  The tree is
-    built here from the validated ``es``, so it is not walked again: only a
-    caller's tree is validated (:class:`ExpressionSpec`).
+    Splittable per draw so parallel and serial sweeps agree.
     """
     terms = [_base_quadratic(es)]
     for v, fn, phase, coeff in _atom_draws(es, index):
@@ -245,7 +243,7 @@ def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
                 "term": {"kind": "atom", "fn": fn, "affine": v.tolist(), "const": phase},
             }
         )
-    return ExpressionSpec._trusted({"kind": "sum", "terms": terms}, es.k, es.l, es.flavor)
+    return ExpressionSpec({"kind": "sum", "terms": terms}, es.k, es.l, es.flavor)
 
 
 def sample_points(es: EnsembleSpec, index: int, n_points: int) -> np.ndarray:

@@ -8,23 +8,24 @@ array with one trailing column per multi-index.  Quadratic forms contribute
 their value, gradient and constant Hessian; an atom of an affine argument
 contributes ``d^beta f(a.x + c) = f^(|beta|)(a.x + c) a^beta`` in closed form;
 sums and scales add and multiply arrays; products follow the Leibniz rule.
-Point values (:meth:`ExpressionSpec.value`), jets (:func:`evaluate_jet`, every
-spatial partial to total order 4 as a :class:`SpaceTimeJet`), the Hessians of
-a whole ``(m, n)`` point array at once (:func:`evaluate_hessians`, an
-``(m, n, n)`` stack; :func:`wirtinger_hessians`, the ``(m, k + l, k + l)``
-stack of ``u_{z_a zbar_b}``), the jets of a :class:`SpecBlock` (a block of
-ensemble draws with their leaf parameters stacked, each at its own points,
-or one spec at a point array) and grid values
-(:func:`tma.solver.evaluate_on_grid`) all come from it.  :func:`substitute` is
+The jets of a :class:`SpecBlock` (a block of ensemble draws with their leaf
+parameters stacked, each at its own points, or one spec at a point array)
+and grid values (:func:`tma.solver.evaluate_on_grid`) come from it.  Every
+per-point or per-array call is a one-spec block: point values
+(:meth:`ExpressionSpec.value`), jets (:func:`evaluate_jet`, every spatial
+partial to total order 4 as a :class:`SpaceTimeJet`, row 0 of a one-row
+block) and the Hessians of a whole ``(m, n)`` point array
+(:func:`evaluate_hessians`, an ``(m, n, n)`` stack; :func:`wirtinger_hessians`,
+the ``(m, k + l, k + l)`` stack of ``u_{z_a zbar_b}``).  :func:`substitute` is
 the one rewriter of trees: it changes a tree's coordinates by ``x -> scale * x``,
 optionally adding coordinates the tree does not depend on.
 
 Complex-flavored specs live on real coordinates ``[Re z_1..Re z_m, Im z_1..Im
 z_m]`` where the m = k + l complex variables are ``(z_1..z_k, w_1..w_l)``.
-:func:`wirtinger_from_real` converts a real jet into mixed
+:func:`wirtinger_stack` converts a stack of their jet arrays into mixed
 holomorphic/antiholomorphic partials under the fixed normalization
-``d/dz = (d/dx - i d/dy)/2``; :func:`wirtinger_stack` converts a stack of
-jet arrays the same way, by one cached gather of every key's expansion terms.
+``d/dz = (d/dx - i d/dy)/2``, by one cached gather of every key's expansion
+terms; :func:`wirtinger_from_real` is the same conversion of one jet.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -198,12 +199,10 @@ class ExpressionSpec:
     coordinates).  ``time_drift`` adds a linear-in-time term ``drift * t``,
     the only explicit time dependence a spec can carry.
 
-    A caller's tree is validated where it enters: at construction (and so
-    at :meth:`from_dict`, and at ``dataclasses.replace``), which walks the
-    whole tree and raises :class:`ParseError` or :class:`UnknownAtom` naming
-    the path of the first fault.  A tree that package code builds from
-    parts already validated (an ensemble draw, a complexified spec) enters
-    through :meth:`_trusted` instead and is not walked again.
+    Every spec is validated at construction (and so at :meth:`from_dict`,
+    and at ``dataclasses.replace``), which walks the whole tree and raises
+    :class:`ParseError` or :class:`UnknownAtom` naming the path of the first
+    fault.
     """
 
     expr: dict
@@ -223,20 +222,6 @@ class ExpressionSpec:
         if self.k < 0 or self.l < 0 or self.k + self.l == 0:
             raise ParseError(f"at dims: need k >= 0, l >= 0, k + l >= 1; got ({self.k}, {self.l})")
         _validate_node(self.expr, self.nvars, "expr")
-
-    @classmethod
-    def _trusted(cls, expr: dict, k: int, l: int, flavor: str = "real", time_drift: float = 0.0,
-                 domain_halfwidth: float = math.inf) -> "ExpressionSpec":
-        """The spec of a tree built by package code from validated parts, made without the checks.
-
-        Only for trees whose every number and kind the builder itself chose
-        from checked inputs; a tree holding a caller's numbers goes through
-        the constructor.
-        """
-        spec = cls.__new__(cls)
-        spec.__dict__.update(expr=expr, k=k, l=l, flavor=flavor, time_drift=time_drift,
-                             domain_halfwidth=domain_halfwidth)
-        return spec
 
     # -- serialization ---------------------------------------------------
 
@@ -522,33 +507,19 @@ class SpaceTimeJet:
         return h[:k, :k], h[:k, k:], h[k:, k:]
 
 
-def _require_order(order: int) -> None:
-    if order < 0:
-        raise TmaError(f"jet order must be >= 0, got {order}")
-
-
 def evaluate_jet(spec: ExpressionSpec, point, order: int = 4) -> SpaceTimeJet:
     """Exact spatial derivative table of ``spec`` at ``point``, plus its time drift.
 
-    Raises
-    ------
-    DomainViolation
-        when an atom is evaluated outside its domain or the point leaves the
-        declared box.
+    The table is row ``[0, 0]`` of ``SpecBlock.at(spec, [point]).jets(order)``,
+    and raises what they raise.
     """
-    _require_order(order)
-    point = tuple(float(c) for c in point)
-    if len(point) != spec.nvars:
-        raise DimensionMismatch(f"point has {len(point)} coordinates, spec has {spec.nvars}")
-    if not spec.in_domain(point):
-        raise DomainViolation(f"point {point} outside declared box of halfwidth {spec.domain_halfwidth}")
     return SpaceTimeJet(
         nvars=spec.nvars,
         order=order,
         k=spec.k,
         l=spec.l,
         flavor=spec.flavor,
-        table=_node_jet(spec.expr, point, order),
+        table=SpecBlock.at(spec, [tuple(point)]).jets(order)[0, 0],
         drift=spec.time_drift or 0.0,  # a drift of -0.0 reads 0.0
     )
 
@@ -596,12 +567,13 @@ class SpecBlock:
         return cls(spec.expr, spec.k, spec.l, spec.flavor, spec.domain_halfwidth, points[None])
 
     def jets(self, order: int) -> np.ndarray:
-        """``(B, p, P)`` jet arrays over ``multi_indices(nvars, order)``, each row bit-identical to :func:`evaluate_jet`.
+        """``(B, p, P)`` jet arrays over ``multi_indices(nvars, order)``; :func:`evaluate_jet` reads one row.
 
-        Raises :class:`TmaError` for a negative order, and :class:`DomainViolation` as :func:`evaluate_jet`
-        does, naming the first (member, point) row outside the box.
+        Raises :class:`TmaError` for a negative order, and :class:`DomainViolation` naming the first
+        (member, point) row outside the box, or when an atom is evaluated outside its domain.
         """
-        _require_order(order)
+        if order < 0:
+            raise TmaError(f"jet order must be >= 0, got {order}")
         points = self.points
         outside = ~np.all(np.abs(points) <= self.halfwidth, axis=2)
         if outside.any():
@@ -758,64 +730,42 @@ def _wirtinger_gather(m: int, order: int):
     return cols, coeffs
 
 
-def _wirtinger_entries(jets: np.ndarray, m: int, order: int) -> np.ndarray:
-    """Wirtinger partials ``(..., K)`` of real jet arrays ``(..., P)`` over 2m coordinates.
+def wirtinger_stack(jets: np.ndarray, k: int, l: int, order: int) -> WirtingerTable:
+    """Convert real jet arrays ``(..., P)`` over ``multi_indices(2(k + l), order)`` into a stack.
 
     Each key sums the terms of its expansion in expansion order, one term per
     pass over all rows, so every row rounds as it would alone.
     """
-    cols, coeffs = _wirtinger_gather(m, order)
-    out = coeffs[0] * jets[..., cols[0]]
+    cols, coeffs = _wirtinger_gather(k + l, order)
+    entries = coeffs[0] * jets[..., cols[0]]
     for c, w in zip(cols[1:], coeffs[1:]):
-        out += w * jets[..., c]
-    return out
-
-
-def wirtinger_stack(jets: np.ndarray, k: int, l: int, order: int) -> WirtingerTable:
-    """Convert real jet arrays ``(..., P)`` over ``multi_indices(2(k + l), order)`` into a stack.
-
-    Rows are bit-identical to :func:`wirtinger_from_real` of each row's jet.
-    """
-    return WirtingerTable(k=k, l=l, order=order, entries=_wirtinger_entries(jets, k + l, order))
+        entries += w * jets[..., c]
+    return WirtingerTable(k=k, l=l, order=order, entries=entries)
 
 
 def wirtinger_hessians(spec: ExpressionSpec, points) -> np.ndarray:
     """Wirtinger Hessians ``u_{z_a zbar_b}`` of a complex-flavored spec at the rows of ``points``.
 
-    Returns the ``(N, m, m)`` stack (``m = k + l``, z-slots first) from one
-    engine call on the ``(N, 2m)`` real coordinates and one conversion, the
-    one :func:`wirtinger_from_real` makes, so the entries are bit-identical to
-    :meth:`WirtingerTable.second_blocks`.  Guards as for
-    :func:`evaluate_hessians`.
+    Returns the ``(N, m, m)`` stack (``m = k + l``, z-slots first) of
+    :func:`wirtinger_stack` on the order-2 jets of ``SpecBlock.at(spec,
+    points)``.  Guards as for :func:`evaluate_hessians`.
     """
     if spec.flavor != "complex":
         raise DimensionMismatch("wirtinger_hessians applies to complex-flavored specs")
-    m = spec.k + spec.l
-    entries = _wirtinger_entries(SpecBlock.at(spec, points).jets(2)[0], m, 2)
-    return entries[..., _wirtinger_hessian_positions(m, 2)]
+    return wirtinger_stack(SpecBlock.at(spec, points).jets(2)[0], spec.k, spec.l, 2).hessian()
 
 
 def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
-    """Convert a real-coordinate jet over R^{2m} into a Wirtinger table.
-
-    The pairing is the fixed layout ``[Re z_1..Re z_m, Im z_1..Im z_m]``.
+    """The Wirtinger table of a complex-flavored jet: :func:`wirtinger_stack` of its table, with its drift.
 
     Raises
     ------
     DimensionMismatch
-        if the jet dimension is odd.
+        for a jet that is not complex-flavored over ``2(k + l)`` coordinates.
     """
-    if jet.nvars % 2 != 0:
-        raise DimensionMismatch(f"cannot pair {jet.nvars} real coordinates into complex ones")
-    m = jet.nvars // 2
-    if jet.k + jet.l == m:
-        k, l = jet.k, jet.l
-    else:
-        k, l = m, 0
-    return WirtingerTable(
-        k=k,
-        l=l,
-        order=jet.order,
-        entries=_wirtinger_entries(jet.table, m, jet.order),
-        drift=jet.drift,
-    )
+    if jet.flavor != "complex" or jet.nvars != 2 * (jet.k + jet.l):
+        raise DimensionMismatch(
+            f"wirtinger_from_real applies to complex-flavored jets over 2(k + l) coordinates; "
+            f"got a {jet.flavor} jet over {jet.nvars} with k + l = {jet.k + jet.l}"
+        )
+    return replace(wirtinger_stack(jet.table, jet.k, jet.l, jet.order), drift=jet.drift)

@@ -849,7 +849,7 @@ def _sine_transform(x: np.ndarray) -> np.ndarray:
 
 
 class _FastPoisson:
-    """Fast-transform preconditioner for ``L`` or, given ``dt``, for ``I - dt*L``.
+    """Fast-transform preconditioner for ``L`` on a framed grid or, given ``dt``, for ``I - dt*L``.
 
     ``P^{-1} v = T^{-1}(T(v / gbar) / D)``, where ``gbar`` is the pointwise
     mean of the ``gamma_a``, ``T`` the DST-I on framed grids and the FFT on
@@ -858,8 +858,7 @@ class _FastPoisson:
     ``1/mean(gbar) - dt*Lambda``.  For constant coefficients ``P`` is the
     operator itself.  On a framed grid ``T^{-1}`` is :func:`_sine_transform`
     again, one matrix product per axis each way, with the product of the
-    ``2(n + 1)`` folded into ``D``.  On a periodic grid ``L`` annihilates
-    constants, and the preconditioner of ``L`` drops that mode.
+    ``2(n + 1)`` folded into ``D``.
     """
 
     def __init__(self, grid: BoxGrid, gammas: Sequence[np.ndarray], dt: Optional[float] = None):
@@ -877,10 +876,7 @@ class _FastPoisson:
                 eig = -4.0 * np.sin(0.5 * math.pi * np.arange(1, n + 1) / (n + 1)) ** 2 / (h * h)
             symbol = symbol + (float(g.mean()) / mean) * eig.reshape((-1,) + (1,) * (dim - 1 - a))
         denom = symbol if dt is None else 1.0 / mean - dt * symbol
-        if self.periodic:
-            if dt is None:
-                denom[(0,) * dim] = math.inf
-        else:
+        if not self.periodic:
             denom = denom * math.prod(2 * n + 2 for n in self.shape)
         self.inverse = 1.0 / denom
 

@@ -61,6 +61,30 @@ def test_every_raise_is_a_package_error():
     assert len(SOURCES) > 10 and not offenders
 
 
+def test_no_instance_bypasses_its_constructor():
+    # every instance passes its class's checks: no module allocates one with
+    # __new__ or fills its __dict__; object.__setattr__ may only normalize a
+    # frozen dataclass's own fields inside its __post_init__
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                offenders.append(f"{path.name}:{node.lineno} reads __new__")
+            elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                offenders.append(f"{path.name}:{node.lineno} reads __dict__")
+            elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object" and id(node) not in allowed):
+                offenders.append(f"{path.name}:{node.lineno} calls object.__setattr__ outside __post_init__")
+    assert len(SOURCES) > 10 and not offenders
+
+
 def _names_in(tree: ast.AST) -> set:
     """Every variable and attribute name that occurs in ``tree``."""
     return {

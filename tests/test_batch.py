@@ -30,7 +30,6 @@ from tma.evolution import (
 from tma import jets
 from tma.funclass import EnsembleSpec, class_membership, default_cloud, draw_block, draw_member, sample_points
 from tma.jets import (
-    ExpressionSpec,
     SpaceTimeJet,
     SpecBlock,
     _wirtinger_expansion,
@@ -152,6 +151,13 @@ _DEGENERATE_INPUTS = {
     "sample_points_negative_count": (lambda: sample_points(_ES21, 0, -1), DimensionMismatch),
     "sample_points_no_points": (lambda: sample_points(_ES21, 0, 0), (0, 3)),
     "evaluate_jet_negative_order": (lambda: evaluate_jet(_REAL21, [0.0, 0.0, 0.0], order=-1), TmaError),
+    # an even count of real coordinates does not make a real jet a complex one
+    "wirtinger_from_real_real_jet": (
+        lambda: wirtinger_from_real(evaluate_jet(draw_member(EnsembleSpec(k=1, l=1, seed=0), 0), (0.1, 0.2))),
+        DimensionMismatch),
+    "wirtinger_from_real_short_jet": (
+        lambda: wirtinger_from_real(SpaceTimeJet(nvars=2, order=2, k=1, l=1, flavor="complex", table=np.zeros(6))),
+        DimensionMismatch),
     "SpecBlock_at_one_point": (lambda: SpecBlock.at(_REAL21, np.zeros(3)), DimensionMismatch),
     "SpecBlock_at_wrong_width": (lambda: SpecBlock.at(_REAL21, np.zeros((2, 4))), DimensionMismatch),
     "draw_block_no_draws": (lambda: draw_block(_ES21, 0, 0, 1), DimensionMismatch),
@@ -314,18 +320,19 @@ def test_drawn_block_rows_equal_per_draw_jets(shape, flavor, seed, first, size, 
 
 
 def test_sweep_blocks_walk_no_tree(monkeypatch):
-    # the package builds every sweep block and every drawn or complexified
-    # member from a validated EnsembleSpec, so no tree is walked
+    # a sweep block is drawn straight into stacked leaves and builds no spec,
+    # so no tree is walked; every spec, drawn or complexified, walks its own once
     calls = []
     walk = jets._validate_node
-    monkeypatch.setattr(jets, "_validate_node", lambda *args: calls.append(args) or walk(*args))
+    monkeypatch.setattr(jets, "_validate_node", lambda node, nvars, path: calls.append(path) or walk(node, nvars, path))
     for suite, sweep in cli._SWEEPS.items():
         k, l = sweep.shapes[-1]
         cli._sweep_block_rows((suite, k, l, 1.0, 1.0, 0.1, 3, 1, 3, 2))
-    complexify_real(draw_member(_ES21, 4))
     assert calls == []
-    ExpressionSpec(expr=_REAL21.expr, k=2, l=1)  # a caller's tree still is
-    assert calls
+    member = draw_member(_ES21, 4)
+    assert calls.count("expr") == 1
+    complexify_real(member)
+    assert calls.count("expr") == 2
 
 
 def _per_point_rows(suite, k, l, seed, first, size, p):

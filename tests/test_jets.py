@@ -433,9 +433,9 @@ def test_conjugation_symmetry_bit_exact():
 
 def test_wirtinger_conversion_matches_symbolic_oracle():
     # sympy differentiates the tree in real coordinates, and each key's
-    # operator prod ((d_X - i d_Y)/2)^hol ((d_X + i d_Y)/2)^anti is expanded
-    # as a polynomial whose monomials name real partials: no code is shared
-    # with the conversion's own expansion
+    # operator prod ((d_X - i d_Y)/2)^hol ((d_X + i d_Y)/2)^anti is multiplied
+    # out as a polynomial whose monomials name real partials: no code is
+    # shared with the conversion's own expansion
     sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(13)
     spec = random_spec(rng, 4)
@@ -443,19 +443,23 @@ def test_wirtinger_conversion_matches_symbolic_oracle():
     point = rng.uniform(-0.5, 0.5, 4)
     xs = sympy.symbols("x0:4", real=True)
     at = {x: sympy.Float(v, 40) for x, v in zip(xs, point)}
-    derivs = {(0, 0, 0, 0): sympy_tree(sympy, spec.expr, xs)}
+    # the terms of the sum one by one: sympy's checks on each derivative
+    # cost less on four small expressions than on their sum
+    derivs = {(0, 0, 0, 0): [sympy_tree(sympy, t, xs) for t in spec.expr["terms"]]}
     for beta in multi_indices(4, 4)[1:]:  # sorted, so each lower partial comes first
         i = next(i for i, b in enumerate(beta) if b)
-        derivs[beta] = sympy.diff(derivs[tuple(b - (j == i) for j, b in enumerate(beta))], xs[i])
-    real = {beta: d.xreplace(at).evalf(30) for beta, d in derivs.items()}
+        derivs[beta] = [sympy.diff(d, xs[i]) for d in derivs[tuple(b - (j == i) for j, b in enumerate(beta))]]
+    real = {beta: sympy.Add(*(d.xreplace(at) for d in ds)).evalf(30) for beta, ds in derivs.items()}
     big_x, big_y = sympy.symbols("X0:2"), sympy.symbols("Y0:2")
+    gens = (*big_x, *big_y)
+    d_z = [sympy.Poly((big_x[a] - sympy.I * big_y[a]) / 2, *gens) for a in range(2)]
+    d_zbar = [sympy.Poly((big_x[a] + sympy.I * big_y[a]) / 2, *gens) for a in range(2)]
     want = {}
     for hol, anti in wirtinger_keys(2, 4):
-        op = sympy.Integer(1)
+        op = sympy.Poly(1, *gens)
         for a in range(2):
-            op *= ((big_x[a] - sympy.I * big_y[a]) / 2) ** hol[a] * ((big_x[a] + sympy.I * big_y[a]) / 2) ** anti[a]
-        terms = sympy.Poly(sympy.expand(op), *big_x, *big_y).terms()
-        want[hol, anti] = complex(sympy.Add(*(c * real[monom] for monom, c in terms)).evalf(30))
+            op *= d_z[a] ** hol[a] * d_zbar[a] ** anti[a]
+        want[hol, anti] = complex(sympy.Add(*(c * real[monom] for monom, c in op.terms())).evalf(30))
     scale = max(abs(v) for v in want.values())
     wt = wirtinger_from_real(evaluate_jet(spec, point))
     for (hol, anti), v in want.items():

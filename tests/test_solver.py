@@ -504,19 +504,20 @@ class TestMatrixFreeSolves:
         scale = math.prod(2 * n + 2 for n in shape)
         assert np.abs(_sine_transform(_sine_transform(x)) - scale * x).max() <= 1e-13 * scale * np.abs(x).max()
 
-    @pytest.mark.parametrize("grid", [
-        BoxGrid((-1.0, -1.0), (1.0, 2.0), (17, 21)),
-        BoxGrid((-1.0,) * 4, (1.0,) * 4, (9, 8, 9, 10), frame=1),
-        BoxGrid((0.0, 0.0), (2 * math.pi, 3.0), (16, 15), frame=0),
-        BoxGrid((0.0,) * 4, (2 * math.pi,) * 4, (8, 7, 8, 6), frame=0),
-    ], ids=["framed2d", "framed4d", "periodic2d", "periodic4d"])
-    @pytest.mark.parametrize("dt", [None, 1e-3])
+    @pytest.mark.parametrize("grid, dt", [
+        (BoxGrid((-1.0, -1.0), (1.0, 2.0), (17, 21)), None),
+        (BoxGrid((-1.0,) * 4, (1.0,) * 4, (9, 8, 9, 10), frame=1), None),
+        (BoxGrid((-1.0, -1.0), (1.0, 2.0), (17, 21)), 1e-3),
+        (BoxGrid((-1.0,) * 4, (1.0,) * 4, (9, 8, 9, 10), frame=1), 1e-3),
+        (BoxGrid((0.0, 0.0), (2 * math.pi, 3.0), (16, 15), frame=0), 1e-3),
+        (BoxGrid((0.0,) * 4, (2 * math.pi,) * 4, (8, 7, 8, 6), frame=0), 1e-3),
+    ], ids=["None-framed2d", "None-framed4d", "0.001-framed2d", "0.001-framed4d", "0.001-periodic2d",
+            "0.001-periodic4d"])
     def test_preconditioner_inverts_constant_coefficients(self, grid, dt):
+        # the preconditioner of L alone serves the elliptic solve, which needs a framed grid
         gammas = [np.full(grid.interior_shape, 0.7 + 0.5 * a) for a in range(grid.dim)]
         system, precondition = _Operator(grid, gammas, dt), _FastPoisson(grid, gammas, dt)
         v = np.random.default_rng(3).normal(size=math.prod(grid.interior_shape))
-        if grid.periodic and dt is None:
-            v -= v.mean()  # L annihilates constants, and P^{-1} drops them
         assert np.abs(precondition(system(v)) - v).max() <= 1e-12 * np.abs(v).max()
 
     @pytest.mark.parametrize("boundary, grid, guess, steps", [
