@@ -212,12 +212,8 @@ def _jet_logdet(a: np.ndarray, a0_inv: np.ndarray, logdet0: np.ndarray, leibniz)
     return out
 
 
-def _assemble_w(z, mm, nn, vinv, k: int, l: int, leibniz) -> np.ndarray:
-    """Transformed Hessian ``[[Z - M V^-1 N, M V^-1], [V^-1 N, -V^-1]]`` from jet-array blocks."""
-    if l == 0:
-        return z
-    if k == 0:
-        return -vinv
+def _assemble_w(z, mm, nn, vinv, leibniz) -> np.ndarray:
+    """Transformed Hessian ``[[Z - M V^-1 N, M V^-1], [V^-1 N, -V^-1]]`` from jet-array blocks (either may be empty)."""
     coupling = _jet_matmul(mm, vinv, leibniz)
     upper = np.concatenate([z - _jet_matmul(coupling, nn, leibniz), coupling], axis=2)
     lower = np.concatenate([_jet_matmul(vinv, nn, leibniz), -vinv], axis=2)
@@ -236,7 +232,7 @@ class _FlowEngine:
     """
 
     def __init__(self, jets: np.ndarray, k: int, l: int, is_complex: bool):
-        self.k, self.l = k, l
+        self.k = k
         self.is_complex = is_complex
         n = 2 * (k + l) if is_complex else k + l
         if jets.shape[-1] != len(multi_indices(n, 4)):
@@ -253,18 +249,15 @@ class _FlowEngine:
         self.f = np.zeros((rows, h.shape[-1]), dtype=h.dtype)
         # L(g) = tr(Z^-1 g_zzbar) - tr(V^-1 g_wwbar) pairs these weights with g's slot Hessian
         self.l_weights = np.zeros((rows, k + l, k + l), dtype=h.dtype)
-        self.vi0 = vinv = None
-        if k:
-            zi0, logdet_convex = inverse_and_logdet(as_hermitian(z[..., 0]))
-            self.f += _jet_logdet(z, zi0, logdet_convex, leibniz)
-            self.l_weights[:, :k, :k] = zi0
-        if l:
-            neg_vi0, logdet_concave = inverse_and_logdet(as_hermitian(-v[..., 0]))
-            self.vi0 = -neg_vi0
-            self.f -= _jet_logdet(-v, neg_vi0, logdet_concave, leibniz)
-            self.l_weights[:, k:, k:] = neg_vi0
-            vinv = _jet_inverse(v, self.vi0, leibniz)
-        self.w = _assemble_w(z, h[:, :k, k:], h[:, k:, :k], vinv, k, l, leibniz)
+        zi0, logdet_convex = inverse_and_logdet(as_hermitian(z[..., 0]))
+        self.f += _jet_logdet(z, zi0, logdet_convex, leibniz)
+        self.l_weights[:, :k, :k] = zi0
+        neg_vi0, logdet_concave = inverse_and_logdet(as_hermitian(-v[..., 0]))
+        self.vi0 = -neg_vi0
+        self.f -= _jet_logdet(-v, neg_vi0, logdet_concave, leibniz)
+        self.l_weights[:, k:, k:] = neg_vi0
+        vinv = _jet_inverse(v, self.vi0, leibniz)
+        self.w = _assemble_w(z, h[:, :k, k:], h[:, k:, :k], vinv, leibniz)
 
     def _slot_hessian(self, g: np.ndarray) -> np.ndarray:
         """Slot second derivatives of every entry of a jet array, on axes 1 and 2."""
@@ -282,11 +275,11 @@ class _FlowEngine:
         The second-derivative blocks move at the flow-induced rate: the slot
         Hessian of the flow speed ``f``.
         """
-        k, l = self.k, self.l
+        k = self.k
         leibniz = _leibniz_table(1, 1)
         ht = np.stack([self.h0, self._slot_hessian(self.f)], axis=-1)
-        vinv = _jet_inverse(ht[:, k:, k:], self.vi0, leibniz) if l else None
-        return _assemble_w(ht[:, :k, :k], ht[:, :k, k:], ht[:, k:, :k], vinv, k, l, leibniz)[..., 1]
+        vinv = _jet_inverse(ht[:, k:, k:], self.vi0, leibniz)
+        return _assemble_w(ht[:, :k, :k], ht[:, :k, k:], ht[:, k:, :k], vinv, leibniz)[..., 1]
 
     def lhs_matrix(self) -> np.ndarray:
         """(d/dt - L) applied entrywise to the transformed Hessian, ``(N, m, m)``."""
@@ -384,15 +377,14 @@ _GROUP_NAMES = ("g1", "g2", "g3", "g4")
 class QTensor:
     """Third-derivative source matrix of the flow identity.
 
-    ``matrix`` is the Hermitian (k+l)x(k+l) source; ``provenance`` lists the
-    contraction labels that contributed, with the sup-norm of each
-    contribution; ``hermitian_defect`` is the asymmetry measured before the
-    exact symmetrization was applied.
+    ``matrix`` is the (k+l)x(k+l) source, made exactly Hermitian by
+    :func:`tma.linalg.as_hermitian` once its contractions passed that
+    function's Hermitian test; ``provenance`` lists the contraction labels
+    that contributed, with the sup-norm of each contribution.
     """
 
     matrix: np.ndarray
     provenance: Tuple[Tuple[str, float], ...]
-    hermitian_defect: float
 
 
 def _contract(subs: str, *operands) -> np.ndarray:
@@ -422,11 +414,10 @@ def _term_context(table: WirtingerTable):
     """Inverse, coupling and third-derivative blocks of a stack, rows last (see :func:`_rows_last`)."""
     if table.order < 3:
         raise DimensionMismatch(f"source-matrix assembly needs third derivatives, table has order {table.order}")
-    k, l = table.k, table.l
     seconds = wirtinger_derivative_arrays(table, 2)
     z2, m2, v2 = seconds[(1, 0, 1, 0)], seconds[(1, 0, 0, 1)], seconds[(0, 1, 0, 1)]
-    zi = inverse_and_logdet(as_hermitian(z2))[0] if k else z2
-    vi = -inverse_and_logdet(as_hermitian(-v2))[0] if l else v2
+    zi = inverse_and_logdet(as_hermitian(z2))[0]
+    vi = -inverse_and_logdet(as_hermitian(-v2))[0]
     thirds = wirtinger_derivative_arrays(table, 3)
     ctx = {"zi": zi, "vi": vi, "m2": m2, "n2": m2.conj().swapaxes(-1, -2)}
     for alias, sig in _THIRD_SIGS.items():
@@ -457,40 +448,28 @@ def _term_stack(table: WirtingerTable) -> Dict[str, np.ndarray]:
     return _terms_from_context(_term_context(one_row))
 
 
-def _finalize_hermitian(q: np.ndarray, what: str):
-    """Each matrix of a stack made exactly Hermitian, and the asymmetry each had before."""
-    adj = q.conj().swapaxes(-1, -2)
-    defect = np.max(np.abs(q - adj), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(q), axis=(-2, -1)))
-    bad = defect > 1e-10 * scale
-    if np.any(bad):
-        worst = np.argmax(np.where(bad, defect / scale, -1.0))
-        raise TmaError(
-            f"{what} lost Hermitian symmetry: defect {defect.flat[worst]:.3e} at scale {scale.flat[worst]:.3e}"
-        )
-    return (q + adj) / 2.0, defect
-
-
-def _summed(terms: Dict[str, np.ndarray], k: int, l: int, rows: int, group=None):
+def _summed(terms: Dict[str, np.ndarray], k: int, l: int, rows: int, group=None) -> np.ndarray:
     """The contractions of one grouping (of all of them for ``None``) added up, each at its block.
 
-    Returns the first ``rows`` sums as ``(rows, m, m)`` matrices made exactly
-    Hermitian, and the Hermitian defect of each before.
+    Returns the first ``rows`` sums as ``(rows, m, m)`` matrices, checked and
+    made exactly Hermitian by :func:`tma.linalg.as_hermitian`, whose error
+    gets the sum's name ("source matrix", "grouping g2") in front.
     """
     acc = np.zeros((k + l, k + l) + terms[_TERMS[0][0]].shape[-1:], dtype=complex)
     for name, g, block, *_ in _TERMS:
         if group in (None, g):
             acc[_BLOCK_SLICES[block](k, l)] += terms[name]
-    q = np.ascontiguousarray(np.moveaxis(acc, -1, 0)[:rows])
-    return _finalize_hermitian(q, "source matrix" if group is None else f"grouping {group}")
+    try:
+        return as_hermitian(np.ascontiguousarray(np.moveaxis(acc, -1, 0)[:rows]))
+    except TmaError as e:
+        raise TmaError(f"{'source matrix' if group is None else f'grouping {group}'}: {e}") from None
 
 
-def _qtensor(terms: Dict[str, np.ndarray], source, row: int) -> QTensor:
+def _qtensor(terms: Dict[str, np.ndarray], source: np.ndarray, row: int) -> QTensor:
     """One row of a :func:`_summed` source as a :class:`QTensor`, provenance from the nonzero sup-norms."""
-    q, defect = source
     norms = ((name, float(np.max(np.abs(terms[name][..., row]), initial=0.0))) for name, *_ in _TERMS)
     prov = tuple((name, nrm) for name, nrm in norms if nrm > 0.0)
-    return QTensor(matrix=q[row], provenance=prov, hermitian_defect=float(defect[row]))
+    return QTensor(matrix=source[row], provenance=prov)
 
 
 def assemble_Q(table: WirtingerTable) -> QTensor:
@@ -519,7 +498,7 @@ def q_sign_groupings(table: WirtingerTable) -> Dict[str, np.ndarray]:
     symmetrization).
     """
     terms = _term_stack(table)
-    return {gname: _summed(terms, table.k, table.l, 1, gname)[0][0] for gname in _GROUP_NAMES}
+    return {gname: _summed(terms, table.k, table.l, 1, gname)[0] for gname in _GROUP_NAMES}
 
 
 def subsolution_spectrum(table: WirtingerTable) -> float:
@@ -591,8 +570,10 @@ class FlowBlock:
 
     Route B evaluates each contraction once, at the size of its block, and
     every sum that reads it (the source, its grouping) adds it in at that
-    block.  The sup-norm of each contraction, the provenance of a
-    :class:`QTensor`, is taken only for the row that :meth:`report` asks for.
+    block; :func:`tma.linalg.as_hermitian` makes each sum Hermitian.  The
+    sup-norm of each contraction, the provenance of a :class:`QTensor`, is
+    taken only for the row that :meth:`report` asks for.  The shapes ``(k,
+    0)`` and ``(0, l)`` take the same path: linalg answers for an empty block.
 
     The per-point functions (:func:`flow_report`, :func:`evolution_residual`,
     :func:`heat_residual`, :func:`evolution_lhs`, :func:`real_evolution_lhs`)
@@ -624,18 +605,14 @@ class FlowBlock:
         return _terms_from_context(self._context)
 
     @cached_property
-    def _source(self):
-        return _summed(self._terms, self.k, self.l, len(self.jets))
-
-    @cached_property
     def lhs(self) -> np.ndarray:
         """``(N, m, m)``: (d/dt - L) applied entrywise to the transformed Hessian, route A."""
         return self._engine.lhs_matrix()
 
-    @property
+    @cached_property
     def source(self) -> np.ndarray:
-        """``(N, m, m)``: the Hermitian source matrices, route B."""
-        return self._source[0]
+        """``(N, m, m)``: the Hermitian source matrices, route B (:func:`_summed` of every contraction)."""
+        return _summed(self._terms, self.k, self.l, len(self.jets))
 
     @cached_property
     def q_spectrum_max(self) -> np.ndarray:
@@ -645,7 +622,7 @@ class FlowBlock:
     @cached_property
     def grouping_spectrum_max(self) -> np.ndarray:
         """``(N, 4)``: the largest eigenvalue of each grouping, in the order g1..g4."""
-        groups = [_summed(self._terms, self.k, self.l, len(self.jets), g)[0] for g in _GROUP_NAMES]
+        groups = [_summed(self._terms, self.k, self.l, len(self.jets), g) for g in _GROUP_NAMES]
         return np.max(np.linalg.eigvalsh(np.stack(groups, axis=1)), axis=-1)
 
     @cached_property
@@ -662,7 +639,7 @@ class FlowBlock:
     def report(self, row: int) -> FlowReport:
         """Every quantity of one row, as :func:`flow_report` returns it."""
         return FlowReport(
-            q=_qtensor(self._terms, self._source, row),
+            q=_qtensor(self._terms, self.source, row),
             lhs=self.lhs[row],
             evolution_residual=float(self.evolution_residual[row]),
             heat_residual=float(self.heat_residual[row]),

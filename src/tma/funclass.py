@@ -89,13 +89,6 @@ class ClassReport:
     first_violation: Optional[Tuple[float, ...]]
 
 
-def _block_bounds(blocks: np.ndarray):
-    """Extremal eigenvalues of each matrix in a stack; ``(inf, -inf)`` where the block is empty."""
-    if blocks.shape[-1] == 0:
-        return np.inf, -np.inf
-    return min_max_eigenvalues(blocks)
-
-
 def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float) -> ClassReport:
     """Check both Hessian-block eigenvalue bounds at every cloud point.
 
@@ -104,6 +97,8 @@ def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float) -> Cla
     failing point in cloud order.  The blocks of the whole cloud come from one
     jet-engine call (real: :func:`evaluate_hessians`; complex:
     :func:`wirtinger_hessians`) and one stacked eigenvalue call per block.
+    An empty block (``k = 0`` or ``l = 0``) has the bounds ``(inf, -inf)`` of
+    :func:`~tma.linalg.min_max_eigenvalues` and constrains nothing.
     """
     if not (0.0 < lam <= Lam):
         raise TmaError(f"need 0 < lam <= Lam, got ({lam}, {Lam})")
@@ -113,10 +108,10 @@ def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float) -> Cla
     h = evaluate_hessians(spec, cloud) if spec.flavor == "real" else wirtinger_hessians(spec, cloud)
     k = spec.k
     bounds = np.empty((cloud.shape[0], 4))
-    bounds[:, 0], bounds[:, 1] = _block_bounds(h[:, :k, :k])
-    bounds[:, 2], bounds[:, 3] = _block_bounds(-h[:, k:, k:])
+    bounds[:, 0], bounds[:, 1] = min_max_eigenvalues(h[:, :k, :k])
+    bounds[:, 2], bounds[:, 3] = min_max_eigenvalues(-h[:, k:, k:])
     lows, highs = bounds[:, 0::2], bounds[:, 1::2]
-    ok = np.all(~np.isfinite(lows) | ((lows >= lam - 1e-9) & (highs <= Lam + 1e-9)), axis=1)
+    ok = np.all((lows >= lam - 1e-9) & (highs <= Lam + 1e-9), axis=1)
     member = bool(ok.all())
     first_violation = None if member else tuple(cloud[np.argmin(ok)])
     return ClassReport(member=member, lam=lam, Lam=Lam, bounds=bounds, first_violation=first_violation)

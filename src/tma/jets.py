@@ -462,7 +462,7 @@ def substitute(node: dict, scale, extra: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpaceTimeJet:
     """Truncated derivative table of u at one point, with its time derivative.
 
@@ -471,16 +471,25 @@ class SpaceTimeJet:
     value of the spatial tree.  ``drift`` is du/dt, the spec's drift, and 0.0
     for a spec without one.  A spec's time dependence is its linear drift
     alone, so no partial depends on the time and the jet holds none.  Partials
-    absent from a table, or above its order, read zero.
+    absent from a table, or above its order, read zero.  An unknown flavor, or
+    a table without one column per partial, raises :class:`DimensionMismatch`.
     """
 
-    nvars: int
     order: int
     k: int
     l: int
     flavor: str
     table: np.ndarray
     drift: float = 0.0
+
+    @property
+    def nvars(self) -> int:
+        return self.k + self.l if self.flavor == "real" else 2 * (self.k + self.l)
+
+    def __post_init__(self):
+        if self.flavor not in FLAVORS:
+            raise DimensionMismatch(f"jet flavor must be one of {FLAVORS}, got {self.flavor!r}")
+        _check_width("jet table", self.table, len(multi_indices(self.nvars, self.order)))
 
     def d(self, beta: MultiIndex) -> float:
         c = _columns(self.nvars, self.order)[0].get(tuple(beta))
@@ -514,7 +523,6 @@ def evaluate_jet(spec: ExpressionSpec, point, order: int = 4) -> SpaceTimeJet:
     and raises what they raise.
     """
     return SpaceTimeJet(
-        nvars=spec.nvars,
         order=order,
         k=spec.k,
         l=spec.l,
@@ -522,6 +530,12 @@ def evaluate_jet(spec: ExpressionSpec, point, order: int = 4) -> SpaceTimeJet:
         table=SpecBlock.at(spec, [tuple(point)]).jets(order)[0, 0],
         drift=spec.time_drift or 0.0,  # a drift of -0.0 reads 0.0
     )
+
+
+def _check_width(what: str, a, width: int) -> None:
+    """Raise :class:`DimensionMismatch` unless the last axis of ``a`` has ``width`` columns, one per key."""
+    if np.shape(a)[-1:] != (width,):
+        raise DimensionMismatch(f"{what} of shape {np.shape(a)} needs {width} columns, one per key")
 
 
 @lru_cache(maxsize=None)
@@ -640,7 +654,7 @@ def _wirtinger_expansion(m: int, hol: MultiIndex, anti: MultiIndex):
     return tuple(sorted((beta, c) for beta, c in terms.items() if c != 0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class WirtingerTable:
     """Mixed holomorphic/antiholomorphic partials at one point of C^k x C^l, or at a stack of points.
 
@@ -650,7 +664,8 @@ class WirtingerTable:
     at one point has one axis; the leading axes of a stack run over its
     points.  For real-valued u the entries satisfy ``entry(anti, hol) ==
     conj(entry(hol, anti))`` bit-exactly.  ``drift`` is du/dt, the drift of
-    the jet it was converted from.
+    the jet it was converted from.  A table without one column per key raises
+    :class:`DimensionMismatch` when it is built.
     """
 
     k: int
@@ -658,6 +673,9 @@ class WirtingerTable:
     order: int
     entries: np.ndarray
     drift: float = 0.0
+
+    def __post_init__(self):
+        _check_width("Wirtinger table", self.entries, len(wirtinger_keys(self.m, self.order)))
 
     @property
     def m(self) -> int:
@@ -758,14 +776,8 @@ def wirtinger_hessians(spec: ExpressionSpec, points) -> np.ndarray:
 def wirtinger_from_real(jet: SpaceTimeJet) -> WirtingerTable:
     """The Wirtinger table of a complex-flavored jet: :func:`wirtinger_stack` of its table, with its drift.
 
-    Raises
-    ------
-    DimensionMismatch
-        for a jet that is not complex-flavored over ``2(k + l)`` coordinates.
+    A real jet raises :class:`DimensionMismatch`.
     """
-    if jet.flavor != "complex" or jet.nvars != 2 * (jet.k + jet.l):
-        raise DimensionMismatch(
-            f"wirtinger_from_real applies to complex-flavored jets over 2(k + l) coordinates; "
-            f"got a {jet.flavor} jet over {jet.nvars} with k + l = {jet.k + jet.l}"
-        )
+    if jet.flavor != "complex":
+        raise DimensionMismatch(f"wirtinger_from_real applies to complex-flavored jets, got a {jet.flavor} jet")
     return replace(wirtinger_stack(jet.table, jet.k, jet.l, jet.order), drift=jet.drift)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainExceeded, NoConvergence
 from .jets import ExpressionSpec, SpecBlock, _hessian_columns, evaluate_hessians, evaluate_jet
-from .linalg import inverse_and_logdet, transformed_hessian
+from .linalg import as_hermitian, inverse_and_logdet, transformed_hessian
 
 _GRAD_TOL = 1e-12
 _MAX_NEWTON = 100
@@ -250,8 +250,7 @@ def transformed_operator_L(spec: ExpressionSpec, point, *, long_form: bool = Fal
         w, cinv = transformed_hessian(h, k)
         t = _jacobian(h, k, cinv)
         w_inv, _ = inverse_and_logdet(w)
-        out = t @ w_inv @ t.T
-        return 0.5 * (out + out.T)
+        return as_hermitian(t @ w_inv @ t.T)
     a_inv, _ = inverse_and_logdet(h[:k, :k])
     neg_c_inv, _ = inverse_and_logdet(-h[k:, k:])
     out = np.zeros((spec.nvars, spec.nvars))

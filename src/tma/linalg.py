@@ -1,4 +1,4 @@
-"""Small dense symmetric/Hermitian matrix kernel.
+"""Small dense symmetric/Hermitian matrix kernel, and the one owner of the matrix rules.
 
 Everything here works on matrices of dimension <= 8 (typically k + l <= 4),
 so direct dense factorizations are used throughout: exactness and determinism
@@ -7,11 +7,13 @@ positive-definite matrix come from one Hermitian eigendecomposition
 (``numpy.linalg.eigh``), whose eigenvalues also feed the definiteness and
 conditioning guards; other eigenvalue bounds come from ``numpy.linalg.eigvalsh``.
 
-:func:`min_max_eigenvalues` and :func:`inverse_and_logdet` also take stacks
-``(..., n, n)`` of matrices and answer for each one; LAPACK factors every
+Every public function takes one ``(n, n)`` matrix or a stack ``(..., n, n)``
+and raises :class:`DimensionMismatch` for anything else; LAPACK factors every
 matrix of a stack separately, so each answer is bit-identical to the one for
-that matrix alone.  :func:`as_hermitian` checks and averages each matrix of a
-stack on its own too.
+that matrix alone.  :func:`as_hermitian` is the package's one Hermitian test
+and symmetrizing average.  An empty block (``n = 0``, as when ``k = 0`` or
+``l = 0``) is Hermitian, with the empty inverse, log-determinant 0 and
+eigenvalue bounds ``(inf, -inf)``, so no caller needs a branch for it.
 
 :func:`transformed_hessian` is the one assembly of the partial-Legendre
 transformed Hessian ``W``, for real Hessians and complex Wirtinger Hessians
@@ -24,9 +26,17 @@ from operator import truediv
 
 import numpy as np
 
-from .errors import IllConditioned, NotPositiveDefinite, TmaError
+from .errors import DimensionMismatch, IllConditioned, NotPositiveDefinite, TmaError
 
 DEFAULT_COND_GUARD = 1e-10
+
+
+def _square(a) -> np.ndarray:
+    """``a`` as an array, once it is a matrix or a stack of them: two or more axes, the last two equal."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
 
 
 def _adjoint(a):
@@ -46,7 +56,7 @@ def as_hermitian(a):
         if some matrix's anti-Hermitian part exceeds ``1e-10 * max(1, |A|_inf)``
         (the message quotes the largest such part).
     """
-    a = np.asarray(a)
+    a = _square(a)
     adj = _adjoint(a)
     if a.size:
         skew = np.max(np.abs(a - adj), axis=(-2, -1))
@@ -60,12 +70,15 @@ def min_max_eigenvalues(a):
     """Extremal eigenvalues of a Hermitian/symmetric matrix.
 
     Floats for one ``(n, n)`` matrix; for a stack ``(..., n, n)``, two arrays
-    of the stack shape.
+    of the stack shape.  An empty block bounds nothing: ``(inf, -inf)``.
     """
-    vals = np.linalg.eigvalsh(np.asarray(a))
-    if vals.ndim == 1:
-        return float(vals[0]), float(vals[-1])
-    return vals[..., 0], vals[..., -1]
+    a = _square(a)
+    if a.shape[-1] == 0:
+        lo, hi = np.full(a.shape[:-2], np.inf), np.full(a.shape[:-2], -np.inf)
+    else:
+        vals = np.linalg.eigvalsh(a)
+        lo, hi = vals[..., 0], vals[..., -1]
+    return (float(lo), float(hi)) if a.ndim == 2 else (lo, hi)
 
 
 def inverse_and_logdet(a):
@@ -90,7 +103,7 @@ def inverse_and_logdet(a):
         if lambda_min / lambda_max < DEFAULT_COND_GUARD (the message quotes the
         lowest ratio in the stack).
     """
-    a = np.asarray(a)
+    a = _square(a)
     if a.shape[-1] == 0:
         logdet = 0.0 if a.ndim == 2 else np.zeros(a.shape[:-2])
         return np.zeros(a.shape, np.result_type(a, float)), logdet
@@ -126,6 +139,7 @@ def transformed_hessian(h, k: int):
     Either block may be empty (``k = 0`` or ``k = n``).  Raises as
     :func:`inverse_and_logdet` does on ``-C``.
     """
+    h = _square(h)
     b, c = h[..., :k, k:], h[..., k:, k:]
     neg_cinv, _ = inverse_and_logdet(-c)
     cinv = -neg_cinv

@@ -124,6 +124,22 @@ def test_every_library_name_has_a_caller():
     assert len(defined) > 150 and not uncalled
 
 
+def test_every_name_the_benchmark_imports_resolves():
+    # perfbench/ is the only caller of some tma names, and a prune that drops one
+    # breaks it at import time; its files are parsed here, never imported
+    bench = sorted((README.parent / "perfbench").glob("*.py"))
+    imported = [
+        (path.name, node.module, alias.name)
+        for path in bench
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tma"
+        for alias in node.names
+    ]
+    missing = [f"{file}: from {module} import {name}" for file, module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert len(imported) > 20 and not missing
+
+
 def _dead_imports(path: pathlib.Path) -> list:
     """Names an import in ``path`` binds that the module never reads.
 

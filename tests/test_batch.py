@@ -32,6 +32,7 @@ from tma.funclass import EnsembleSpec, class_membership, default_cloud, draw_blo
 from tma.jets import (
     SpaceTimeJet,
     SpecBlock,
+    WirtingerTable,
     _wirtinger_expansion,
     evaluate_hessians,
     evaluate_jet,
@@ -42,7 +43,8 @@ from tma.jets import (
     wirtinger_stack,
 )
 from tma.legendre import det_transform_residual, partial_legendre, real_W
-from tma.linalg import inverse_and_logdet
+from tma.linalg import as_hermitian, inverse_and_logdet, min_max_eigenvalues, transformed_hessian
+from tma.twistedops import eval_F
 from tma.estimates import flow_quantities, holder_exponent_fit
 from tma.solver import (
     BoxGrid,
@@ -55,6 +57,7 @@ from tma.solver import (
     run_flow,
     time_order_estimate,
 )
+from test_evolution import ONE_BLOCK_SHAPES
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (0, 1), (0, 2)]
 
@@ -156,8 +159,30 @@ _DEGENERATE_INPUTS = {
         lambda: wirtinger_from_real(evaluate_jet(draw_member(EnsembleSpec(k=1, l=1, seed=0), 0), (0.1, 0.2))),
         DimensionMismatch),
     "wirtinger_from_real_short_jet": (
-        lambda: wirtinger_from_real(SpaceTimeJet(nvars=2, order=2, k=1, l=1, flavor="complex", table=np.zeros(6))),
+        lambda: wirtinger_from_real(SpaceTimeJet(order=2, k=1, l=1, flavor="complex", table=np.zeros(6))),
         DimensionMismatch),
+    # a hand-built jet or table checks its width when it is built, before any reader indexes it
+    "SpaceTimeJet_short_table_hessian": (
+        lambda: SpaceTimeJet(order=2, k=1, l=1, flavor="real", table=np.zeros(3)).hessian(), DimensionMismatch),
+    "SpaceTimeJet_short_table_d": (
+        lambda: SpaceTimeJet(order=2, k=1, l=1, flavor="real", table=np.zeros(3)).d((1, 1)), DimensionMismatch),
+    "eval_F_short_jet": (
+        lambda: eval_F(SpaceTimeJet(order=2, k=1, l=1, flavor="real", table=np.zeros(3))), DimensionMismatch),
+    "SpaceTimeJet_three_coordinates_for_two_slots": (
+        lambda: SpaceTimeJet(order=2, k=1, l=1, flavor="real", table=np.zeros(len(multi_indices(3, 2)))),
+        DimensionMismatch),
+    "SpaceTimeJet_unknown_flavor": (
+        lambda: SpaceTimeJet(order=0, k=1, l=1, flavor="quaternion", table=np.zeros(1)), DimensionMismatch),
+    "WirtingerTable_short_hessian": (
+        lambda: WirtingerTable(k=1, l=1, order=2, entries=np.zeros(3)).hessian(), DimensionMismatch),
+    "assemble_Q_short_table": (
+        lambda: assemble_Q(WirtingerTable(k=1, l=1, order=4, entries=np.zeros(5))), DimensionMismatch),
+    # linalg takes square matrices and stacks of them, nothing else
+    "as_hermitian_vector": (lambda: as_hermitian(np.zeros(3)), DimensionMismatch),
+    "as_hermitian_2x3": (lambda: as_hermitian(np.zeros((2, 3))), DimensionMismatch),
+    "inverse_and_logdet_2x3": (lambda: inverse_and_logdet(np.zeros((2, 3))), DimensionMismatch),
+    "min_max_eigenvalues_2x3": (lambda: min_max_eigenvalues(np.zeros((2, 3))), DimensionMismatch),
+    "transformed_hessian_vector": (lambda: transformed_hessian(np.ones(3), 1), DimensionMismatch),
     "SpecBlock_at_one_point": (lambda: SpecBlock.at(_REAL21, np.zeros(3)), DimensionMismatch),
     "SpecBlock_at_wrong_width": (lambda: SpecBlock.at(_REAL21, np.zeros((2, 4))), DimensionMismatch),
     "draw_block_no_draws": (lambda: draw_block(_ES21, 0, 0, 1), DimensionMismatch),
@@ -379,16 +404,17 @@ def test_flow_block_rows_equal_per_point_calls(suite, shape, seed, first, size, 
     assert block == _per_point_rows(suite, k, l, seed, first, size, p)
 
 
-def test_flow_block_report_of_every_row_equals_flow_report():
-    # every field of every row's report, the provenance of the source included, against a block of one
-    es = EnsembleSpec(k=2, l=1, flavor="complex", eps=0.1, seed=19)
+@pytest.mark.parametrize("shape", ((2, 1),) + ONE_BLOCK_SHAPES)
+def test_flow_block_report_of_every_row_equals_flow_report(shape):
+    # every field of every row's report, the provenance of the source included, against a block of one;
+    # the one-block shapes take the same path, with linalg answering for the empty block
+    es = EnsembleSpec(k=shape[0], l=shape[1], flavor="complex", eps=0.1, seed=19)
     block = FlowBlock(draw_block(es, 0, 16, 1))
     for r in range(16):
         got = block.report(r)
         want = flow_report(draw_member(es, r), tuple(float(c) for c in sample_points(es, r, 1)[0]))
         assert got.q.matrix.tobytes() == want.q.matrix.tobytes(), r
         assert got.q.provenance == want.q.provenance, r
-        assert got.q.hermitian_defect == want.q.hermitian_defect, r
         assert got.lhs.tobytes() == want.lhs.tobytes(), r
         assert (got.evolution_residual, got.heat_residual) == (want.evolution_residual, want.heat_residual), r
         assert got.q_spectrum_max == want.q_spectrum_max, r
@@ -485,7 +511,7 @@ def test_wirtinger_conversion_equals_term_by_term_loop(m, order, seed):
     rng = np.random.default_rng(seed)
     betas = multi_indices(2 * m, order)
     values = rng.normal(size=len(betas)) * (rng.random(len(betas)) < 0.8)  # some exact zeros
-    jet = SpaceTimeJet(nvars=2 * m, order=order, k=m, l=0, flavor="complex", table=values)
+    jet = SpaceTimeJet(order=order, k=m, l=0, flavor="complex", table=values)
     got = wirtinger_from_real(jet).entries
     want = _loop_wirtinger_entries(dict(zip(betas, values.tolist())), m, order)
     assert list(wirtinger_keys(m, order)) == list(want)

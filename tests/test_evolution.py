@@ -111,7 +111,6 @@ def test_source_matrix_zero_on_quadratics_exactly():
     q = assemble_Q(table)
     assert np.all(q.matrix == 0.0)
     assert q.provenance == ()
-    assert q.hermitian_defect == 0.0
 
 
 def test_cubic_source_matches_hand_formula():

@@ -26,6 +26,13 @@ def test_min_max_zero():
     assert min_max_eigenvalues(np.zeros((3, 3))) == (0.0, 0.0)
 
 
+def test_min_max_of_an_empty_block_bounds_nothing():
+    # the convex block when k = 0 or the concave one when l = 0: no eigenvalue, so (inf, -inf)
+    assert min_max_eigenvalues(np.zeros((0, 0))) == (math.inf, -math.inf)
+    lo, hi = min_max_eigenvalues(np.zeros((3, 0, 0)))
+    assert lo.tolist() == [math.inf] * 3 and hi.tolist() == [-math.inf] * 3
+
+
 def test_inverse_and_logdet_diag():
     inv, ld = inverse_and_logdet(np.diag([2.0, 3.0]))
     assert np.allclose(inv, np.diag([0.5, 1.0 / 3.0]), atol=1e-15)

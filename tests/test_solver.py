@@ -714,6 +714,38 @@ class TestFlowInvariants:
         for earlier, later in zip(peaks, peaks[1:]):
             assert later <= earlier + 1e-8
 
+    # The parabolic maximum principle: u_t solves (d/dt - L) u_t = 0 with no
+    # zeroth-order term, so max u_t cannot rise and min u_t cannot fall (on a
+    # framed box the frozen frame holds u_t = 0).  Classical RK4 is not
+    # strong-stability-preserving, so for the stepped flow this is a measured
+    # property.  Each run is one the property was measured on: both carriers,
+    # both schemes, both boxes, periodic boxes [0, 2 pi)^d and framed ones
+    # [-1, 1]^2.  The tolerance is 0; the 16^4 RK4 run is the first 50 of 200
+    # measured steps.
+    @pytest.mark.parametrize("carrier, nodes, scheme, dt, steps, amplitude, modes", [
+        ("real", 64, "rk4", 1e-3, 300, 0.05, ((1.0, 1.0), (2.0, -1.0))),
+        ("real", 64, "semi-implicit", 5e-2, 8, 0.15, ((1.0, 1.0), (2.0, -1.0))),
+        ("framed", 33, "rk4", 2e-4, 300, 0.05, ((1.0, 0.7),)),
+        ("complex11", 16, "rk4", 1e-3, 50, 0.1, ((1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, -1.0))),
+        ("complex11", 12, "semi-implicit", 2e-2, 20, 0.1, ((1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, -1.0))),
+    ])
+    def test_time_speed_extremes_move_inward_every_step(self, carrier, nodes, scheme, dt, steps, amplitude, modes):
+        flavor = "real" if carrier == "framed" else carrier
+        spec = perturbed_flow_spec(1.0, 1.0, amplitude, flavor=flavor, modes=modes)
+        if carrier == "framed":
+            f = flow_from_spec(spec, BoxGrid((-1.0, -1.0), (1.0, 1.0), (nodes, nodes), frame=2), dt)
+        else:
+            dim = len(modes[0])
+            grid = BoxGrid((0.0,) * dim, (2.0 * math.pi,) * dim, (nodes,) * dim, frame=0)
+            f = flow_from_spec(spec, grid, dt, policy=periodic_base_for(1.0, 1.0, flavor))
+        f = run_flow(f, steps, scheme=scheme, snapshot_every=1)
+        speeds = [discrete_time_speed(f, n) for n in range(len(f.slices))]
+        highs = [np.nanmax(s) for s in speeds]
+        lows = [np.nanmin(s) for s in speeds]
+        assert len(highs) == steps + 1
+        assert all(later <= earlier for earlier, later in zip(highs, highs[1:]))
+        assert all(later >= earlier for earlier, later in zip(lows, lows[1:]))
+
     def test_snapshot_stride_and_times(self):
         spec = reference_flow_spec(1.0, 1.0)
         f = flow_from_spec(spec, FRAMED, dt=1e-4)
