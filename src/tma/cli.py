@@ -66,7 +66,7 @@ from .estimates import (
 )
 from .evolution import FlowBlock, complexification_scaling, complexify_block
 from .funclass import EnsembleSpec, draw_block
-from .jets import ExpressionSpec, SpecBlock
+from .jets import ExpressionSpec, SpecBlock, coordinate_count
 from .legendre import LegendreBlock
 from .solver import (
     BoxGrid,
@@ -400,7 +400,7 @@ def _block_cost(payload: Tuple) -> int:
     """The jet coefficients a block evaluates: draws x points x the coefficients of one jet."""
     suite, k, l, _, _, _, _, _, count, n_points = payload
     sweep = _SWEEPS[suite]
-    nvars = EnsembleSpec(k=k, l=l, flavor=sweep.flavor).nvars
+    nvars = coordinate_count(k, l, sweep.flavor)
     return count * max(n_points, 1) * math.comb(nvars + sweep.order, sweep.order)
 
 

@@ -62,6 +62,7 @@ from .jets import (
     _hessian_columns,
     _leibniz_table,
     _wirtinger_positions,
+    coordinate_count,
     multi_indices,
     substitute,
     unit_index,
@@ -231,17 +232,17 @@ class _FlowEngine:
     real increments, with the stack axis first.
     """
 
-    def __init__(self, jets: np.ndarray, k: int, l: int, is_complex: bool):
+    def __init__(self, jets: np.ndarray, k: int, l: int, flavor: str):
         self.k = k
-        self.is_complex = is_complex
-        n = 2 * (k + l) if is_complex else k + l
+        self.is_complex = flavor == "complex"
+        n = coordinate_count(k, l, flavor)
         if jets.shape[-1] != len(multi_indices(n, 4)):
             raise DimensionMismatch(f"flow calculus needs order-4 jets over {n} coordinates")
         gather = _second_derivative_gather(n)
         self._hessian = _hessian_columns(n, 2)
         leibniz = _leibniz_table(n, 2)
 
-        h = _slot_pairs(jets[..., gather], is_complex)
+        h = _slot_pairs(jets[..., gather], self.is_complex)
         z, v = h[:, :k, :k], h[:, k:, k:]
         self.h0 = h[..., 0]
 
@@ -588,7 +589,7 @@ class FlowBlock:
 
     @cached_property
     def _engine(self) -> _FlowEngine:
-        return _FlowEngine(self.jets, self.k, self.l, self.flavor == "complex")
+        return _FlowEngine(self.jets, self.k, self.l, self.flavor)
 
     @cached_property
     def _wirtinger(self) -> WirtingerTable:

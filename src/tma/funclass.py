@@ -9,6 +9,13 @@ cloud density is a config knob, continuous verification being impossible.
 Ensembles are convex-concave quadratic bases plus bounded-Hessian trig atoms,
 scaled so membership is guaranteed by construction: universal sign and
 identity claims become sweep-testable without rejection sampling.
+
+This module owns two shape rules that :mod:`tma.solver` reads too:
+:func:`base_quadratic` is the one builder of the model quadratic
+``a|x|^2/2 - b|y|^2/2``, the base of every ensemble member and the tree of
+:func:`tma.solver.reference_flow_spec`, and :func:`in_class_window` is the
+one class-window test, of :func:`class_membership` and
+:func:`tma.solver.monitor_class` alike.
 """
 
 from __future__ import annotations
@@ -25,7 +32,16 @@ import numpy as np
 import numpy.random
 
 from .errors import AmplitudeTooLarge, DimensionMismatch, ParseError, TmaError
-from .jets import FLAVORS, ExpressionSpec, SpecBlock, evaluate_hessians, wirtinger_hessians
+from .jets import (
+    FLAVORS,
+    ExpressionSpec,
+    SpecBlock,
+    check_dims,
+    coordinate_count,
+    evaluate_hessians,
+    integral,
+    wirtinger_hessians,
+)
 from .linalg import min_max_eigenvalues
 
 
@@ -92,9 +108,9 @@ class ClassReport:
 def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float) -> ClassReport:
     """Check both Hessian-block eigenvalue bounds at every cloud point.
 
-    Deterministic given the cloud.  ``member`` is true iff every sampled bound
-    lies in ``[lam - 1e-9, Lam + 1e-9]``; ``first_violation`` is the first
-    failing point in cloud order.  The blocks of the whole cloud come from one
+    Deterministic given the cloud.  ``member`` is true iff every point's
+    bounds pass :func:`in_class_window` (inside ``[lam - 1e-9, Lam +
+    1e-9]``); ``first_violation`` is the first failing point in cloud order.  The blocks of the whole cloud come from one
     jet-engine call (real: :func:`evaluate_hessians`; complex:
     :func:`wirtinger_hessians`) and one stacked eigenvalue call per block.
     An empty block (``k = 0`` or ``l = 0``) has the bounds ``(inf, -inf)`` of
@@ -110,11 +126,21 @@ def class_membership(spec: ExpressionSpec, cloud, lam: float, Lam: float) -> Cla
     bounds = np.empty((cloud.shape[0], 4))
     bounds[:, 0], bounds[:, 1] = min_max_eigenvalues(h[:, :k, :k])
     bounds[:, 2], bounds[:, 3] = min_max_eigenvalues(-h[:, k:, k:])
-    lows, highs = bounds[:, 0::2], bounds[:, 1::2]
-    ok = np.all((lows >= lam - 1e-9) & (highs <= Lam + 1e-9), axis=1)
+    ok = in_class_window(bounds, lam, Lam)
     member = bool(ok.all())
     first_violation = None if member else tuple(cloud[np.argmin(ok)])
     return ClassReport(member=member, lam=lam, Lam=Lam, bounds=bounds, first_violation=first_violation)
+
+
+def in_class_window(bounds: np.ndarray, lam: float, Lam: float) -> np.ndarray:
+    """Which rows of ``bounds`` lie in the class window ``[lam - 1e-9, Lam + 1e-9]``.
+
+    Each row holds ``(min, max)`` of the convex block, then of the negated
+    concave block; its lows must reach no lower than ``lam - 1e-9`` and its
+    highs no higher than ``Lam + 1e-9``.  A NaN bound lies nowhere, and an
+    empty block's ``(inf, -inf)`` passes.
+    """
+    return np.all((bounds[..., 0::2] >= lam - 1e-9) & (bounds[..., 1::2] <= Lam + 1e-9), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +158,8 @@ class EnsembleSpec:
     variables with ``k + l >= 1``; the ``flavor`` is ``"real"`` or
     ``"complex"``, ``a``, ``b`` and ``domain_halfwidth`` are positive and
     finite and the ``seed`` a nonnegative integer (else :class:`ParseError`
-    for any of them).  Every draw passes membership with
+    for any of them; a bool is no integer, and the dims are checked by
+    :func:`tma.jets.check_dims`).  Every draw passes membership with
     ``lam = min(a,b)/2`` and ``Lam = 2 max(a,b)``, which needs
     ``eps <= min(a,b)/2`` (else :class:`AmplitudeTooLarge`).
     """
@@ -148,12 +175,8 @@ class EnsembleSpec:
     domain_halfwidth: float = 1.0
 
     def __post_init__(self):
-        integral = all(isinstance(d, (int, np.integer)) for d in (self.k, self.l))
-        if not integral or self.k < 0 or self.l < 0 or self.k + self.l == 0:
-            raise ParseError(
-                f"at dims: need integers k >= 0, l >= 0, k + l >= 1; got ({self.k!r}, {self.l!r})"
-            )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        check_dims(self.k, self.l)
+        if not integral(self.seed) or self.seed < 0:
             raise ParseError("ensemble.seed: expected an unsigned integer")
         if self.flavor not in FLAVORS:
             raise ParseError(f"ensemble.flavor: expected real|complex, got {self.flavor!r}")
@@ -161,7 +184,7 @@ class EnsembleSpec:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
                 raise ParseError(f"ensemble.{name}: expected a positive finite number, got {value!r}")
-        if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 0:
+        if not integral(self.n_atoms) or self.n_atoms < 0:
             raise ParseError(f"ensemble.n_atoms: expected an unsigned integer, got {self.n_atoms!r}")
         if not (isinstance(self.eps, numbers.Real) and self.eps >= 0):
             raise ParseError(f"ensemble.eps: expected a nonnegative number, got {self.eps!r}")
@@ -172,23 +195,24 @@ class EnsembleSpec:
 
     @property
     def nvars(self) -> int:
-        return self.k + self.l if self.flavor == "real" else 2 * (self.k + self.l)
+        return coordinate_count(self.k, self.l, self.flavor)
 
     def guaranteed_bounds(self) -> Tuple[float, float]:
         return min(self.a, self.b) / 2.0, 2.0 * max(self.a, self.b)
 
 
-def _base_quadratic_hessian(es: EnsembleSpec) -> np.ndarray:
-    k, l = es.k, es.l
-    if es.flavor == "real":
-        return np.diag([es.a] * k + [-es.b] * l)
-    m = k + l
-    diag = np.empty(2 * m)
-    diag[:k] = 2.0 * es.a
-    diag[k:m] = -2.0 * es.b
-    diag[m : m + k] = 2.0 * es.a
-    diag[m + k :] = -2.0 * es.b
-    return np.diag(diag)
+def base_quadratic(k: int, l: int, flavor: str, a: float, b: float) -> dict:
+    """The quad node of ``a|x|^2/2 - b|y|^2/2`` (real) or ``a|z|^2 - b|w|^2`` (complex).
+
+    Its matrix is diagonal: ``a`` on the k convex and ``-b`` on the l
+    concave coordinates, or, on the ``[Re z, Re w, Im z, Im w]`` coordinates
+    of the complex flavor, ``2a`` and ``-2b`` on the real and the imaginary
+    parts alike.
+    """
+    diag = [a] * k + [-b] * l if flavor == "real" else ([2.0 * a] * k + [-2.0 * b] * l) * 2
+    n = len(diag)
+    matrix = [[d if i == j else 0.0 for j in range(n)] for i, d in enumerate(diag)]
+    return {"kind": "quad", "matrix": matrix, "linear": [0.0] * n, "constant": 0.0}
 
 
 def _draw_rng(es: EnsembleSpec, index: int, *stream: int) -> np.random.Generator:
@@ -219,17 +243,12 @@ def _atom_draws(es: EnsembleSpec, index: int) -> List[Tuple[np.ndarray, str, flo
     return atoms
 
 
-def _base_quadratic(es: EnsembleSpec) -> dict:
-    n = es.nvars
-    return {"kind": "quad", "matrix": _base_quadratic_hessian(es).tolist(), "linear": [0.0] * n, "constant": 0.0}
-
-
 def draw_member(es: EnsembleSpec, index: int) -> ExpressionSpec:
     """The ``index``-th ensemble member: pure function of (seed, index).
 
     Splittable per draw so parallel and serial sweeps agree.
     """
-    terms = [_base_quadratic(es)]
+    terms = [base_quadratic(es.k, es.l, es.flavor, es.a, es.b)]
     for v, fn, phase, coeff in _atom_draws(es, index):
         terms.append(
             {
@@ -272,7 +291,7 @@ def draw_block(es: EnsembleSpec, first: int, count: int, n_points: int) -> SpecB
         for j, (v, fn, phase, c) in enumerate(_atom_draws(es, index)):
             affine[j, r], fns[j][r], const[j, r], coeff[j, r] = v, fn, phase, c
         points[r] = _draw_rng(es, index, 1).uniform(-hw, hw, (n_points, n))
-    terms = [_base_quadratic(es)] + [
+    terms = [base_quadratic(es.k, es.l, es.flavor, es.a, es.b)] + [
         {
             "kind": "scale",
             "coefficient": coeff[j],

@@ -22,6 +22,11 @@ optionally adding coordinates the tree does not depend on.
 
 Complex-flavored specs live on real coordinates ``[Re z_1..Re z_m, Im z_1..Im
 z_m]`` where the m = k + l complex variables are ``(z_1..z_k, w_1..w_l)``.
+This module owns two shape rules that every other module reads:
+:func:`coordinate_count` is the one place that counts the real coordinates
+of a ``(k, l, flavor)`` function, and :func:`check_dims` is the one check of
+``(k, l)``, run by :class:`ExpressionSpec`, :class:`SpaceTimeJet`,
+:class:`WirtingerTable` and :class:`tma.funclass.EnsembleSpec`.
 :func:`wirtinger_stack` converts a stack of their jet arrays into mixed
 holomorphic/antiholomorphic partials under the fixed normalization
 ``d/dz = (d/dx - i d/dy)/2``, by one cached gather of every key's expansion
@@ -47,6 +52,22 @@ WirtKey = Tuple[MultiIndex, MultiIndex]
 
 KINDS = ("sum", "product", "scale", "quad", "atom")
 FLAVORS = ("real", "complex")
+
+
+def coordinate_count(k: int, l: int, flavor: str) -> int:
+    """The real coordinates of a ``(k, l, flavor)`` function: ``k + l``, or ``2(k + l)`` for complex ones."""
+    return k + l if flavor == "real" else 2 * (k + l)
+
+
+def integral(x) -> bool:
+    """True for a Python or numpy integer; a bool is no integer here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_dims(k, l) -> None:
+    """Raise :class:`ParseError` unless ``k, l`` are integers (not bools) with ``k, l >= 0`` and ``k + l >= 1``."""
+    if not (integral(k) and integral(l) and k >= 0 and l >= 0 and k + l >= 1):
+        raise ParseError(f"at dims: need integers k >= 0, l >= 0, k + l >= 1; got ({k!r}, {l!r})")
 
 
 @lru_cache(maxsize=None)
@@ -200,9 +221,9 @@ class ExpressionSpec:
     the only explicit time dependence a spec can carry.
 
     Every spec is validated at construction (and so at :meth:`from_dict`,
-    and at ``dataclasses.replace``), which walks the whole tree and raises
-    :class:`ParseError` or :class:`UnknownAtom` naming the path of the first
-    fault.
+    and at ``dataclasses.replace``): the flavor, the dims by
+    :func:`check_dims`, then the whole tree, raising :class:`ParseError` or
+    :class:`UnknownAtom` naming the path of the first fault.
     """
 
     expr: dict
@@ -214,13 +235,12 @@ class ExpressionSpec:
 
     @property
     def nvars(self) -> int:
-        return self.k + self.l if self.flavor == "real" else 2 * (self.k + self.l)
+        return coordinate_count(self.k, self.l, self.flavor)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ParseError(f"at flavor: expected one of {FLAVORS}, got {self.flavor!r}")
-        if self.k < 0 or self.l < 0 or self.k + self.l == 0:
-            raise ParseError(f"at dims: need k >= 0, l >= 0, k + l >= 1; got ({self.k}, {self.l})")
+        check_dims(self.k, self.l)
         _validate_node(self.expr, self.nvars, "expr")
 
     # -- serialization ---------------------------------------------------
@@ -232,19 +252,15 @@ class ExpressionSpec:
         meta_keys = ("dims", "flavor", "time_drift", "domain")
         expr = {k: v for k, v in obj.items() if k not in meta_keys}
         flavor = obj.get("flavor", "real")
-        if flavor not in FLAVORS:
-            raise ParseError(f"at flavor: expected one of {FLAVORS}, got {flavor!r}")
         n = _infer_nvars(expr)
         if n is None:
             raise ParseError("at expr: no quad/atom node fixes the dimension")
         dims = obj.get("dims")
-        if dims is None:
-            m = n if flavor == "real" else n // 2
-            k, l = m, 0
-        else:
-            if (not isinstance(dims, list)) or len(dims) != 2 or not all(isinstance(d, int) for d in dims):
-                raise ParseError("at dims: expected [k, l] with integer entries")
-            k, l = dims
+        if dims is None:  # every variable convex
+            dims = [n // coordinate_count(1, 0, flavor), 0]
+        if not isinstance(dims, list) or len(dims) != 2:
+            raise ParseError("at dims: expected [k, l] with integer entries")
+        k, l = dims
         drift = obj.get("time_drift", 0.0)
         drift = _check_number(drift, "time_drift")
         hw = math.inf
@@ -472,7 +488,8 @@ class SpaceTimeJet:
     for a spec without one.  A spec's time dependence is its linear drift
     alone, so no partial depends on the time and the jet holds none.  Partials
     absent from a table, or above its order, read zero.  An unknown flavor, or
-    a table without one column per partial, raises :class:`DimensionMismatch`.
+    a table without one column per partial, raises :class:`DimensionMismatch`;
+    dims that fail :func:`check_dims` raise :class:`ParseError`.
     """
 
     order: int
@@ -484,11 +501,12 @@ class SpaceTimeJet:
 
     @property
     def nvars(self) -> int:
-        return self.k + self.l if self.flavor == "real" else 2 * (self.k + self.l)
+        return coordinate_count(self.k, self.l, self.flavor)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise DimensionMismatch(f"jet flavor must be one of {FLAVORS}, got {self.flavor!r}")
+        check_dims(self.k, self.l)
         _check_width("jet table", self.table, len(multi_indices(self.nvars, self.order)))
 
     def d(self, beta: MultiIndex) -> float:
@@ -665,7 +683,8 @@ class WirtingerTable:
     points.  For real-valued u the entries satisfy ``entry(anti, hol) ==
     conj(entry(hol, anti))`` bit-exactly.  ``drift`` is du/dt, the drift of
     the jet it was converted from.  A table without one column per key raises
-    :class:`DimensionMismatch` when it is built.
+    :class:`DimensionMismatch` when it is built, and dims that fail
+    :func:`check_dims` raise :class:`ParseError`.
     """
 
     k: int
@@ -675,6 +694,7 @@ class WirtingerTable:
     drift: float = 0.0
 
     def __post_init__(self):
+        check_dims(self.k, self.l)
         _check_width("Wirtinger table", self.entries, len(wirtinger_keys(self.m, self.order)))
 
     @property

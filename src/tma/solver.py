@@ -60,7 +60,8 @@ from .errors import (
     NoConvergence,
     TmaError,
 )
-from .jets import ExpressionSpec, _node_jet, evaluate_hessians
+from .funclass import base_quadratic, in_class_window
+from .jets import ExpressionSpec, _node_jet, coordinate_count, evaluate_hessians, integral
 
 __all__ = [
     "BoxGrid",
@@ -86,8 +87,9 @@ __all__ = [
     "time_order_estimate",
 ]
 
-#: grid flavor -> (grid dimension, spec flavor, slot weight); see the module docstring
-_CARRIERS = {"real": (2, "real", 1.0), "complex11": (4, "complex", 0.25)}
+#: grid flavor -> (spec flavor, slot weight); see the module docstring.  A carrier's
+#: grid has the coordinates of a (1, 1) spec of its flavor: ``coordinate_count(1, 1, flavor)``
+_CARRIERS = {"real": ("real", 1.0), "complex11": ("complex", 0.25)}
 
 FLAVORS = tuple(_CARRIERS)
 
@@ -107,7 +109,7 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_STEPS = 50
 
 
-def _carrier(flavor: str) -> Tuple[int, str, float]:
+def _carrier(flavor: str) -> Tuple[str, float]:
     if flavor not in _CARRIERS:
         raise TmaError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     return _CARRIERS[flavor]
@@ -115,8 +117,8 @@ def _carrier(flavor: str) -> Tuple[int, str, float]:
 
 def _grid_flavor(grid: "BoxGrid") -> str:
     """The flavor that ``grid``'s dimension fixes; raises :class:`DimensionMismatch` if none."""
-    for flavor, (dim, _, _) in _CARRIERS.items():
-        if grid.dim == dim:
+    for flavor, (spec_flavor, _) in _CARRIERS.items():
+        if grid.dim == coordinate_count(1, 1, spec_flavor):
             return flavor
     raise DimensionMismatch(f"no grid flavor of {FLAVORS} runs on a {grid.dim}-D grid")
 
@@ -135,7 +137,8 @@ class BoxGrid:
     outermost ``frame`` node layers carry boundary data rather than unknowns.
     For a periodic grid (``frame == 0``) the nodes are
     ``lo[a] + j*(hi[a]-lo[a])/shape[a]`` — ``hi`` exclusive — and every node
-    is an unknown.
+    is an unknown.  Node counts and the frame width are integers (numpy ones
+    too, bools not), else :class:`TmaError` names the axis or the field.
     """
 
     lo: Tuple[float, ...]
@@ -144,6 +147,10 @@ class BoxGrid:
     frame: int = 2
 
     def __post_init__(self):
+        counts = [(f"axis {a}: node count", n) for a, n in enumerate(self.shape)] + [("frame width", self.frame)]
+        for what, n in counts:
+            if not integral(n):
+                raise TmaError(f"{what} must be an integer, got {n!r}")
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
@@ -407,7 +414,7 @@ def flow_from_spec(
 
 def _require_one_slot_each(spec: ExpressionSpec, grid: BoxGrid) -> None:
     """Check ``spec`` has one convex and one concave direction, of the grid's flavor."""
-    dim = next(d for d, spec_flavor, _ in _CARRIERS.values() if spec_flavor == spec.flavor)
+    dim = coordinate_count(1, 1, spec.flavor)
     if (spec.k, spec.l) != (1, 1) or grid.dim != dim:
         raise DimensionMismatch(
             f"{spec.flavor} grid flows support one convex and one concave direction "
@@ -757,8 +764,8 @@ def _linearized_gammas(f: FlowField, conv: np.ndarray, conc: np.ndarray) -> List
     slot weight over the convex block on convex axes and over the negated
     concave block on concave axes.
     """
-    dim, _, weight = _carrier(f.flavor)
-    return [weight / conv, weight / conc] * (dim // 2)
+    weight = _carrier(f.flavor)[1]
+    return [weight / conv, weight / conc] * (f.grid.dim // 2)
 
 
 class _Operator:
@@ -1169,25 +1176,19 @@ def monitor_class(
 
     For the supported flavors both Hessian blocks are one-dimensional, so the
     eigenvalue bounds are the extrema of the discrete block fields over the
-    interior.  A slice violates the window unless all four bounds lie inside
-    ``[lower - 1e-9, upper + 1e-9]``; a NaN bound lies nowhere.
+    interior.  A slice violates the window unless its four bounds pass
+    :func:`~tma.funclass.in_class_window`, the test of
+    :func:`~tma.funclass.class_membership`: all inside ``[lower - 1e-9,
+    upper + 1e-9]``, where a NaN bound lies nowhere.
     """
-    n = len(f.slices)
-    cmin = np.empty(n)
-    cmax = np.empty(n)
-    kmin = np.empty(n)
-    kmax = np.empty(n)
-    first: Optional[int] = None
+    series = np.empty((4, len(f.slices)))
     stencil = _Stencil(f)
     for i, u in enumerate(f.slices):
         conv, conc = stencil.load(u).blocks()  # stage layout: its junk entries copy real ones
-        cmin[i], cmax[i] = conv.min(), conv.max()
-        kmin[i], kmax[i] = conc.min(), conc.max()
-        bounds = (cmin[i], cmax[i], kmin[i], kmax[i])
-        inside = all(lower - 1e-9 <= b <= upper + 1e-9 for b in bounds)  # False for NaN
-        if not inside and first is None:
-            first = i
-    return ClassSeries(np.asarray(f.times, dtype=float), cmin, cmax, kmin, kmax, first)
+        series[:, i] = conv.min(), conv.max(), conc.min(), conc.max()
+    inside = in_class_window(series.T, lower, upper)
+    first = None if inside.all() else int(np.argmin(inside))
+    return ClassSeries(np.asarray(f.times, dtype=float), *series, first)
 
 
 # ---------------------------------------------------------------------------
@@ -1315,20 +1316,8 @@ def reference_flow_spec(a: float, b: float, flavor: str = "real") -> ExpressionS
     """
     if a <= 0 or b <= 0:
         raise TmaError(f"need positive block scales, got a = {a}, b = {b}")
-    curv = _base_curvatures(a, b, flavor)
-    matrix = [[c if i == j else 0.0 for j in range(len(curv))] for i, c in enumerate(curv)]
-    expr = {"kind": "quad", "matrix": matrix, "linear": [0.0] * len(curv), "constant": 0.0}
-    return ExpressionSpec(expr=expr, k=1, l=1, flavor=_carrier(flavor)[1], time_drift=math.log(a / b))
-
-
-def _base_curvatures(a: float, b: float, flavor: str) -> Tuple[float, ...]:
-    """Axis curvatures giving slots ``a`` and ``-b``: ``(a, -b)`` or ``(2a, -2b, 2a, -2b)``.
-
-    A slot is the weight times the sum of its ``dim/2`` axis curvatures.
-    """
-    dim, _, weight = _carrier(flavor)
-    scale = round(2.0 / (weight * dim))
-    return (scale * a, -scale * b) * (dim // 2)
+    spec_flavor = _carrier(flavor)[0]
+    return ExpressionSpec(base_quadratic(1, 1, spec_flavor, a, b), 1, 1, spec_flavor, time_drift=math.log(a / b))
 
 
 def perturbed_flow_spec(
@@ -1381,5 +1370,6 @@ def perturbed_flow_spec(
 
 
 def periodic_base_for(a: float, b: float, flavor: str = "real") -> PeriodicBase:
-    """The periodic-run base matching :func:`reference_flow_spec`'s quadratic."""
-    return PeriodicBase(_base_curvatures(a, b, flavor))
+    """The periodic-run base matching :func:`reference_flow_spec`'s quadratic: its diagonal."""
+    matrix = reference_flow_spec(a, b, flavor).expr["matrix"]
+    return PeriodicBase(tuple(row[i] for i, row in enumerate(matrix)))

@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import decimal
 import importlib
+import inspect
 import io
 import os
 import pathlib
@@ -138,6 +139,44 @@ def test_every_name_the_benchmark_imports_resolves():
     missing = [f"{file}: from {module} import {name}" for file, module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert len(imported) > 20 and not missing
+
+
+def test_every_flavor_the_benchmark_names_is_known():
+    # a renamed flavor must fail here rather than in a benchmark run.  A literal
+    # a tma callable takes as its flavor, by position or keyword, must be one of
+    # its module's FLAVORS (the grid flavors of tma.solver, the spec flavors of
+    # tma.jets); one bound to a name ``flavor`` must be one of either
+    known = set(importlib.import_module("tma.jets").FLAVORS) | set(importlib.import_module("tma.solver").FLAVORS)
+    named = []
+    for path in sorted((README.parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tma"
+            for alias in node.names
+        }
+        values = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                target = imported.get(getattr(node.func, "id", None))
+                allowed = set(getattr(sys.modules[target.__module__], "FLAVORS", known)) if callable(target) else known
+                values += [(kw.value, allowed) for kw in node.keywords if kw.arg == "flavor"]
+                params = list(inspect.signature(target).parameters) if callable(target) else []
+                if "flavor" in params and params.index("flavor") < len(node.args):
+                    values.append((node.args[params.index("flavor")], allowed))
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "flavor" for t in node.targets):
+                values.append((node.value, known))
+            elif isinstance(node, ast.For) and getattr(node.target, "id", None) == "flavor":
+                values.append((node.iter, known))
+        named += [
+            (path.name, c.lineno, c.value, c.value in allowed)
+            for value, allowed in values
+            for c in ast.walk(value)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)
+        ]
+    assert {"complex11", "complex", "real"} <= {entry[2] for entry in named}
+    assert not [entry for entry in named if not entry[3]]
 
 
 def _dead_imports(path: pathlib.Path) -> list:

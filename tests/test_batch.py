@@ -7,6 +7,8 @@ against the same quantity computed for its item alone, over random draws,
 point counts, block sizes and block shapes, including the one-block shapes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from tma.evolution import (
 from tma import jets
 from tma.funclass import EnsembleSpec, class_membership, default_cloud, draw_block, draw_member, sample_points
 from tma.jets import (
+    ExpressionSpec,
     SpaceTimeJet,
     SpecBlock,
     WirtingerTable,
@@ -149,6 +152,17 @@ _DEGENERATE_INPUTS = {
     "EnsembleSpec_negative_n_atoms": (lambda: EnsembleSpec(k=1, l=1, n_atoms=-2), ParseError),
     "EnsembleSpec_fractional_n_atoms": (lambda: EnsembleSpec(k=1, l=1, n_atoms=1.5), ParseError),
     "EnsembleSpec_negative_eps": (lambda: EnsembleSpec(k=1, l=1, eps=-3.0), ParseError),
+    # a bool is no integer: True would be read as 1
+    "EnsembleSpec_bool_k": (lambda: EnsembleSpec(k=True, l=1), ParseError),
+    "EnsembleSpec_bool_seed": (lambda: EnsembleSpec(k=1, l=1, seed=True), ParseError),
+    "EnsembleSpec_bool_n_atoms": (lambda: EnsembleSpec(k=1, l=1, n_atoms=True), ParseError),
+    # every holder of (k, l) runs the one dims check of tma.jets
+    "ExpressionSpec_replace_float_dims": (lambda: dataclasses.replace(_REAL21, k=2.0, l=1.0), ParseError),
+    "ExpressionSpec_from_dict_bool_dims": (
+        lambda: ExpressionSpec.from_dict({**_REAL21.expr, "dims": [True, 2]}), ParseError),
+    "SpaceTimeJet_float_k": (lambda: SpaceTimeJet(order=0, k=1.0, l=1, flavor="real", table=np.zeros(1)), ParseError),
+    "SpaceTimeJet_no_slots": (lambda: SpaceTimeJet(order=0, k=0, l=0, flavor="real", table=np.zeros(1)), ParseError),
+    "WirtingerTable_float_k": (lambda: WirtingerTable(k=1.0, l=1, order=0, entries=np.zeros(1)), ParseError),
     "draw_member_negative_index": (lambda: draw_member(_ES21, -1), TmaError),
     "sample_points_negative_index": (lambda: sample_points(_ES21, -1, 3), TmaError),
     "sample_points_negative_count": (lambda: sample_points(_ES21, 0, -1), DimensionMismatch),
@@ -204,6 +218,10 @@ _DEGENERATE_INPUTS = {
     "flow_from_values_inf_time": (lambda: _flow9_at(float("inf")), TmaError),
     "BoxGrid_inf_lo": (lambda: BoxGrid((-np.inf, -1.0), (1.0, 1.0), (9, 9)), TmaError),
     "BoxGrid_nan_hi": (lambda: BoxGrid((-1.0, -1.0), (1.0, np.nan), (9, 9)), TmaError),
+    # a node count or frame width must be an integer, not one that int() truncates
+    "BoxGrid_fractional_nodes": (lambda: BoxGrid((0.0, 0.0), (1.0, 1.0), (7.9, 7)), TmaError),
+    "BoxGrid_fractional_frame": (lambda: BoxGrid((0.0, 0.0), (1.0, 1.0), (9, 9), frame=1.5), TmaError),
+    "BoxGrid_bool_frame": (lambda: BoxGrid((0.0, 0.0), (1.0, 1.0), (9, 9), frame=True), TmaError),
     "PeriodicBase_nan_coefficient": (lambda: PeriodicBase((np.nan, -1.0)), TmaError),
     "PeriodicBase_inf_coefficient": (lambda: PeriodicBase((1.0, -np.inf)), TmaError),
     "holder_exponent_fit_nan_radius": (lambda: holder_exponent_fit([1.0, 0.5, np.nan], [1.0, 0.5, 0.25]),

@@ -571,9 +571,11 @@ def test_every_tree_fault_raises_with_its_message(entry, fault):
     "fields, message",
     [
         ({"k": 1, "l": 1, "flavor": "quaternion"}, "at flavor: expected one of ('real', 'complex'), got 'quaternion'"),
-        ({"k": -1, "l": 3}, "at dims: need k >= 0, l >= 0, k + l >= 1; got (-1, 3)"),
+        ({"k": -1, "l": 3}, "at dims: need integers k >= 0, l >= 0, k + l >= 1; got (-1, 3)"),
+        ({"k": 1.0, "l": 1.0}, "at dims: need integers k >= 0, l >= 0, k + l >= 1; got (1.0, 1.0)"),
+        ({"k": True, "l": 1}, "at dims: need integers k >= 0, l >= 0, k + l >= 1; got (True, 1)"),
     ],
-    ids=["flavor", "dims"],
+    ids=["flavor", "dims", "float_dims", "bool_dims"],
 )
 def test_spec_field_faults_raise_with_their_message(fields, message):
     with pytest.raises(ParseError) as info:

@@ -27,7 +27,8 @@ from tma.errors import (
     NoConvergence,
     TmaError,
 )
-from tma.jets import ExpressionSpec
+from tma.funclass import class_membership
+from tma.jets import ExpressionSpec, evaluate_hessians
 from tma.solver import (
     BoxGrid,
     FlowField,
@@ -128,6 +129,14 @@ class TestBoxGrid:
             BoxGrid((0.0, 0.0), (0.0, 1.0), (9, 9))  # empty extent
         with pytest.raises(TmaError):
             BoxGrid((0.0, 0.0), (1.0, 1.0), (9, 9), frame=-1)
+        with pytest.raises(TmaError, match=r"^axis 1: node count must be an integer, got True$"):
+            BoxGrid((0.0, 0.0), (1.0, 1.0), (9, True), frame=0)
+        with pytest.raises(TmaError, match=r"^frame width must be an integer, got 1\.5$"):
+            BoxGrid((0.0, 0.0), (1.0, 1.0), (9, 9), frame=1.5)
+
+    def test_numpy_integers_are_node_counts(self):
+        grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), np.array([33, 33]), frame=np.int64(2))
+        assert grid == FRAMED and grid.interior_shape == (29, 29)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +227,15 @@ class TestQuadraticMotion:
         assert np.nanmax(np.abs(speed - DRIFT_AT_E)) <= 1e-10
 
     @pytest.mark.parametrize("flavor", ["real", "complex11"])
-    def test_periodic_base_is_the_reference_quadratic(self, flavor):
-        matrix = np.array(reference_flow_spec(2.0, 0.5, flavor).expr["matrix"])
+    @pytest.mark.parametrize("a, b", [(2.0, 0.5), (1.0, 1.0), (0.3, 7.25), (math.e, math.pi)])
+    def test_periodic_base_is_the_reference_quadratic(self, flavor, a, b):
+        spec = reference_flow_spec(a, b, flavor)
+        matrix = np.array(spec.expr["matrix"])
         assert np.array_equal(matrix, np.diag(np.diag(matrix)))
-        assert periodic_base_for(2.0, 0.5, flavor).coeffs == tuple(np.diag(matrix))
+        # the base's coefficients are the reference spec's Hessian diagonal at every point
+        points = np.random.default_rng(7).uniform(-1.0, 1.0, (16, spec.nvars))
+        coeffs = periodic_base_for(a, b, flavor).coeffs
+        assert all(tuple(np.diag(h)) == coeffs for h in evaluate_hessians(spec, points))
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +709,39 @@ class TestMonitorClass:
                            policy=periodic_base_for(1.0, 1.0))
         series = monitor_class(f, 0.5, 2.0)
         assert series.first_violation == 0
+
+    def test_same_window_as_class_membership(self):
+        # each check gets lam with lam - 1e-9 exactly at its lowest bound: both
+        # pass there, and both fail one float further in, and on a NaN bound
+        def floor_at(bound):
+            lam = bound + 1e-9
+            while lam - 1e-9 > bound:
+                lam = np.nextafter(lam, -np.inf)
+            while lam - 1e-9 < bound:
+                lam = np.nextafter(lam, np.inf)
+            assert lam - 1e-9 == bound
+            return lam
+
+        spec = reference_flow_spec(1.5, 1.25)
+        cloud = [[0.0, 0.0], [0.5, -0.25]]
+        lowest = class_membership(spec, cloud, 1.0, 4.0).bounds[:, 0::2].min()
+        f = flow_from_spec(spec, FRAMED, dt=1e-4)
+        series = monitor_class(f, 1.0, 4.0)
+        lowest_grid = min(series.convex_min[0], series.concave_min[0])
+        for at_edge, verdict in ((floor_at(lowest), True), (np.nextafter(floor_at(lowest), np.inf), False)):
+            assert class_membership(spec, cloud, at_edge, 4.0).member is verdict
+        for at_edge, verdict in ((floor_at(lowest_grid), True), (np.nextafter(floor_at(lowest_grid), np.inf), False)):
+            assert (monitor_class(f, at_edge, 4.0).first_violation is None) is verdict
+
+        # exp(800 x) overflows at x = 1, and inf - inf leaves NaN partials there
+        blowup = [{"kind": "scale", "coefficient": c,
+                   "term": {"kind": "atom", "fn": "exp", "affine": [800.0, 0.0], "const": 0.0}} for c in (1.0, -1.0)]
+        nan_spec = ExpressionSpec({"kind": "sum", "terms": [spec.expr] + blowup}, 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = class_membership(nan_spec, [[0.0, 0.0], [1.0, 0.0]], 1.0, 4.0)
+        assert np.isnan(report.bounds[1]).all() and not report.member and report.first_violation == (1.0, 0.0)
+        f.slices[0][f.grid.interior] = np.nan
+        assert monitor_class(f, 1.0, 4.0).first_violation == 0
 
 
 # ---------------------------------------------------------------------------
