@@ -504,14 +504,17 @@ class TestSemiImplicitSolve:
 
 class TestMatrixFreeSolves:
     # the oblong and mixed-length shapes catch a transform that contracts the wrong axis
+    # (128, 128), (129, 127) and (127, 9, 5) fold even and odd axes, alone and beside short ones
     @pytest.mark.parametrize("shape", [(127, 127), (11,) * 4, (255, 255), (29, 29), (17, 21),
-                                       (9,) * 4, (9, 8, 9, 10)], ids=str)
+                                       (9,) * 4, (9, 8, 9, 10), (128, 128), (129, 127), (127, 9, 5)],
+                             ids=str)
     def test_sine_transform_is_scipy_dst1(self, shape):
         x = np.random.default_rng(5).normal(size=shape)
         want = scipy.fft.dstn(x, type=1)
         assert np.abs(_sine_transform(x) - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("shape", [(17, 21), (125, 125), (9, 8, 9, 10)], ids=str)
+    @pytest.mark.parametrize("shape", [(17, 21), (125, 125), (9, 8, 9, 10), (128, 128), (129, 127),
+                                       (127, 9, 5)], ids=str)
     def test_sine_transform_twice_scales_by_the_extended_lengths(self, shape):
         # _FastPoisson divides its symbol by this product instead of inverting the transform
         x = np.random.default_rng(6).normal(size=shape)
@@ -525,8 +528,10 @@ class TestMatrixFreeSolves:
         (BoxGrid((-1.0,) * 4, (1.0,) * 4, (9, 8, 9, 10), frame=1), 1e-3),
         (BoxGrid((0.0, 0.0), (2 * math.pi, 3.0), (16, 15), frame=0), 1e-3),
         (BoxGrid((0.0,) * 4, (2 * math.pi,) * 4, (8, 7, 8, 6), frame=0), 1e-3),
+        (BoxGrid((-1.0, -1.0), (1.0, 2.0), (133, 106)), None),
+        (BoxGrid((-1.0, -1.0), (1.0, 2.0), (133, 106)), 1e-3),
     ], ids=["None-framed2d", "None-framed4d", "0.001-framed2d", "0.001-framed4d", "0.001-periodic2d",
-            "0.001-periodic4d"])
+            "0.001-periodic4d", "None-framed2d-folded", "0.001-framed2d-folded"])
     def test_preconditioner_inverts_constant_coefficients(self, grid, dt):
         # the preconditioner of L alone serves the elliptic solve, which needs a framed grid
         gammas = [np.full(grid.interior_shape, 0.7 + 0.5 * a) for a in range(grid.dim)]
