@@ -11,7 +11,7 @@ class TmaError(Exception):
 
 
 class DomainViolation(TmaError):
-    """An atom was evaluated outside its domain (e.g. log of a non-positive argument)."""
+    """An atom was evaluated outside its domain (e.g. log of a non-positive argument), or a point is not finite."""
 
 
 class DimensionMismatch(TmaError):

@@ -39,13 +39,7 @@ from .errors import (
     TmaError,
 )
 from .jets import ExpressionSpec, evaluate_jet, substitute, wirtinger_from_real
-from .solver import (
-    BoxGrid,
-    FlowField,
-    FrozenFrame,
-    _Stencil,
-    _require_membership,
-)
+from .solver import BoxGrid, FlowField, FrozenFrame, _Stencil
 from .twistedops import eval_H
 
 __all__ = [
@@ -242,13 +236,8 @@ def flow_quantities(
     stencil = _Stencil(field)
     values: Dict[str, np.ndarray] = {}
     for j, u in enumerate(field.slices):
-        conv, conc = stencil.load(u).blocks()
-        _require_membership(conv, conc, "time-speed evaluation")
-        # contiguous, as in the uncropped call: a SIMD log may take another path on strided input
-        conv, conc = stencil.crop(conv, inner), stencil.crop(conc, inner)
-        m = stencil.mixed(inner)
-        channels = {"time_speed": np.log(conv) - np.log(conc),
-                    **_directional_values(conv, conc, m)}
+        speed, conv, conc = stencil.flow_value(u, "time-speed evaluation", inner)
+        channels = {"time_speed": speed, **_directional_values(conv, conc, stencil.mixed(inner))}
         for name, arr in channels.items():
             if j == 0:
                 values[name] = np.empty((len(field.slices),) + arr.shape)

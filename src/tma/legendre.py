@@ -39,9 +39,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainExceeded, NoConvergence
+from .errors import DimensionMismatch, DomainExceeded, DomainViolation, NoConvergence
 from .jets import ExpressionSpec, SpecBlock, _hessian_columns, evaluate_hessians, evaluate_jet
-from .linalg import as_hermitian, inverse_and_logdet, transformed_hessian
+from .linalg import inverse_and_logdet, transformed_hessian
 
 _GRAD_TOL = 1e-12
 _MAX_NEWTON = 100
@@ -110,12 +110,17 @@ def _invert(spec: ExpressionSpec, x, z):
 
     Damped Newton from ``y = 0``: the concavity of u in y makes the residual
     norm decrease along the Newton direction, so plain step halving suffices
-    as a globalizer.  Converges to ``max|du/dy - z| <= 1e-12 * (1 + max|z|)``.
+    as a globalizer.  Converges to ``max|du/dy - z| <= 1e-12 * (1 + max|z|)``,
+    which needs a finite ``z``: a non-finite ``x`` or ``z`` raises
+    :class:`DomainViolation` naming it.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.shape != (spec.k,) or z.shape != (spec.l,):
         raise DimensionMismatch(f"need x of shape ({spec.k},) and z of shape ({spec.l},), got {x.shape} and {z.shape}")
+    for name, v in (("x", x), ("z", z)):
+        if not np.isfinite(v).all():
+            raise DomainViolation(f"{name} must be finite, got {v.tolist()}")
     y = np.zeros(spec.l)
     tol = _GRAD_TOL * (1.0 + float(np.max(np.abs(z))))
     jet, g, res = _gradient_residual(spec, x, y, z)
@@ -211,9 +216,10 @@ def partial_legendre(spec: ExpressionSpec, x, z) -> PartialLegendreResult:
     Inverts the concave-slot gradient to find the source point (x, y), then
     assembles every output from the exact jet of u there; ``y`` alone is the
     gradient inversion.  Raises :class:`DimensionMismatch` unless x has k
-    entries and z has l, :class:`NoConvergence` after 100 Newton steps or a
-    stalled damping, and :class:`DomainExceeded` when a Newton trial point
-    leaves the declared box: z is not in the image of du/dy over the domain.
+    entries and z has l, :class:`DomainViolation` unless both are finite,
+    :class:`NoConvergence` after 100 Newton steps or a stalled damping, and
+    :class:`DomainExceeded` when a Newton trial point leaves the declared
+    box: z is not in the image of du/dy over the domain.
     """
     _require_transformable(spec)
     y, iters, jet = _invert(spec, x, z)
@@ -235,22 +241,16 @@ def det_transform_residual(spec: ExpressionSpec, point):
     return float(block.det_residual[0]) if single else block.det_residual
 
 
-def transformed_operator_L(spec: ExpressionSpec, point, *, long_form: bool = False):
+def transformed_operator_L(spec: ExpressionSpec, point):
     """Second-order coefficient matrix ``diag(u_xx^{-1}, -u_yy^{-1})``.
 
-    With ``long_form=True`` the same matrix is assembled the expensive way,
-    conjugating the inverse transformed Hessian by the coordinate Jacobian
-    (``T W^{-1} T^t``); the two routes agree entry-wise to 1e-12 and the
-    short form is preferred for conditioning.
+    It is ``T W^{-1} T^t``, the inverse transformed Hessian conjugated by
+    the coordinate Jacobian, assembled block by block from the two Hessian
+    blocks, which is cheaper and better conditioned than that product.
     """
     _require_transformable(spec)
     h = evaluate_hessians(spec, np.asarray(point, dtype=float)[None])[0]
     k = spec.k
-    if long_form:
-        w, cinv = transformed_hessian(h, k)
-        t = _jacobian(h, k, cinv)
-        w_inv, _ = inverse_and_logdet(w)
-        return as_hermitian(t @ w_inv @ t.T)
     a_inv, _ = inverse_and_logdet(h[:k, :k])
     neg_c_inv, _ = inverse_and_logdet(-h[k:, k:])
     out = np.zeros((spec.nvars, spec.nvars))

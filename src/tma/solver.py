@@ -9,10 +9,12 @@ block negative definite, with quantitative bounds) along runs, and estimates
 convergence orders.
 
 Both linear solves, the semi-implicit step's ``(I - dt*L) du = dt*F`` and
-each Newton step's ``L du = -F``, are matrix-free: ``L = sum_a gamma_a d^2_a``
-is applied from the stencil, and a restarted GMRES is preconditioned by a
-fast transform (the DST-I on framed grids, the FFT on periodic ones) of the
-same operator with its coefficients averaged.  At a steady state ``L`` is a
+each Newton step's ``L du = -F``, are matrix-free and build one
+``_Linearized`` system each: ``L = sum_a gamma_a d^2_a`` is applied from the
+stencil, and a restarted GMRES is preconditioned by a fast transform (the
+DST-I on framed grids, the FFT on periodic ones) of the same operator with
+its coefficients averaged.  Every flow value ``F`` of a slice, with its class
+check, is read by one ``_Stencil.flow_value``.  At a steady state ``L`` is a
 scaled Laplacian, so the preconditioner is nearly exact there: a Newton
 solve at 129^2 takes 1, 9, 5, 3 and 2 Krylov iterations in its five steps,
 and a semi-implicit step on a quadratic takes one.  A solve that misses its
@@ -47,8 +49,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -452,11 +454,13 @@ class _Stencil:
     :meth:`load` makes a slice the one to difference: a *stored* slice (as
     a :class:`FlowField` keeps it) or a *stage* slice (as the RK4 stages
     run it), told apart by shape.  :meth:`blocks` gives the loaded slice's
-    convex and negated concave block fields as *stage arrays*, and
+    convex and negated concave block fields as *stage arrays*,
     :meth:`crop` gives a contiguous copy of the stored part of a stage
-    slice or stage array.  :meth:`differences` writes into buffers kept per
-    pair and region shape, so what it, :meth:`blocks` and :meth:`mixed`
-    return is overwritten by the next call for the same pair and shape.
+    slice or stage array, and :meth:`flow_value` reads a slice's
+    class-checked flow value through the three.  :meth:`differences`
+    writes into buffers kept per pair and region shape, so what it,
+    :meth:`blocks` and :meth:`mixed` return is overwritten by the next call
+    for the same pair and shape.
 
     On a framed grid a stage slice is a stored one, grid-shaped and read in
     place, and a stage array holds the interior, read through strided
@@ -620,6 +624,22 @@ class _Stencil:
                     block[junk] = block[last]
         return conv, conc
 
+    def flow_value(self, u: np.ndarray, where: str,
+                   region: Optional[Tuple[slice, ...]] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flow value ``F = log(conv) - log(conc)`` of the slice ``u`` on ``region``, and the blocks it reads.
+
+        Loads ``u`` and class-checks its block fields with margin on the
+        whole interior (:class:`ClassExit` naming ``where``), then crops them
+        to ``region`` (slices in interior coordinates; the whole interior by
+        default) as contiguous copies, which outlive the next load: a SIMD
+        log may take another path on strided input.  Returns ``F`` and the
+        cropped convex and negated concave blocks, all region-shaped.
+        """
+        conv, conc = self.load(u).blocks()
+        _require_membership(conv, conc, where)
+        conv, conc = self.crop(conv, region), self.crop(conc, region)
+        return np.log(conv) - np.log(conc), conv, conc
+
     def mixed(self, region: Optional[Tuple[slice, ...]] = None) -> Tuple[np.ndarray, ...]:
         """The mixed slot derivative ``M = u_{z wbar}`` of the loaded slice on ``region``.
 
@@ -650,21 +670,19 @@ def _require_membership(conv: np.ndarray, conc: np.ndarray, where: str) -> float
     return min(cmin, kmin)
 
 
-def _flow_value(conv: np.ndarray, conc: np.ndarray, where: str) -> np.ndarray:
-    """``log(conv) - log(conc)`` on the interior, after the class check with margin."""
-    _require_membership(conv, conc, where)
-    return np.log(conv) - np.log(conc)
-
-
 def discrete_time_speed(f: FlowField, index: int = -1) -> np.ndarray:
     """The discrete flow value ``F`` of a stored slice.
 
     This equals the time speed ``du/dt`` the flow would impose on that slice;
-    frame entries are NaN on framed grids.
+    frame entries are NaN on framed grids.  ``index`` is an integer (numpy
+    ones too, bools not) that indexes ``f.slices``, else :class:`TmaError`.
     """
-    stencil = _Stencil(f).load(f.slices[index])
+    if not (integral(index) and -len(f.slices) <= index < len(f.slices)):
+        raise TmaError(f"slice index must be an integer in [{-len(f.slices)}, {len(f.slices)}), got {index!r}")
+    speed = _Stencil(f).flow_value(f.slices[index], "time-speed evaluation")[0]
+    # allocated after the stencil's buffers are freed: allocated first, it nearly doubled the call at 128^2
     out = np.full(f.grid.shape, np.nan)
-    out[f.grid.interior] = _flow_value(*map(stencil.crop, stencil.blocks()), "time-speed evaluation")
+    out[f.grid.interior] = speed
     return out
 
 
@@ -768,19 +786,33 @@ def _linearized_gammas(f: FlowField, conv: np.ndarray, conc: np.ndarray) -> List
     return [weight / conv, weight / conc] * (f.grid.dim // 2)
 
 
-class _Operator:
-    """``L = sum_a gamma_a d^2_a`` on the unknown nodes or, given ``dt``, ``I - dt*L``.
+class _Linearized:
+    """``L = sum_a gamma_a d^2_a`` on the unknown nodes or, given ``dt``, ``I - dt*L``, with its preconditioner.
 
-    It is applied from the stencil; no matrix is assembled.  The
+    The operator is applied from the stencil; no matrix is assembled.  The
     coefficients ``gammas`` are interior-shaped, and so are the unknowns: the
     interior nodes of a framed grid, whose frame values are data, so stencil
     legs reaching the frame read zero; or every node of a periodic grid,
     whose legs wrap.  Vectors are flat, in C order.
+
+    :meth:`precondition` applies ``P^{-1} v = T^{-1}(T(v / gbar) / D)``,
+    where ``gbar`` is the pointwise mean of the ``gamma_a``, ``T`` the DST-I
+    on framed grids and the FFT on periodic ones, and ``D`` the symbol
+    ``Lambda`` of the axis-weighted Laplacian ``sum_a c_a d^2_a`` with
+    ``c_a = mean(gamma_a)/mean(gbar)``, or ``1/mean(gbar) - dt*Lambda``.  For
+    constant coefficients ``P`` is the operator itself.  On a framed grid
+    ``T^{-1}`` is :func:`_sine_transform` again, matrix products along each
+    axis each way (two half-size ones on an axis of :data:`_FOLD_MIN` nodes
+    or more), with the product of the ``2(n + 1)`` taken into ``D``.
+    ``gbar`` and ``1/D`` are built on first use: ``L`` alone on a periodic
+    grid is singular on the constant mode, so only ``I - dt*L`` is
+    preconditioned there.
     """
 
     def __init__(self, grid: BoxGrid, gammas: Sequence[np.ndarray], dt: Optional[float] = None):
         self.periodic = grid.periodic
         self.shape = grid.interior_shape
+        self.spacing, self.gammas, self.dt = grid.spacing, gammas, dt
         scale = 1.0 if dt is None else -dt
         self.weights = [scale * g / (h * h) for g, h in zip(gammas, grid.spacing)]
         self.diag = -2.0 * sum(self.weights) + (0.0 if dt is None else 1.0)
@@ -825,6 +857,39 @@ class _Operator:
         g = np.full(self.ghosted.shape, 0.0 if self.periodic else 1.0)
         g[self.inner] = 0.0
         return self._legs(g).ravel()
+
+    @cached_property
+    def gbar(self) -> np.ndarray:
+        """The pointwise mean of the ``gamma_a``."""
+        return sum(self.gammas) / len(self.gammas)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """``1/D``, the preconditioner's inverse symbol."""
+        mean = float(self.gbar.mean())
+        dim = len(self.shape)
+        symbol = np.zeros(())
+        for a, (g, h, n) in enumerate(zip(self.gammas, self.spacing, self.shape)):
+            if self.periodic:
+                modes = np.arange(n // 2 + 1 if a == dim - 1 else n)
+                eig = -4.0 * np.sin(math.pi * modes / n) ** 2 / (h * h)
+            else:
+                eig = -4.0 * np.sin(0.5 * math.pi * np.arange(1, n + 1) / (n + 1)) ** 2 / (h * h)
+            symbol = symbol + (float(g.mean()) / mean) * eig.reshape((-1,) + (1,) * (dim - 1 - a))
+        denom = symbol if self.dt is None else 1.0 / mean - self.dt * symbol
+        if not self.periodic:
+            denom = denom * math.prod(2 * n + 2 for n in self.shape)
+        return 1.0 / denom
+
+    def precondition(self, v: np.ndarray) -> np.ndarray:
+        """``P^{-1} v``, on flat vectors."""
+        x = v.reshape(self.shape) / self.gbar
+        if self.periodic:
+            x = np.fft.irfftn(np.fft.rfftn(x) * self.inverse, s=self.shape,
+                              axes=range(len(self.shape)))
+        else:
+            x = _sine_transform(_sine_transform(x) * self.inverse)
+        return x.ravel()
 
 
 @lru_cache(maxsize=None)
@@ -893,49 +958,6 @@ def _sine_transform(x: np.ndarray) -> np.ndarray:
     return x
 
 
-class _FastPoisson:
-    """Fast-transform preconditioner for ``L`` on a framed grid or, given ``dt``, for ``I - dt*L``.
-
-    ``P^{-1} v = T^{-1}(T(v / gbar) / D)``, where ``gbar`` is the pointwise
-    mean of the ``gamma_a``, ``T`` the DST-I on framed grids and the FFT on
-    periodic ones, and ``D`` the symbol ``Lambda`` of the axis-weighted
-    Laplacian ``sum_a c_a d^2_a`` with ``c_a = mean(gamma_a)/mean(gbar)``, or
-    ``1/mean(gbar) - dt*Lambda``.  For constant coefficients ``P`` is the
-    operator itself.  On a framed grid ``T^{-1}`` is :func:`_sine_transform`
-    again, matrix products along each axis each way (two half-size ones on
-    an axis of :data:`_FOLD_MIN` nodes or more), with the product of the
-    ``2(n + 1)`` taken into ``D``.
-    """
-
-    def __init__(self, grid: BoxGrid, gammas: Sequence[np.ndarray], dt: Optional[float] = None):
-        self.periodic = grid.periodic
-        self.shape = grid.interior_shape
-        self.gbar = sum(gammas) / len(gammas)
-        mean = float(self.gbar.mean())
-        dim = len(self.shape)
-        symbol = np.zeros(())
-        for a, (g, h, n) in enumerate(zip(gammas, grid.spacing, self.shape)):
-            if self.periodic:
-                modes = np.arange(n // 2 + 1 if a == dim - 1 else n)
-                eig = -4.0 * np.sin(math.pi * modes / n) ** 2 / (h * h)
-            else:
-                eig = -4.0 * np.sin(0.5 * math.pi * np.arange(1, n + 1) / (n + 1)) ** 2 / (h * h)
-            symbol = symbol + (float(g.mean()) / mean) * eig.reshape((-1,) + (1,) * (dim - 1 - a))
-        denom = symbol if dt is None else 1.0 / mean - dt * symbol
-        if not self.periodic:
-            denom = denom * math.prod(2 * n + 2 for n in self.shape)
-        self.inverse = 1.0 / denom
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        x = v.reshape(self.shape) / self.gbar
-        if self.periodic:
-            x = np.fft.irfftn(np.fft.rfftn(x) * self.inverse, s=self.shape,
-                              axes=range(len(self.shape)))
-        else:
-            x = _sine_transform(_sine_transform(x) * self.inverse)
-        return x.ravel()
-
-
 #: GMRES restart length of the matrix-free linear solves
 _KRYLOV_RESTART = 40
 
@@ -943,22 +965,16 @@ _KRYLOV_RESTART = 40
 _KRYLOV_MAX_ITERATIONS = 400
 
 
-def _gmres(
-    system: _Operator,
-    precondition: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    rtol: float,
-    atol: float,
-    where: str,
-) -> np.ndarray:
+def _gmres(system: _Linearized, b: np.ndarray, rtol: float, atol: float, where: str) -> np.ndarray:
     """``x`` with ``||b - A x||_2 <= max(rtol*||b||_2, atol)``, by right-preconditioned GMRES.
 
-    ``system`` is ``A`` and ``precondition`` is ``P^{-1}``, on flat vectors;
-    the iteration starts from zero and restarts every ``_KRYLOV_RESTART``
-    iterations.  The Arnoldi basis is orthogonalized by classical
-    Gram-Schmidt run twice, and the least-squares residual is tracked by
-    Givens rotations.  Each cycle ends by computing the true residual, and
-    only that is tested: against the tolerance, or against
+    ``system`` is ``A`` and its :meth:`~_Linearized.precondition` is
+    ``P^{-1}``, on flat vectors; the iteration starts from zero and restarts
+    every ``_KRYLOV_RESTART`` iterations.  The Arnoldi basis is
+    orthogonalized by classical Gram-Schmidt run twice, and the
+    least-squares residual is tracked by Givens rotations.  Each cycle ends
+    by computing the true residual, and only that is tested: against the
+    tolerance, or against
     ``eps*|| |A| |x| ||_2``, the rounding error of computing it, below which
     no iteration can push it (large ``dt/h^2`` in the semi-implicit step).
     After ``_KRYLOV_MAX_ITERATIONS`` iterations in all, or on a singular
@@ -983,7 +999,7 @@ def _gmres(
         g = np.zeros(m + 1)
         g[0] = beta
         for j in range(m):
-            w = system(precondition(basis[j]))
+            w = system(system.precondition(basis[j]))
             iterations += 1
             h = basis[:j + 1] @ w
             w -= h @ basis[:j + 1]
@@ -1005,7 +1021,7 @@ def _gmres(
                 break
             basis[j + 1] = w / below
         k = j + 1
-        x = x + precondition(np.linalg.solve(hess[:k, :k], g[:k]) @ basis[:k])
+        x = x + system.precondition(np.linalg.solve(hess[:k, :k], g[:k]) @ basis[:k])
         r = b - system(x)
         beta = float(norm(r))
         if beta > tol and beta <= np.finfo(float).eps * norm(system.bound(x)):
@@ -1025,9 +1041,11 @@ def _semi_implicit_step(f: FlowField, stencil: _Stencil, u: np.ndarray,
     (the boundary values are linear in time), so its stencil coupling moves
     to the right-hand side instead of being lagged.
 
-    The system is solved matrix-free by :func:`_gmres` to relative residual
-    ``_SEMI_RTOL``, preconditioned by :class:`_FastPoisson`, which is exact
-    when the coefficients are constant.  A step of a quadratic (129^2, 13^4)
+    The flow value and the lagged blocks come from one
+    :meth:`_Stencil.flow_value`, and the system is one :class:`_Linearized`,
+    solved matrix-free by :func:`_gmres` to relative residual
+    ``_SEMI_RTOL`` under its own preconditioner, which is exact when the
+    coefficients are constant.  A step of a quadratic (129^2, 13^4)
     takes one Krylov iteration.  A step of a rippled field takes 10 at 17^2
     (``dt`` 8e-4 to 5e-3, the flow-convergence suite included).  At 129^2
     (``dt`` 5e-3 to 1) a first step takes 14-15 and a second 9-12; from
@@ -1037,16 +1055,14 @@ def _semi_implicit_step(f: FlowField, stencil: _Stencil, u: np.ndarray,
     :class:`NoConvergence` rather than returning an unconverged increment.
     """
     dt = f.dt
-    conv, conc = map(stencil.crop, stencil.load(u).blocks())
-    rhs = dt * _flow_value(conv, conc, "semi-implicit step").ravel()
-    gammas = _linearized_gammas(f, conv, conc)
-    system = _Operator(f.grid, gammas, dt)
+    r, conv, conc = stencil.flow_value(u, "semi-implicit step")
+    rhs = dt * r.ravel()
+    system = _Linearized(f.grid, _linearized_gammas(f, conv, conc), dt)
     if isinstance(f.policy, FrozenFrame):
         frame_delta = f.policy.spec.time_drift * dt
         if frame_delta != 0.0:
             rhs -= frame_delta * system.frame_coupling()
-    delta = _gmres(system, _FastPoisson(f.grid, gammas, dt), rhs, _SEMI_RTOL, 0.0,
-                   f"semi-implicit step at t={t:.6g}")
+    delta = _gmres(system, rhs, _SEMI_RTOL, 0.0, f"semi-implicit step at t={t:.6g}")
     unew = u.copy()
     nodes = unew[stencil.stage][stencil.inner]  # a view of the stage slice's interior
     nodes += delta.reshape(f.grid.interior_shape)
@@ -1071,12 +1087,13 @@ def run_flow(
     membership-checked after the run so a field that has just left the class
     cannot be returned silently.  One :class:`_Stencil` serves the whole
     run; the steppers work in its stage layout, and a slice is cropped to
-    the stored layout only where it is stored.
+    the stored layout only where it is stored.  ``steps`` and
+    ``snapshot_every`` are integers >= 1 (numpy ones too, bools not), else
+    :class:`TmaError` names the argument.
     """
-    if steps < 1:
-        raise TmaError(f"need at least one step, got {steps}")
-    if snapshot_every < 1:
-        raise TmaError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    for name, count in (("steps", steps), ("snapshot_every", snapshot_every)):
+        if not (integral(count) and count >= 1):
+            raise TmaError(f"{name} must be an integer >= 1, got {count!r}")
     if scheme not in _STEPPERS:
         raise TmaError(f"unknown scheme {scheme!r}; expected one of {tuple(_STEPPERS)}")
     if f.dt <= 0.0:
@@ -1147,16 +1164,14 @@ def solve_elliptic(
     def residual_of(candidate: np.ndarray,
                     where: str) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         # copies: the accepted iterate's blocks outlive the trials
-        conv, conc = map(stencil.crop, stencil.load(candidate).blocks())
-        r = _flow_value(conv, conc, where)
+        r, conv, conc = stencil.flow_value(candidate, where)
         return float(np.abs(r).max()), r, conv, conc
 
     res, r, conv, conc = residual_of(u, "elliptic initial guess")
     for _ in range(NEWTON_MAX_STEPS):
         if res <= NEWTON_TOL:
             return dataclasses.replace(f, slices=[u], times=[0.0])
-        gammas = _linearized_gammas(f, conv, conc)
-        delta = _gmres(_Operator(grid, gammas), _FastPoisson(grid, gammas), -r.ravel(),
+        delta = _gmres(_Linearized(grid, _linearized_gammas(f, conv, conc)), -r.ravel(),
                        _NEWTON_LINEAR_RTOL, _NEWTON_LINEAR_ATOL, "Newton step")
         step = 1.0
         while True:

@@ -10,7 +10,7 @@ replaces the Hessian blocks with the mixed Wirtinger blocks u_{z zbar} and
 the analytic evaluation, which :func:`tma.estimates.rescale_report` reads for
 the flow residual.  The finite-difference solver does not share it; it
 evaluates its discrete ``F`` from second differences in
-``tma.solver._flow_value``.
+``tma.solver._Stencil.flow_value``.
 
 The module also gives the complex transformed Hessian
 

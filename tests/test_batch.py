@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tma import cli
-from tma.errors import ClassExit, DegenerateLadder, DimensionMismatch, ParseError, TmaError
+from tma.errors import ClassExit, DegenerateLadder, DimensionMismatch, DomainViolation, ParseError, TmaError
 from tma.evolution import (
     FlowBlock,
     assemble_Q,
@@ -52,6 +52,7 @@ from tma.estimates import flow_quantities, holder_exponent_fit
 from tma.solver import (
     BoxGrid,
     PeriodicBase,
+    discrete_time_speed,
     flow_from_spec,
     flow_from_values,
     hessian_error,
@@ -133,6 +134,16 @@ _DEGENERATE_INPUTS = {
     "det_transform_residual": (lambda: det_transform_residual(_REAL21, np.zeros((0, 3))), (0,)),
     "partial_legendre_long_z": (lambda: partial_legendre(_REAL21, [0.0, 0.0], [0.0, 0.0]), DimensionMismatch),
     "partial_legendre_short_x": (lambda: partial_legendre(_REAL21, [0.0], [0.0]), DimensionMismatch),
+    # an infinite slope made the inversion tolerance infinite (w = nan after 0 steps); a NaN
+    # one left the declared domain
+    "partial_legendre_inf_z": (lambda: partial_legendre(reference_flow_spec(1.0, 1.0), [0.1], [np.inf]),
+                               DomainViolation),
+    "partial_legendre_minus_inf_z": (lambda: partial_legendre(reference_flow_spec(1.0, 1.0), [0.1], [-np.inf]),
+                                     DomainViolation),
+    "partial_legendre_nan_z": (lambda: partial_legendre(reference_flow_spec(1.0, 1.0), [0.1], [np.nan]),
+                               DomainViolation),
+    "partial_legendre_nan_x": (lambda: partial_legendre(reference_flow_spec(1.0, 1.0), [np.nan], [0.1]),
+                               DomainViolation),
     "hessian_error": (
         lambda: hessian_error(reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (9, 9)), samples=[]),
         0.0,
@@ -213,6 +224,12 @@ _DEGENERATE_INPUTS = {
     "run_flow_nan_slice": (lambda: run_flow(_nan_flow9(), 1), ClassExit),
     "run_flow_semi_implicit_nan_slice": (lambda: run_flow(_nan_flow9(), 1, scheme="semi-implicit"), ClassExit),
     "flow_quantities_nan_slice": (lambda: flow_quantities(_nan_flow9()), ClassExit),
+    # step and snapshot counts are integers, not bools, and a slice index indexes the slices
+    "run_flow_fractional_snapshot_every": (lambda: run_flow(_flow9(), 4, snapshot_every=1.5), TmaError),
+    "run_flow_bool_steps": (lambda: run_flow(_flow9(), True), TmaError),
+    "run_flow_fractional_steps": (lambda: run_flow(_flow9(), 2.5), TmaError),
+    "discrete_time_speed_index_out_of_range": (lambda: discrete_time_speed(_flow9(), 5), TmaError),
+    "discrete_time_speed_bool_index": (lambda: discrete_time_speed(_flow9(), True), TmaError),
     "flow_from_values_inf_dt": (lambda: _flow9(float("inf")), TmaError),
     "flow_from_values_nan_time": (lambda: _flow9_at(float("nan")), TmaError),
     "flow_from_values_inf_time": (lambda: _flow9_at(float("inf")), TmaError),

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tma.errors import DimensionMismatch, DomainExceeded
+from tma.errors import DimensionMismatch, DomainExceeded, DomainViolation
 from tma.funclass import EnsembleSpec, draw_member, sample_points
-from tma.jets import ExpressionSpec, evaluate_jet
+from tma.jets import ExpressionSpec, evaluate_hessians, evaluate_jet
 from tma.legendre import (
     _jacobian,
     det_transform_residual,
@@ -13,7 +13,7 @@ from tma.legendre import (
     real_W,
     transformed_operator_L,
 )
-from tma.linalg import transformed_hessian
+from tma.linalg import inverse_and_logdet, transformed_hessian
 
 
 # ----------------------------------------------------------------- oracles
@@ -109,6 +109,18 @@ def test_domain_exceeded_signals_unreachable_slope():
         partial_legendre(cosh_spec(domain_halfwidth=0.5), [0.0], [1.0])
 
 
+@pytest.mark.parametrize("x, z, message", [
+    ([0.1], [math.inf], r"^z must be finite, got \[inf\]$"),
+    ([0.1], [-math.inf], r"^z must be finite, got \[-inf\]$"),
+    ([0.1], [math.nan], r"^z must be finite, got \[nan\]$"),
+    ([math.nan], [0.1], r"^x must be finite, got \[nan\]$"),
+], ids=["inf_z", "minus_inf_z", "nan_z", "nan_x"])
+def test_non_finite_dual_point_is_named(x, z, message):
+    # an infinite slope made the inversion tolerance infinite, so w came back NaN after no step
+    with pytest.raises(DomainViolation, match=message):
+        partial_legendre(SADDLE, x, z)
+
+
 # ------------------------------------------------------------ the transform
 def test_saddle_transform_explicit():
     res = partial_legendre(SADDLE, [0.7], [-0.3])
@@ -169,9 +181,18 @@ def test_operator_short_form_diagonal():
     )
 
 
+def _operator_long_form(spec, point):
+    """``T W^{-1} T^t``: the inverse transformed Hessian conjugated by the coordinate Jacobian."""
+    h = evaluate_hessians(spec, np.asarray(point, dtype=float)[None])[0]
+    w, cinv = transformed_hessian(h, spec.k)
+    t = _jacobian(h, spec.k, cinv)
+    w_inv, _ = inverse_and_logdet(w)
+    return t @ w_inv @ t.T
+
+
 def test_operator_long_form_agrees():
     short = transformed_operator_L(CROSS, [0.3, -0.2])
-    long = transformed_operator_L(CROSS, [0.3, -0.2], long_form=True)
+    long = _operator_long_form(CROSS, [0.3, -0.2])
     assert np.allclose(short, np.eye(2), atol=1e-13)
     assert np.max(np.abs(long - short)) < 1e-12
 
@@ -179,7 +200,7 @@ def test_operator_long_form_agrees():
     for idx, spec in enumerate([draw_member(es, i) for i in range(4)]):
         for p in sample_points(es, idx, 3):
             short = transformed_operator_L(spec, p)
-            long = transformed_operator_L(spec, p, long_form=True)
+            long = _operator_long_form(spec, p)
             assert np.max(np.abs(long - short)) < 1e-12
 
 

@@ -33,9 +33,8 @@ from tma.solver import (
     BoxGrid,
     FlowField,
     FrozenFrame,
-    _FastPoisson,
+    _Linearized,
     _linearized_gammas,
-    _Operator,
     _sine_transform,
     PeriodicBase,
     discrete_hessian,
@@ -322,6 +321,27 @@ class TestGuards:
         with pytest.raises(TmaError):
             run_flow(f, 0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: run_flow(f, 4, snapshot_every=1.5), r"^snapshot_every must be an integer >= 1, got 1\.5$"),
+        (lambda f: run_flow(f, True), r"^steps must be an integer >= 1, got True$"),
+        (lambda f: run_flow(f, 2.5), r"^steps must be an integer >= 1, got 2\.5$"),
+        (lambda f: run_flow(f, 0), r"^steps must be an integer >= 1, got 0$"),
+        (lambda f: discrete_time_speed(f, 5), r"^slice index must be an integer in \[-1, 1\), got 5$"),
+        (lambda f: discrete_time_speed(f, -2), r"^slice index must be an integer in \[-1, 1\), got -2$"),
+        (lambda f: discrete_time_speed(f, True), r"^slice index must be an integer in \[-1, 1\), got True$"),
+    ], ids=["fractional_snapshot_every", "bool_steps", "fractional_steps", "zero_steps", "index_5", "index_-2",
+            "bool_index"])
+    def test_counts_and_indices_are_integers_in_range(self, call, message):
+        f = flow_from_spec(reference_flow_spec(1.0, 1.0), FRAMED, dt=1e-4)
+        with pytest.raises(TmaError, match=message):
+            call(f)
+
+    def test_numpy_integer_counts_and_indices(self):
+        f = flow_from_spec(reference_flow_spec(1.0, 1.0), FRAMED, dt=1e-4)
+        run = run_flow(f, np.int64(3), snapshot_every=np.int32(2))
+        assert len(run.slices) == 3 and run.times == pytest.approx([0.0, 2e-4, 3e-4], abs=1e-18)
+        assert np.array_equal(discrete_time_speed(run, np.int64(1)), discrete_time_speed(run, 1), equal_nan=True)
+
     def test_flavor_grid_mismatch(self):
         spec = reference_flow_spec(1.0, 1.0, flavor="complex11")
         with pytest.raises(DimensionMismatch):
@@ -516,7 +536,7 @@ class TestMatrixFreeSolves:
     @pytest.mark.parametrize("shape", [(17, 21), (125, 125), (9, 8, 9, 10), (128, 128), (129, 127),
                                        (127, 9, 5)], ids=str)
     def test_sine_transform_twice_scales_by_the_extended_lengths(self, shape):
-        # _FastPoisson divides its symbol by this product instead of inverting the transform
+        # _Linearized.precondition divides its symbol by this product instead of inverting the transform
         x = np.random.default_rng(6).normal(size=shape)
         scale = math.prod(2 * n + 2 for n in shape)
         assert np.abs(_sine_transform(_sine_transform(x)) - scale * x).max() <= 1e-13 * scale * np.abs(x).max()
@@ -535,9 +555,9 @@ class TestMatrixFreeSolves:
     def test_preconditioner_inverts_constant_coefficients(self, grid, dt):
         # the preconditioner of L alone serves the elliptic solve, which needs a framed grid
         gammas = [np.full(grid.interior_shape, 0.7 + 0.5 * a) for a in range(grid.dim)]
-        system, precondition = _Operator(grid, gammas, dt), _FastPoisson(grid, gammas, dt)
+        system = _Linearized(grid, gammas, dt)
         v = np.random.default_rng(3).normal(size=math.prod(grid.interior_shape))
-        assert np.abs(precondition(system(v)) - v).max() <= 1e-12 * np.abs(v).max()
+        assert np.abs(system.precondition(system(v)) - v).max() <= 1e-12 * np.abs(v).max()
 
     @pytest.mark.parametrize("boundary, grid, guess, steps", [
         (reference_flow_spec(2.0, 1.0), BoxGrid((-1.0, -1.0), (1.0, 1.0), (129, 129)), None, 5),
@@ -568,18 +588,18 @@ class TestMatrixFreeSolves:
         # Each Arnoldi iteration preconditions a unit basis vector; each GMRES
         # cycle ends by preconditioning its correction, which is not one.
         counts = []
-        poisson = solver._FastPoisson
+        linearized = solver._Linearized
 
-        class Counted(poisson):
+        class Counted(linearized):
             def __init__(self, *args):
                 super().__init__(*args)
                 counts.append([0, 0])  # [iterations, cycles] of this Newton step
 
-            def __call__(self, v):
+            def precondition(self, v):
                 counts[-1][int(abs(np.linalg.norm(v) - 1.0) > 1e-12)] += 1
-                return super().__call__(v)
+                return super().precondition(v)
 
-        monkeypatch.setattr(solver, "_FastPoisson", Counted)
+        monkeypatch.setattr(solver, "_Linearized", Counted)
         solve_elliptic(boundary, grid, guess=guess)
         assert [tuple(c) for c in counts] == [(k, 1) for k in iterations]
 
@@ -797,6 +817,29 @@ class TestFlowInvariants:
         assert len(highs) == steps + 1
         assert all(later <= earlier for earlier, later in zip(highs, highs[1:]))
         assert all(later >= earlier for earlier, later in zip(lows, lows[1:]))
+
+    # The comparison principle, from the same linearization: the difference of two flows
+    # solves a linear parabolic equation with positive coefficients and no zeroth-order
+    # term, so data ordered at t = 0 stay ordered.  v0 = u0 + delta*phi with the periodic
+    # phi = prod_a (1 + cos(x_a + 0.3 a))/2 >= 0 and delta = 1e-2, on both carriers and
+    # both schemes; the runs, delta, phi and the tolerance 0 were fixed before the first run.
+    @pytest.mark.parametrize("carrier, nodes, scheme, dt, steps, amplitude, modes", [
+        ("real", 64, "rk4", 1e-3, 300, 0.05, ((1.0, 1.0), (2.0, -1.0))),
+        ("real", 64, "semi-implicit", 5e-2, 8, 0.15, ((1.0, 1.0), (2.0, -1.0))),
+        ("complex11", 12, "rk4", 1e-3, 100, 0.1, ((1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, -1.0))),
+        ("complex11", 12, "semi-implicit", 2e-2, 20, 0.1, ((1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, -1.0))),
+    ])
+    def test_ordered_data_stay_ordered(self, carrier, nodes, scheme, dt, steps, amplitude, modes):
+        dim = len(modes[0])
+        grid = BoxGrid((0.0,) * dim, (2.0 * math.pi,) * dim, (nodes,) * dim, frame=0)
+        policy = periodic_base_for(1.0, 1.0, carrier)
+        u = flow_from_spec(perturbed_flow_spec(1.0, 1.0, amplitude, flavor=carrier, modes=modes), grid, dt,
+                           policy=policy)
+        phi = math.prod((1.0 + np.cos(x + 0.3 * a)) / 2.0 for a, x in enumerate(grid.mesh()))
+        v = flow_from_values(u.slices[0] + 1e-2 * phi, grid, dt, policy)
+        u, v = (run_flow(f, steps, scheme=scheme, snapshot_every=1) for f in (u, v))
+        assert len(u.slices) == len(v.slices) == steps + 1 and u.times == v.times
+        assert all((b - a).min() >= 0.0 for a, b in zip(u.slices, v.slices))
 
     def test_snapshot_stride_and_times(self):
         spec = reference_flow_spec(1.0, 1.0)

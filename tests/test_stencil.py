@@ -26,7 +26,7 @@ from tma.solver import (
     FrozenFrame,
     PeriodicBase,
     _apply_frame,
-    _Operator,
+    _Linearized,
     _Stencil,
     _linearized_gammas,
     discrete_hessian,
@@ -265,7 +265,7 @@ class TestMatchesRollReference:
         ref_mat, _, ref_legs = _ref_operator(
             f, _linearized_gammas(f, *_ref_blocks(f, f.slices[-1])))
         ref_system = np.eye(len(ref_mat)) - f.dt * ref_mat
-        lop, system = _Operator(f.grid, gammas), _Operator(f.grid, gammas, f.dt)
+        lop, system = _Linearized(f.grid, gammas), _Linearized(f.grid, gammas, f.dt)
         for v in np.random.default_rng(17).normal(size=(3, len(ref_mat))):
             for got, want in ((lop(v), ref_mat @ v), (system(v), ref_system @ v),
                               (system.bound(v), np.abs(ref_system) @ np.abs(v))):
